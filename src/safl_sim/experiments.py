@@ -238,6 +238,10 @@ def load_experiment(path) -> ExperimentSpec:
     if "safl_extended" in variants and gate is None:
         raise ExperimentConfigError("variant 'safl_extended' requires a 'gate' section")
 
+    rounds = _require(doc, "T", "experiment")
+    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
+        raise ExperimentConfigError("'T' must be an integer >= 1")
+
     seeds = _require(doc, "seeds", "experiment")
     if not seeds or not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
         raise ExperimentConfigError("'seeds' must be a nonempty list of integers")
@@ -248,7 +252,7 @@ def load_experiment(path) -> ExperimentSpec:
         objective=objective,
         partition=part,
         selected_per_round=_require(doc, "s", "experiment"),
-        rounds=_require(doc, "T", "experiment"),
+        rounds=rounds,
         local_epochs=_require(doc, "E", "experiment"),
         lr=lr,
         anneal=anneal,
@@ -461,12 +465,12 @@ def execute(
         emit_metrics_csv(rows, path)
         paths[variant] = path
 
-        finals = [r for r in rows if r.round == max(x.round for x in rows if x.seed == r.seed)]
+        finals = [by_job[(variant, seed)][-1] for seed in seeds]
         mse_values = [r.mse for r in finals]
         acc_values = [r.accuracy_proxy for r in finals]
         summary["variants"][variant] = {
             "seeds": len(seeds),
-            "final_round": max(r.round for r in rows),
+            "final_round": max(r.round for r in finals),
             "final_mse_mean": statistics.fmean(mse_values),
             "final_mse_stderr": (statistics.stdev(mse_values) / math.sqrt(len(mse_values)) if len(mse_values) > 1 else 0.0),
             "final_accuracy_mean": statistics.fmean(acc_values),

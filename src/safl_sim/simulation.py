@@ -4,7 +4,8 @@ One round, mirroring a synchronous implementation:
 
 1. the server picks ``s`` of the ``n`` devices uniformly without replacement;
 2. each picked device runs ``E`` local epochs of per-sample SGD from its
-   current parameters, producing a local update;
+   current parameters, producing a local update (all picked devices train
+   together in one batched call, see ``training``);
 3. (``safl_extended`` only) each picked device scores the last broadcast
    global model against its local update on its private holdout and uploads
    with probability ``exp(-gap / gap_scale)``;
@@ -23,7 +24,7 @@ function of the configuration and independent of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
 from .partition import PartitionSpec, partition_with_holdout
 from .training import DivergenceError, LrSchedule, run_local_epochs
-from .upload_gate import GateConfig, GateState, accuracy_proxy, decide_upload, performance_gap, upload_probability
+from .upload_gate import GateConfig, accuracy_proxy, decide_upload, performance_gap, upload_probability
 
 ALGORITHMS = ("fedavg", "safl", "safl_extended")
 LOCAL_SOLVERS = ("sgd", "oracle")
@@ -93,7 +94,6 @@ class DeviceState:
     train_rng: np.random.Generator
     mask_rng: np.random.Generator
     gate_rng: np.random.Generator
-    gate: GateState = field(default_factory=GateState)
     steps_done: int = 0
 
     def eval_set(self) -> Dataset:
@@ -104,7 +104,6 @@ class DeviceState:
 class ServerState:
     global_params: np.ndarray
     rng: np.random.Generator
-    round_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -208,30 +207,33 @@ def run_round(
     selected = [devices[int(k)] for k in chosen]
     stale_global = server.global_params
 
+    if config.local_solver == "oracle":
+        trained = [optimum_oracle(obj, dev.shard) for dev in selected]
+    else:
+        try:
+            trained, _ = run_local_epochs(
+                [dev.params for dev in selected],
+                [dev.shard for dev in selected],
+                obj,
+                config.local_epochs,
+                config.lr,
+                [dev.train_rng for dev in selected],
+                start_steps=[dev.steps_done for dev in selected],
+                order=config.sample_order,
+            )
+        except DivergenceError as err:
+            dev = selected[err.device_index]
+            raise DivergenceError(
+                f"device {dev.device_id} diverged in round {round_index}: {err}",
+                round_index=round_index,
+            ) from err
+        for dev in selected:
+            dev.steps_done += config.local_epochs * len(dev.shard)
+
     local_updates: dict[int, np.ndarray] = {}
     gate_info: dict[int, dict] = {}
     received: list[ModelUpdate] = []
-    for dev in selected:
-        if config.local_solver == "oracle":
-            z = optimum_oracle(obj, dev.shard)
-        else:
-            try:
-                z, steps = run_local_epochs(
-                    dev.params,
-                    dev.shard,
-                    obj,
-                    config.local_epochs,
-                    config.lr,
-                    dev.train_rng,
-                    start_step=dev.steps_done,
-                    order=config.sample_order,
-                )
-            except DivergenceError as err:
-                raise DivergenceError(
-                    f"device {dev.device_id} diverged in round {round_index}: {err}",
-                    round_index=round_index,
-                ) from err
-            dev.steps_done += steps
+    for dev, z in zip(selected, trained):
         local_updates[dev.device_id] = z
 
         uploads_update = True
@@ -241,7 +243,6 @@ def run_round(
             h_local = accuracy_proxy(z, eval_set, obj, config.gate.proxy)
             gap = performance_gap(h_global, h_local, config.gate.eps_div)
             q = upload_probability(gap, config.gate.gap_scale)
-            dev.gate.upload_prob = q
             uploads_update = decide_upload(q, dev.gate_rng)
             gate_info[dev.device_id] = {"gap": gap, "q": q, "uploaded": uploads_update}
         if uploads_update:
@@ -254,7 +255,6 @@ def run_round(
             raise DivergenceError(
                 f"aggregate diverged in round {round_index}", round_index=round_index
             )
-    server.round_index = round_index
 
     p_values = []
     for dev in selected:

@@ -184,6 +184,13 @@ class TestCli:
         assert code == 1
         assert "'n'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rounds", [0, -2, 2.5])
+    def test_round_count_below_one_exits_one_and_names_it(self, tmp_path, capsys, rounds):
+        path = write_doc(tmp_path, experiment_doc(T=rounds))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert "'T'" in capsys.readouterr().err
+
     def test_successful_run_exits_zero(self, tmp_path):
         path = write_doc(tmp_path, experiment_doc(T=4, seeds=[1]))
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])

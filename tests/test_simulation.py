@@ -145,7 +145,7 @@ class TestSingleDevice:
         rng = np.random.default_rng(train_ss)
         steps = 0
         for _ in range(8):
-            w, took = run_local_epochs(w, shard, obj, 1, cfg.lr, rng, start_step=steps)
+            (w,), took = run_local_epochs([w], [shard], obj, 1, cfg.lr, [rng], start_steps=[steps])
             steps += took
         assert np.array_equal(res.devices[0].params, w)
 
@@ -193,6 +193,19 @@ class TestDeterminismAndAccounting:
         with pytest.raises(DivergenceError) as err:
             run(cfg, dataset=data)
         assert err.value.round_index is not None and 1 <= err.value.round_index <= 10
+
+    def test_divergence_names_the_lowest_selected_diverged_device(self):
+        # devices 1 and 3 both overflow in round 1; device 3 has the longer
+        # stream, yet the report names device 1, as a device-by-device loop would
+        obj = Objective("ridge", 2, reg=0.5)
+        sizes, scales = (4, 50, 5, 80), (0.1, 1e4, 0.1, 1e4)
+        shards = [Dataset(np.full((m, 2), s), np.zeros(m)) for m, s in zip(sizes, scales)]
+        part = PartitionSpec(n=4, mean_size=10.0, seed=1)
+        cfg = base_config(obj, part, lr=LrSchedule("constant", 1.0), rounds=3)
+        with pytest.raises(DivergenceError) as err:
+            run(cfg, shards=shards)
+        assert str(err.value).startswith("device 1 diverged in round 1: ")
+        assert err.value.round_index == 1
 
 
 class TestGatedUploads:

@@ -26,6 +26,7 @@ class TestLrSchedule:
         assert sched.rate(0) == 2.0
         assert sched.rate(3) == pytest.approx(0.5)
         assert np.allclose(sched.rates(2, 3), [2.0 / 3, 2.0 / 4, 2.0 / 5])
+        assert np.array_equal(sched.rates(np.array([2, 7]), 3), np.stack([sched.rates(2, 3), sched.rates(7, 3)], axis=1))
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ValueError):
@@ -79,7 +80,7 @@ class TestRunLocalEpochs:
         sched = LrSchedule("constant", 0.1)
         rng = np.random.default_rng(42)
         w0 = np.zeros(3)
-        z, steps = run_local_epochs(w0, shard, obj, 1, sched, rng)
+        (z,), steps = run_local_epochs([w0], [shard], obj, 1, sched, [rng])
         assert steps == 1
         manual = sgd_step(w0, shard.sample(0), obj, 0.1)
         assert np.allclose(z, manual, atol=0)
@@ -87,21 +88,21 @@ class TestRunLocalEpochs:
     def test_step_count_is_epochs_times_shard_size(self):
         obj, shard = tiny_shard(5)
         rng = np.random.default_rng(1)
-        _, steps = run_local_epochs(np.zeros(3), shard, obj, 3, LrSchedule("constant", 0.01), rng)
+        _, steps = run_local_epochs([np.zeros(3)], [shard], obj, 3, LrSchedule("constant", 0.01), [rng])
         assert steps == 15
 
     @pytest.mark.parametrize("order", ["iid_draw", "shuffle"])
     def test_bitwise_deterministic_for_fixed_stream(self, order):
         obj, shard = tiny_shard(7)
         sched = LrSchedule("inverse", 0.5)
-        z1, _ = run_local_epochs(np.zeros(3), shard, obj, 2, sched, np.random.default_rng(5), order=order)
-        z2, _ = run_local_epochs(np.zeros(3), shard, obj, 2, sched, np.random.default_rng(5), order=order)
+        (z1,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, [np.random.default_rng(5)], order=order)
+        (z2,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, [np.random.default_rng(5)], order=order)
         assert np.array_equal(z1, z2)
 
     def test_shuffle_replays_a_permutation_stream(self):
         obj, shard = tiny_shard(6)
         sched = LrSchedule("constant", 0.05)
-        z, _ = run_local_epochs(np.zeros(3), shard, obj, 1, sched, np.random.default_rng(11), order="shuffle")
+        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, [np.random.default_rng(11)], order="shuffle")
         perm = np.random.default_rng(11).permutation(6)
         w = np.zeros(3)
         for i in perm:
@@ -111,7 +112,7 @@ class TestRunLocalEpochs:
     def test_iid_draw_replays_the_index_stream(self):
         obj, shard = tiny_shard(6)
         sched = LrSchedule("constant", 0.05)
-        z, _ = run_local_epochs(np.zeros(3), shard, obj, 2, sched, np.random.default_rng(12), order="iid_draw")
+        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, [np.random.default_rng(12)], order="iid_draw")
         idx = np.random.default_rng(12).integers(0, 6, size=12)
         w = np.zeros(3)
         for i in idx:
@@ -121,7 +122,7 @@ class TestRunLocalEpochs:
     def test_start_step_offsets_the_schedule(self):
         obj, shard = tiny_shard(1)
         sched = LrSchedule("inverse", 1.0)
-        z, _ = run_local_epochs(np.zeros(3), shard, obj, 1, sched, np.random.default_rng(3), start_step=9)
+        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, [np.random.default_rng(3)], start_steps=[9])
         manual = sgd_step(np.zeros(3), shard.sample(0), obj, 1.0 / 10)
         assert np.allclose(z, manual, atol=0)
 
@@ -129,7 +130,7 @@ class TestRunLocalEpochs:
         rng = np.random.default_rng(17)
         obj, shard = random_problem("multinomial_logistic", rng, m=6)
         sched = LrSchedule("constant", 0.1)
-        z, _ = run_local_epochs(np.zeros(obj.param_dim), shard, obj, 1, sched, np.random.default_rng(9))
+        (z,), _ = run_local_epochs([np.zeros(obj.param_dim)], [shard], obj, 1, sched, [np.random.default_rng(9)])
         idx = np.random.default_rng(9).integers(0, 6, size=6)
         w = np.zeros(obj.param_dim)
         for i in idx:
@@ -151,10 +152,74 @@ class TestRunLocalEpochs:
     def test_divergent_rate_raises(self):
         obj, shard = tiny_shard(8)
         with pytest.raises(DivergenceError):
-            run_local_epochs(np.zeros(3), shard, obj, 50, LrSchedule("constant", 1e6), np.random.default_rng(2))
+            run_local_epochs([np.zeros(3)], [shard], obj, 50, LrSchedule("constant", 1e6), [np.random.default_rng(2)])
 
     def test_empty_shard_rejected(self):
         obj = Objective("least_squares", 2)
         empty = Dataset(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError, match="empty"):
-            run_local_epochs(np.zeros(2), empty, obj, 1, LrSchedule("constant", 0.1), np.random.default_rng(1))
+            run_local_epochs([np.zeros(2)], [empty], obj, 1, LrSchedule("constant", 0.1), [np.random.default_rng(1)])
+
+
+def replay_sgd(w, shard, obj, epochs, sched, rng, start_step, order):
+    """The reference: one device's own index stream, one ``sgd_step`` per sample."""
+    m = len(shard)
+    if order == "iid_draw":
+        idx = rng.integers(0, m, size=epochs * m)
+    else:
+        idx = np.concatenate([rng.permutation(m) for _ in range(epochs)])
+    for t, i in enumerate(idx):
+        w = sgd_step(w, shard.sample(int(i)), obj, sched.rate(start_step + t))
+    return w
+
+
+def ragged_batch(kind: str, count: int, seed: int):
+    """``count`` devices of one objective with shard sizes 1..count in shuffled
+    order, random starting points and distinct schedule offsets."""
+    rng = np.random.default_rng(seed)
+    obj, _ = random_problem(kind, rng, m=1)
+    sizes = rng.permutation(np.arange(1, count + 1))
+    shards = [random_problem(kind, rng, m=int(m))[1] for m in sizes]
+    params = [0.5 * rng.standard_normal(obj.param_dim) for _ in range(count)]
+    starts = [int(s) for s in rng.choice(1000, size=count, replace=False)]
+    return obj, shards, params, starts
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("kind", ["least_squares", "ridge", "multinomial_logistic"])
+    @pytest.mark.parametrize("order", ["iid_draw", "shuffle"])
+    @pytest.mark.parametrize("sched", [LrSchedule("constant", 0.05), LrSchedule("inverse", 2.0)])
+    def test_each_device_matches_chained_sgd_steps(self, kind, order, sched):
+        obj, shards, params, starts = ragged_batch(kind, 40, seed=len(kind) + len(order))
+        count = len(shards)
+        Z, total = run_local_epochs(
+            params, shards, obj, 2, sched, [np.random.default_rng(500 + k) for k in range(count)],
+            start_steps=starts, order=order,
+        )
+        assert Z.shape == (count, obj.param_dim)
+        assert total == 2 * sum(len(s) for s in shards)
+        for k in range(count):
+            ref = replay_sgd(params[k], shards[k], obj, 2, sched, np.random.default_rng(500 + k), starts[k], order)
+            assert np.abs(Z[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("kind", ["ridge", "multinomial_logistic"])
+    def test_result_is_bitwise_independent_of_the_batch(self, kind):
+        obj, shards, params, starts = ragged_batch(kind, 30, seed=3)
+        sched = LrSchedule("inverse", 1.0)
+        Z, _ = run_local_epochs(
+            params, shards, obj, 2, sched, [np.random.default_rng(k) for k in range(30)], start_steps=starts
+        )
+        for k in (0, 7, 29):
+            (alone,), _ = run_local_epochs(
+                [params[k]], [shards[k]], obj, 2, sched, [np.random.default_rng(k)], start_steps=[starts[k]]
+            )
+            assert np.array_equal(alone, Z[k])
+
+    def test_simulation_resolves_the_kernel_and_gets_an_int_step_total(self):
+        from safl_sim import simulation
+
+        obj, shards, params, _ = ragged_batch("ridge", 5, seed=8)
+        rngs = [np.random.default_rng(k) for k in range(5)]
+        result = simulation.run_local_epochs(params, shards, obj, 3, LrSchedule("constant", 0.01), rngs)
+        assert type(result[1]) is int
+        assert result[1] == sum(3 * len(s) for s in shards)
