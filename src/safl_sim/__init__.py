@@ -21,7 +21,6 @@ from .bounds import (
 from .datasets import load_csv, make_blobs, make_linear_regression, save_csv
 from .objectives import (
     ConvergenceError,
-    CurvatureBounds,
     Dataset,
     GradientUnavailableError,
     Objective,
@@ -32,22 +31,11 @@ from .objectives import (
     loss,
     optimum_oracle,
     per_sample_grads,
-    predict_classes,
 )
 from .partition import PartitionSpec, partition, partition_with_holdout, sample_sizes
-from .simulation import (
-    DeviceState,
-    RoundRecord,
-    RunResult,
-    ServerState,
-    SimConfig,
-    build_state,
-    global_estimate,
-    run,
-    run_round,
-)
+from .simulation import SimConfig, global_estimate, run
 from .training import DivergenceError, LrSchedule, run_local_epochs, sgd_step
-from .upload_gate import GateConfig, GateState, accuracy_proxy, decide_upload, performance_gap, upload_probability
+from .upload_gate import GateConfig, accuracy_proxy, decide_upload, performance_gap, upload_probability
 
 __version__ = "0.1.0"
 
@@ -55,26 +43,19 @@ __all__ = [
     "AnnealConfig",
     "BoundInputs",
     "ConvergenceError",
-    "CurvatureBounds",
     "Dataset",
-    "DeviceState",
     "DivergenceError",
     "GateConfig",
-    "GateState",
     "GradientUnavailableError",
     "LrSchedule",
     "ModelUpdate",
     "Objective",
     "PartitionSpec",
-    "RoundRecord",
-    "RunResult",
     "Sample",
-    "ServerState",
     "SimConfig",
     "WeightScheme",
     "accuracy_proxy",
     "aggregate",
-    "build_state",
     "corollary1_bound",
     "corollary1_constant",
     "curvature",
@@ -94,11 +75,9 @@ __all__ = [
     "partition_with_holdout",
     "per_sample_grads",
     "performance_gap",
-    "predict_classes",
     "rate_class",
     "run",
     "run_local_epochs",
-    "run_round",
     "sample_mask",
     "sample_sizes",
     "save_csv",

@@ -35,7 +35,7 @@ class AnnealConfig:
     mask_mode: str = "per_coordinate"
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not (self.temperature > 0):
             raise ValueError("temperature must be > 0")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")

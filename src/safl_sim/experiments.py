@@ -12,18 +12,14 @@ Each variant produces one CSV with columns
 
 where ``p`` is empty for plain averaging and the bound columns are empty
 whenever their preconditions do not hold.  A ``summary.json`` with final-round
-aggregates is written alongside.  ``SAFL_SIM_THREADS`` caps the worker pool
-that executes (variant, seed) runs; it affects wall time only, never output
-bytes.
+aggregates is written alongside.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,8 +46,6 @@ METRICS_COLUMNS = (
     "bound_theorem1",
     "bound_corollary1",
 )
-
-THREADS_ENV = "SAFL_SIM_THREADS"
 
 
 class ExperimentConfigError(ValueError):
@@ -97,6 +91,14 @@ def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ExperimentConfigError(f"missing required key '{key}' in {where}")
     return section[key]
+
+
+def _section(doc: dict, key: str, default: dict | None = None) -> dict:
+    """The sub-object ``doc[key]``, required unless a ``default`` is given."""
+    section = _require(doc, key, "experiment") if default is None else doc.get(key, default)
+    if not isinstance(section, dict):
+        raise ExperimentConfigError(f"section '{key}' must be a JSON object")
+    return section
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -177,11 +179,11 @@ def load_experiment(path) -> ExperimentSpec:
         raise ExperimentConfigError("experiment document must be a JSON object")
     _check_keys(doc, TOP_KEYS, "experiment")
 
-    dataset = _build_dataset(_require(doc, "data", "experiment"))
-    objective = _build_objective(_require(doc, "objective", "experiment"), dataset)
+    dataset = _build_dataset(_section(doc, "data"))
+    objective = _build_objective(_section(doc, "objective"), dataset)
 
     n = _require(doc, "n", "experiment")
-    part_section = _require(doc, "partition", "experiment")
+    part_section = _section(doc, "partition")
     _check_keys(part_section, {"mean_size", "size_var", "max_labels_per_device", "pure_count", "seed"}, "partition")
     try:
         part = PartitionSpec(
@@ -195,14 +197,14 @@ def load_experiment(path) -> ExperimentSpec:
     except ValueError as err:
         raise ExperimentConfigError(f"partition: {err}") from err
 
-    lr_section = _require(doc, "lr", "experiment")
+    lr_section = _section(doc, "lr")
     _check_keys(lr_section, {"kind", "value"}, "lr")
     try:
         lr = LrSchedule(_require(lr_section, "kind", "lr"), _require(lr_section, "value", "lr"))
     except ValueError as err:
         raise ExperimentConfigError(f"lr: {err}") from err
 
-    anneal_section = doc.get("anneal", {})
+    anneal_section = _section(doc, "anneal", default={})
     _check_keys(anneal_section, {"temperature", "epsilon", "clock", "mask_mode"}, "anneal")
     try:
         anneal = AnnealConfig(
@@ -216,7 +218,7 @@ def load_experiment(path) -> ExperimentSpec:
 
     gate = None
     if "gate" in doc:
-        gate_section = doc["gate"]
+        gate_section = _section(doc, "gate")
         _check_keys(gate_section, {"gap_scale", "eps_div", "proxy"}, "gate")
         try:
             gate = GateConfig(
@@ -243,7 +245,7 @@ def load_experiment(path) -> ExperimentSpec:
         raise ExperimentConfigError("'T' must be an integer >= 1")
 
     seeds = _require(doc, "seeds", "experiment")
-    if not seeds or not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    if not seeds or not isinstance(seeds, list) or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
         raise ExperimentConfigError("'seeds' must be a nonempty list of integers")
 
     return ExperimentSpec(
@@ -288,7 +290,7 @@ def sim_config(spec: ExperimentSpec, variant: str, seed: int) -> SimConfig:
             init_scale=spec.init_scale,
             early_stop_mse=spec.early_stop_mse,
         )
-    except (ValueError, NotImplementedError) as err:
+    except ValueError as err:
         raise ExperimentConfigError(str(err)) from err
 
 
@@ -409,15 +411,6 @@ def parse_metrics_csv(path) -> list[MetricsRow]:
     return rows
 
 
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ExperimentConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(n, 1)
-
-
 def execute(
     spec: ExperimentSpec,
     out_dir,
@@ -440,20 +433,13 @@ def execute(
         variants = [v for v in variants if v in variants_filter]
     seeds = [seed_override] if seed_override is not None else list(spec.seeds)
 
-    jobs = [(variant, seed) for variant in variants for seed in seeds]
-
-    def one(job):
-        variant, seed = job
-        result = run(sim_config(spec, variant, seed), dataset=spec.dataset)
-        return rows_for_run(spec, variant, seed, result)
-
-    threads = worker_count()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
-    by_job = dict(zip(jobs, results))
+    # a job's RunResult is dropped once its rows are built, so no two jobs'
+    # device states are alive at once
+    by_job = {
+        (variant, seed): rows_for_run(spec, variant, seed, run(sim_config(spec, variant, seed), dataset=spec.dataset))
+        for variant in variants
+        for seed in seeds
+    }
 
     paths: dict[str, Path] = {}
     summary: dict = {"experiment": spec.name, "variants": {}}

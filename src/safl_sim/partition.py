@@ -32,9 +32,9 @@ class PartitionSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("device count n must be >= 1")
-        if self.mean_size <= 0:
+        if not (self.mean_size > 0):
             raise ValueError("mean_size must be > 0")
-        if self.size_var < 0:
+        if not (self.size_var >= 0):
             raise ValueError("size_var must be >= 0")
         if self.max_labels_per_device < 1:
             raise ValueError("max_labels_per_device must be >= 1")

@@ -57,7 +57,6 @@ class SimConfig:
     holdout_fraction: float = 0.2
     init_scale: float = 0.1
     early_stop_mse: float | None = None
-    feedback_timing: str = "round_boundary"
 
     @property
     def n(self) -> int:
@@ -78,10 +77,10 @@ class SimConfig:
             raise ValueError("safl_extended requires a gate configuration")
         if self.local_solver == "sgd" and not self.objective.is_smooth:
             raise ValueError("non-smooth objectives cannot be trained by SGD; use local_solver='oracle'")
-        if self.feedback_timing != "round_boundary":
-            raise NotImplementedError("only round_boundary feedback timing is implemented")
         if not (0.0 <= self.holdout_fraction < 1.0):
             raise ValueError("holdout_fraction must lie in [0, 1)")
+        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
+            raise ValueError("init_scale must be finite and >= 0")
 
 
 @dataclass
@@ -120,7 +119,6 @@ class RoundRecord:
 class RunResult:
     records: list[RoundRecord]
     w_star: np.ndarray
-    pooled: Dataset
     devices: list[DeviceState]
     server: ServerState
     init_params: np.ndarray  # (n, param_dim) snapshot of the device initialisations
@@ -142,7 +140,9 @@ def build_state(
     """Materialise devices, server, pooled training data, and its optimum.
 
     ``shards`` bypasses the partitioner for tests that need exact shard
-    contents; otherwise ``dataset`` is partitioned per the config.
+    contents: each is a device's training set, with an empty holdout, so
+    ``holdout_fraction`` must be 0.  Otherwise ``dataset`` is partitioned
+    and split per the config.
     """
     obj = config.objective
     if shards is None:
@@ -152,11 +152,9 @@ def build_state(
     else:
         if len(shards) != config.n:
             raise ValueError("need exactly one shard per device")
-        pairs = []
-        for shard in shards:
-            m = len(shard)
-            n_hold = min(int(math.floor(m * config.holdout_fraction)), m - 1)
-            pairs.append((shard.subset(np.arange(n_hold, m)), shard.subset(np.arange(n_hold))))
+        if config.holdout_fraction > 0:
+            raise ValueError("explicit shards take no holdout; holdout_fraction must be 0")
+        pairs = [(shard, shard.subset(np.arange(0))) for shard in shards]
 
     root = np.random.SeedSequence(config.seed)
     server_ss, *device_ss = root.spawn(1 + config.n)
@@ -309,7 +307,6 @@ def run(
     return RunResult(
         records=records,
         w_star=w_star,
-        pooled=pooled,
         devices=devices,
         server=server,
         init_params=init_params,

@@ -52,7 +52,7 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "inverse"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.value <= 0:
+        if not (self.value > 0):
             raise ValueError("learning rate must be > 0")
 
     def rate(self, step: int) -> float:

@@ -30,24 +30,12 @@ class GateConfig:
     proxy: str = "holdout_accuracy"
 
     def __post_init__(self):
-        if self.gap_scale <= 0:
+        if not (self.gap_scale > 0):
             raise ValueError("gap_scale must be > 0")
-        if self.eps_div <= 0:
+        if not (self.eps_div > 0):
             raise ValueError("eps_div must be > 0")
         if self.proxy not in PROXY_KINDS:
             raise ValueError(f"unknown accuracy proxy {self.proxy!r}")
-
-
-@dataclass
-class GateState:
-    """Per-device upload probability, initialised to 1 and retained between
-    selections."""
-
-    upload_prob: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.upload_prob <= 1.0):
-            raise ValueError("upload probability must lie in (0, 1]")
 
 
 def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective, kind: str) -> float:

@@ -1,7 +1,5 @@
 import json
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
@@ -191,6 +189,33 @@ class TestCli:
         assert code == 1
         assert "'T'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("partition", "mean_size", math.nan, "mean_size"),
+            ("partition", "size_var", math.nan, "size_var"),
+            ("anneal", "temperature", math.nan, "temperature"),
+            ("gate", "gap_scale", math.nan, "gap_scale"),
+            ("gate", "eps_div", math.nan, "eps_div"),
+            ("lr", "value", math.nan, "lr:"),
+            (None, "init_scale", math.nan, "init_scale"),
+            (None, "partition", None, "'partition'"),
+            (None, "data", None, "'data'"),
+            (None, "anneal", [1, 2], "'anneal'"),
+            (None, "seeds", [True], "'seeds'"),
+        ],
+    )
+    def test_malformed_document_exits_one_and_names_the_key(self, tmp_path, capsys, section, key, value, named):
+        doc = experiment_doc(gate={"gap_scale": 0.1}, T=2, seeds=[1])
+        if section is None:
+            doc[key] = value
+        else:
+            doc[section][key] = value
+        path = write_doc(tmp_path, doc)
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
     def test_successful_run_exits_zero(self, tmp_path):
         path = write_doc(tmp_path, experiment_doc(T=4, seeds=[1]))
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
@@ -222,22 +247,3 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["compare", str(tmp_path / "a.csv")])
         assert exc.value.code == 2
-
-
-class TestWorkerEnvironment:
-    def test_thread_count_never_changes_bytes(self, tmp_path):
-        path = write_doc(tmp_path, experiment_doc(T=6))
-        env = dict(os.environ)
-        outputs = {}
-        for threads in ("1", "4"):
-            out = tmp_path / f"out{threads}"
-            env["SAFL_SIM_THREADS"] = threads
-            proc = subprocess.run(
-                [sys.executable, "-m", "safl_sim.cli", "run", "--config", str(path), "--out", str(out), "--quiet"],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs[threads] = (out / "fedavg.csv").read_bytes() + (out / "safl.csv").read_bytes()
-        assert outputs["1"] == outputs["4"]

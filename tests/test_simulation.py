@@ -323,10 +323,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gate"):
             base_config(obj, part, algorithm="safl_extended")
 
-    def test_per_step_feedback_not_implemented(self):
-        data, obj, part = regression_setup()
-        with pytest.raises(NotImplementedError):
-            base_config(obj, part, feedback_timing="per_step")
+    def test_explicit_shards_take_no_holdout(self):
+        part = PartitionSpec(n=2, mean_size=1.0, seed=1)
+        cfg = base_config(TOY_OBJ, part, local_solver="oracle", holdout_fraction=0.2)
+        with pytest.raises(ValueError, match="holdout_fraction"):
+            run(cfg, shards=TOY_SHARDS)
 
     def test_global_estimate_needs_matched_weights(self):
         data, obj, part = regression_setup()

@@ -5,7 +5,6 @@ import pytest
 
 from safl_sim import (
     GateConfig,
-    GateState,
     Objective,
     accuracy_proxy,
     decide_upload,
@@ -121,13 +120,6 @@ class TestDecideUpload:
 
 
 class TestGateConfigAndState:
-    def test_state_initialises_to_certain_upload(self):
-        assert GateState().upload_prob == 1.0
-
-    def test_invalid_state_rejected(self):
-        with pytest.raises(ValueError):
-            GateState(upload_prob=0.0)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GateConfig(gap_scale=0.0)
