@@ -22,7 +22,8 @@ class ModelUpdate:
 class WeightScheme:
     """How the server weighs received updates.
 
-    ``custom`` carries one fixed weight per device id; the weights of the
+    ``custom`` carries one fixed positive weight per device id (a zero could
+    leave a round whose received weights sum to zero); the weights of the
     devices actually heard from are renormalised each round.  ``ida`` weighs
     by inverse distance to a reference model (the previous global model).
     """
@@ -36,8 +37,8 @@ class WeightScheme:
         if self.kind == "custom":
             if not self.custom:
                 raise ValueError("custom scheme requires per-device weights")
-            if any(c < 0 for c in self.custom):
-                raise ValueError("custom weights must be >= 0")
+            if not all(c > 0 for c in self.custom):
+                raise ValueError("custom weights must be > 0")
         elif self.custom is not None:
             raise ValueError("custom weights only apply to the custom scheme")
 
@@ -78,8 +79,6 @@ def weights(
             raw = np.array([float(scheme.custom[u.device_id]) for u in updates])
         except IndexError:
             raise ValueError("custom weights missing an entry for a device id") from None
-        if raw.sum() <= 0:
-            raise ValueError("custom weights for the received devices sum to zero")
         w = raw / raw.sum()
     w = w / w.sum()
     assert abs(float(w.sum()) - 1.0) <= 1e-12

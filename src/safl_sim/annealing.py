@@ -15,23 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ANNEAL_CLOCKS = ("rounds", "local_steps")
 MASK_MODES = ("per_coordinate", "scalar")
 
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Schedule knobs: ``temperature`` (decay constant) and ``epsilon`` (blend weight).
+    """Schedule knobs: ``temperature`` (decay constant, in communication
+    rounds) and ``epsilon`` (blend weight).
 
-    ``clock`` picks the counter feeding the schedule: communication rounds
-    (default; temperature is then in units of rounds) or the device's
-    cumulative local step count.  ``mask_mode`` draws the blend mask per
-    coordinate (default) or as a single Bernoulli shared by all coordinates.
+    ``mask_mode`` draws the blend mask per coordinate (default) or as a single
+    Bernoulli shared by all coordinates.
     """
 
-    temperature: float
-    epsilon: float
-    clock: str = "rounds"
+    temperature: float = 10.0
+    epsilon: float = 0.5
     mask_mode: str = "per_coordinate"
 
     def __post_init__(self):
@@ -39,10 +36,8 @@ class AnnealConfig:
             raise ValueError("temperature must be > 0")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.clock not in ANNEAL_CLOCKS:
-            raise ValueError(f"unknown anneal clock {self.clock!r}")
         if self.mask_mode not in MASK_MODES:
-            raise ValueError(f"unknown mask mode {self.mask_mode!r}")
+            raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
 
 
 def selection_probability(t: float, temperature: float) -> float:

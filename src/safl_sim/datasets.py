@@ -15,6 +15,15 @@ import numpy as np
 from .objectives import Dataset
 
 
+def _check_draw(samples: int, dim: int, seed: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
 def make_linear_regression(
     samples: int,
     dim: int,
@@ -29,6 +38,7 @@ def make_linear_regression(
     ``noise_std = 0`` gives noiseless labels: x'w_true interpolates every
     sample exactly, so the least-squares risk at w_true is zero.
     """
+    _check_draw(samples, dim, seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = feature_scale * rng.standard_normal((samples, dim))
     w_true = coef_scale * rng.standard_normal(dim)
@@ -48,6 +58,7 @@ def make_blobs(
     seed: int = 0,
 ) -> Dataset:
     """Gaussian class clusters with balanced labels (round-robin remainder)."""
+    _check_draw(samples, dim, seed)
     if classes < 2:
         raise ValueError("classes must be >= 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

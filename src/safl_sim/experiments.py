@@ -17,10 +17,13 @@ aggregates is written alongside.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
+import re
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +33,8 @@ from .annealing import AnnealConfig
 from .bounds import BoundInputs, corollary1_bound, corollary1_constant, measure_bound_inputs, theorem1_bound
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import Dataset, Objective, curvature
-from .partition import PartitionSpec
-from .simulation import ALGORITHMS, RunResult, SimConfig, run
+from .partition import PartitionSpec, check_fits
+from .simulation import RunResult, SimConfig, run
 from .training import LrSchedule
 from .upload_gate import GateConfig
 
@@ -67,98 +70,120 @@ class MetricsRow:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A loaded document: the data, the settings every job shares, and the
+    (variant, seed) grid.  ``config`` carries ``variants[0]`` and ``seeds[0]``;
+    ``sim_config`` swaps in each job's own."""
+
     name: str
     dataset: Dataset
-    objective: Objective
-    partition: PartitionSpec
-    selected_per_round: int
-    rounds: int
-    local_epochs: int
-    lr: LrSchedule
-    anneal: AnnealConfig
-    gate: GateConfig | None
-    weight_scheme: WeightScheme
-    sample_order: str
-    local_solver: str
-    holdout_fraction: float
-    init_scale: float
-    early_stop_mse: float | None
+    config: SimConfig
     variants: tuple[str, ...]
     seeds: tuple[int, ...]
 
 
-def _require(section: dict, key: str, where: str):
+_REQUIRED = object()
+_KINDS = {"int": "an integer", "float": "a finite number", "str": "a string", "dict": "a JSON object", "list": "a nonempty list"}
+_JSON_TYPES = {"str": str, "dict": dict, "list": list}
+# SimConfig fields that the document names otherwise (s, T and E are the paper's symbols)
+_DOC_KEYS = {"selected_per_round": "s", "rounds": "T", "local_epochs": "E", "algorithm": "variants", "seed": "seeds"}
+
+
+def _typed(value, kind: str, name: str):
+    """``value`` if it has JSON type ``kind``, a key of ``_KINDS`` or one with
+    ``" | None"`` appended to also accept null.  An int is not a bool or a
+    float; a float accepts an int, is returned as float and must be finite."""
+    if value is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind == "float" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    elif kind == "int" and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif kind in _JSON_TYPES and isinstance(value, _JSON_TYPES[kind]) and (value or kind != "list"):
+        return value
+    raise ExperimentConfigError(f"{name} must be {_KINDS[kind]}")
+
+
+def _read(section: dict, where: str, key: str, kind: str, default=_REQUIRED):
+    """``section[key]`` of JSON type ``kind``, or ``default`` when the key is absent."""
     if key not in section:
-        raise ExperimentConfigError(f"missing required key '{key}' in {where}")
-    return section[key]
+        if default is _REQUIRED:
+            raise ExperimentConfigError(f"{where}: missing required key '{key}'")
+        return default
+    return _typed(section[key], kind, f"{where}: '{key}'")
 
 
-def _section(doc: dict, key: str, default: dict | None = None) -> dict:
-    """The sub-object ``doc[key]``, required unless a ``default`` is given."""
-    section = _require(doc, key, "experiment") if default is None else doc.get(key, default)
-    if not isinstance(section, dict):
-        raise ExperimentConfigError(f"section '{key}' must be a JSON object")
-    return section
+def _read_list(section: dict, where: str, key: str, kind: str) -> tuple:
+    """``section[key]``: a nonempty list whose entries have JSON type ``kind``."""
+    return tuple(_typed(v, kind, f"{where}: each entry of '{key}'") for v in _read(section, where, key, "list"))
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
-        raise ExperimentConfigError(f"unknown key '{unknown[0]}' in {where}")
+        raise ExperimentConfigError(f"{where}: unknown key '{unknown[0]}'")
+
+
+def _owned(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``.  The range checks belong to ``build``; a
+    ValueError from them becomes a config error naming ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ExperimentConfigError(f"{where}: {err}") from err
+
+
+@functools.cache  # a handful of module-level callables; inspect is slow
+def _parameters(build) -> dict[str, inspect.Parameter]:
+    return dict(inspect.signature(build).parameters)
+
+
+def _call(build, section: dict, where: str, fixed: dict | None = None, defaults: dict | None = None):
+    """``build`` called with the keys of ``section``.
+
+    The keys are the parameters of ``build`` outside ``fixed``, each of the
+    JSON type that its annotation names.  A key left out takes its value from
+    ``defaults``, else the parameter's own default, so each default has one
+    owner.
+    """
+    fixed = fixed or {}
+    params = {name: p for name, p in _parameters(build).items() if name not in fixed}
+    _check_keys(section, set(params), where)
+    values = {**(defaults or {}), **fixed}
+    for name, param in params.items():
+        if name in section or (name not in values and param.default is param.empty):
+            values[name] = _read(section, where, name, param.annotation)
+    return _owned(where, build, **values)
+
+
+DATA_GENERATORS = {"linear": make_linear_regression, "blobs": make_blobs}
 
 
 def _build_dataset(section: dict) -> Dataset:
-    kind = _require(section, "kind", "data")
-    if kind == "linear":
-        _check_keys(section, {"kind", "samples", "dim", "feature_scale", "coef_scale", "noise_std", "seed"}, "data")
-        return make_linear_regression(
-            _require(section, "samples", "data"),
-            _require(section, "dim", "data"),
-            feature_scale=section.get("feature_scale", 1.0),
-            coef_scale=section.get("coef_scale", 1.0),
-            noise_std=section.get("noise_std", 0.0),
-            seed=section.get("seed", 0),
-        )
-    if kind == "blobs":
-        _check_keys(section, {"kind", "samples", "dim", "classes", "separation", "cluster_std", "seed"}, "data")
-        return make_blobs(
-            _require(section, "samples", "data"),
-            _require(section, "dim", "data"),
-            _require(section, "classes", "data"),
-            separation=section.get("separation", 2.0),
-            cluster_std=section.get("cluster_std", 1.0),
-            seed=section.get("seed", 0),
-        )
-    if kind == "csv":
-        _check_keys(section, {"kind", "path", "classes"}, "data")
-        return load_csv(_require(section, "path", "data"), n_classes=section.get("classes"))
-    raise ExperimentConfigError(f"unknown data kind '{kind}'")
+    kind = _read(section, "data", "kind", "str")
+    params = {k: v for k, v in section.items() if k != "kind"}
+    if kind in DATA_GENERATORS:
+        return _call(DATA_GENERATORS[kind], params, "data")
+    if kind != "csv":
+        raise ExperimentConfigError(f"data: unknown kind '{kind}'")
+    _check_keys(params, {"path", "classes"}, "data")
+    path = _read(params, "data", "path", "str")
+    return _owned(f"data: 'path' ({path})", load_csv, path, n_classes=_read(params, "data", "classes", "int | None", None))
 
 
-def _build_objective(section: dict, dataset: Dataset) -> Objective:
-    kind = _require(section, "kind", "objective")
-    _check_keys(section, {"kind", "reg"}, "objective")
-    try:
-        if kind == "multinomial_logistic":
-            if not dataset.is_classification:
-                raise ExperimentConfigError("objective 'multinomial_logistic' needs classification data")
-            return Objective(kind, dataset.dim, reg=section.get("reg", 0.0), n_classes=dataset.n_classes)
-        return Objective(kind, dataset.dim, reg=section.get("reg", 0.0))
-    except ValueError as err:
-        raise ExperimentConfigError(f"objective: {err}") from err
-
-
-def _build_weights(value) -> WeightScheme:
-    try:
-        if isinstance(value, str):
-            return WeightScheme(value)
-        if isinstance(value, dict):
-            _check_keys(value, {"kind", "custom"}, "weights")
-            custom = value.get("custom")
-            return WeightScheme(_require(value, "kind", "weights"), tuple(custom) if custom else None)
-    except ValueError as err:
-        raise ExperimentConfigError(f"weights: {err}") from err
-    raise ExperimentConfigError("weights must be a scheme name or an object")
+def _build_weights(doc: dict) -> WeightScheme:
+    value = doc.get("weights", "uniform")
+    if isinstance(value, str):
+        return _owned("weights", WeightScheme, value)
+    section = _read(doc, "experiment", "weights", "dict")
+    _check_keys(section, {"kind", "custom"}, "weights")
+    custom = _read_list(section, "weights", "custom", "float") if "custom" in section else None
+    return _owned("weights", WeightScheme, _read(section, "weights", "kind", "str"), custom)
 
 
 TOP_KEYS = {
@@ -166,10 +191,18 @@ TOP_KEYS = {
     "gate", "weights", "sample_order", "local_solver", "holdout_fraction",
     "init_scale", "early_stop_mse", "variants", "seeds",
 }
+# top-level keys named after the SimConfig field they set
+SIM_FIELDS = ("sample_order", "local_solver", "holdout_fraction", "init_scale", "early_stop_mse")
 
 
 def load_experiment(path) -> ExperimentSpec:
-    """Parse and validate an experiment document."""
+    """Parse and validate an experiment document.
+
+    Every check runs here, so a document that loads runs to completion or
+    stops on runtime divergence.  Types are checked as each key is read;
+    ranges by the dataclass that owns the value; what needs the dataset or
+    the variant list, here.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -179,165 +212,104 @@ def load_experiment(path) -> ExperimentSpec:
         raise ExperimentConfigError("experiment document must be a JSON object")
     _check_keys(doc, TOP_KEYS, "experiment")
 
-    dataset = _build_dataset(_section(doc, "data"))
-    objective = _build_objective(_section(doc, "objective"), dataset)
+    def top(key, kind, default=_REQUIRED):
+        return _read(doc, "experiment", key, kind, default)
 
-    n = _require(doc, "n", "experiment")
-    part_section = _section(doc, "partition")
-    _check_keys(part_section, {"mean_size", "size_var", "max_labels_per_device", "pure_count", "seed"}, "partition")
-    try:
-        part = PartitionSpec(
-            n=n,
-            mean_size=_require(part_section, "mean_size", "partition"),
-            size_var=part_section.get("size_var", 0.0),
-            max_labels_per_device=part_section.get("max_labels_per_device", 1),
-            seed=part_section.get("seed", 0),
-            pure_count=part_section.get("pure_count", 0),
-        )
-    except ValueError as err:
-        raise ExperimentConfigError(f"partition: {err}") from err
+    dataset = _build_dataset(top("data", "dict"))
 
-    lr_section = _section(doc, "lr")
-    _check_keys(lr_section, {"kind", "value"}, "lr")
-    try:
-        lr = LrSchedule(_require(lr_section, "kind", "lr"), _require(lr_section, "value", "lr"))
-    except ValueError as err:
-        raise ExperimentConfigError(f"lr: {err}") from err
+    section = top("objective", "dict")
+    kind = _read(section, "objective", "kind", "str")
+    if kind == "multinomial_logistic" and not dataset.is_classification:
+        raise ExperimentConfigError("objective: 'multinomial_logistic' needs classification data")
+    n_classes = dataset.n_classes if kind == "multinomial_logistic" else None
+    objective = _call(Objective, section, "objective", {"dim": dataset.dim, "n_classes": n_classes})
 
-    anneal_section = _section(doc, "anneal", default={})
-    _check_keys(anneal_section, {"temperature", "epsilon", "clock", "mask_mode"}, "anneal")
-    try:
-        anneal = AnnealConfig(
-            temperature=anneal_section.get("temperature", 10.0),
-            epsilon=anneal_section.get("epsilon", 0.5),
-            clock=anneal_section.get("clock", "rounds"),
-            mask_mode=anneal_section.get("mask_mode", "per_coordinate"),
-        )
-    except ValueError as err:
-        raise ExperimentConfigError(f"anneal: {err}") from err
+    part = _call(PartitionSpec, top("partition", "dict"), "partition", {"n": top("n", "int")})
+    _owned("partition", check_fits, dataset, part)
 
-    gate = None
-    if "gate" in doc:
-        gate_section = _section(doc, "gate")
-        _check_keys(gate_section, {"gap_scale", "eps_div", "proxy"}, "gate")
-        try:
-            gate = GateConfig(
-                gap_scale=_require(gate_section, "gap_scale", "gate"),
-                eps_div=gate_section.get("eps_div", 1e-6),
-                proxy=gate_section.get("proxy", "holdout_accuracy" if objective.is_classification else "inverse_risk"),
-            )
-        except ValueError as err:
-            raise ExperimentConfigError(f"gate: {err}") from err
+    gate = top("gate", "dict", None)
+    if gate is not None:
+        proxy = "holdout_accuracy" if objective.is_classification else "inverse_risk"
+        gate = _call(GateConfig, gate, "gate", defaults={"proxy": proxy})
 
-    variants = _require(doc, "variants", "experiment")
-    if not variants or not isinstance(variants, list):
-        raise ExperimentConfigError("'variants' must be a nonempty list")
-    for v in variants:
-        if v not in ALGORITHMS:
-            raise ExperimentConfigError(f"unknown variant '{v}' (choose from {', '.join(ALGORITHMS)})")
+    variants = _read_list(doc, "experiment", "variants", "str")
     if len(set(variants)) != len(variants):
-        raise ExperimentConfigError("'variants' contains duplicates")
-    if "safl_extended" in variants and gate is None:
-        raise ExperimentConfigError("variant 'safl_extended' requires a 'gate' section")
+        raise ExperimentConfigError("experiment: 'variants' contains duplicates")
+    seeds = _read_list(doc, "experiment", "seeds", "int")
+    rounds = top("T", "int")
+    if rounds < 1:  # SimConfig allows 0; the summary needs a final round
+        raise ExperimentConfigError("experiment: 'T' must be >= 1")
 
-    rounds = _require(doc, "T", "experiment")
-    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
-        raise ExperimentConfigError("'T' must be an integer >= 1")
-
-    seeds = _require(doc, "seeds", "experiment")
-    if not seeds or not isinstance(seeds, list) or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ExperimentConfigError("'seeds' must be a nonempty list of integers")
-
-    return ExperimentSpec(
-        name=doc.get("name", Path(path).stem),
-        dataset=dataset,
+    settings = dict(
         objective=objective,
         partition=part,
-        selected_per_round=_require(doc, "s", "experiment"),
+        selected_per_round=top("s", "int"),
         rounds=rounds,
-        local_epochs=_require(doc, "E", "experiment"),
-        lr=lr,
-        anneal=anneal,
+        local_epochs=top("E", "int"),
+        anneal=_call(AnnealConfig, top("anneal", "dict", {}), "anneal"),
         gate=gate,
-        weight_scheme=_build_weights(doc.get("weights", "uniform")),
-        sample_order=doc.get("sample_order", "iid_draw"),
-        local_solver=doc.get("local_solver", "sgd"),
-        holdout_fraction=doc.get("holdout_fraction", 0.2),
-        init_scale=doc.get("init_scale", 0.1),
-        early_stop_mse=doc.get("early_stop_mse"),
-        variants=tuple(variants),
-        seeds=tuple(seeds),
+        weight_scheme=_build_weights(doc),
+        lr=_call(LrSchedule, top("lr", "dict"), "lr"),
     )
+    kinds = {f.name: f.type for f in fields(SimConfig)}
+    settings.update({name: top(name, kinds[name]) for name in SIM_FIELDS if name in doc})
+    try:
+        configs = [SimConfig(**settings, algorithm=v, seed=s) for v in variants for s in seeds]
+    except ValueError as err:
+        message = re.sub(r"\b(" + "|".join(_DOC_KEYS) + r")\b", lambda m: f"'{_DOC_KEYS[m[1]]}'", str(err))
+        raise ExperimentConfigError(f"experiment: {message}") from err
+    return ExperimentSpec(top("name", "str", Path(path).stem), dataset, configs[0], variants, seeds)
 
 
 def sim_config(spec: ExperimentSpec, variant: str, seed: int) -> SimConfig:
-    try:
-        return SimConfig(
-            objective=spec.objective,
-            partition=spec.partition,
-            selected_per_round=spec.selected_per_round,
-            rounds=spec.rounds,
-            local_epochs=spec.local_epochs,
-            algorithm=variant,
-            anneal=spec.anneal,
-            gate=spec.gate,
-            weight_scheme=spec.weight_scheme,
-            lr=spec.lr,
-            seed=seed,
-            sample_order=spec.sample_order,
-            local_solver=spec.local_solver,
-            holdout_fraction=spec.holdout_fraction,
-            init_scale=spec.init_scale,
-            early_stop_mse=spec.early_stop_mse,
-        )
-    except ValueError as err:
-        raise ExperimentConfigError(str(err)) from err
+    return replace(spec.config, algorithm=variant, seed=seed)
 
 
-def _static_etas(spec: ExperimentSpec, result: RunResult) -> np.ndarray | None:
-    if spec.weight_scheme.kind == "uniform":
-        return np.full(spec.partition.n, 1.0 / spec.partition.n)
-    if spec.weight_scheme.kind == "size_proportional":
+def _static_etas(config: SimConfig, result: RunResult) -> np.ndarray | None:
+    if config.weight_scheme.kind == "uniform":
+        return np.full(config.n, 1.0 / config.n)
+    if config.weight_scheme.kind == "size_proportional":
         sizes = np.array([float(d.full_size) for d in result.devices])
         return sizes / sizes.sum()
-    if spec.weight_scheme.kind == "custom":
-        raw = np.asarray(spec.weight_scheme.custom, dtype=np.float64)
+    if config.weight_scheme.kind == "custom":
+        raw = np.asarray(config.weight_scheme.custom, dtype=np.float64)
         return raw / raw.sum()
     return None  # ida weights vary per round; no static eta vector exists
 
 
 def _bound_columns(spec: ExperimentSpec, result: RunResult) -> tuple[list, list]:
     """Per-round bound values, or Nones when the preconditions are unmet."""
+    config = spec.config
     rounds = len(result.records)
     empty = [None] * rounds
-    if spec.local_solver != "sgd" or not spec.objective.is_smooth:
+    if config.local_solver != "sgd" or not config.objective.is_smooth:
         return empty, empty
-    if spec.selected_per_round != spec.partition.n:
+    if config.selected_per_round != config.n:
         return empty, empty
-    etas = _static_etas(spec, result)
+    etas = _static_etas(config, result)
     if etas is None:
         return empty, empty
 
     shards = [d.shard for d in result.devices]
-    q_local = spec.local_epochs * max(len(s) for s in shards)
+    q_local = config.local_epochs * max(len(s) for s in shards)
     theorem1_col: list = empty
     corollary1_col: list = empty
-    if spec.lr.kind == "constant":
+    if config.lr.kind == "constant":
         try:
             inputs = measure_bound_inputs(
-                spec.objective, shards, result.init_params, result.w_star, etas,
-                alpha=spec.lr.value, epsilon=spec.anneal.epsilon, local_iterations=q_local,
+                config.objective, shards, result.init_params, result.w_star, etas,
+                alpha=config.lr.value, epsilon=config.anneal.epsilon, local_iterations=q_local,
             )
             theorem1_col = [theorem1_bound(inputs, r.round_index) for r in result.records]
         except ValueError:
             pass
     else:
         try:
-            curvatures = [curvature(spec.objective, s) for s in shards]
+            curvatures = [curvature(config.objective, s) for s in shards]
             mu = min(c.mu for c in curvatures)
             sigma_sq_max = max(c.sigma_sq for c in curvatures)
             zeta = float(((result.init_params - result.w_star) ** 2).sum(axis=1).max())
-            c0 = corollary1_constant(spec.lr.value, mu, sigma_sq_max, zeta)
+            c0 = corollary1_constant(config.lr.value, mu, sigma_sq_max, zeta)
             corollary1_col = [corollary1_bound(c0, r.round_index) for r in result.records]
         except ValueError:
             pass
@@ -431,6 +403,8 @@ def execute(
         if unknown:
             raise ExperimentConfigError(f"variant '{unknown[0]}' not declared in the experiment file")
         variants = [v for v in variants if v in variants_filter]
+    if seed_override is not None:
+        _owned("--seed-override", replace, spec.config, seed=seed_override)
     seeds = [seed_override] if seed_override is not None else list(spec.seeds)
 
     # a job's RunResult is dropped once its rows are built, so no two jobs'
@@ -497,9 +471,15 @@ def compare(paths: list, mse_threshold: float | None = None, stream=None) -> Non
         if sorted(by_round) != base_rounds:
             raise ValueError(f"variant '{variant}' has an incompatible round grid")
 
-    sample = base_rounds[:: max(len(base_rounds) // 10, 1)]
-    if base_rounds[-1] not in sample:
-        sample.append(base_rounds[-1])
+    # a round that some seed of some file stopped before (early_stop_mse)
+    # would average over the survivors only, so the table leaves it out
+    seed_counts = [len({row.seed for rows in by_round.values() for row in rows}) for _, by_round in tables]
+    rounds = [r for r in base_rounds if all(len(t[r]) == k for (_, t), k in zip(tables, seed_counts))]
+    if not rounds:
+        raise ValueError("no round was reached by every seed")
+    sample = rounds[:: max(len(rounds) // 10, 1)]
+    if rounds[-1] not in sample:
+        sample.append(rounds[-1])
 
     def stats(rows):
         mses = [r.mse for r in rows]

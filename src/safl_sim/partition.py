@@ -40,6 +40,8 @@ class PartitionSpec:
             raise ValueError("max_labels_per_device must be >= 1")
         if not (0 <= self.pure_count <= self.n):
             raise ValueError("pure_count must lie in [0, n]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _streams(spec: PartitionSpec):
@@ -58,6 +60,12 @@ def sample_sizes(spec: PartitionSpec) -> list[int]:
     return _draw_sizes(spec, sizes_rng)
 
 
+def check_fits(dataset: Dataset, spec: PartitionSpec) -> None:
+    """Raise ValueError when ``spec`` caps label subsets above the labels ``dataset`` holds."""
+    if dataset.is_classification and spec.max_labels_per_device > dataset.labels().size:
+        raise ValueError("max_labels_per_device exceeds the number of labels present")
+
+
 def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
     """Build the n label-restricted shards; ``|shard_k| == m_k`` exactly.
 
@@ -67,12 +75,8 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
     sizes_rng, labels_rng, draw_rng, _ = _streams(spec)
     sizes = _draw_sizes(spec, sizes_rng)
 
-    if dataset.is_classification:
-        label_values = dataset.labels()
-        if spec.max_labels_per_device > label_values.size:
-            raise ValueError("max_labels_per_device exceeds the number of labels present")
-    else:
-        label_values = None
+    check_fits(dataset, spec)
+    label_values = dataset.labels() if dataset.is_classification else None
 
     shards: list[Dataset] = []
     for k in range(spec.n):

@@ -32,7 +32,7 @@ from .aggregation import ModelUpdate, WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
 from .partition import PartitionSpec, partition_with_holdout
-from .training import DivergenceError, LrSchedule, run_local_epochs
+from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, run_local_epochs
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, performance_gap, upload_probability
 
 ALGORITHMS = ("fedavg", "safl", "safl_extended")
@@ -47,7 +47,7 @@ class SimConfig:
     rounds: int
     local_epochs: int = 1
     algorithm: str = "fedavg"
-    anneal: AnnealConfig = AnnealConfig(temperature=10.0, epsilon=0.5)
+    anneal: AnnealConfig = AnnealConfig()
     gate: GateConfig | None = None
     weight_scheme: WeightScheme = WeightScheme("uniform")
     lr: LrSchedule = LrSchedule("constant", 0.01)
@@ -70,11 +70,20 @@ class SimConfig:
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}, not {self.algorithm!r}")
         if self.local_solver not in LOCAL_SOLVERS:
-            raise ValueError(f"unknown local solver {self.local_solver!r}")
+            raise ValueError(f"unknown local_solver {self.local_solver!r}")
+        if self.sample_order not in SAMPLE_ORDERS:
+            raise ValueError(f"unknown sample_order {self.sample_order!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        custom = self.weight_scheme.custom
+        if custom is not None and len(custom) != self.n:
+            raise ValueError(f"custom weights need one entry per device: {len(custom)} for n = {self.n}")
         if self.algorithm == "safl_extended" and self.gate is None:
             raise ValueError("safl_extended requires a gate configuration")
+        if self.gate is not None and self.gate.proxy == "holdout_accuracy" and not self.objective.is_classification:
+            raise ValueError("gate proxy 'holdout_accuracy' needs a classification objective")
         if self.local_solver == "sgd" and not self.objective.is_smooth:
             raise ValueError("non-smooth objectives cannot be trained by SGD; use local_solver='oracle'")
         if not (0.0 <= self.holdout_fraction < 1.0):
@@ -184,11 +193,6 @@ def build_state(
     return devices, server, pooled, w_star
 
 
-def _device_p(config: SimConfig, device: DeviceState, round_index: int) -> float:
-    clock = round_index if config.anneal.clock == "rounds" else device.steps_done
-    return selection_probability(clock, config.anneal.temperature)
-
-
 def run_round(
     server: ServerState,
     devices: list[DeviceState],
@@ -260,7 +264,7 @@ def run_round(
         if config.algorithm == "fedavg":
             dev.params = server.global_params.copy()
         else:
-            p = _device_p(config, dev, round_index)
+            p = selection_probability(round_index, config.anneal.temperature)
             p_values.append(p)
             mask = sample_mask(obj.param_dim, p, config.anneal.epsilon, dev.mask_rng, config.anneal.mask_mode)
             dev.params = mix(mask, server.global_params, z)

@@ -46,14 +46,14 @@ class DivergenceError(FloatingPointError):
 class LrSchedule:
     """Learning-rate schedule: ``constant`` alpha or ``inverse`` alpha0/(t+1)."""
 
-    kind: str = "constant"
-    value: float = 0.01
+    kind: str
+    value: float
 
     def __post_init__(self):
         if self.kind not in ("constant", "inverse"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (self.value > 0):
-            raise ValueError("learning rate must be > 0")
+            raise ValueError("learning rate value must be > 0")
 
     def rate(self, step: int) -> float:
         if self.kind == "constant":

@@ -101,6 +101,4 @@ class TestAnnealConfig:
         with pytest.raises(ValueError):
             AnnealConfig(temperature=1.0, epsilon=1.5)
         with pytest.raises(ValueError):
-            AnnealConfig(temperature=1.0, epsilon=0.5, clock="epochs")
-        with pytest.raises(ValueError):
             AnnealConfig(temperature=1.0, epsilon=0.5, mask_mode="matrix")

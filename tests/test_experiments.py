@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safl_sim import run
 from safl_sim.cli import main as cli_main
@@ -74,9 +80,9 @@ class TestLoadExperiment:
 
     def test_well_formed_document_loads(self, tmp_path):
         spec = load_experiment(write_doc(tmp_path, experiment_doc()))
-        assert spec.partition.n == 8
+        assert spec.config.partition.n == 8
         assert spec.variants == ("fedavg", "safl")
-        assert spec.lr.kind == "inverse"
+        assert spec.config.lr.kind == "inverse"
 
 
 class TestSharedSeedGuarantee:
@@ -164,6 +170,23 @@ class TestCompare:
         with pytest.raises(ValueError, match="two"):
             compare([tmp_path / "only.csv"])
 
+    def test_rounds_after_an_early_stopped_seed_are_left_out(self, tmp_path, capsys):
+        def write(name, mses_by_seed):
+            rows = [
+                MetricsRow("safl", seed, r, mse, 0.5, r, 0.5, None, None)
+                for seed, mses in mses_by_seed.items()
+                for r, mse in enumerate(mses, start=1)
+            ]
+            emit_metrics_csv(rows, tmp_path / name)
+            return tmp_path / name
+
+        stopped = write("a.csv", {1: [4.0] * 6, 2: [9.0, 1.0, 0.1]})  # seed 2 stopped after round 3
+        full = write("b.csv", {1: [4.0] * 6, 2: [4.0] * 6})
+        compare([stopped, full], mse_threshold=0.5)
+        table, thresholds = capsys.readouterr().out.split("rounds to mse")
+        assert {int(line.split()[1]) for line in table.strip().splitlines()[1:]} == {1, 2, 3}
+        assert "median 3 (min 3, max 3, unreached 1)" in thresholds
+
     def test_incompatible_round_grids_rejected(self, tmp_path):
         spec_a = load_experiment(write_doc(tmp_path, experiment_doc(variants=["safl"])))
         spec_b = load_experiment(write_doc(tmp_path, experiment_doc(variants=["safl"], T=5), name="b.json"))
@@ -203,6 +226,30 @@ class TestCli:
             (None, "data", None, "'data'"),
             (None, "anneal", [1, 2], "'anneal'"),
             (None, "seeds", [True], "'seeds'"),
+            (None, "E", 1.5, "'E'"),
+            (None, "n", "4", "'n'"),
+            (None, "s", "4", "'s'"),
+            (None, "s", 9, "'s'"),
+            (None, "sample_order", "bogus", "sample_order"),
+            (None, "holdout_fraction", "0.2", "'holdout_fraction'"),
+            (None, "init_scale", "x", "'init_scale'"),
+            (None, "early_stop_mse", "x", "'early_stop_mse'"),
+            ("objective", "reg", "0.5", "'reg'"),
+            ("partition", "mean_size", math.inf, "'mean_size'"),
+            ("partition", "max_labels_per_device", 1.5, "'max_labels_per_device'"),
+            ("data", "samples", "80", "'samples'"),
+            ("data", "samples", 0, "samples"),
+            (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 1}, "classes"),
+            (None, "seeds", [-1], "'seeds'"),
+            ("data", "seed", -4, "seed"),
+            ("partition", "seed", -2, "seed"),
+            ("lr", "value", math.inf, "'value'"),
+            ("anneal", "temperature", math.inf, "'temperature'"),
+            (None, "name", 5, "'name'"),
+            (None, "weights", {"kind": "custom", "custom": [1, 2]}, "custom weights"),
+            (None, "weights", {"kind": "custom", "custom": [1.0] * 9}, "custom weights"),
+            (None, "weights", {"kind": "custom", "custom": [0] * 8}, "custom weights"),
+            ("gate", "proxy", "holdout_accuracy", "proxy"),
         ],
     )
     def test_malformed_document_exits_one_and_names_the_key(self, tmp_path, capsys, section, key, value, named):
@@ -215,6 +262,36 @@ class TestCli:
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
         assert named in capsys.readouterr().err
+
+    def test_label_cap_above_the_labels_present_exits_one(self, tmp_path, capsys):
+        doc = experiment_doc(data={"kind": "blobs", "samples": 60, "dim": 3, "classes": 3}, T=2, seeds=[1])
+        doc["partition"]["max_labels_per_device"] = 5
+        path = write_doc(tmp_path, doc)
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert "max_labels_per_device" in capsys.readouterr().err
+
+    def test_dataset_csv_with_a_bad_header_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1,label\n0.5,1.5,2.0\n")
+        path = write_doc(tmp_path, experiment_doc(data={"kind": "csv", "path": str(data)}, T=2, seeds=[1]))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert "'path'" in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_one(self, tmp_path, capsys):
+        path = write_doc(tmp_path, experiment_doc(T=2, seeds=[1]))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--seed-override", "-1", "--quiet"])
+        assert code == 1
+        assert "--seed-override" in capsys.readouterr().err
+
+    def test_custom_weights_one_per_device_fill_the_bound_column(self, tmp_path):
+        doc = experiment_doc(
+            weights={"kind": "custom", "custom": [1, 2, 3, 4, 5, 6, 7, 8]},
+            lr={"kind": "constant", "value": 0.01}, T=3, seeds=[1],
+        )
+        paths = execute(load_experiment(write_doc(tmp_path, doc)), tmp_path / "out", quiet=True)
+        assert all(r.bound_theorem1 is not None for r in parse_metrics_csv(paths["safl"]))
 
     def test_successful_run_exits_zero(self, tmp_path):
         path = write_doc(tmp_path, experiment_doc(T=4, seeds=[1]))
@@ -247,3 +324,51 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["compare", str(tmp_path / "a.csv")])
         assert exc.value.code == 2
+
+
+def tiny_doc(kind):
+    """A document that runs all three variants in well under a second and
+    sets every optional key, so that each key can be mutated."""
+    doc = experiment_doc(
+        n=4, s=4, T=2, E=1, seeds=[1],
+        partition={"mean_size": 6, "size_var": 1.0, "max_labels_per_device": 2, "pure_count": 1, "seed": 7},
+        lr={"kind": "constant", "value": 0.05},
+        anneal={"temperature": 6.0, "epsilon": 0.4, "mask_mode": "scalar"},
+        gate={"gap_scale": 0.1, "eps_div": 1e-6, "proxy": "inverse_risk"},
+        weights="uniform", sample_order="shuffle", local_solver="sgd",
+        holdout_fraction=0.2, init_scale=0.1, early_stop_mse=None,
+        variants=["fedavg", "safl", "safl_extended"],
+    )
+    if kind == "blobs":
+        doc["data"] = {"kind": "blobs", "samples": 40, "dim": 3, "classes": 3, "separation": 2.0, "cluster_std": 1.0, "seed": 2}
+        doc["objective"] = {"kind": "multinomial_logistic", "reg": 0.5}
+        doc["gate"]["proxy"] = "holdout_accuracy"
+    else:
+        doc["data"]["samples"] = 40
+    return doc
+
+
+TINY_DOCS = {kind: tiny_doc(kind) for kind in ("linear", "blobs")}
+MUTABLE_KEYS = [
+    (kind, section, key)
+    for kind, doc in TINY_DOCS.items()
+    for section, keys in [(None, list(doc))] + [(name, list(v)) for name, v in doc.items() if isinstance(v, dict)]
+    for key in keys
+]
+# wrong types, non-finite numbers and values out of range for most keys
+BAD_VALUES = ["x", True, None, [], {}, 1.5, -1, 0, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(target=st.sampled_from(MUTABLE_KEYS), value=st.sampled_from(BAD_VALUES))
+def test_a_mutated_key_runs_or_exits_one_naming_it(tmp_path_factory, target, value):
+    kind, section, key = target
+    doc = copy.deepcopy(TINY_DOCS[kind])
+    (doc if section is None else doc[section])[key] = value
+    tmp = tmp_path_factory.mktemp("mutant")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["run", "--config", str(write_doc(tmp, doc)), "--out", str(tmp / "out"), "--quiet"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert re.search(rf"\b{re.escape(key)}\b", err.getvalue())
