@@ -35,7 +35,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, Objective, curvature
+from .objectives import Dataset, Objective, curvature, hessian_bounds
+
+
+def check_constant_step(alpha: float, mu: float, lam: float) -> None:
+    """Raise ValueError unless the constant-step bound holds at step ``alpha``."""
+    if not (lam >= mu > 0):
+        raise ValueError("need lam >= mu > 0")
+    if alpha <= 0 or alpha >= 1.0 / (2.0 * lam - mu):
+        raise ValueError("constant-step bound requires 0 < alpha < 1/(2*lam - mu)")
+    if alpha * mu >= 1.0:
+        raise ValueError("need alpha * mu < 1")
+
+
+def check_decaying_step(alpha0: float, mu: float) -> None:
+    """Raise ValueError unless the strongly convex decaying-step bound holds
+    at initial step ``alpha0``."""
+    if mu <= 0:
+        raise ValueError("mu must be > 0")
+    lo, hi = (2.0 - math.sqrt(2.0)) / mu, (2.0 + math.sqrt(2.0)) / mu
+    if not (lo < alpha0 < hi):
+        raise ValueError(f"alpha0 must lie in ({lo:.6g}, {hi:.6g}) for this bound")
+
+
+def _check_spread(zeta: float) -> None:
+    if not (math.isfinite(zeta) and zeta >= 0):
+        raise ValueError("zeta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -58,20 +83,14 @@ class BoundInputs:
     selection_prob: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam >= self.mu > 0):
-            raise ValueError("need lam >= mu > 0")
-        if self.alpha <= 0 or self.alpha >= 1.0 / (2.0 * self.lam - self.mu):
-            raise ValueError("constant-step bound requires 0 < alpha < 1/(2*lam - mu)")
-        if self.alpha * self.mu >= 1.0:
-            raise ValueError("need alpha * mu < 1")
+        check_constant_step(self.alpha, self.mu, self.lam)
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
         if not (0.0 <= self.selection_prob <= 1.0):
             raise ValueError("selection_prob must lie in [0, 1]")
         if self.local_iterations < 1:
             raise ValueError("local_iterations must be >= 1")
-        if self.zeta < 0:
-            raise ValueError("zeta must be >= 0")
+        _check_spread(self.zeta)
         if len(self.sigma_sqs) != len(self.etas):
             raise ValueError("sigma_sqs and etas must have one entry per device")
         if np.any(np.asarray(self.sigma_sqs) < 0):
@@ -103,13 +122,10 @@ def theorem1_bound(inputs: BoundInputs, t: int) -> float:
 
 def corollary1_constant(alpha0: float, mu: float, sigma_sq_max: float, zeta: float) -> float:
     """The constant c of the strongly convex decaying-step bound c/(t+1)."""
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    lo, hi = (2.0 - math.sqrt(2.0)) / mu, (2.0 + math.sqrt(2.0)) / mu
-    if not (lo < alpha0 < hi):
-        raise ValueError(f"alpha0 must lie in ({lo:.6g}, {hi:.6g}) for this bound")
-    if sigma_sq_max < 0 or zeta < 0:
-        raise ValueError("sigma_sq_max and zeta must be >= 0")
+    check_decaying_step(alpha0, mu)
+    if sigma_sq_max < 0:
+        raise ValueError("sigma_sq_max must be >= 0")
+    _check_spread(zeta)
     denom = 2.0 - (2.0 - mu * alpha0) ** 2
     return max(2.0 * alpha0**2 * sigma_sq_max / denom, zeta)
 
@@ -138,6 +154,25 @@ def theorem3_bound(c: float, t: int) -> float:
     return corollary1_bound(c, t)
 
 
+def hessian_range(obj: Objective, shards: list[Dataset]) -> tuple[float, float]:
+    """The smallest per-shard mu and the largest per-shard lam."""
+    bounds = [hessian_bounds(obj, s) for s in shards]
+    return min(mu for mu, _ in bounds), max(lam for _, lam in bounds)
+
+
+def initial_spread(init_stacks: np.ndarray, w_star: np.ndarray) -> float:
+    """zeta: the max over devices of the mean squared initial distance to
+    ``w_star`` across runs.  ``init_stacks`` has shape (n_runs, n_devices,
+    param_dim), or (n_devices, param_dim) for one run.  A spread beyond the
+    float range comes out as inf, which every bound rejects."""
+    stacks = np.asarray(init_stacks, dtype=np.float64)
+    if stacks.ndim == 2:
+        stacks = stacks[None, :, :]
+    with np.errstate(over="ignore"):
+        sq = ((stacks - w_star) ** 2).sum(axis=2)  # (runs, devices)
+    return float(sq.mean(axis=0).max())
+
+
 def measure_bound_inputs(
     obj: Objective,
     shards: list[Dataset],
@@ -151,29 +186,22 @@ def measure_bound_inputs(
 ) -> BoundInputs:
     """Assemble bound inputs from measured quantities.
 
-    ``init_stacks`` has shape (n_runs, n_devices, param_dim); zeta is the max
-    over devices of the mean squared initial distance across runs.  Curvature
-    is worst-cased across shards: mu is the smallest per-shard mu, lam the
-    largest per-shard lam.
+    ``init_stacks`` is passed to ``initial_spread``.  Curvature is worst-cased
+    across shards (``hessian_range``).  The step size is checked against those
+    bounds before any shard's ``sigma_sq`` is solved, so a bound that cannot
+    hold costs no solve.
     """
-    curvatures = [curvature(obj, s) for s in shards]
-    mu = min(c.mu for c in curvatures)
-    lam = max(c.lam for c in curvatures)
-    sigma_sqs = np.array([c.sigma_sq for c in curvatures])
-    stacks = np.asarray(init_stacks, dtype=np.float64)
-    if stacks.ndim == 2:
-        stacks = stacks[None, :, :]
-    sq = ((stacks - w_star) ** 2).sum(axis=2)  # (runs, devices)
-    zeta = float(sq.mean(axis=0).max())
+    mu, lam = hessian_range(obj, shards)
+    check_constant_step(alpha, mu, lam)
     return BoundInputs(
         mu=mu,
         lam=lam,
-        sigma_sqs=sigma_sqs,
+        sigma_sqs=np.array([curvature(obj, s).sigma_sq for s in shards]),
         etas=np.asarray(etas, dtype=np.float64),
         alpha=alpha,
         epsilon=epsilon,
         local_iterations=local_iterations,
-        zeta=zeta,
+        zeta=initial_spread(init_stacks, w_star),
         selection_prob=selection_prob,
     )
 

@@ -39,6 +39,8 @@ def make_linear_regression(
     sample exactly, so the least-squares risk at w_true is zero.
     """
     _check_draw(samples, dim, seed)
+    if noise_std < 0:
+        raise ValueError("noise_std must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = feature_scale * rng.standard_normal((samples, dim))
     w_true = coef_scale * rng.standard_normal(dim)
@@ -61,6 +63,8 @@ def make_blobs(
     _check_draw(samples, dim, seed)
     if classes < 2:
         raise ValueError("classes must be >= 2")
+    if cluster_std < 0:
+        raise ValueError("cluster_std must be >= 0")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     centers = separation * rng.standard_normal((classes, dim))
     y = np.arange(samples) % classes

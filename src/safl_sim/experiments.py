@@ -30,11 +30,20 @@ import numpy as np
 
 from .aggregation import WeightScheme
 from .annealing import AnnealConfig
-from .bounds import BoundInputs, corollary1_bound, corollary1_constant, measure_bound_inputs, theorem1_bound
+from .bounds import (
+    BoundInputs,
+    check_decaying_step,
+    corollary1_bound,
+    corollary1_constant,
+    hessian_range,
+    initial_spread,
+    measure_bound_inputs,
+    theorem1_bound,
+)
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import Dataset, Objective, curvature
 from .partition import PartitionSpec, check_fits
-from .simulation import RunResult, SimConfig, run
+from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run
 from .training import LrSchedule
 from .upload_gate import GateConfig
 
@@ -265,11 +274,11 @@ def sim_config(spec: ExperimentSpec, variant: str, seed: int) -> SimConfig:
     return replace(spec.config, algorithm=variant, seed=seed)
 
 
-def _static_etas(config: SimConfig, result: RunResult) -> np.ndarray | None:
+def _static_etas(config: SimConfig, problem: PreparedProblem) -> np.ndarray | None:
     if config.weight_scheme.kind == "uniform":
         return np.full(config.n, 1.0 / config.n)
     if config.weight_scheme.kind == "size_proportional":
-        sizes = np.array([float(d.full_size) for d in result.devices])
+        sizes = np.array([float(len(train) + len(hold)) for train, hold in problem.pairs])
         return sizes / sizes.sum()
     if config.weight_scheme.kind == "custom":
         raw = np.asarray(config.weight_scheme.custom, dtype=np.float64)
@@ -277,47 +286,68 @@ def _static_etas(config: SimConfig, result: RunResult) -> np.ndarray | None:
     return None  # ida weights vary per round; no static eta vector exists
 
 
-def _bound_columns(spec: ExperimentSpec, result: RunResult) -> tuple[list, list]:
-    """Per-round bound values, or Nones when the preconditions are unmet."""
-    config = spec.config
-    rounds = len(result.records)
-    empty = [None] * rounds
+@dataclass(frozen=True)
+class _SharedBounds:
+    """The bound inputs that every job of an experiment shares; a job adds
+    only its own initial spread zeta.  ``theorem1`` (measured at zeta = 0) is
+    set when the constant-step bound's preconditions hold, ``corollary1``
+    = (mu, max sigma_sq) when the decaying-step bound's do."""
+
+    theorem1: BoundInputs | None = None
+    corollary1: tuple[float, float] | None = None
+
+
+def _shared_bounds(config: SimConfig, problem: PreparedProblem) -> _SharedBounds:
+    """Assemble the bound inputs once per experiment.
+
+    The step-size preconditions need only the Hessian bounds, so they are
+    checked before any shard's sigma_sq (for logistic, an iterative solve).
+    """
     if config.local_solver != "sgd" or not config.objective.is_smooth:
-        return empty, empty
+        return _SharedBounds()
     if config.selected_per_round != config.n:
-        return empty, empty
-    etas = _static_etas(config, result)
+        return _SharedBounds()
+    etas = _static_etas(config, problem)
     if etas is None:
+        return _SharedBounds()
+
+    obj = config.objective
+    shards = [train for train, _ in problem.pairs]
+    try:
+        if config.lr.kind == "constant":
+            inputs = measure_bound_inputs(
+                obj, shards, problem.w_star[None], problem.w_star, etas,
+                alpha=config.lr.value, epsilon=config.anneal.epsilon,
+                local_iterations=config.local_epochs * max(len(s) for s in shards),
+            )
+            return _SharedBounds(theorem1=inputs)
+        mu, _ = hessian_range(obj, shards)
+        check_decaying_step(config.lr.value, mu)
+        return _SharedBounds(corollary1=(mu, max(curvature(obj, s).sigma_sq for s in shards)))
+    except ValueError:
+        return _SharedBounds()
+
+
+def _bound_columns(config: SimConfig, bounds: _SharedBounds, result: RunResult) -> tuple[list, list]:
+    """Per-round bound values, or Nones when the preconditions are unmet."""
+    empty = [None] * len(result.records)
+    if bounds.theorem1 is None and bounds.corollary1 is None:
+        return empty, empty
+    try:
+        zeta = initial_spread(result.init_params, result.w_star)
+        if bounds.theorem1 is not None:
+            inputs = replace(bounds.theorem1, zeta=zeta)
+            return [theorem1_bound(inputs, r.round_index) for r in result.records], empty
+        c0 = corollary1_constant(config.lr.value, *bounds.corollary1, zeta)
+        return empty, [corollary1_bound(c0, r.round_index) for r in result.records]
+    except ValueError:  # a zeta beyond the float range
         return empty, empty
 
-    shards = [d.shard for d in result.devices]
-    q_local = config.local_epochs * max(len(s) for s in shards)
-    theorem1_col: list = empty
-    corollary1_col: list = empty
-    if config.lr.kind == "constant":
-        try:
-            inputs = measure_bound_inputs(
-                config.objective, shards, result.init_params, result.w_star, etas,
-                alpha=config.lr.value, epsilon=config.anneal.epsilon, local_iterations=q_local,
-            )
-            theorem1_col = [theorem1_bound(inputs, r.round_index) for r in result.records]
-        except ValueError:
-            pass
-    else:
-        try:
-            curvatures = [curvature(config.objective, s) for s in shards]
-            mu = min(c.mu for c in curvatures)
-            sigma_sq_max = max(c.sigma_sq for c in curvatures)
-            zeta = float(((result.init_params - result.w_star) ** 2).sum(axis=1).max())
-            c0 = corollary1_constant(config.lr.value, mu, sigma_sq_max, zeta)
-            corollary1_col = [corollary1_bound(c0, r.round_index) for r in result.records]
-        except ValueError:
-            pass
-    return theorem1_col, corollary1_col
 
-
-def rows_for_run(spec: ExperimentSpec, variant: str, seed: int, result: RunResult) -> list[MetricsRow]:
-    theorem1_col, corollary1_col = _bound_columns(spec, result)
+def rows_for_run(
+    spec: ExperimentSpec, variant: str, seed: int, result: RunResult, bounds: _SharedBounds
+) -> list[MetricsRow]:
+    theorem1_col, corollary1_col = _bound_columns(spec.config, bounds, result)
     rows = []
     cumulative = 0
     for i, rec in enumerate(result.records):
@@ -407,10 +437,15 @@ def execute(
         _owned("--seed-override", replace, spec.config, seed=seed_override)
     seeds = [seed_override] if seed_override is not None else list(spec.seeds)
 
-    # a job's RunResult is dropped once its rows are built, so no two jobs'
-    # device states are alive at once
+    # the jobs differ only in algorithm and run seed, so they share one
+    # read-only problem and its bound inputs; a job's RunResult is dropped
+    # once its rows are built, so no two jobs' device states are alive at once
+    problem = prepare(spec.config, spec.dataset)
+    bounds = _shared_bounds(spec.config, problem)
     by_job = {
-        (variant, seed): rows_for_run(spec, variant, seed, run(sim_config(spec, variant, seed), dataset=spec.dataset))
+        (variant, seed): rows_for_run(
+            spec, variant, seed, run(sim_config(spec, variant, seed), prepared=problem), bounds
+        )
         for variant in variants
         for seed in seeds
     }

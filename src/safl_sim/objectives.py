@@ -274,32 +274,46 @@ def predict_classes(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndarr
     return scores.argmax(axis=1)
 
 
-def curvature(obj: Objective, dataset: Dataset) -> CurvatureBounds:
-    """Hessian eigenvalue bounds and gradient-variance estimate for ``dataset``.
+def _check_smooth_data(obj: Objective, dataset: Dataset) -> None:
+    if not obj.is_smooth:
+        raise GradientUnavailableError("curvature is undefined for the lasso family")
+    if len(dataset) == 0:
+        raise ValueError("curvature of an empty dataset is undefined")
+
+
+def hessian_bounds(obj: Objective, dataset: Dataset) -> tuple[float, float]:
+    """Strong convexity ``mu`` and smoothness ``lam`` of the risk over ``dataset``.
 
     For quadratic families the bounds are the exact extreme eigenvalues of the
     dataset Hessian X'X/m (plus reg).  For multinomial logistic the Hessian
     depends on w, so mu falls back to the regulariser (the guaranteed global
     lower bound) and lam to 0.5 * eigmax(X'X/m) + reg (the global upper bound).
+    One small eigen-solve; no optimum is needed.
     """
-    if not obj.is_smooth:
-        raise GradientUnavailableError("curvature is undefined for the lasso family")
-    m = len(dataset)
-    if m == 0:
-        raise ValueError("curvature of an empty dataset is undefined")
-    H = dataset.X.T @ dataset.X / m
-    eigs = np.linalg.eigvalsh(H)
+    _check_smooth_data(obj, dataset)
+    eigs = np.linalg.eigvalsh(dataset.X.T @ dataset.X / len(dataset))
     if obj.kind in ("least_squares", "ridge"):
         mu = float(max(eigs[0], 0.0)) + obj.reg
         lam = float(eigs[-1]) + obj.reg
     else:
         mu = obj.reg
         lam = 0.5 * float(eigs[-1]) + obj.reg
-    w_star = optimum_oracle(obj, dataset)
-    G = per_sample_grads(obj, w_star, dataset)
+    return mu, max(lam, mu)
+
+
+def gradient_variance(obj: Objective, dataset: Dataset) -> float:
+    """``sigma_sq`` of ``CurvatureBounds``: needs the optimum of ``dataset``,
+    which for multinomial logistic is an iterative solve."""
+    _check_smooth_data(obj, dataset)
+    G = per_sample_grads(obj, optimum_oracle(obj, dataset), dataset)
     dev = G - G.mean(axis=0)
-    sigma_sq = float((dev * dev).sum(axis=1).max())
-    return CurvatureBounds(mu=mu, lam=max(lam, mu), sigma_sq=sigma_sq)
+    return float((dev * dev).sum(axis=1).max())
+
+
+def curvature(obj: Objective, dataset: Dataset) -> CurvatureBounds:
+    """Hessian eigenvalue bounds and gradient-variance estimate for ``dataset``."""
+    mu, lam = hessian_bounds(obj, dataset)
+    return CurvatureBounds(mu=mu, lam=lam, sigma_sq=gradient_variance(obj, dataset))
 
 
 def _lasso_is_separable(dataset: Dataset) -> bool:

@@ -66,6 +66,13 @@ def check_fits(dataset: Dataset, spec: PartitionSpec) -> None:
         raise ValueError("max_labels_per_device exceeds the number of labels present")
 
 
+def _label_pool(labels: np.ndarray, chosen: np.ndarray, n_classes: int) -> np.ndarray:
+    """Sorted indices of the samples whose label is in ``chosen``."""
+    in_chosen = np.zeros(n_classes, dtype=bool)
+    in_chosen[chosen] = True
+    return np.flatnonzero(in_chosen[labels])
+
+
 def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
     """Build the n label-restricted shards; ``|shard_k| == m_k`` exactly.
 
@@ -91,7 +98,7 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
                 else:
                     n_lab = int(labels_rng.integers(1, spec.max_labels_per_device + 1))
                 chosen = labels_rng.choice(label_values, size=n_lab, replace=False)
-                pool = np.nonzero(np.isin(dataset.y, chosen))[0]
+                pool = _label_pool(dataset.y, chosen, dataset.n_classes)
         if pool.size >= m_k:
             idx = draw_rng.choice(pool, size=m_k, replace=False)
         else:

@@ -141,34 +141,80 @@ def global_estimate(devices: list[DeviceState], wts: np.ndarray) -> np.ndarray:
     return np.asarray(wts, dtype=np.float64) @ stacked
 
 
-def build_state(
+@dataclass(frozen=True)
+class PreparedProblem:
+    """What every (variant, seed) job of one experiment shares: each device's
+    (train, holdout) pair, the pooled training set and its optimum.
+
+    It depends on the objective, the partition and the holdout fraction,
+    never on the algorithm or the run seed.  Every array is read-only, so a
+    job that tried to write to a shard would raise instead of changing what
+    the other jobs see.
+    """
+
+    pairs: tuple[tuple[Dataset, Dataset], ...]
+    pooled: Dataset
+    w_star: np.ndarray
+
+
+def _freeze(data: Dataset) -> Dataset:
+    data.X.setflags(write=False)
+    data.y.setflags(write=False)
+    return data
+
+
+def prepare(
     config: SimConfig,
     dataset: Dataset | None = None,
     shards: list[Dataset] | None = None,
-) -> tuple[list[DeviceState], ServerState, Dataset, np.ndarray]:
-    """Materialise devices, server, pooled training data, and its optimum.
+) -> PreparedProblem:
+    """Partition and split ``dataset`` per the config, then solve the pooled optimum.
 
     ``shards`` bypasses the partitioner for tests that need exact shard
     contents: each is a device's training set, with an empty holdout, so
-    ``holdout_fraction`` must be 0.  Otherwise ``dataset`` is partitioned
-    and split per the config.
+    ``holdout_fraction`` must be 0.
     """
-    obj = config.objective
     if shards is None:
         if dataset is None:
             raise ValueError("either a dataset or explicit shards are required")
         pairs = partition_with_holdout(dataset, config.partition, config.holdout_fraction)
     else:
-        if len(shards) != config.n:
-            raise ValueError("need exactly one shard per device")
         if config.holdout_fraction > 0:
             raise ValueError("explicit shards take no holdout; holdout_fraction must be 0")
-        pairs = [(shard, shard.subset(np.arange(0))) for shard in shards]
+        # copies, so the caller's arrays stay writable
+        pairs = [(shard.subset(np.arange(len(shard))), shard.subset(np.arange(0))) for shard in shards]
+    # every array here is a fresh copy that only the problem holds, so it is
+    # frozen in place; a read-only view of each would cost an extra header
+    pairs = tuple((_freeze(train), _freeze(hold)) for train, hold in pairs)
+    pooled = _freeze(Dataset.concat([train for train, _ in pairs]))
+    w_star = optimum_oracle(config.objective, pooled)
+    w_star.setflags(write=False)
+    return PreparedProblem(pairs, pooled, w_star)
 
+
+def build_state(
+    config: SimConfig,
+    dataset: Dataset | None = None,
+    shards: list[Dataset] | None = None,
+    prepared: PreparedProblem | None = None,
+) -> tuple[list[DeviceState], ServerState, Dataset, np.ndarray]:
+    """Materialise devices, server, pooled training data, and its optimum.
+
+    ``prepared`` is a problem shared with other jobs; without one, the
+    problem is prepared here from ``dataset`` or ``shards`` (see ``prepare``).
+    """
+    if prepared is None:
+        prepared = prepare(config, dataset, shards)
+    elif dataset is not None or shards is not None:
+        raise ValueError("pass a prepared problem or the data to prepare, not both")
+    if len(prepared.pairs) != config.n:
+        raise ValueError(f"need exactly one shard per device: {len(prepared.pairs)} for n = {config.n}")
+
+    obj = config.objective
     root = np.random.SeedSequence(config.seed)
     server_ss, *device_ss = root.spawn(1 + config.n)
     devices = []
-    for k, (train, hold) in enumerate(pairs):
+    for k, (train, hold) in enumerate(prepared.pairs):
         init_ss, train_ss, mask_ss, gate_ss = device_ss[k].spawn(4)
         init_rng = np.random.default_rng(init_ss)
         params = config.init_scale * init_rng.standard_normal(obj.param_dim)
@@ -188,9 +234,7 @@ def build_state(
         global_params=np.zeros(obj.param_dim),
         rng=np.random.default_rng(server_ss),
     )
-    pooled = Dataset.concat([d.shard for d in devices])
-    w_star = optimum_oracle(obj, pooled)
-    return devices, server, pooled, w_star
+    return devices, server, prepared.pooled, prepared.w_star
 
 
 def run_round(
@@ -298,9 +342,10 @@ def run(
     dataset: Dataset | None = None,
     shards: list[Dataset] | None = None,
     observer=None,
+    prepared: PreparedProblem | None = None,
 ) -> RunResult:
     """Run the configured number of rounds; a fixed config yields one trajectory."""
-    devices, server, pooled, w_star = build_state(config, dataset, shards)
+    devices, server, pooled, w_star = build_state(config, dataset, shards, prepared)
     init_params = np.stack([d.params for d in devices])
     records: list[RoundRecord] = []
     for r in range(1, config.rounds + 1):

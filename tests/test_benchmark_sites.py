@@ -3,8 +3,11 @@ functions at the modules that call them.  A refactor that moves or renames
 one of them makes ``perfbench/run.py --trace 1`` fail; this test fails first."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+from safl_sim import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -16,3 +19,42 @@ def test_every_benchmark_wrap_site_resolves(monkeypatch):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     assert layers.missing_sites() == []
+
+
+def _load_perfbench(monkeypatch, name: str):
+    """perfbench/<name>.py as module ``name``, without writing bytecode; the
+    module leaves ``sys.modules`` when the test ends."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_charges_each_solve_to_its_layer(tmp_path, monkeypatch):
+    # A solve moved off its wrap site (say, into the prepared problem) would
+    # read 0 here instead of 1, and a pooled set other than the one that
+    # run_round scores would charge the metrics proxy to the upload gate.
+    spans = _load_perfbench(monkeypatch, "spans")
+    layers = _load_perfbench(monkeypatch, "layers")  # imports spans by name
+    doc = {
+        "data": {"kind": "blobs", "samples": 120, "dim": 3, "classes": 3, "seed": 2},
+        "objective": {"kind": "multinomial_logistic", "reg": 0.5},
+        "partition": {"mean_size": 10, "size_var": 4.0, "max_labels_per_device": 2, "pure_count": 2, "seed": 7},
+        "n": 6, "s": 6, "T": 2, "E": 1,
+        "lr": {"kind": "constant", "value": 0.05},  # above 1/(2*lam - mu): no bound, no shard solve
+        "holdout_fraction": 0.2,
+        "variants": ["fedavg", "safl"],
+        "seeds": [1],
+    }
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(doc))
+    tracer = spans.Tracer()
+    with layers.traced(tracer):
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    figures = spans.layer_metrics(tracer)
+    assert figures["partition.calls"] == 1
+    assert figures["objectives.optimum_calls"] == 1
+    assert figures["objectives.curvature_calls"] == 0
+    assert figures["upload_gate.s"] == 0

@@ -4,12 +4,17 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safl_sim.bounds
+import safl_sim.experiments
+import safl_sim.objectives
+import safl_sim.simulation
 from safl_sim import run
 from safl_sim.cli import main as cli_main
 from safl_sim.experiments import (
@@ -22,6 +27,7 @@ from safl_sim.experiments import (
     parse_metrics_csv,
     sim_config,
 )
+from safl_sim.simulation import prepare
 
 
 def experiment_doc(**overrides):
@@ -42,6 +48,32 @@ def experiment_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def classification_doc(**overrides):
+    """Six logistic devices, all selected; the constant-step bound holds for
+    a step below about 0.0219 (1/(2*lam - mu) of these shards)."""
+    doc = experiment_doc(
+        data={"kind": "blobs", "samples": 120, "dim": 3, "classes": 3, "seed": 2},
+        objective={"kind": "multinomial_logistic", "reg": 0.5},
+        partition={"mean_size": 10, "size_var": 4.0, "max_labels_per_device": 2, "pure_count": 2, "seed": 7},
+        n=6, s=6, T=3, holdout_fraction=0.2, lr={"kind": "constant", "value": 0.01},
+    )
+    doc.update(overrides)
+    return doc
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` with a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def write_doc(tmp_path, doc, name="exp.json"):
@@ -148,6 +180,62 @@ class TestExecute:
         assert all(r.p is not None for r in parse_metrics_csv(paths["safl"]))
 
 
+class TestSharedProblem:
+    """Jobs differ only in algorithm and run seed, so execute prepares the
+    partition, the pooled optimum and the bound inputs once per experiment."""
+
+    def test_two_variants_by_two_seeds_partition_and_solve_the_pool_once(self, tmp_path, monkeypatch):
+        partitions = count_calls(monkeypatch, safl_sim.simulation, "partition_with_holdout")
+        pooled_solves = count_calls(monkeypatch, safl_sim.simulation, "optimum_oracle")
+        spec = load_experiment(write_doc(tmp_path, classification_doc()))
+        paths = execute(spec, tmp_path / "out", quiet=True)
+        assert len(partitions) == 1 and len(pooled_solves) == 1
+        assert len(parse_metrics_csv(paths["safl"])) == 2 * 3  # two seeds, three rounds
+
+    def test_unmet_step_precondition_solves_no_shard(self, tmp_path, monkeypatch):
+        shard_solves = count_calls(monkeypatch, safl_sim.objectives, "optimum_oracle")
+        curvatures = [count_calls(monkeypatch, m, "curvature") for m in (safl_sim.bounds, safl_sim.experiments)]
+        doc = classification_doc(lr={"kind": "constant", "value": 0.05})  # above 1/(2*lam - mu)
+        paths = execute(load_experiment(write_doc(tmp_path, doc)), tmp_path / "out", quiet=True)
+        assert shard_solves == [] and curvatures == [[], []]
+        for variant in ("fedavg", "safl"):
+            assert all(r.bound_theorem1 is None for r in parse_metrics_csv(paths[variant]))
+
+    @pytest.mark.parametrize(
+        "doc, column",
+        [(classification_doc(), "bound_theorem1"), (experiment_doc(T=3), "bound_corollary1")],
+        ids=["constant", "inverse"],
+    )
+    def test_bound_that_holds_solves_each_shard_once(self, tmp_path, monkeypatch, doc, column):
+        curvatures = [count_calls(monkeypatch, m, "curvature") for m in (safl_sim.bounds, safl_sim.experiments)]
+        paths = execute(load_experiment(write_doc(tmp_path, doc)), tmp_path / "out", quiet=True)
+        assert sum(map(len, curvatures)) == doc["n"]  # not n per (variant, seed) job
+        for variant in ("fedavg", "safl"):
+            assert all(getattr(r, column) is not None for r in parse_metrics_csv(paths[variant]))
+
+    def test_shared_arrays_are_read_only(self, tmp_path):
+        spec = load_experiment(write_doc(tmp_path, classification_doc()))
+        problem = prepare(spec.config, spec.dataset)
+        result = run(sim_config(spec, "safl", 1), prepared=problem)
+        assert [(d.shard, d.holdout) for d in result.devices] == list(problem.pairs)
+        shared = [problem.pooled.X, problem.pooled.y, problem.w_star]
+        shared += [a for train, hold in problem.pairs for a in (train.X, train.y, hold.X, hold.y)]
+        for array in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("lr", ["constant", "inverse"])
+    def test_initial_spread_beyond_the_float_range_leaves_the_bound_empty(self, tmp_path, lr):
+        value = {"constant": 0.01, "inverse": 1.8}[lr]
+        doc = experiment_doc(init_scale=1e300, T=3, seeds=[1], lr={"kind": lr, "value": value})
+        spec = load_experiment(write_doc(tmp_path, doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the spread's overflow used to warn
+            paths = execute(spec, tmp_path / "out", quiet=True)
+        rows = parse_metrics_csv(paths["safl"])
+        assert all(r.bound_theorem1 is None and r.bound_corollary1 is None for r in rows)
+
+
 class TestCompare:
     def test_identical_files_show_zero_difference(self, tmp_path, capsys):
         spec = load_experiment(write_doc(tmp_path, experiment_doc(variants=["safl"])))
@@ -250,6 +338,8 @@ class TestCli:
             (None, "weights", {"kind": "custom", "custom": [1.0] * 9}, "custom weights"),
             (None, "weights", {"kind": "custom", "custom": [0] * 8}, "custom weights"),
             ("gate", "proxy", "holdout_accuracy", "proxy"),
+            ("data", "noise_std", -1, "noise_std"),
+            (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "cluster_std": -1}, "cluster_std"),
         ],
     )
     def test_malformed_document_exits_one_and_names_the_key(self, tmp_path, capsys, section, key, value, named):

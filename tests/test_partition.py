@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,38 @@ class TestSampleSizes:
         sizes = np.array(sample_sizes(spec))
         stderr = np.sqrt(100.0 + 1.0 / 12.0) / np.sqrt(10_000)
         assert abs(sizes.mean() - 599.5) <= 3 * stderr
+
+
+def _isin_pool(labels, chosen, n_classes):
+    """The label pool as ``partition`` built it with ``np.isin``: the reference."""
+    return np.nonzero(np.isin(labels, chosen))[0]
+
+
+class TestLabelPool:
+    def test_lookup_table_shards_equal_the_isin_reference(self, monkeypatch):
+        module = importlib.import_module("safl_sim.partition")  # the package's `partition` is the function
+        rng = np.random.default_rng(2024)
+        for trial in range(30):
+            classes = int(rng.integers(2, 8))
+            data = make_blobs(int(rng.integers(60, 400)), 3, classes, seed=trial)
+            if classes >= 4 and trial % 2:  # some labels absent from the data
+                data = data.subset(np.flatnonzero(data.y % 2 == 0))
+            n = int(rng.integers(2, 30))
+            spec = PartitionSpec(
+                n=n,
+                mean_size=float(rng.uniform(1.0, 40.0)),
+                size_var=float(rng.uniform(0.0, 60.0)),
+                max_labels_per_device=int(rng.integers(2, data.labels().size + 1)),
+                pure_count=int(rng.integers(1, n + 1)),
+                seed=trial,
+            )
+            shipped = partition(data, spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_label_pool", _isin_pool)
+                reference = partition(data, spec)
+            assert len(shipped) == len(reference) == n
+            for a, b in zip(shipped, reference):
+                assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
 
 class TestPartition:

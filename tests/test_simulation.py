@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from safl_sim import (
     run,
     run_local_epochs,
 )
+from safl_sim.simulation import build_state, prepare
 
 TOY_OBJ = Objective("lasso", 2, reg=1.0)
 TOY_SHARDS = [
@@ -148,6 +151,46 @@ class TestSingleDevice:
             (w,), took = run_local_epochs([w], [shard], obj, 1, cfg.lr, [rng], start_steps=[steps])
             steps += took
         assert np.array_equal(res.devices[0].params, w)
+
+
+class TestPreparedProblem:
+    def test_a_shared_problem_gives_the_trajectory_of_the_dataset(self):
+        data, obj, part = regression_setup()
+        cfg = base_config(obj, part, algorithm="safl", holdout_fraction=0.25)
+        problem = prepare(cfg, data)
+        for seed in (11, 12):
+            own = run(replace(cfg, seed=seed), dataset=data)
+            shared = run(replace(cfg, seed=seed), prepared=problem)
+            assert [r.mse for r in own.records] == [r.mse for r in shared.records]
+            assert np.array_equal(own.w_star, shared.w_star)
+            assert all(np.array_equal(a.params, b.params) for a, b in zip(own.devices, shared.devices))
+
+    def test_build_state_returns_the_shared_pool(self):
+        data, obj, part = regression_setup()
+        cfg = base_config(obj, part)
+        problem = prepare(cfg, data)
+        _, _, pooled, w_star = build_state(cfg, prepared=problem)
+        assert pooled is problem.pooled and w_star is problem.w_star
+
+    def test_pair_count_must_equal_the_device_count(self):
+        data, obj, part = regression_setup(n=6)
+        problem = prepare(base_config(obj, part), data)
+        other = base_config(obj, replace(part, n=5))
+        with pytest.raises(ValueError, match="one shard per device: 6 for n = 5"):
+            build_state(other, prepared=problem)
+
+    def test_a_prepared_problem_takes_no_data(self):
+        data, obj, part = regression_setup()
+        cfg = base_config(obj, part)
+        with pytest.raises(ValueError, match="not both"):
+            build_state(cfg, data, prepared=prepare(cfg, data))
+
+    def test_explicit_shards_are_not_frozen_in_place(self):
+        cfg = base_config(TOY_OBJ, PartitionSpec(n=2, mean_size=1.0, seed=1), local_solver="oracle", rounds=1)
+        shards = [Dataset(s.X.copy(), s.y.copy()) for s in TOY_SHARDS]
+        problem = prepare(cfg, shards=shards)
+        assert not problem.pairs[0][0].X.flags.writeable
+        shards[0].X[0, 0] = 0.5  # the caller's arrays stay writable
 
 
 class TestDeterminismAndAccounting:
