@@ -5,7 +5,7 @@ and its gap-gated-upload extension, together with the convergence-rate bounds
 that the simulated trajectories can be checked against.
 """
 
-from .aggregation import ModelUpdate, WeightScheme, aggregate, weights
+from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .bounds import (
     BoundInputs,
@@ -48,7 +48,6 @@ __all__ = [
     "GateConfig",
     "GradientUnavailableError",
     "LrSchedule",
-    "ModelUpdate",
     "Objective",
     "PartitionSpec",
     "Sample",

@@ -1,4 +1,4 @@
-"""Server-side fusion of device updates under pluggable weight schemes."""
+"""Server-side fusion of device parameters under pluggable weight schemes."""
 
 from __future__ import annotations
 
@@ -6,16 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WEIGHT_KINDS = ("uniform", "size_proportional", "ida", "custom")
-
-
-@dataclass(frozen=True)
-class ModelUpdate:
-    """One device's contribution: id, trained parameters, shard size."""
-
-    device_id: int
-    params: np.ndarray
-    n_samples: int
+WEIGHT_KINDS = ("uniform", "size_proportional", "custom")
 
 
 @dataclass(frozen=True)
@@ -24,8 +15,7 @@ class WeightScheme:
 
     ``custom`` carries one fixed positive weight per device id (a zero could
     leave a round whose received weights sum to zero); the weights of the
-    devices actually heard from are renormalised each round.  ``ida`` weighs
-    by inverse distance to a reference model (the previous global model).
+    devices actually heard from are renormalised each round.
     """
 
     kind: str = "uniform"
@@ -43,40 +33,25 @@ class WeightScheme:
             raise ValueError("custom weights only apply to the custom scheme")
 
 
-def weights(
-    scheme: WeightScheme,
-    updates: list[ModelUpdate],
-    z_ref: np.ndarray | None = None,
-) -> np.ndarray:
-    """Normalised non-negative weights for ``updates``, summing to 1.
+def weights(scheme: WeightScheme, ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Normalised non-negative weights of the devices ``ids``, summing to 1.
 
-    For ``ida``, updates at zero distance from ``z_ref`` absorb the entire
-    mass, split uniformly among themselves (the inverse distance is infinite
-    there, so this is the limit behaviour).
+    ``sizes`` holds every device's sample count, indexed by device id.
     """
-    if not updates:
+    ids = np.asarray(ids, dtype=np.intp)
+    if len(ids) == 0:
         raise ValueError("cannot weigh an empty update set")
-    n = len(updates)
+    n = len(ids)
     if scheme.kind == "uniform":
         w = np.full(n, 1.0 / n)
     elif scheme.kind == "size_proportional":
-        sizes = np.array([float(u.n_samples) for u in updates])
-        if sizes.sum() <= 0:
+        picked = np.asarray(sizes, dtype=np.float64)[ids]
+        if picked.sum() <= 0:
             raise ValueError("size-proportional weights need positive shard sizes")
-        w = sizes / sizes.sum()
-    elif scheme.kind == "ida":
-        if z_ref is None:
-            raise ValueError("ida weights need the previous global model as reference")
-        dists = np.array([float(np.linalg.norm(z_ref - u.params)) for u in updates])
-        zero = dists == 0.0
-        if zero.any():
-            w = np.where(zero, 1.0 / zero.sum(), 0.0)
-        else:
-            inv = 1.0 / dists
-            w = inv / inv.sum()
+        w = picked / picked.sum()
     else:  # custom
         try:
-            raw = np.array([float(scheme.custom[u.device_id]) for u in updates])
+            raw = np.asarray(scheme.custom, dtype=np.float64)[ids]
         except IndexError:
             raise ValueError("custom weights missing an entry for a device id") from None
         w = raw / raw.sum()
@@ -85,12 +60,10 @@ def weights(
     return w
 
 
-def aggregate(updates: list[ModelUpdate], wts: np.ndarray) -> np.ndarray:
-    """Weighted sum of the update parameter vectors."""
-    if len(updates) != len(wts):
-        raise ValueError("one weight per update required")
-    dim = updates[0].params.shape
-    if any(u.params.shape != dim for u in updates):
-        raise ValueError("updates disagree on parameter dimension")
-    stacked = np.stack([u.params for u in updates])
-    return np.asarray(wts, dtype=np.float64) @ stacked
+def aggregate(params: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Weighted sum of the rows of ``params``, one parameter vector per row."""
+    if np.ndim(params) != 2:
+        raise ValueError("params must be a 2-d array, one parameter vector per row")
+    if len(params) != len(wts):
+        raise ValueError("one weight per row required")
+    return np.asarray(wts, dtype=np.float64) @ params

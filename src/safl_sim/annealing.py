@@ -67,7 +67,11 @@ def sample_mask(
 
 
 def mix(mask: np.ndarray, global_params: np.ndarray, local_params: np.ndarray) -> np.ndarray:
-    """Coordinate-wise blend ``mask * global + (1 - mask) * local``."""
-    if not (mask.shape == global_params.shape == local_params.shape):
-        raise ValueError("mask and parameter vectors must share one shape")
+    """Coordinate-wise blend ``mask * global + (1 - mask) * local``.
+
+    ``mask`` and ``local_params`` share one shape: (P,) for one device, or
+    (k, P) for k devices blending the one (P,) global model.
+    """
+    if global_params.ndim != 1 or mask.shape != local_params.shape or mask.shape[-1:] != global_params.shape:
+        raise ValueError("mask and local parameters must share one shape, ending in the global model's")
     return mask * global_params + (1.0 - mask) * local_params

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import WeightScheme
+from .aggregation import WeightScheme, weights
 from .annealing import AnnealConfig
 from .bounds import (
     BoundInputs,
@@ -274,18 +274,6 @@ def sim_config(spec: ExperimentSpec, variant: str, seed: int) -> SimConfig:
     return replace(spec.config, algorithm=variant, seed=seed)
 
 
-def _static_etas(config: SimConfig, problem: PreparedProblem) -> np.ndarray | None:
-    if config.weight_scheme.kind == "uniform":
-        return np.full(config.n, 1.0 / config.n)
-    if config.weight_scheme.kind == "size_proportional":
-        sizes = np.array([float(len(train) + len(hold)) for train, hold in problem.pairs])
-        return sizes / sizes.sum()
-    if config.weight_scheme.kind == "custom":
-        raw = np.asarray(config.weight_scheme.custom, dtype=np.float64)
-        return raw / raw.sum()
-    return None  # ida weights vary per round; no static eta vector exists
-
-
 @dataclass(frozen=True)
 class _SharedBounds:
     """The bound inputs that every job of an experiment shares; a job adds
@@ -307,11 +295,9 @@ def _shared_bounds(config: SimConfig, problem: PreparedProblem) -> _SharedBounds
         return _SharedBounds()
     if config.selected_per_round != config.n:
         return _SharedBounds()
-    etas = _static_etas(config, problem)
-    if etas is None:
-        return _SharedBounds()
 
     obj = config.objective
+    etas = weights(config.weight_scheme, np.arange(config.n), problem.sizes)
     shards = [train for train, _ in problem.pairs]
     try:
         if config.lr.kind == "constant":

@@ -16,6 +16,13 @@ One round, mirroring a synchronous implementation:
    coordinate through a sampled mask;
 6. metrics are recorded against the pooled-data optimum.
 
+Device state is held as arrays indexed by device id (``Devices``), and each
+step acts on the rows of the devices picked that round.  ``run`` calls an
+optional ``observer(record, server, devices, extras)`` after every round with
+that ``Devices`` record; ``extras`` holds the picked ids (``"selected"``),
+their trained parameters by id (``"locals"``) and, for ``safl_extended``,
+each one's gap, upload probability and decision by id (``"gate"``).
+
 Every random draw comes from a stream dedicated to one (device, purpose)
 pair, spawned deterministically from the run seed, so trajectories are a pure
 function of the configuration and independent of scheduling.
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import ModelUpdate, WeightScheme, aggregate, weights
+from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
 from .partition import PartitionSpec, partition_with_holdout
@@ -92,20 +99,23 @@ class SimConfig:
             raise ValueError("init_scale must be finite and >= 0")
 
 
-@dataclass
-class DeviceState:
-    device_id: int
-    params: np.ndarray
-    shard: Dataset
-    holdout: Dataset
-    full_size: int
-    train_rng: np.random.Generator
-    mask_rng: np.random.Generator
-    gate_rng: np.random.Generator
-    steps_done: int = 0
+@dataclass(frozen=True)
+class Devices:
+    """Every device's state, indexed by device id.
 
-    def eval_set(self) -> Dataset:
-        return self.holdout if len(self.holdout) > 0 else self.shard
+    ``params`` (n, param_dim) holds the current parameters and ``steps_done``
+    (n,) how many local SGD steps each device has taken, which offsets its
+    learning-rate schedule.  Each of ``train_rngs``, ``mask_rngs`` and
+    ``gate_rngs`` holds one generator per device, so every random stream
+    belongs to one (device, purpose) pair.  A round updates the arrays in
+    place, on the rows of the devices it selected.
+    """
+
+    params: np.ndarray
+    steps_done: np.ndarray
+    train_rngs: list[np.random.Generator]
+    mask_rngs: list[np.random.Generator]
+    gate_rngs: list[np.random.Generator]
 
 
 @dataclass
@@ -128,23 +138,21 @@ class RoundRecord:
 class RunResult:
     records: list[RoundRecord]
     w_star: np.ndarray
-    devices: list[DeviceState]
+    devices: Devices
     server: ServerState
     init_params: np.ndarray  # (n, param_dim) snapshot of the device initialisations
 
 
-def global_estimate(devices: list[DeviceState], wts: np.ndarray) -> np.ndarray:
-    """Weighted average of the devices' current parameter vectors."""
-    if len(devices) != len(wts):
-        raise ValueError("one weight per device required")
-    stacked = np.stack([d.params for d in devices])
-    return np.asarray(wts, dtype=np.float64) @ stacked
+# the metrics' model estimate is the same weighted row sum as the server's
+# fusion, kept under its own name so that the two can be timed apart
+global_estimate = aggregate
 
 
 @dataclass(frozen=True)
 class PreparedProblem:
     """What every (variant, seed) job of one experiment shares: each device's
-    (train, holdout) pair, the pooled training set and its optimum.
+    (train, holdout) pair, its sample count (train plus holdout), the pooled
+    training set and its optimum.
 
     It depends on the objective, the partition and the holdout fraction,
     never on the algorithm or the run seed.  Every array is read-only, so a
@@ -153,6 +161,7 @@ class PreparedProblem:
     """
 
     pairs: tuple[tuple[Dataset, Dataset], ...]
+    sizes: np.ndarray
     pooled: Dataset
     w_star: np.ndarray
 
@@ -186,10 +195,25 @@ def prepare(
     # every array here is a fresh copy that only the problem holds, so it is
     # frozen in place; a read-only view of each would cost an extra header
     pairs = tuple((_freeze(train), _freeze(hold)) for train, hold in pairs)
+    sizes = np.array([len(train) + len(hold) for train, hold in pairs])
+    sizes.setflags(write=False)
     pooled = _freeze(Dataset.concat([train for train, _ in pairs]))
     w_star = optimum_oracle(config.objective, pooled)
     w_star.setflags(write=False)
-    return PreparedProblem(pairs, pooled, w_star)
+    return PreparedProblem(pairs, sizes, pooled, w_star)
+
+
+def _problem(
+    config: SimConfig,
+    dataset: Dataset | None,
+    shards: list[Dataset] | None,
+    prepared: PreparedProblem | None,
+) -> PreparedProblem:
+    if prepared is None:
+        return prepare(config, dataset, shards)
+    if dataset is not None or shards is not None:
+        raise ValueError("pass a prepared problem or the data to prepare, not both")
+    return prepared
 
 
 def build_state(
@@ -197,41 +221,29 @@ def build_state(
     dataset: Dataset | None = None,
     shards: list[Dataset] | None = None,
     prepared: PreparedProblem | None = None,
-) -> tuple[list[DeviceState], ServerState, Dataset, np.ndarray]:
+) -> tuple[Devices, ServerState, Dataset, np.ndarray]:
     """Materialise devices, server, pooled training data, and its optimum.
 
     ``prepared`` is a problem shared with other jobs; without one, the
     problem is prepared here from ``dataset`` or ``shards`` (see ``prepare``).
     """
-    if prepared is None:
-        prepared = prepare(config, dataset, shards)
-    elif dataset is not None or shards is not None:
-        raise ValueError("pass a prepared problem or the data to prepare, not both")
+    prepared = _problem(config, dataset, shards, prepared)
     if len(prepared.pairs) != config.n:
         raise ValueError(f"need exactly one shard per device: {len(prepared.pairs)} for n = {config.n}")
 
-    obj = config.objective
+    dim = config.objective.param_dim
     root = np.random.SeedSequence(config.seed)
     server_ss, *device_ss = root.spawn(1 + config.n)
-    devices = []
-    for k, (train, hold) in enumerate(prepared.pairs):
-        init_ss, train_ss, mask_ss, gate_ss = device_ss[k].spawn(4)
-        init_rng = np.random.default_rng(init_ss)
-        params = config.init_scale * init_rng.standard_normal(obj.param_dim)
-        devices.append(
-            DeviceState(
-                device_id=k,
-                params=params,
-                shard=train,
-                holdout=hold,
-                full_size=len(train) + len(hold),
-                train_rng=np.random.default_rng(train_ss),
-                mask_rng=np.random.default_rng(mask_ss),
-                gate_rng=np.random.default_rng(gate_ss),
-            )
-        )
+    params = np.empty((config.n, dim))
+    streams: tuple[list, list, list] = ([], [], [])  # train, mask, gate
+    for k, ss in enumerate(device_ss):
+        init_ss, *purpose_ss = ss.spawn(4)
+        params[k] = config.init_scale * np.random.default_rng(init_ss).standard_normal(dim)
+        for rngs, seq in zip(streams, purpose_ss):
+            rngs.append(np.random.default_rng(seq))
+    devices = Devices(params, np.zeros(config.n, dtype=np.int64), *streams)
     server = ServerState(
-        global_params=np.zeros(obj.param_dim),
+        global_params=np.zeros(dim),
         rng=np.random.default_rng(server_ss),
     )
     return devices, server, prepared.pooled, prepared.w_star
@@ -239,101 +251,93 @@ def build_state(
 
 def run_round(
     server: ServerState,
-    devices: list[DeviceState],
+    devices: Devices,
     config: SimConfig,
     round_index: int,
     *,
-    pooled: Dataset,
-    w_star: np.ndarray,
+    problem: PreparedProblem,
     observer=None,
 ) -> RoundRecord:
     """Execute one communication round and return its metrics."""
     obj = config.objective
     chosen = np.sort(server.rng.choice(config.n, size=config.selected_per_round, replace=False))
-    selected = [devices[int(k)] for k in chosen]
+    shards = [problem.pairs[k][0] for k in chosen]
     stale_global = server.global_params
 
     if config.local_solver == "oracle":
-        trained = [optimum_oracle(obj, dev.shard) for dev in selected]
+        trained = np.array([optimum_oracle(obj, shard) for shard in shards])
     else:
         try:
             trained, _ = run_local_epochs(
-                [dev.params for dev in selected],
-                [dev.shard for dev in selected],
+                devices.params[chosen],
+                shards,
                 obj,
                 config.local_epochs,
                 config.lr,
-                [dev.train_rng for dev in selected],
-                start_steps=[dev.steps_done for dev in selected],
+                [devices.train_rngs[k] for k in chosen],
+                start_steps=devices.steps_done[chosen],
                 order=config.sample_order,
             )
         except DivergenceError as err:
-            dev = selected[err.device_index]
             raise DivergenceError(
-                f"device {dev.device_id} diverged in round {round_index}: {err}",
+                f"device {chosen[err.device_index]} diverged in round {round_index}: {err}",
                 round_index=round_index,
             ) from err
-        for dev in selected:
-            dev.steps_done += config.local_epochs * len(dev.shard)
+        devices.steps_done[chosen] += config.local_epochs * np.array([len(shard) for shard in shards])
 
-    local_updates: dict[int, np.ndarray] = {}
+    uploaded = np.ones(len(chosen), dtype=bool)
     gate_info: dict[int, dict] = {}
-    received: list[ModelUpdate] = []
-    for dev, z in zip(selected, trained):
-        local_updates[dev.device_id] = z
+    if config.algorithm == "safl_extended":
+        gate = config.gate
+        for i, k in enumerate(chosen.tolist()):
+            train, hold = problem.pairs[k]
+            eval_set = hold if len(hold) > 0 else train
+            h_global = accuracy_proxy(stale_global, eval_set, obj, gate.proxy)
+            h_local = accuracy_proxy(trained[i], eval_set, obj, gate.proxy)
+            gap = performance_gap(h_global, h_local, gate.eps_div)
+            q = upload_probability(gap, gate.gap_scale)
+            uploaded[i] = decide_upload(q, devices.gate_rngs[k])
+            gate_info[k] = {"gap": gap, "q": q, "uploaded": bool(uploaded[i])}
 
-        uploads_update = True
-        if config.algorithm == "safl_extended":
-            eval_set = dev.eval_set()
-            h_global = accuracy_proxy(stale_global, eval_set, obj, config.gate.proxy)
-            h_local = accuracy_proxy(z, eval_set, obj, config.gate.proxy)
-            gap = performance_gap(h_global, h_local, config.gate.eps_div)
-            q = upload_probability(gap, config.gate.gap_scale)
-            uploads_update = decide_upload(q, dev.gate_rng)
-            gate_info[dev.device_id] = {"gap": gap, "q": q, "uploaded": uploads_update}
-        if uploads_update:
-            received.append(ModelUpdate(dev.device_id, z, dev.full_size))
-
-    if received:
-        agg_w = weights(config.weight_scheme, received, z_ref=stale_global)
-        server.global_params = aggregate(received, agg_w)
+    if uploaded.any():
+        agg_w = weights(config.weight_scheme, chosen[uploaded], problem.sizes)
+        server.global_params = aggregate(trained[uploaded], agg_w)
         if not np.isfinite(server.global_params).all():
             raise DivergenceError(
                 f"aggregate diverged in round {round_index}", round_index=round_index
             )
 
-    p_values = []
-    for dev in selected:
-        z = local_updates[dev.device_id]
-        if config.algorithm == "fedavg":
-            dev.params = server.global_params.copy()
-        else:
-            p = selection_probability(round_index, config.anneal.temperature)
-            p_values.append(p)
-            mask = sample_mask(obj.param_dim, p, config.anneal.epsilon, dev.mask_rng, config.anneal.mask_mode)
-            dev.params = mix(mask, server.global_params, z)
+    p = None
+    if config.algorithm == "fedavg":
+        devices.params[chosen] = server.global_params
+    else:
+        p = selection_probability(round_index, config.anneal.temperature)
+        anneal = config.anneal
+        masks = np.array([
+            sample_mask(obj.param_dim, p, anneal.epsilon, devices.mask_rngs[k], anneal.mask_mode) for k in chosen
+        ])
+        devices.params[chosen] = mix(masks, server.global_params, trained)
 
-    participant_updates = [
-        ModelUpdate(d.device_id, local_updates[d.device_id], d.full_size) for d in selected
-    ]
     # metric evaluation may overflow on a nearly divergent run; the finite
     # checks above are the divergence authority, not numpy warnings here
     with np.errstate(over="ignore", invalid="ignore"):
-        record_w = weights(config.weight_scheme, participant_updates, z_ref=stale_global)
-        estimate = global_estimate(selected, record_w)
-        diffs = np.stack([d.params for d in selected]) - w_star
+        record_w = weights(config.weight_scheme, chosen, problem.sizes)
+        current = devices.params[chosen]
+        estimate = global_estimate(current, record_w)
+        diffs = current - problem.w_star
         device_mse = float(record_w @ (diffs * diffs).sum(axis=1))
         proxy_kind = "holdout_accuracy" if obj.is_classification else "inverse_risk"
         record = RoundRecord(
             round_index=round_index,
-            mse=float(np.sum((estimate - w_star) ** 2)),
-            accuracy=accuracy_proxy(estimate, pooled, obj, proxy_kind),
-            uploads=len(received),
-            selection_prob=(float(np.mean(p_values)) if p_values else None),
+            mse=float(np.sum((estimate - problem.w_star) ** 2)),
+            accuracy=accuracy_proxy(estimate, problem.pooled, obj, proxy_kind),
+            uploads=int(uploaded.sum()),
+            selection_prob=(None if p is None else float(np.mean(np.full(len(chosen), p)))),
             device_mse=device_mse,
         )
     if observer is not None:
-        observer(record, server, devices, {"selected": [d.device_id for d in selected], "locals": local_updates, "gate": gate_info})
+        selected = chosen.tolist()
+        observer(record, server, devices, {"selected": selected, "locals": dict(zip(selected, trained)), "gate": gate_info})
     return record
 
 
@@ -345,11 +349,12 @@ def run(
     prepared: PreparedProblem | None = None,
 ) -> RunResult:
     """Run the configured number of rounds; a fixed config yields one trajectory."""
-    devices, server, pooled, w_star = build_state(config, dataset, shards, prepared)
-    init_params = np.stack([d.params for d in devices])
+    problem = _problem(config, dataset, shards, prepared)
+    devices, server, _, w_star = build_state(config, prepared=problem)
+    init_params = devices.params.copy()
     records: list[RoundRecord] = []
     for r in range(1, config.rounds + 1):
-        record = run_round(server, devices, config, r, pooled=pooled, w_star=w_star, observer=observer)
+        record = run_round(server, devices, config, r, problem=problem, observer=observer)
         records.append(record)
         if config.early_stop_mse is not None and record.mse < config.early_stop_mse:
             break

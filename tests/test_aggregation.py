@@ -1,78 +1,85 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from safl_sim import ModelUpdate, WeightScheme, aggregate, weights
+from safl_sim import WeightScheme, aggregate, weights
+
+# One device's contribution, as the server used to receive it.
+Update = namedtuple("Update", "device_id params n_samples")
 
 
-def updates_from(params, sizes=None):
-    sizes = sizes or [1] * len(params)
-    return [ModelUpdate(i, np.asarray(p, dtype=np.float64), m) for i, (p, m) in enumerate(zip(params, sizes))]
+def reference_weights(scheme: WeightScheme, updates: list[Update]) -> np.ndarray:
+    """The per-update weight function that ``weights`` replaced, kept as its
+    bitwise reference."""
+    n = len(updates)
+    if scheme.kind == "uniform":
+        w = np.full(n, 1.0 / n)
+    elif scheme.kind == "size_proportional":
+        sizes = np.array([float(u.n_samples) for u in updates])
+        w = sizes / sizes.sum()
+    else:
+        raw = np.array([float(scheme.custom[u.device_id]) for u in updates])
+        w = raw / raw.sum()
+    return w / w.sum()
 
 
 class TestWeights:
     def test_uniform_splits_evenly(self):
-        ups = updates_from([[0.0], [1.0], [2.0], [3.0]])
-        assert np.allclose(weights(WeightScheme("uniform"), ups), [0.25] * 4, atol=0)
+        got = weights(WeightScheme("uniform"), np.arange(4), np.ones(4))
+        assert np.allclose(got, [0.25] * 4, atol=0)
 
     def test_size_proportional_matches_shard_sizes(self):
-        ups = updates_from([[0.0], [1.0]], sizes=[1, 3])
-        assert np.allclose(weights(WeightScheme("size_proportional"), ups), [0.25, 0.75], atol=0)
-
-    def test_inverse_distance_hand_values(self):
-        ref = np.zeros(1)
-        ups = updates_from([[1.0], [2.0]])
-        got = weights(WeightScheme("ida"), ups, z_ref=ref)
-        assert np.allclose(got, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
-
-    def test_inverse_distance_zero_distance_takes_all_mass(self):
-        ref = np.array([1.0, 1.0])
-        ups = updates_from([[1.0, 1.0], [3.0, 0.0], [1.0, 1.0]])
-        got = weights(WeightScheme("ida"), ups, z_ref=ref)
-        assert np.allclose(got, [0.5, 0.0, 0.5], atol=0)
-
-    def test_inverse_distance_requires_reference(self):
-        with pytest.raises(ValueError, match="reference"):
-            weights(WeightScheme("ida"), updates_from([[1.0]]))
+        got = weights(WeightScheme("size_proportional"), np.arange(2), np.array([1, 3]))
+        assert np.allclose(got, [0.25, 0.75], atol=0)
 
     def test_custom_weights_renormalise_over_received(self):
         scheme = WeightScheme("custom", custom=(2.0, 1.0, 1.0))
-        ups = [ModelUpdate(0, np.zeros(1), 1), ModelUpdate(2, np.zeros(1), 1)]
-        assert np.allclose(weights(scheme, ups), [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+        got = weights(scheme, np.array([0, 2]), np.ones(3))
+        assert np.allclose(got, [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["uniform", "size_proportional", "custom"])
+    def test_matches_the_per_update_reference_bitwise(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            sizes = rng.integers(1, 500, size=n)
+            custom = tuple(rng.uniform(0.01, 10.0, size=n).tolist()) if kind == "custom" else None
+            scheme = WeightScheme(kind, custom)
+            ids = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            updates = [Update(int(k), None, int(sizes[k])) for k in ids]
+            assert np.array_equal(weights(scheme, ids, sizes), reference_weights(scheme, updates))
 
     def test_weights_always_sum_to_one(self):
-        rng = np.random.default_rng(4)
-        for kind in ("uniform", "size_proportional", "ida"):
-            ups = updates_from(rng.standard_normal((5, 3)).tolist(), sizes=[1, 2, 3, 4, 5])
-            got = weights(WeightScheme(kind), ups, z_ref=np.zeros(3))
+        for kind in ("uniform", "size_proportional"):
+            got = weights(WeightScheme(kind), np.arange(5), np.array([1, 2, 3, 4, 5]))
             assert abs(got.sum() - 1.0) <= 1e-12
             assert np.all(got >= 0)
 
     def test_empty_update_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            weights(WeightScheme("uniform"), [])
+            weights(WeightScheme("uniform"), np.array([], dtype=int), np.ones(3))
+
+
+def uniform(k: int) -> np.ndarray:
+    return weights(WeightScheme("uniform"), np.arange(k), np.ones(k))
 
 
 class TestAggregate:
     def test_identical_updates_return_that_vector(self):
         v = np.array([0.2, -0.4, 1.0])
-        ups = updates_from([v, v, v])
-        wts = weights(WeightScheme("uniform"), ups)
-        assert np.allclose(aggregate(ups, wts), v, atol=1e-16)
+        assert np.allclose(aggregate(np.stack([v, v, v]), uniform(3)), v, atol=1e-16)
 
     def test_two_device_toy_average(self):
-        ups = updates_from([[0.0, 0.0], [0.0, 4.0 / 9.0]])
-        wts = weights(WeightScheme("uniform"), ups)
-        got = aggregate(ups, wts)
+        got = aggregate(np.array([[0.0, 0.0], [0.0, 4.0 / 9.0]]), uniform(2))
         assert np.allclose(got, [0.0, 2.0 / 9.0], atol=0)
 
     def test_matches_fsum_dot_product_oracle(self):
         rng = np.random.default_rng(11)
         params = rng.standard_normal((5, 6))
-        ups = updates_from(params.tolist(), sizes=[3, 1, 4, 2, 5])
-        wts = weights(WeightScheme("size_proportional"), ups)
-        got = aggregate(ups, wts)
+        wts = weights(WeightScheme("size_proportional"), np.arange(5), np.array([3, 1, 4, 2, 5]))
+        got = aggregate(params, wts)
         oracle = np.array(
             [math.fsum(wts[k] * params[k, j] for k in range(5)) for j in range(6)]
         )
@@ -81,26 +88,25 @@ class TestAggregate:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(12)
         params = rng.standard_normal((6, 4))
-        ups = updates_from(params.tolist(), sizes=[1, 2, 3, 4, 5, 6])
-        wts = weights(WeightScheme("size_proportional"), ups)
+        wts = weights(WeightScheme("size_proportional"), np.arange(6), np.arange(1, 7))
         perm = rng.permutation(6)
-        shuffled = [ups[i] for i in perm]
-        got = aggregate(shuffled, wts[perm])
-        assert np.allclose(got, aggregate(ups, wts), atol=1e-12)
+        got = aggregate(params[perm], wts[perm])
+        assert np.allclose(got, aggregate(params, wts), atol=1e-12)
 
     def test_result_lies_in_coordinatewise_hull(self):
         rng = np.random.default_rng(13)
         params = rng.standard_normal((4, 5))
-        ups = updates_from(params.tolist())
-        wts = weights(WeightScheme("uniform"), ups)
-        got = aggregate(ups, wts)
+        got = aggregate(params, uniform(4))
         assert np.all(got >= params.min(axis=0) - 1e-12)
         assert np.all(got <= params.max(axis=0) + 1e-12)
 
-    def test_dimension_mismatch_rejected(self):
-        ups = [ModelUpdate(0, np.zeros(2), 1), ModelUpdate(1, np.zeros(3), 1)]
-        with pytest.raises(ValueError, match="dimension"):
-            aggregate(ups, np.array([0.5, 0.5]))
+    def test_params_must_be_2d_with_one_weight_per_row(self):
+        with pytest.raises(ValueError, match="2-d"):
+            aggregate(np.zeros(3), uniform(3))
+        with pytest.raises(ValueError, match="2-d"):
+            aggregate(np.zeros((2, 3, 1)), uniform(2))
+        with pytest.raises(ValueError, match="one weight per row"):
+            aggregate(np.zeros((3, 2)), uniform(2))
 
 
 class TestWeightSchemeValidation:

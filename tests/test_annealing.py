@@ -89,9 +89,20 @@ class TestMix:
             lo, hi = np.minimum(g, l), np.maximum(g, l)
             assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
+    def test_batched_rows_equal_row_by_row_bitwise(self):
+        rng = np.random.default_rng(10)
+        g, local = rng.standard_normal(7), rng.standard_normal((5, 7))
+        masks = np.array([sample_mask(7, 0.6, 0.3, rng) for _ in range(5)])
+        rows = np.array([mix(m, g, l) for m, l in zip(masks, local)])
+        assert np.array_equal(mix(masks, g, local), rows)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mix(np.ones(3), np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            mix(np.ones((2, 3)), np.zeros(4), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            mix(np.ones((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestAnnealConfig:

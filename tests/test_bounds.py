@@ -21,6 +21,7 @@ from safl_sim import (
     theorem3_bound,
     theorem3_constant,
 )
+from safl_sim.simulation import prepare
 
 
 def inputs_with(**kw):
@@ -200,8 +201,8 @@ class TestBoundDominanceSmall:
             res = run(cfg, dataset=data)
             mses.append([r.mse for r in res.records])
             inits.append(res.init_params)
-            shards = [d.shard for d in res.devices]
             w_star = res.w_star
+        shards = [train for train, _ in prepare(cfg, data).pairs]
         mses = np.array(mses)
         inp = measure_bound_inputs(
             obj, shards, np.stack(inits), w_star, np.full(6, 1 / 6),

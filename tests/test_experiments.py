@@ -123,9 +123,11 @@ class TestSharedSeedGuarantee:
         res_f = run(sim_config(spec, "fedavg", 1), dataset=spec.dataset)
         res_s = run(sim_config(spec, "safl", 1), dataset=spec.dataset)
         assert np.array_equal(res_f.init_params, res_s.init_params)
-        for df, ds_ in zip(res_f.devices, res_s.devices):
-            assert np.array_equal(df.shard.X, ds_.shard.X)
-            assert np.array_equal(df.shard.y, ds_.shard.y)
+        pairs_f = prepare(sim_config(spec, "fedavg", 1), spec.dataset).pairs
+        pairs_s = prepare(sim_config(spec, "safl", 1), spec.dataset).pairs
+        for (df, _), (ds_, _) in zip(pairs_f, pairs_s):
+            assert np.array_equal(df.X, ds_.X)
+            assert np.array_equal(df.y, ds_.y)
 
 
 class TestExecute:
@@ -216,9 +218,8 @@ class TestSharedProblem:
     def test_shared_arrays_are_read_only(self, tmp_path):
         spec = load_experiment(write_doc(tmp_path, classification_doc()))
         problem = prepare(spec.config, spec.dataset)
-        result = run(sim_config(spec, "safl", 1), prepared=problem)
-        assert [(d.shard, d.holdout) for d in result.devices] == list(problem.pairs)
-        shared = [problem.pooled.X, problem.pooled.y, problem.w_star]
+        run(sim_config(spec, "safl", 1), prepared=problem)
+        shared = [problem.pooled.X, problem.pooled.y, problem.w_star, problem.sizes]
         shared += [a for train, hold in problem.pairs for a in (train.X, train.y, hold.X, hold.y)]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
@@ -337,6 +338,7 @@ class TestCli:
             (None, "weights", {"kind": "custom", "custom": [1, 2]}, "custom weights"),
             (None, "weights", {"kind": "custom", "custom": [1.0] * 9}, "custom weights"),
             (None, "weights", {"kind": "custom", "custom": [0] * 8}, "custom weights"),
+            (None, "weights", "ida", "weights"),
             ("gate", "proxy", "holdout_accuracy", "proxy"),
             ("data", "noise_std", -1, "noise_std"),
             (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "cluster_std": -1}, "cluster_std"),

@@ -99,8 +99,7 @@ class TestFedAvgReduction:
         res_f, res_s = run(cfg_f, dataset=data), run(cfg_s, dataset=data)
         for a, b in zip(res_f.records, res_s.records):
             assert a.mse == b.mse and a.accuracy == b.accuracy and a.uploads == b.uploads
-        for df, ds_ in zip(res_f.devices, res_s.devices):
-            assert np.array_equal(df.params, ds_.params)
+        assert np.array_equal(res_f.devices.params, res_s.devices.params)
 
     def test_underflowed_schedule_matches_fedavg_bitwise(self):
         # temperature so small the local-leaning branch has probability < 1e-17
@@ -109,8 +108,7 @@ class TestFedAvgReduction:
         cfg_f = base_config(obj, part, algorithm="fedavg")
         cfg_s = base_config(obj, part, algorithm="safl", anneal=AnnealConfig(temperature=1.0 / 45.0, epsilon=0.2))
         res_f, res_s = run(cfg_f, dataset=data), run(cfg_s, dataset=data)
-        for df, ds_ in zip(res_f.devices, res_s.devices):
-            assert np.array_equal(df.params, ds_.params)
+        assert np.array_equal(res_f.devices.params, res_s.devices.params)
 
 
 class TestLocalOnlyLimit:
@@ -127,7 +125,7 @@ class TestLocalOnlyLimit:
 
         def observer(record, server, devices, extras):
             for k in extras["selected"]:
-                seen.append(np.array_equal(devices[k].params, extras["locals"][k]))
+                seen.append(np.array_equal(devices.params[k], extras["locals"][k]))
 
         run(cfg, dataset=data, observer=observer)
         assert seen and all(seen)
@@ -150,7 +148,7 @@ class TestSingleDevice:
         for _ in range(8):
             (w,), took = run_local_epochs([w], [shard], obj, 1, cfg.lr, [rng], start_steps=[steps])
             steps += took
-        assert np.array_equal(res.devices[0].params, w)
+        assert np.array_equal(res.devices.params[0], w)
 
 
 class TestPreparedProblem:
@@ -163,7 +161,7 @@ class TestPreparedProblem:
             shared = run(replace(cfg, seed=seed), prepared=problem)
             assert [r.mse for r in own.records] == [r.mse for r in shared.records]
             assert np.array_equal(own.w_star, shared.w_star)
-            assert all(np.array_equal(a.params, b.params) for a, b in zip(own.devices, shared.devices))
+            assert np.array_equal(own.devices.params, shared.devices.params)
 
     def test_build_state_returns_the_shared_pool(self):
         data, obj, part = regression_setup()
@@ -199,8 +197,7 @@ class TestDeterminismAndAccounting:
         cfg = base_config(obj, part, algorithm="safl", anneal=AnnealConfig(temperature=6.0, epsilon=0.4))
         r1, r2 = run(cfg, dataset=data), run(cfg, dataset=data)
         assert [a.mse for a in r1.records] == [b.mse for b in r2.records]
-        for d1, d2 in zip(r1.devices, r2.devices):
-            assert np.array_equal(d1.params, d2.params)
+        assert np.array_equal(r1.devices.params, r2.devices.params)
 
     def test_zero_rounds_give_empty_records(self):
         data, obj, part = regression_setup()
@@ -376,4 +373,4 @@ class TestConfigValidation:
         data, obj, part = regression_setup()
         res = run(base_config(obj, part, rounds=1), dataset=data)
         with pytest.raises(ValueError):
-            global_estimate(res.devices, np.array([1.0]))
+            global_estimate(res.devices.params, np.array([1.0]))
