@@ -332,7 +332,7 @@ def run_round(
             mse=float(np.sum((estimate - problem.w_star) ** 2)),
             accuracy=accuracy_proxy(estimate, problem.pooled, obj, proxy_kind),
             uploads=int(uploaded.sum()),
-            selection_prob=(None if p is None else float(np.mean(np.full(len(chosen), p)))),
+            selection_prob=p,
             device_mse=device_mse,
         )
     if observer is not None:

@@ -15,7 +15,7 @@ import safl_sim.bounds
 import safl_sim.experiments
 import safl_sim.objectives
 import safl_sim.simulation
-from safl_sim import run
+from safl_sim import run, selection_probability
 from safl_sim.cli import main as cli_main
 from safl_sim.experiments import (
     ExperimentConfigError,
@@ -139,6 +139,15 @@ class TestExecute:
         assert sorted({r.round for r in rows_f}) == sorted({r.round for r in rows_s})
         assert len(rows_f) == len(rows_s) == 12 * 2
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_p_column_is_the_rounds_acceptance_probability(self, tmp_path):
+        # with 6 of 8 devices selected, a mean over the selected devices'
+        # copies of p would be one ulp off in rounds 3, 4, 5 and 10
+        doc = experiment_doc(s=6)
+        paths = execute(load_experiment(write_doc(tmp_path, doc)), tmp_path / "out", quiet=True)
+        rows = parse_metrics_csv(paths["safl"])
+        temperature = doc["anneal"]["temperature"]
+        assert rows and all(r.p == selection_probability(r.round, temperature) for r in rows)
 
     def test_seed_override_is_reproducible_bytewise(self, tmp_path):
         spec = load_experiment(write_doc(tmp_path, experiment_doc()))
