@@ -311,8 +311,8 @@ def run_round(
     if config.algorithm == "fedavg":
         devices.params[chosen] = server.global_params
     else:
-        p = selection_probability(round_index, config.anneal.temperature)
         anneal = config.anneal
+        p = selection_probability(round_index, anneal.temperature)
         masks = np.array([
             sample_mask(obj.param_dim, p, anneal.epsilon, devices.mask_rngs[k], anneal.mask_mode) for k in chosen
         ])
