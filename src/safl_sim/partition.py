@@ -60,10 +60,33 @@ def sample_sizes(spec: PartitionSpec) -> list[int]:
     return _draw_sizes(spec, sizes_rng)
 
 
-def check_fits(dataset: Dataset, spec: PartitionSpec) -> None:
-    """Raise ValueError when ``spec`` caps label subsets above the labels ``dataset`` holds."""
+# A shard may be drawn with replacement from a pool smaller than itself, but
+# not beyond this many times the dataset's size: a larger draw is a typo or an
+# overflow (a size near 1e150 could not be allocated, let alone drawn).
+MAX_SHARD_FACTOR = 10
+
+
+def _check_sizes(dataset: Dataset, spec: PartitionSpec, sizes: list[int]) -> None:
+    limit = MAX_SHARD_FACTOR * len(dataset)
+    biggest = max(sizes)
+    if biggest > limit:
+        raise ValueError(
+            f"a shard size drawn from mean_size {spec.mean_size:g} and size_var {spec.size_var:g} "
+            f"is {biggest:.3g}, above the limit of {limit} ({MAX_SHARD_FACTOR} times the "
+            f"{len(dataset)} samples of the dataset)"
+        )
+
+
+def _check_labels(dataset: Dataset, spec: PartitionSpec) -> None:
     if dataset.is_classification and spec.max_labels_per_device > dataset.labels().size:
         raise ValueError("max_labels_per_device exceeds the number of labels present")
+
+
+def check_fits(dataset: Dataset, spec: PartitionSpec) -> None:
+    """Raise ValueError when ``spec`` caps label subsets above the labels
+    ``dataset`` holds, or draws a shard above ``MAX_SHARD_FACTOR`` times its size."""
+    _check_labels(dataset, spec)
+    _check_sizes(dataset, spec, sample_sizes(spec))
 
 
 def _label_pool(labels: np.ndarray, chosen: np.ndarray, n_classes: int) -> np.ndarray:
@@ -73,19 +96,21 @@ def _label_pool(labels: np.ndarray, chosen: np.ndarray, n_classes: int) -> np.nd
     return np.flatnonzero(in_chosen[labels])
 
 
-def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
-    """Build the n label-restricted shards; ``|shard_k| == m_k`` exactly.
+def _shard_indices(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
+    """Each device's rows of ``dataset``, ``len == m_k`` exactly.
 
     Samples are drawn without replacement from the label-restricted pool when
-    it is large enough, with replacement otherwise.
+    it is large enough, with replacement otherwise.  A pool depends only on
+    its label subset, so each distinct subset is scanned once.
     """
     sizes_rng, labels_rng, draw_rng, _ = _streams(spec)
     sizes = _draw_sizes(spec, sizes_rng)
-
-    check_fits(dataset, spec)
+    _check_labels(dataset, spec)
+    _check_sizes(dataset, spec, sizes)
     label_values = dataset.labels() if dataset.is_classification else None
 
-    shards: list[Dataset] = []
+    pools: dict[tuple, np.ndarray] = {}
+    shards: list[np.ndarray] = []
     for k in range(spec.n):
         m_k = sizes[k]
         if label_values is None:
@@ -98,13 +123,17 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
                 else:
                     n_lab = int(labels_rng.integers(1, spec.max_labels_per_device + 1))
                 chosen = labels_rng.choice(label_values, size=n_lab, replace=False)
-                pool = _label_pool(dataset.y, chosen, dataset.n_classes)
-        if pool.size >= m_k:
-            idx = draw_rng.choice(pool, size=m_k, replace=False)
-        else:
-            idx = draw_rng.choice(pool, size=m_k, replace=True)
-        shards.append(dataset.subset(idx))
+                key = tuple(sorted(chosen.tolist()))
+                if key not in pools:
+                    pools[key] = _label_pool(dataset.y, chosen, dataset.n_classes)
+                pool = pools[key]
+        shards.append(draw_rng.choice(pool, size=m_k, replace=pool.size < m_k))
     return shards
+
+
+def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
+    """Build the n label-restricted shards; ``|shard_k| == m_k`` exactly."""
+    return [dataset.subset(idx) for idx in _shard_indices(dataset, spec)]
 
 
 def partition_with_holdout(
@@ -117,14 +146,15 @@ def partition_with_holdout(
     The holdout takes ``floor(m_k * holdout_fraction)`` samples (possibly
     zero), leaving at least one training sample.  The split is driven by the
     partition seed, so every run over the same spec sees the same split.
+    Both pieces are gathered straight from ``dataset``.
     """
     if not (0.0 <= holdout_fraction < 1.0):
         raise ValueError("holdout_fraction must lie in [0, 1)")
     _, _, _, split_rng = _streams(spec)
     out = []
-    for shard in partition(dataset, spec):
-        m = len(shard)
+    for idx in _shard_indices(dataset, spec):
+        m = idx.size
         n_hold = min(int(np.floor(m * holdout_fraction)), m - 1)
-        perm = split_rng.permutation(m)
-        out.append((shard.subset(perm[n_hold:]), shard.subset(perm[:n_hold])))
+        perm = idx[split_rng.permutation(m)]
+        out.append((dataset.subset(perm[n_hold:]), dataset.subset(perm[:n_hold])))
     return out

@@ -8,13 +8,15 @@ One round, mirroring a synchronous implementation:
    together in one batched call, see ``training``);
 3. (``safl_extended`` only) each picked device scores the last broadcast
    global model against its local update on its private holdout and uploads
-   with probability ``exp(-gap / gap_scale)``;
+   with probability ``exp(-gap / gap_scale)`` (all picked devices are scored
+   in one batched call, see ``upload_gate.gate_proxies``);
 4. the server fuses the received updates into the new global model (an empty
    round leaves it unchanged);
 5. every picked device folds the new global model into its parameters:
    plain averaging replaces them outright, the annealed variants blend per
    coordinate through a sampled mask;
-6. metrics are recorded against the pooled-data optimum.
+6. metrics are recorded against the pooled-data optimum; a non-finite one
+   is divergence.
 
 Device state is held as arrays indexed by device id (``Devices``), and each
 step acts on the rows of the devices picked that round.  ``run`` calls an
@@ -40,7 +42,7 @@ from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
 from .partition import PartitionSpec, partition_with_holdout
 from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, run_local_epochs
-from .upload_gate import GateConfig, accuracy_proxy, decide_upload, performance_gap, upload_probability
+from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies, performance_gap, upload_probability
 
 ALGORITHMS = ("fedavg", "safl", "safl_extended")
 LOCAL_SOLVERS = ("sgd", "oracle")
@@ -107,8 +109,10 @@ class Devices:
     (n,) how many local SGD steps each device has taken, which offsets its
     learning-rate schedule.  Each of ``train_rngs``, ``mask_rngs`` and
     ``gate_rngs`` holds one generator per device, so every random stream
-    belongs to one (device, purpose) pair.  A round updates the arrays in
-    place, on the rows of the devices it selected.
+    belongs to one (device, purpose) pair.  A list whose purpose the variant
+    never draws from is empty: ``mask_rngs`` for fedavg, ``gate_rngs`` for
+    all but safl_extended.  A round updates the arrays in place, on the rows
+    of the devices it selected.
     """
 
     params: np.ndarray
@@ -216,6 +220,10 @@ def _problem(
     return prepared
 
 
+# the device streams each variant draws from, by child index (see build_state)
+_DRAWN = {"fedavg": (1,), "safl": (1, 2), "safl_extended": (1, 2, 3)}
+
+
 def build_state(
     config: SimConfig,
     dataset: Dataset | None = None,
@@ -233,19 +241,21 @@ def build_state(
 
     dim = config.objective.param_dim
     root = np.random.SeedSequence(config.seed)
-    server_ss, *device_ss = root.spawn(1 + config.n)
+
+    def stream(*key: int) -> np.random.Generator:
+        # the generator of ``root.spawn``'s child at ``key``, built without
+        # its siblings: the server is child 0 of the root, and device k's
+        # init, train, mask and gate streams are children 0-3 of its child 1 + k
+        return np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=key, pool_size=root.pool_size))
+
     params = np.empty((config.n, dim))
-    streams: tuple[list, list, list] = ([], [], [])  # train, mask, gate
-    for k, ss in enumerate(device_ss):
-        init_ss, *purpose_ss = ss.spawn(4)
-        params[k] = config.init_scale * np.random.default_rng(init_ss).standard_normal(dim)
-        for rngs, seq in zip(streams, purpose_ss):
-            rngs.append(np.random.default_rng(seq))
-    devices = Devices(params, np.zeros(config.n, dtype=np.int64), *streams)
-    server = ServerState(
-        global_params=np.zeros(dim),
-        rng=np.random.default_rng(server_ss),
-    )
+    rngs: dict[int, list] = {1: [], 2: [], 3: []}  # train, mask, gate
+    for k in range(config.n):
+        params[k] = config.init_scale * stream(1 + k, 0).standard_normal(dim)
+        for purpose in _DRAWN[config.algorithm]:
+            rngs[purpose].append(stream(1 + k, purpose))
+    devices = Devices(params, np.zeros(config.n, dtype=np.int64), rngs[1], rngs[2], rngs[3])
+    server = ServerState(global_params=np.zeros(dim), rng=stream(0))
     return devices, server, prepared.pooled, prepared.w_star
 
 
@@ -289,12 +299,10 @@ def run_round(
     gate_info: dict[int, dict] = {}
     if config.algorithm == "safl_extended":
         gate = config.gate
-        for i, k in enumerate(chosen.tolist()):
-            train, hold = problem.pairs[k]
-            eval_set = hold if len(hold) > 0 else train
-            h_global = accuracy_proxy(stale_global, eval_set, obj, gate.proxy)
-            h_local = accuracy_proxy(trained[i], eval_set, obj, gate.proxy)
-            gap = performance_gap(h_global, h_local, gate.eps_div)
+        eval_sets = [hold if len(hold) > 0 else train for train, hold in (problem.pairs[k] for k in chosen)]
+        h_global, h_local = gate_proxies(stale_global, trained, eval_sets, obj, gate.proxy)
+        for i, (k, hg, hl) in enumerate(zip(chosen.tolist(), h_global.tolist(), h_local.tolist())):
+            gap = performance_gap(hg, hl, gate.eps_div)
             q = upload_probability(gap, gate.gap_scale)
             uploaded[i] = decide_upload(q, devices.gate_rngs[k])
             gate_info[k] = {"gap": gap, "q": q, "uploaded": bool(uploaded[i])}
@@ -334,6 +342,11 @@ def run_round(
             uploads=int(uploaded.sum()),
             selection_prob=p,
             device_mse=device_mse,
+        )
+    if not (math.isfinite(record.mse) and math.isfinite(record.device_mse)):
+        raise DivergenceError(
+            f"metrics diverged in round {round_index}: mse {record.mse}, device_mse {record.device_mse}",
+            round_index=round_index,
         )
     if observer is not None:
         selected = chosen.tolist()

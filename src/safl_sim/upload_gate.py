@@ -14,11 +14,12 @@ probably overfitting a biased shard, and mostly keeps its update to itself.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, Objective, empirical_risk, predict_classes
+from .objectives import Dataset, Objective, empirical_risk, log_softmax, predict_classes
 
 PROXY_KINDS = ("holdout_accuracy", "inverse_risk")
 
@@ -55,6 +56,65 @@ def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective, kind: s
     if kind == "inverse_risk":
         return 1.0 / (1.0 + empirical_risk(obj, model, eval_set))
     raise ValueError(f"unknown accuracy proxy {kind!r}")
+
+
+def gate_proxies(
+    global_model: np.ndarray,
+    local_models: np.ndarray,
+    eval_sets: Sequence[Dataset],
+    obj: Objective,
+    kind: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``accuracy_proxy`` of the global model and of each local model, for
+    every device of a round at once.
+
+    Device ``i`` scores ``global_model`` and ``local_models[i]`` on
+    ``eval_sets[i]``.  The eval sets are concatenated: the global model is
+    scored over every row in one product, each local model over its own
+    rows, and the per-device sums are ``np.bincount`` over row owners.
+    Returns ``(h_global, h_local)``, each of shape (k,).
+
+    Equivalence policy.  ``holdout_accuracy`` equals ``accuracy_proxy``: the
+    hit counts are integers, and a row's argmax could differ only if two of
+    its class scores lay within rounding of each other.  ``inverse_risk``
+    agrees to within 1e-13 relative, since a device's losses are summed in
+    another order.
+    """
+    sizes = np.array([len(e) for e in eval_sets])
+    if not sizes.all():
+        raise ValueError("accuracy proxy needs a nonempty evaluation set")
+    if kind == "holdout_accuracy" and not obj.is_classification:
+        raise ValueError("holdout_accuracy requires a classification objective")
+    if kind not in PROXY_KINDS:
+        raise ValueError(f"unknown accuracy proxy {kind!r}")
+    X = np.concatenate([e.X for e in eval_sets])
+    y = np.concatenate([e.y for e in eval_sets])
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    local_models = np.asarray(local_models, dtype=np.float64)
+    if obj.is_classification:
+        shape = (obj.n_classes, obj.dim)
+        global_scores = X @ global_model.reshape(shape).T
+        local_scores = (local_models.reshape(-1, *shape)[owner] * X[:, None, :]).sum(-1)
+    else:
+        global_scores = X @ global_model
+        local_scores = (local_models[owner] * X).sum(-1)
+
+    def per_device(scores: np.ndarray, models: np.ndarray) -> np.ndarray:
+        if kind == "holdout_accuracy":
+            return np.bincount(owner[scores.argmax(axis=1) == y], minlength=sizes.size) / sizes
+        if obj.is_classification:
+            losses = -log_softmax(scores)[np.arange(y.size), y]
+        else:
+            losses = (scores - y) ** 2
+        scale = 0.5 if obj.kind in ("least_squares", "ridge") else 1.0  # lasso sums whole squares
+        risk = scale * np.bincount(owner, weights=losses, minlength=sizes.size) / sizes
+        if obj.kind == "lasso":
+            risk += obj.reg * np.abs(models).sum(axis=1)
+        elif obj.reg:
+            risk += 0.5 * obj.reg * (models * models).sum(axis=1)
+        return 1.0 / (1.0 + risk)
+
+    return per_device(global_scores, global_model[None, :]), per_device(local_scores, local_models)
 
 
 def performance_gap(h_global: float, h_local: float, eps_div: float = 1e-6) -> float:

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from safl_sim import cli
+from safl_sim.experiments import parse_metrics_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +59,33 @@ def test_traced_run_charges_each_solve_to_its_layer(tmp_path, monkeypatch):
     assert figures["objectives.optimum_calls"] == 1
     assert figures["objectives.curvature_calls"] == 0
     assert figures["upload_gate.s"] == 0
+
+
+def test_traced_gate_counts_one_decision_per_selected_device(tmp_path, monkeypatch):
+    # the gate scores a round's devices in one batch but still decides each
+    # one apart, so the counters keep meaning one decision per device
+    spans = _load_perfbench(monkeypatch, "spans")
+    layers = _load_perfbench(monkeypatch, "layers")
+    doc = {
+        "data": {"kind": "blobs", "samples": 300, "dim": 3, "classes": 3, "seed": 2},
+        "objective": {"kind": "multinomial_logistic", "reg": 0.5},
+        "partition": {"mean_size": 12, "size_var": 9.0, "max_labels_per_device": 2, "pure_count": 3, "seed": 7},
+        "n": 10, "s": 6, "T": 4, "E": 1,
+        "lr": {"kind": "constant", "value": 0.05},
+        "gate": {"gap_scale": 0.1},
+        "holdout_fraction": 0.2,
+        "variants": ["fedavg", "safl_extended"],
+        "seeds": [1, 2],
+    }
+    config = tmp_path / "gated.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    tracer = spans.Tracer()
+    with layers.traced(tracer):
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    figures = spans.layer_metrics(tracer)
+    rows = parse_metrics_csv(out / "safl_extended.csv")
+    final_uploads = sum(r.uploads_cumulative for r in rows if r.round == doc["T"])
+    assert figures["upload_gate.decisions"] == len(doc["seeds"]) * doc["T"] * doc["s"]
+    assert figures["upload_gate.uploads"] == final_uploads
+    assert 0 < final_uploads < figures["upload_gate.decisions"]

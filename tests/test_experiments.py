@@ -28,6 +28,7 @@ from safl_sim.experiments import (
     sim_config,
 )
 from safl_sim.simulation import prepare
+from safl_sim.training import DivergenceError
 
 
 def experiment_doc(**overrides):
@@ -235,15 +236,16 @@ class TestSharedProblem:
                 array[...] = 0
 
     @pytest.mark.parametrize("lr", ["constant", "inverse"])
-    def test_initial_spread_beyond_the_float_range_leaves_the_bound_empty(self, tmp_path, lr):
+    def test_initial_spread_beyond_the_float_range_is_divergence(self, tmp_path, lr):
+        # parameters near 1e300 stay finite, but their squared distance to
+        # w* does not: an infinite mse is divergence, not a row of the CSV
         value = {"constant": 0.01, "inverse": 1.8}[lr]
         doc = experiment_doc(init_scale=1e300, T=3, seeds=[1], lr={"kind": lr, "value": value})
         spec = load_experiment(write_doc(tmp_path, doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the spread's overflow used to warn
-            paths = execute(spec, tmp_path / "out", quiet=True)
-        rows = parse_metrics_csv(paths["safl"])
-        assert all(r.bound_theorem1 is None and r.bound_corollary1 is None for r in rows)
+            with pytest.raises(DivergenceError, match="round 1"):
+                execute(spec, tmp_path / "out", quiet=True)
 
 
 class TestCompare:
@@ -334,6 +336,8 @@ class TestCli:
             (None, "early_stop_mse", "x", "'early_stop_mse'"),
             ("objective", "reg", "0.5", "'reg'"),
             ("partition", "mean_size", math.inf, "'mean_size'"),
+            ("partition", "mean_size", 1e12, "mean_size"),
+            ("partition", "size_var", 1e300, "size_var"),
             ("partition", "max_labels_per_device", 1.5, "'max_labels_per_device'"),
             ("data", "samples", "80", "'samples'"),
             ("data", "samples", 0, "samples"),
@@ -406,6 +410,13 @@ class TestCli:
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 2
         assert "divergence" in capsys.readouterr().err
+
+    def test_infinite_metric_exits_two_and_names_the_round(self, tmp_path, capsys):
+        doc = experiment_doc(n=4, s=4, init_scale=1e300, T=3, seeds=[1], variants=["fedavg"])
+        path = write_doc(tmp_path, doc)
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert "round 1" in capsys.readouterr().err
 
     def test_unwritable_output_exits_three(self, tmp_path):
         path = write_doc(tmp_path, experiment_doc(T=2, seeds=[1]))

@@ -1,4 +1,8 @@
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +18,13 @@ from safl_sim import (
     grad,
     loss,
     optimum_oracle,
+    partition_with_holdout,
     per_sample_grads,
 )
+from safl_sim.experiments import load_experiment
+from safl_sim.objectives import log_softmax
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMOOTH_KINDS = ("least_squares", "ridge", "multinomial_logistic")
 
@@ -270,3 +279,59 @@ class TestObjectiveValidation:
     def test_param_dim_flattens_classifier_weights(self):
         obj = Objective("multinomial_logistic", 8, reg=0.1, n_classes=3)
         assert obj.param_dim == 24
+
+
+def _row_major_gd(obj: Objective, dataset: Dataset, tol: float = 1e-10, max_iter: int = 200_000) -> np.ndarray:
+    """The logistic solve in row-major (m, C) layout, as it was written
+    before the class-major one: the reference."""
+    X, m = dataset.X, len(dataset)
+    lam = 0.5 * float(np.linalg.eigvalsh(X.T @ X / m)[-1]) + obj.reg
+    step = 1.0 / lam
+    w = np.zeros(obj.param_dim)
+    rows = np.arange(m)
+    for _ in range(max_iter):
+        P = np.exp(log_softmax(X @ w.reshape(obj.n_classes, obj.dim).T))
+        P[rows, dataset.y] -= 1.0
+        g = (P.T @ X).ravel() / m + obj.reg * w
+        if float(np.linalg.norm(g)) <= tol:
+            return w
+        w = w - step * g
+    raise AssertionError("the reference did not converge")
+
+
+def _workload_document(name: str, monkeypatch) -> dict:
+    """perfbench's document of workload ``name`` at benchmark seed 0."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.document(ROOT, name, 0)
+
+
+class TestLogisticLayout:
+    @pytest.mark.parametrize("source", ["configs/biased_devices.json", "biased", "stress"])
+    def test_pooled_optimum_is_bitwise_the_row_major_one(self, tmp_path, monkeypatch, source):
+        # the shipped logistic config and the benchmark's logistic workloads
+        # (demo is ridge, solved in closed form)
+        if source.endswith(".json"):
+            path = ROOT / source
+        else:
+            path = tmp_path / f"{source}.json"
+            path.write_text(json.dumps(_workload_document(source, monkeypatch)))
+        spec = load_experiment(path)
+        config = spec.config
+        pairs = partition_with_holdout(spec.dataset, config.partition, config.holdout_fraction)
+        pooled = Dataset.concat([train for train, _ in pairs])
+        assert np.array_equal(optimum_oracle(config.objective, pooled), _row_major_gd(config.objective, pooled))
+
+    def test_random_problems_agree_within_1e_14(self):
+        rng = np.random.default_rng(7)
+        classes = [2, 16] + [int(c) for c in rng.integers(2, 17, size=28)]
+        for C in classes:
+            m, d = int(rng.integers(5, 3001)), int(rng.integers(1, 12))
+            X = rng.standard_normal((m, d)) * rng.uniform(0.2, 3.0)
+            data = Dataset(X, rng.integers(0, C, size=m), n_classes=C)
+            obj = Objective("multinomial_logistic", d, reg=float(rng.uniform(0.05, 1.0)), n_classes=C)
+            ref = _row_major_gd(obj, data)
+            got = optimum_oracle(obj, data)
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), (C, m, d)

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from safl_sim import (
     sample_sizes,
     save_csv,
 )
+
+PARTITION = importlib.import_module("safl_sim.partition")  # the package's `partition` is the function
 
 
 class TestSampleSizes:
@@ -41,7 +44,6 @@ def _isin_pool(labels, chosen, n_classes):
 
 class TestLabelPool:
     def test_lookup_table_shards_equal_the_isin_reference(self, monkeypatch):
-        module = importlib.import_module("safl_sim.partition")  # the package's `partition` is the function
         rng = np.random.default_rng(2024)
         for trial in range(30):
             classes = int(rng.integers(2, 8))
@@ -59,11 +61,24 @@ class TestLabelPool:
             )
             shipped = partition(data, spec)
             with monkeypatch.context() as patch:
-                patch.setattr(module, "_label_pool", _isin_pool)
+                patch.setattr(PARTITION, "_label_pool", _isin_pool)
                 reference = partition(data, spec)
             assert len(shipped) == len(reference) == n
             for a, b in zip(shipped, reference):
                 assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+    def test_each_label_subset_is_scanned_once(self, monkeypatch):
+        scanned = []
+
+        def counting_pool(labels, chosen, n_classes):
+            scanned.append(tuple(sorted(chosen.tolist())))
+            return _isin_pool(labels, chosen, n_classes)
+
+        monkeypatch.setattr(PARTITION, "_label_pool", counting_pool)
+        data = make_blobs(300, 3, 3, seed=4)
+        partition(data, PartitionSpec(n=200, mean_size=5.0, max_labels_per_device=3, pure_count=20, seed=3))
+        assert len(scanned) == len(set(scanned)) == 7  # every nonempty subset of 3 labels
 
 
 class TestPartition:
@@ -119,6 +134,17 @@ class TestPartition:
         with pytest.raises(ValueError, match="max_labels_per_device"):
             partition(data, spec)
 
+    def test_shards_above_the_size_limit_rejected_naming_the_keys(self):
+        data = make_blobs(40, 3, 2, seed=1)
+        limit = PARTITION.MAX_SHARD_FACTOR * len(data)
+        at_limit = PartitionSpec(n=2, mean_size=float(limit), seed=4)
+        PARTITION.check_fits(data, at_limit)
+        assert [len(s) for s in partition(data, at_limit)] == [limit, limit]
+        for spec in (replace(at_limit, mean_size=limit + 1.0), replace(at_limit, size_var=1e300)):
+            for reject in (PARTITION.check_fits, partition):
+                with pytest.raises(ValueError, match="mean_size .* size_var"):
+                    reject(data, spec)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             PartitionSpec(n=0, mean_size=10.0)
@@ -144,6 +170,19 @@ class TestHoldoutSplit:
         spec = PartitionSpec(n=5, mean_size=0.5, seed=3)
         for train, hold in partition_with_holdout(data, spec, 0.5):
             assert len(train) == 1 and len(hold) == 0
+
+    def test_pieces_are_the_shards_split_by_the_split_stream(self):
+        # the pieces are gathered from the dataset, not from the shard: the
+        # same rows as splitting each shard of ``partition``
+        data = make_blobs(300, 3, 3, seed=9)
+        spec = PartitionSpec(n=9, mean_size=12.0, size_var=20.0, max_labels_per_device=2, seed=21)
+        split_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(4)[3])
+        for shard, (train, hold) in zip(partition(data, spec), partition_with_holdout(data, spec, 0.3)):
+            perm = split_rng.permutation(len(shard))
+            n_hold = len(hold)
+            assert n_hold == min(int(np.floor(len(shard) * 0.3)), len(shard) - 1)
+            assert np.array_equal(train.X, shard.X[perm[n_hold:]]) and np.array_equal(train.y, shard.y[perm[n_hold:]])
+            assert np.array_equal(hold.X, shard.X[perm[:n_hold]]) and np.array_equal(hold.y, shard.y[perm[:n_hold]])
 
     def test_split_is_deterministic(self):
         data = make_blobs(200, 3, 3, seed=9)

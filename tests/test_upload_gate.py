@@ -3,17 +3,25 @@ import math
 import numpy as np
 import pytest
 
+import safl_sim.simulation
 from safl_sim import (
+    AnnealConfig,
+    Dataset,
     GateConfig,
+    LrSchedule,
     Objective,
+    PartitionSpec,
+    SimConfig,
     accuracy_proxy,
     decide_upload,
     make_blobs,
     make_linear_regression,
     optimum_oracle,
     performance_gap,
+    run,
     upload_probability,
 )
+from safl_sim.upload_gate import gate_proxies
 
 
 class TestAccuracyProxy:
@@ -127,3 +135,116 @@ class TestGateConfigAndState:
             GateConfig(gap_scale=0.1, eps_div=0.0)
         with pytest.raises(ValueError):
             GateConfig(gap_scale=0.1, proxy="f1")
+
+
+def _per_device_proxies(global_model, local_models, eval_sets, obj, kind):
+    """``gate_proxies`` as two ``accuracy_proxy`` calls per device: the reference."""
+    h_global = np.array([accuracy_proxy(global_model, e, obj, kind) for e in eval_sets])
+    h_local = np.array([accuracy_proxy(w, e, obj, kind) for w, e in zip(local_models, eval_sets)])
+    return h_global, h_local
+
+
+def _random_round(kind: str, rng: np.random.Generator):
+    """An objective, a global model, k local models and k eval sets of unequal sizes."""
+    d = int(rng.integers(1, 9))
+    if kind == "multinomial_logistic":
+        C = int(rng.integers(2, 6))
+        obj = Objective(kind, d, reg=0.1, n_classes=C)
+    else:
+        obj = Objective(kind, d, reg=0.0 if kind == "least_squares" else 0.3)
+    k = int(rng.integers(1, 13))
+    eval_sets = []
+    for _ in range(k):
+        m = int(rng.integers(1, 10))
+        X = rng.standard_normal((m, d))
+        if obj.is_classification:
+            eval_sets.append(Dataset(X, rng.integers(0, obj.n_classes, size=m), n_classes=obj.n_classes))
+        else:
+            eval_sets.append(Dataset(X, rng.standard_normal(m)))
+    scale = rng.uniform(0.1, 5.0)
+    return obj, scale * rng.standard_normal(obj.param_dim), scale * rng.standard_normal((k, obj.param_dim)), eval_sets
+
+
+class TestGateProxies:
+    @pytest.mark.parametrize("kind", ["least_squares", "ridge", "lasso", "multinomial_logistic"])
+    def test_inverse_risk_matches_the_per_device_proxy(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            obj, w_global, w_local, eval_sets = _random_round(kind, rng)
+            got = gate_proxies(w_global, w_local, eval_sets, obj, "inverse_risk")
+            for batched, ref in zip(got, _per_device_proxies(w_global, w_local, eval_sets, obj, "inverse_risk")):
+                assert batched.shape == ref.shape == (len(eval_sets),)
+                np.testing.assert_allclose(batched, ref, rtol=1e-13, atol=0)
+
+    def test_holdout_accuracy_equals_the_per_device_proxy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            obj, w_global, w_local, eval_sets = _random_round("multinomial_logistic", rng)
+            got = gate_proxies(w_global, w_local, eval_sets, obj, "holdout_accuracy")
+            ref = _per_device_proxies(w_global, w_local, eval_sets, obj, "holdout_accuracy")
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_zero_global_model_predicts_class_zero(self):
+        # the first round scores the all-zero global model: every class ties
+        obj, _, w_local, eval_sets = _random_round("multinomial_logistic", np.random.default_rng(3))
+        h_global, _ = gate_proxies(np.zeros(obj.param_dim), w_local, eval_sets, obj, "holdout_accuracy")
+        assert np.array_equal(h_global, [np.mean(e.y == 0) for e in eval_sets])
+
+    def test_empty_eval_set_and_regression_accuracy_rejected(self):
+        obj = Objective("ridge", 2, reg=0.1)
+        sets = [Dataset(np.ones((2, 2)), np.zeros(2)), Dataset(np.zeros((0, 2)), np.zeros(0))]
+        with pytest.raises(ValueError, match="nonempty"):
+            gate_proxies(np.zeros(2), np.zeros((2, 2)), sets, obj, "inverse_risk")
+        with pytest.raises(ValueError, match="classification"):
+            gate_proxies(np.zeros(2), np.zeros((1, 2)), sets[:1], obj, "holdout_accuracy")
+
+
+class TestBatchedGateInTheRound:
+    """A gated run equals the run whose gate scores each device with two
+    ``accuracy_proxy`` calls: the same gaps and the same decisions."""
+
+    @staticmethod
+    def _gated_run(classification: bool):
+        # shard sizes straddle 1 / holdout_fraction, so some devices score
+        # their holdout and the rest fall back to their training set
+        part = PartitionSpec(n=12, mean_size=9.0, size_var=16.0, max_labels_per_device=2, pure_count=3, seed=5)
+        if classification:
+            data = make_blobs(600, 3, 3, seed=4)
+            obj = Objective("multinomial_logistic", 3, reg=0.1, n_classes=3)
+            gate = GateConfig(gap_scale=0.2, proxy="holdout_accuracy")
+        else:
+            data = make_linear_regression(600, 3, seed=4)
+            obj = Objective("ridge", 3, reg=0.3)
+            gate = GateConfig(gap_scale=0.05, proxy="inverse_risk")
+        config = SimConfig(
+            objective=obj, partition=part, selected_per_round=7, rounds=15, algorithm="safl_extended",
+            anneal=AnnealConfig(temperature=8.0, epsilon=0.3), gate=gate,
+            lr=LrSchedule("constant", 0.05), seed=2, holdout_fraction=0.15,
+        )
+        trace = []
+
+        def observer(record, server, devices, extras):
+            trace.append((record.uploads, extras["gate"]))
+
+        result = run(config, dataset=data, observer=observer)
+        return config, data, result, trace
+
+    @pytest.mark.parametrize("classification", [True, False])
+    def test_gaps_and_decisions_equal_the_per_device_reference(self, monkeypatch, classification):
+        config, data, batched, got = self._gated_run(classification)
+        pairs = safl_sim.simulation.prepare(config, data).pairs
+        assert {len(hold) > 0 for _, hold in pairs} == {True, False}
+        with monkeypatch.context() as patch:
+            patch.setattr(safl_sim.simulation, "gate_proxies", _per_device_proxies)
+            _, _, reference, ref = self._gated_run(classification)
+        assert [uploads for uploads, _ in got] == [uploads for uploads, _ in ref]
+        assert 0 < sum(uploads for uploads, _ in got) < 7 * 15
+        for (_, gate), (_, gate_ref) in zip(got, ref):
+            assert gate.keys() == gate_ref.keys()
+            for k, info in gate.items():
+                assert info["uploaded"] == gate_ref[k]["uploaded"]
+                if classification:
+                    assert info["gap"] == gate_ref[k]["gap"]
+                else:
+                    assert info["gap"] == pytest.approx(gate_ref[k]["gap"], rel=0, abs=1e-13)
+        assert np.array_equal(batched.devices.params, reference.devices.params)
