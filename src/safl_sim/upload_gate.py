@@ -33,6 +33,10 @@ class GateConfig:
     def __post_init__(self):
         if not (self.gap_scale > 0):
             raise ValueError("gap_scale must be > 0")
+        # a gap is at most 1, so exp(-1 / gap_scale) is the smallest upload
+        # probability; at 0 a device with a full gap could never be decided
+        if math.exp(-1.0 / self.gap_scale) == 0.0:
+            raise ValueError(f"gap_scale {self.gap_scale!r} is too small: exp(-1 / gap_scale) underflows to 0")
         if not (self.eps_div > 0):
             raise ValueError("eps_div must be > 0")
         if self.proxy not in PROXY_KINDS:

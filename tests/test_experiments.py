@@ -319,6 +319,7 @@ class TestCli:
             ("partition", "size_var", math.nan, "size_var"),
             ("anneal", "temperature", math.nan, "temperature"),
             ("gate", "gap_scale", math.nan, "gap_scale"),
+            ("gate", "gap_scale", 1e-4, "gap_scale"),
             ("gate", "eps_div", math.nan, "eps_div"),
             ("lr", "value", math.nan, "lr:"),
             (None, "init_scale", math.nan, "init_scale"),

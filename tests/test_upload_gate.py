@@ -136,6 +136,12 @@ class TestGateConfigAndState:
         with pytest.raises(ValueError):
             GateConfig(gap_scale=0.1, proxy="f1")
 
+    def test_gap_scale_whose_full_gap_probability_underflows_rejected(self):
+        # exp(-gap / gap_scale) must stay positive for every gap, and a gap is at most 1
+        with pytest.raises(ValueError, match="gap_scale"):
+            GateConfig(gap_scale=1e-4)
+        assert upload_probability(1.0, GateConfig(gap_scale=0.0014).gap_scale) > 0.0
+
 
 def _per_device_proxies(global_model, local_models, eval_sets, obj, kind):
     """``gate_proxies`` as two ``accuracy_proxy`` calls per device: the reference."""
