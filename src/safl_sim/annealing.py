@@ -39,6 +39,11 @@ class AnnealConfig:
         if self.mask_mode not in MASK_MODES:
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
 
+    def mask_columns(self, dim: int) -> int:
+        """Uniforms a device draws per round for its mask: one per coordinate,
+        or one for a scalar mask."""
+        return dim if self.mask_mode == "per_coordinate" else 1
+
 
 def selection_probability(t: float, temperature: float) -> float:
     """Probability ``exp(-t / temperature)`` of taking the local-leaning value."""
@@ -49,21 +54,20 @@ def selection_probability(t: float, temperature: float) -> float:
     return math.exp(-t / temperature)
 
 
-def sample_mask(
-    dim: int,
-    p: float,
-    epsilon: float,
-    rng: np.random.Generator,
-    mode: str = "per_coordinate",
-) -> np.ndarray:
-    """Blend mask of length ``dim``: entries are ``epsilon`` w.p. p, else 1."""
+def sample_mask(uniforms: np.ndarray, p: float, epsilon: float, dim: int) -> np.ndarray:
+    """Blend masks of a round's devices from their uniforms, shape (k, dim).
+
+    Row ``i`` is ``epsilon`` where ``uniforms[i] < p`` and 1 elsewhere.
+    ``uniforms`` is (k, dim) for per-coordinate masks, or (k, 1) for scalar
+    masks, whose one draw covers every coordinate (see
+    ``AnnealConfig.mask_columns``).  Comparing a uniform against ``p`` is a
+    Bernoulli(p) draw, so the draws can be made ahead of the round's ``p``.
+    """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    if mode == "per_coordinate":
-        return np.where(rng.random(dim) < p, epsilon, 1.0)
-    if mode == "scalar":
-        return np.full(dim, epsilon if rng.random() < p else 1.0)
-    raise ValueError(f"unknown mask mode {mode!r}")
+    if uniforms.ndim != 2 or uniforms.shape[1] not in (1, dim):
+        raise ValueError(f"uniforms must have shape (k, {dim}) or (k, 1), not {uniforms.shape}")
+    return np.broadcast_to(np.where(uniforms < p, epsilon, 1.0), (len(uniforms), dim))
 
 
 def mix(mask: np.ndarray, global_params: np.ndarray, local_params: np.ndarray) -> np.ndarray:

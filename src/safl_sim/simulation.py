@@ -28,6 +28,19 @@ each one's gap, upload probability and decision by id (``"gate"``).
 Every random draw comes from a stream dedicated to one (device, purpose)
 pair, spawned deterministically from the run seed, so trajectories are a pure
 function of the configuration and independent of scheduling.
+
+``run`` draws ahead.  For each block of rounds, ``plan_rounds`` makes the
+block's server selections (one ``choice`` per round, in round order), then
+one draw per selected device per stream for the whole block: its sample
+indices for every round it trains in, and its mask uniforms.  The draws are
+held flat by selection slot, so a round takes its rows by slicing
+(``RoundDraws``).  Numpy's generators return the same values for one draw of
+a summed size as for successive draws of the parts, so every stream yields
+the values a round-by-round loop would draw; only how far a generator has
+advanced by a given round changes, and an observer sees the train and mask
+generators already advanced to the end of the current block.  Upload
+decisions still draw from the gate stream one device at a time.
+``PLAN_ENTRIES`` caps a block's draws, so memory stays bounded at any ``T``.
 """
 
 from __future__ import annotations
@@ -41,11 +54,15 @@ from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
 from .partition import PartitionSpec, partition_with_holdout
-from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, run_local_epochs
+from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, run_local_epochs, sample_indices
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies, performance_gap, upload_probability
 
 ALGORITHMS = ("fedavg", "safl", "safl_extended")
 LOCAL_SOLVERS = ("sgd", "oracle")
+
+# the most entries (sample indices plus mask uniforms) drawn ahead for one
+# block of rounds; a block holds at least one round
+PLAN_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -155,8 +172,8 @@ global_estimate = aggregate
 @dataclass(frozen=True)
 class PreparedProblem:
     """What every (variant, seed) job of one experiment shares: each device's
-    (train, holdout) pair, its sample count (train plus holdout), the pooled
-    training set and its optimum.
+    (train, holdout) pair, its sample count (train plus holdout) and its
+    training-set size, the pooled training set and its optimum.
 
     It depends on the objective, the partition and the holdout fraction,
     never on the algorithm or the run seed.  Every array is read-only, so a
@@ -166,6 +183,7 @@ class PreparedProblem:
 
     pairs: tuple[tuple[Dataset, Dataset], ...]
     sizes: np.ndarray
+    train_sizes: np.ndarray
     pooled: Dataset
     w_star: np.ndarray
 
@@ -199,12 +217,14 @@ def prepare(
     # every array here is a fresh copy that only the problem holds, so it is
     # frozen in place; a read-only view of each would cost an extra header
     pairs = tuple((_freeze(train), _freeze(hold)) for train, hold in pairs)
-    sizes = np.array([len(train) + len(hold) for train, hold in pairs])
+    train_sizes = np.array([len(train) for train, _ in pairs])
+    sizes = train_sizes + np.array([len(hold) for _, hold in pairs])
     sizes.setflags(write=False)
+    train_sizes.setflags(write=False)
     pooled = _freeze(Dataset.concat([train for train, _ in pairs]))
     w_star = optimum_oracle(config.objective, pooled)
     w_star.setflags(write=False)
-    return PreparedProblem(pairs, sizes, pooled, w_star)
+    return PreparedProblem(pairs, sizes, train_sizes, pooled, w_star)
 
 
 def _problem(
@@ -259,18 +279,98 @@ def build_state(
     return devices, server, prepared.pooled, prepared.w_star
 
 
+@dataclass(frozen=True)
+class RoundDraws:
+    """One round's random draws, made ahead of it by ``plan_rounds``.
+
+    ``chosen`` holds the selected device ids, sorted.  ``indices`` holds each
+    chosen device's sample-index stream for the round (``E * len(shard)``
+    entries), concatenated in ``chosen`` order, and is None for the oracle
+    solver.  ``uniforms`` (s, ``AnnealConfig.mask_columns``) holds each one's
+    mask uniforms, and is None for fedavg.
+    """
+
+    chosen: np.ndarray
+    indices: np.ndarray | None
+    uniforms: np.ndarray | None
+
+
+def block_rounds(config: SimConfig, problem: PreparedProblem) -> int:
+    """Rounds per block of ``plan_rounds``: as many as keep the block's draws
+    within ``PLAN_ENTRIES`` entries, and at least one.
+
+    A round draws at most ``E`` times the ``s`` largest training shards'
+    sizes in sample indices, plus ``s`` rows of mask uniforms.
+    """
+    s = config.selected_per_round
+    per_round = 0
+    if config.local_solver == "sgd":
+        per_round += config.local_epochs * int(np.sort(problem.train_sizes)[-s:].sum())
+    if config.algorithm != "fedavg":
+        per_round += s * config.anneal.mask_columns(config.objective.param_dim)
+    return max(1, PLAN_ENTRIES // max(1, per_round))
+
+
+def _plan_block(
+    config: SimConfig, server: ServerState, devices: Devices, problem: PreparedProblem, count: int
+) -> list[RoundDraws]:
+    """The draws of the next ``count`` rounds: one draw per chosen device per stream."""
+    n, s = config.n, config.selected_per_round
+    chosen = np.array([np.sort(server.rng.choice(n, size=s, replace=False)) for _ in range(count)])
+    slots = chosen.ravel()  # selection slots, round-major
+    # each chosen device's slots in round order, the order in which its one
+    # draw for the block is consumed; the draw is written straight to them
+    by_device = np.argsort(slots, kind="stable")
+    counts = np.bincount(slots, minlength=n)
+    picked = np.flatnonzero(counts)
+    owned = np.split(by_device, np.cumsum(counts[picked])[:-1])
+
+    indices = [None] * count
+    if config.local_solver == "sgd":
+        E, sizes = config.local_epochs, problem.train_sizes
+        lengths = E * sizes[slots]  # sample indices per slot
+        starts = np.cumsum(lengths) - lengths
+        flat = np.empty(int(lengths.sum()), dtype=np.intp)
+        for k, its in zip(picked.tolist(), owned):
+            span = np.arange(E * sizes[k])
+            draw = sample_indices(int(sizes[k]), E * len(its), config.sample_order, devices.train_rngs[k])
+            flat[(starts[its, None] + span).ravel()] = draw
+        indices = np.split(flat, starts[s::s])
+
+    uniforms = [None] * count
+    if config.algorithm != "fedavg":
+        rows = np.empty((len(slots), config.anneal.mask_columns(config.objective.param_dim)))
+        for k, its in zip(picked.tolist(), owned):
+            rows[its] = devices.mask_rngs[k].random((len(its), rows.shape[1]))
+        uniforms = rows.reshape(count, s, -1)
+    return [RoundDraws(*draws) for draws in zip(chosen, indices, uniforms)]
+
+
+def plan_rounds(config: SimConfig, server: ServerState, devices: Devices, problem: PreparedProblem):
+    """Yield ``(round_index, RoundDraws)`` for rounds 1..T, drawn a block at a time.
+
+    A block is drawn when its first round is asked for, so a run that stops
+    early draws nothing for the blocks after the one it stops in.
+    """
+    block = block_rounds(config, problem)
+    for first in range(1, config.rounds + 1, block):
+        count = min(block, config.rounds + 1 - first)
+        yield from enumerate(_plan_block(config, server, devices, problem, count), start=first)
+
+
 def run_round(
     server: ServerState,
     devices: Devices,
     config: SimConfig,
     round_index: int,
+    draws: RoundDraws,
     *,
     problem: PreparedProblem,
     observer=None,
 ) -> RoundRecord:
-    """Execute one communication round and return its metrics."""
+    """Execute one communication round from its planned draws and return its metrics."""
     obj = config.objective
-    chosen = np.sort(server.rng.choice(config.n, size=config.selected_per_round, replace=False))
+    chosen = draws.chosen
     shards = [problem.pairs[k][0] for k in chosen]
     stale_global = server.global_params
 
@@ -284,16 +384,15 @@ def run_round(
                 obj,
                 config.local_epochs,
                 config.lr,
-                [devices.train_rngs[k] for k in chosen],
+                draws.indices,
                 start_steps=devices.steps_done[chosen],
-                order=config.sample_order,
             )
         except DivergenceError as err:
             raise DivergenceError(
                 f"device {chosen[err.device_index]} diverged in round {round_index}: {err}",
                 round_index=round_index,
             ) from err
-        devices.steps_done[chosen] += config.local_epochs * np.array([len(shard) for shard in shards])
+        devices.steps_done[chosen] += config.local_epochs * problem.train_sizes[chosen]
 
     uploaded = np.ones(len(chosen), dtype=bool)
     gate_info: dict[int, dict] = {}
@@ -321,9 +420,7 @@ def run_round(
     else:
         anneal = config.anneal
         p = selection_probability(round_index, anneal.temperature)
-        masks = np.array([
-            sample_mask(obj.param_dim, p, anneal.epsilon, devices.mask_rngs[k], anneal.mask_mode) for k in chosen
-        ])
+        masks = sample_mask(draws.uniforms, p, anneal.epsilon, obj.param_dim)
         devices.params[chosen] = mix(masks, server.global_params, trained)
 
     # metric evaluation may overflow on a nearly divergent run; the finite
@@ -366,8 +463,8 @@ def run(
     devices, server, _, w_star = build_state(config, prepared=problem)
     init_params = devices.params.copy()
     records: list[RoundRecord] = []
-    for r in range(1, config.rounds + 1):
-        record = run_round(server, devices, config, r, problem=problem, observer=observer)
+    for r, draws in plan_rounds(config, server, devices, problem):
+        record = run_round(server, devices, config, r, draws, problem=problem, observer=observer)
         records.append(record)
         if config.early_stop_mse is not None and record.mse < config.early_stop_mse:
             break

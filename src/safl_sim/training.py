@@ -3,8 +3,10 @@
 ``run_local_epochs`` trains every selected device at once: the parameters
 are stacked as (K, param_dim), viewed as (K, C, d) for the logistic
 objective, and a single loop over the step index updates all devices whose
-index stream has not run out yet.  Each device still draws its stream from
-its own generator, so stream ownership and determinism are those of a
+index stream has not run out yet.  The kernel draws nothing: each device's
+sample-index stream comes from ``sample_indices`` on that device's own
+training generator, drawn ahead for a block of rounds by the simulation's
+planner, so stream ownership and determinism are those of a
 device-by-device loop.
 
 Equivalence policy.  A device's trained parameters match chained
@@ -84,7 +86,15 @@ def sgd_step(w: np.ndarray, sample, obj: Objective, alpha: float) -> np.ndarray:
     return w - alpha * g
 
 
-def _sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) -> np.ndarray:
+def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) -> np.ndarray:
+    """``epochs * m`` sample indices into a shard of ``m`` samples, from ``rng``.
+
+    ``order="iid_draw"`` samples with replacement; ``order="shuffle"`` is one
+    permutation per epoch.  One call for ``a + b`` epochs returns the values
+    of a call for ``a`` followed by a call for ``b`` on the same generator,
+    so a stream drawn ahead for several rounds is the one drawn round by
+    round (see README "Determinism").
+    """
     if order == "iid_draw":
         return rng.integers(0, m, size=epochs * m)
     return np.concatenate([rng.permutation(m) for _ in range(epochs)])
@@ -96,17 +106,17 @@ def run_local_epochs(
     obj: Objective,
     epochs: int,
     schedule: LrSchedule,
-    rngs: Sequence[np.random.Generator],
+    indices: np.ndarray,
     *,
     start_steps: Sequence[int] | None = None,
-    order: str = "iid_draw",
 ) -> tuple[np.ndarray, int]:
     """Run ``epochs`` passes of per-sample SGD on each device's shard.
 
-    Device ``k`` starts from ``params[k]``, trains on ``shards[k]`` and draws
-    its sample indices from ``rngs[k]``; ``start_steps[k]`` (default 0)
-    offsets its schedule.  ``order="iid_draw"`` samples with replacement each
-    step; ``order="shuffle"`` reshuffles the shard per epoch.
+    Device ``k`` starts from ``params[k]`` and trains on ``shards[k]``;
+    ``start_steps[k]`` (default 0) offsets its schedule.  ``indices`` holds
+    every device's sample-index stream, ``epochs * len(shards[k])`` indices
+    into ``shards[k]`` for device ``k``, concatenated in input order (see
+    ``sample_indices``).
 
     Returns the trained parameters, stacked as (K, param_dim) in input order,
     and the total number of steps, ``epochs * sum(len(shard))``.  Raises
@@ -115,13 +125,11 @@ def run_local_epochs(
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if order not in SAMPLE_ORDERS:
-        raise ValueError(f"unknown sample order {order!r}")
     if not obj.is_smooth:
         raise GradientUnavailableError(f"{obj.kind} is non-smooth; use optimum_oracle instead")
     count = len(shards)
-    if count == 0 or len(params) != count or len(rngs) != count:
-        raise ValueError("need one parameter vector, shard and generator per device, and at least one device")
+    if count == 0 or len(params) != count:
+        raise ValueError("need one parameter vector and shard per device, and at least one device")
     if start_steps is None:
         start_steps = [0] * count
     sizes = np.array([len(shard) for shard in shards], dtype=np.intp)
@@ -129,25 +137,27 @@ def run_local_epochs(
     if not sizes.all():
         raise ValueError("cannot train on an empty shard")
 
+    # each index is offset into the shards pooled in input order; a stream
+    # that must stay inside its own shard could otherwise read a neighbour's
+    indices = np.asarray(indices)
+    if indices.shape != (int(steps.sum()),):
+        raise ValueError(f"need {int(steps.sum())} sample indices, one per step, not an array of shape {indices.shape}")
+    if not ((indices >= 0) & (indices < np.repeat(sizes, steps))).all():
+        raise ValueError("every sample index must lie inside its own device's shard")
+    n_steps = int(steps.max())
+    picks = np.zeros((count, n_steps), dtype=np.intp)
+    picks[steps[:, None] > np.arange(n_steps)] = indices + np.repeat(np.cumsum(sizes) - sizes, steps)
+
     # longest stream first, so the devices still training at step j are the
     # leading rows W[:active[j]]; ties keep input order
     rank = np.argsort(-steps, kind="stable")
-    ranked = steps[rank]
-    n_steps = int(ranked[0])
-    live = ranked > np.arange(n_steps)[:, None]  # (n_steps, K)
-    active = np.count_nonzero(live, axis=1).tolist()
-
-    # every device draws from its own generator; its rows are gathered from
-    # the shards pooled in input order, into column rank-of-device
-    draws = [_sample_indices(len(shard), epochs, order, rng) for shard, rng in zip(shards, rngs)]
-    offsets = np.cumsum(sizes) - sizes
-    picks = np.zeros((count, n_steps), dtype=np.intp)
-    picks[live.T] = np.concatenate([draws[k] for k in rank]) + np.repeat(offsets[rank], ranked)
-    X = np.concatenate([shard.X for shard in shards])[picks.T]  # (n_steps, K, d)
-    y = np.concatenate([shard.y for shard in shards])[picks.T]
+    active = np.count_nonzero(steps[rank] > np.arange(n_steps)[:, None], axis=1).tolist()
+    picks = picks[rank].T  # (n_steps, K), column rank-of-device
+    X = np.concatenate([shard.X for shard in shards])[picks]  # (n_steps, K, d)
+    y = np.concatenate([shard.y for shard in shards])[picks]
     alphas = schedule.rates(np.asarray(start_steps)[rank], n_steps)
 
-    W = np.array([params[k] for k in rank], dtype=np.float64)
+    W = np.asarray(params, dtype=np.float64)[rank]
     if W.shape != (count, obj.param_dim):
         raise ValueError(f"parameters have shape {W.shape[1:]}, expected ({obj.param_dim},)")
 

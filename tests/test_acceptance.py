@@ -355,7 +355,7 @@ def test_criterion_7_annealed_mixing_beats_plain_averaging(classification_pool):
 def test_criterion_8_statistical_mask_and_gate():
     n = 100_000
     p, eps = 0.4, 0.3
-    draws = sample_mask(n, p, eps, np.random.default_rng(606))
+    draws = sample_mask(np.random.default_rng(606).random((1, n)), p, eps, n)
     expected = eps * p + 1 - p
     sigma = math.sqrt(p * (1 - p)) * (1 - eps) / math.sqrt(n)
     mask_ok = abs(float(draws.mean()) - expected) <= 3 * sigma

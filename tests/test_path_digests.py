@@ -15,7 +15,9 @@ import json
 
 import pytest
 
+from safl_sim import simulation
 from safl_sim.cli import main as cli_main
+from safl_sim.experiments import load_experiment, sim_config
 
 RIDGE_DATA = {"kind": "linear", "samples": 160, "dim": 4, "feature_scale": 0.3, "coef_scale": 3.0, "seed": 5}
 RIDGE = {"kind": "ridge", "reg": 0.8}
@@ -92,4 +94,27 @@ def run_digests(tmp_path, name: str) -> dict[str, str]:
 
 @pytest.mark.parametrize("name", sorted(DOCS))
 def test_document_writes_the_recorded_bytes(tmp_path, name):
+    assert run_digests(tmp_path, name) == DIGESTS[name]
+
+
+# a block budget per document and the rounds per block it gives each variant:
+# every run spans several blocks and ends in a partial one, except oracle
+# fedavg, which draws nothing but its selections
+BLOCKS = {
+    "partial_shuffle_scalar": (400, [3, 3, 3]),
+    "logistic_partial": (800, [2, 2]),
+    "oracle": (100, [100, 4]),
+    "early_stop": (800, [9, 6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_many_blocks_write_the_bytes_of_one(tmp_path, monkeypatch, name):
+    budget, lengths = BLOCKS[name]
+    monkeypatch.setattr(simulation, "PLAN_ENTRIES", budget)
+    config = tmp_path / "blocks.json"
+    config.write_text(json.dumps(DOCS[name]))
+    spec = load_experiment(config)
+    problem = simulation.prepare(spec.config, spec.dataset)
+    assert [simulation.block_rounds(sim_config(spec, v, 0), problem) for v in spec.variants] == lengths
     assert run_digests(tmp_path, name) == DIGESTS[name]

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +22,9 @@ from safl_sim import (
     run,
     run_local_epochs,
 )
-from safl_sim.simulation import build_state, prepare
+from safl_sim import simulation
+from safl_sim.simulation import block_rounds, build_state, prepare
+from safl_sim.training import sample_indices
 
 TOY_OBJ = Objective("lasso", 2, reg=1.0)
 TOY_SHARDS = [
@@ -146,7 +150,8 @@ class TestSingleDevice:
         rng = np.random.default_rng(train_ss)
         steps = 0
         for _ in range(8):
-            (w,), took = run_local_epochs([w], [shard], obj, 1, cfg.lr, [rng], start_steps=[steps])
+            indices = sample_indices(len(shard), 1, "iid_draw", rng)
+            (w,), took = run_local_epochs([w], [shard], obj, 1, cfg.lr, indices, start_steps=[steps])
             steps += took
         assert np.array_equal(res.devices.params[0], w)
 
@@ -374,3 +379,58 @@ class TestConfigValidation:
         res = run(base_config(obj, part, rounds=1), dataset=data)
         with pytest.raises(ValueError):
             global_estimate(res.devices.params, np.array([1.0]))
+
+
+class TestDrawAhead:
+    """``run`` draws each stream a block of rounds ahead; this rests on numpy's
+    generators giving one draw of a summed size the values of successive draws."""
+
+    SIZES = (3, 4, 1, 6, 5, 2, 7)  # odd sizes leave half a 64-bit draw buffered
+
+    @pytest.mark.parametrize("high", [1, 13])
+    def test_integers_concatenate(self, high):
+        rng = np.random.default_rng(7)
+        parts = np.concatenate([rng.integers(0, high, size=k) for k in self.SIZES])
+        assert np.array_equal(parts, np.random.default_rng(7).integers(0, high, size=sum(self.SIZES)))
+
+    def test_uniforms_concatenate(self):
+        rng = np.random.default_rng(8)
+        parts = np.concatenate([rng.random(k) for k in self.SIZES] + [[rng.random()]])
+        whole = np.random.default_rng(8).random(sum(self.SIZES) + 1)
+        assert np.array_equal(parts, whole)
+        rows = np.random.default_rng(8).random((4, 7))
+        assert np.array_equal(rows.ravel(), whole[:28])
+
+    # "shuffle" groups one permutation(m) per epoch into calls of many epochs
+    @pytest.mark.parametrize("order", ["iid_draw", "shuffle"])
+    @pytest.mark.parametrize("m", [1, 6, 13])
+    def test_sample_index_streams_concatenate(self, order, m):
+        rng = np.random.default_rng(10)
+        parts = np.concatenate([sample_indices(m, epochs, order, rng) for epochs in self.SIZES])
+        whole = sample_indices(m, sum(self.SIZES), order, np.random.default_rng(10))
+        assert np.array_equal(parts, whole)
+
+    def test_zero_rounds_give_no_records_under_any_budget(self, monkeypatch):
+        data, obj, part = regression_setup()
+        monkeypatch.setattr(simulation, "PLAN_ENTRIES", 1)
+        assert run(base_config(obj, part, rounds=0, algorithm="safl"), dataset=data).records == []
+
+    def test_each_device_draws_its_samples_once_per_block(self, monkeypatch):
+        data, obj, part = regression_setup()  # 6 devices of 8 samples
+        cfg = base_config(obj, part, algorithm="safl", selected_per_round=4, rounds=13)
+        draws = Counter()
+        real = simulation.sample_indices
+
+        def counted(m, epochs, order, rng):
+            draws[id(rng)] += 1
+            return real(m, epochs, order, rng)
+
+        monkeypatch.setattr(simulation, "sample_indices", counted)
+        run(cfg, dataset=data)
+        assert len(draws) == part.n and set(draws.values()) == {1}  # one block
+
+        draws.clear()
+        monkeypatch.setattr(simulation, "PLAN_ENTRIES", 150)  # 4 * 8 indices + 4 * 4 uniforms per round
+        assert block_rounds(cfg, prepare(cfg, data)) == 3
+        run(cfg, dataset=data)
+        assert max(draws.values()) <= math.ceil(13 / 3) < 13

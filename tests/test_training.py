@@ -14,6 +14,7 @@ from safl_sim import (
     run_local_epochs,
     sgd_step,
 )
+from safl_sim.training import sample_indices
 
 
 class TestLrSchedule:
@@ -74,35 +75,38 @@ def tiny_shard(m: int, d: int = 3, seed: int = 0) -> tuple[Objective, Dataset]:
     return Objective("ridge", d, reg=0.2), Dataset(X, y)
 
 
+def stream(shard, epochs: int, seed: int, order: str = "iid_draw") -> np.ndarray:
+    """One device's sample-index stream from a fresh generator."""
+    return sample_indices(len(shard), epochs, order, np.random.default_rng(seed))
+
+
 class TestRunLocalEpochs:
     def test_single_sample_single_epoch_is_one_step(self):
         obj, shard = tiny_shard(1)
         sched = LrSchedule("constant", 0.1)
-        rng = np.random.default_rng(42)
         w0 = np.zeros(3)
-        (z,), steps = run_local_epochs([w0], [shard], obj, 1, sched, [rng])
+        (z,), steps = run_local_epochs([w0], [shard], obj, 1, sched, stream(shard, 1, 42))
         assert steps == 1
         manual = sgd_step(w0, shard.sample(0), obj, 0.1)
         assert np.allclose(z, manual, atol=0)
 
     def test_step_count_is_epochs_times_shard_size(self):
         obj, shard = tiny_shard(5)
-        rng = np.random.default_rng(1)
-        _, steps = run_local_epochs([np.zeros(3)], [shard], obj, 3, LrSchedule("constant", 0.01), [rng])
+        _, steps = run_local_epochs([np.zeros(3)], [shard], obj, 3, LrSchedule("constant", 0.01), stream(shard, 3, 1))
         assert steps == 15
 
     @pytest.mark.parametrize("order", ["iid_draw", "shuffle"])
     def test_bitwise_deterministic_for_fixed_stream(self, order):
         obj, shard = tiny_shard(7)
         sched = LrSchedule("inverse", 0.5)
-        (z1,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, [np.random.default_rng(5)], order=order)
-        (z2,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, [np.random.default_rng(5)], order=order)
+        (z1,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, stream(shard, 2, 5, order))
+        (z2,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, stream(shard, 2, 5, order))
         assert np.array_equal(z1, z2)
 
     def test_shuffle_replays_a_permutation_stream(self):
         obj, shard = tiny_shard(6)
         sched = LrSchedule("constant", 0.05)
-        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, [np.random.default_rng(11)], order="shuffle")
+        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, stream(shard, 1, 11, "shuffle"))
         perm = np.random.default_rng(11).permutation(6)
         w = np.zeros(3)
         for i in perm:
@@ -112,7 +116,7 @@ class TestRunLocalEpochs:
     def test_iid_draw_replays_the_index_stream(self):
         obj, shard = tiny_shard(6)
         sched = LrSchedule("constant", 0.05)
-        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, [np.random.default_rng(12)], order="iid_draw")
+        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 2, sched, stream(shard, 2, 12))
         idx = np.random.default_rng(12).integers(0, 6, size=12)
         w = np.zeros(3)
         for i in idx:
@@ -122,7 +126,7 @@ class TestRunLocalEpochs:
     def test_start_step_offsets_the_schedule(self):
         obj, shard = tiny_shard(1)
         sched = LrSchedule("inverse", 1.0)
-        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, [np.random.default_rng(3)], start_steps=[9])
+        (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, stream(shard, 1, 3), start_steps=[9])
         manual = sgd_step(np.zeros(3), shard.sample(0), obj, 1.0 / 10)
         assert np.allclose(z, manual, atol=0)
 
@@ -130,7 +134,7 @@ class TestRunLocalEpochs:
         rng = np.random.default_rng(17)
         obj, shard = random_problem("multinomial_logistic", rng, m=6)
         sched = LrSchedule("constant", 0.1)
-        (z,), _ = run_local_epochs([np.zeros(obj.param_dim)], [shard], obj, 1, sched, [np.random.default_rng(9)])
+        (z,), _ = run_local_epochs([np.zeros(obj.param_dim)], [shard], obj, 1, sched, stream(shard, 1, 9))
         idx = np.random.default_rng(9).integers(0, 6, size=6)
         w = np.zeros(obj.param_dim)
         for i in idx:
@@ -152,13 +156,22 @@ class TestRunLocalEpochs:
     def test_divergent_rate_raises(self):
         obj, shard = tiny_shard(8)
         with pytest.raises(DivergenceError):
-            run_local_epochs([np.zeros(3)], [shard], obj, 50, LrSchedule("constant", 1e6), [np.random.default_rng(2)])
+            run_local_epochs([np.zeros(3)], [shard], obj, 50, LrSchedule("constant", 1e6), stream(shard, 50, 2))
+
+    def test_index_streams_must_fit_their_shards(self):
+        obj, shard = tiny_shard(4)
+        sched = LrSchedule("constant", 0.1)
+        with pytest.raises(ValueError, match="one per step"):
+            run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, np.zeros(3, dtype=int))
+        # index 4 is past the first shard: it would read the second one's first row
+        with pytest.raises(ValueError, match="its own device's shard"):
+            run_local_epochs([np.zeros(3)] * 2, [shard] * 2, obj, 1, sched, np.array([0, 1, 2, 4, 0, 1, 2, 3]))
 
     def test_empty_shard_rejected(self):
         obj = Objective("least_squares", 2)
         empty = Dataset(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError, match="empty"):
-            run_local_epochs([np.zeros(2)], [empty], obj, 1, LrSchedule("constant", 0.1), [np.random.default_rng(1)])
+            run_local_epochs([np.zeros(2)], [empty], obj, 1, LrSchedule("constant", 0.1), np.zeros(0, dtype=int))
 
 
 def replay_sgd(w, shard, obj, epochs, sched, rng, start_step, order):
@@ -192,10 +205,8 @@ class TestBatchedKernel:
     def test_each_device_matches_chained_sgd_steps(self, kind, order, sched):
         obj, shards, params, starts = ragged_batch(kind, 40, seed=len(kind) + len(order))
         count = len(shards)
-        Z, total = run_local_epochs(
-            params, shards, obj, 2, sched, [np.random.default_rng(500 + k) for k in range(count)],
-            start_steps=starts, order=order,
-        )
+        indices = np.concatenate([stream(shards[k], 2, 500 + k, order) for k in range(count)])
+        Z, total = run_local_epochs(params, shards, obj, 2, sched, indices, start_steps=starts)
         assert Z.shape == (count, obj.param_dim)
         assert total == 2 * sum(len(s) for s in shards)
         for k in range(count):
@@ -206,12 +217,11 @@ class TestBatchedKernel:
     def test_result_is_bitwise_independent_of_the_batch(self, kind):
         obj, shards, params, starts = ragged_batch(kind, 30, seed=3)
         sched = LrSchedule("inverse", 1.0)
-        Z, _ = run_local_epochs(
-            params, shards, obj, 2, sched, [np.random.default_rng(k) for k in range(30)], start_steps=starts
-        )
+        indices = np.concatenate([stream(shards[k], 2, k) for k in range(30)])
+        Z, _ = run_local_epochs(params, shards, obj, 2, sched, indices, start_steps=starts)
         for k in (0, 7, 29):
             (alone,), _ = run_local_epochs(
-                [params[k]], [shards[k]], obj, 2, sched, [np.random.default_rng(k)], start_steps=[starts[k]]
+                [params[k]], [shards[k]], obj, 2, sched, stream(shards[k], 2, k), start_steps=[starts[k]]
             )
             assert np.array_equal(alone, Z[k])
 
@@ -219,7 +229,7 @@ class TestBatchedKernel:
         from safl_sim import simulation
 
         obj, shards, params, _ = ragged_batch("ridge", 5, seed=8)
-        rngs = [np.random.default_rng(k) for k in range(5)]
-        result = simulation.run_local_epochs(params, shards, obj, 3, LrSchedule("constant", 0.01), rngs)
+        indices = np.concatenate([stream(shards[k], 3, k) for k in range(5)])
+        result = simulation.run_local_epochs(params, shards, obj, 3, LrSchedule("constant", 0.01), indices)
         assert type(result[1]) is int
         assert result[1] == sum(3 * len(s) for s in shards)
