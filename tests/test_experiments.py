@@ -319,7 +319,6 @@ class TestCli:
             ("partition", "size_var", math.nan, "size_var"),
             ("anneal", "temperature", math.nan, "temperature"),
             ("gate", "gap_scale", math.nan, "gap_scale"),
-            ("gate", "gap_scale", 1e-4, "gap_scale"),
             ("gate", "eps_div", math.nan, "eps_div"),
             ("lr", "value", math.nan, "lr:"),
             (None, "init_scale", math.nan, "init_scale"),
@@ -356,6 +355,7 @@ class TestCli:
             ("gate", "proxy", "holdout_accuracy", "proxy"),
             ("data", "noise_std", -1, "noise_std"),
             (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "cluster_std": -1}, "cluster_std"),
+            ("gate", "gap_scale", 1e-4, "gap_scale"),
         ],
     )
     def test_malformed_document_exits_one_and_names_the_key(self, tmp_path, capsys, section, key, value, named):
