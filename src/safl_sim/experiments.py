@@ -43,7 +43,8 @@ from .bounds import (
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import Dataset, Objective, curvature
 from .partition import PartitionSpec, check_fits
-from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run
+from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run_jobs
+from .simulation import run  # noqa: F401  (perfbench/layers.py wraps experiments.run)
 from .training import LrSchedule
 from .upload_gate import GateConfig
 
@@ -424,17 +425,12 @@ def execute(
     seeds = [seed_override] if seed_override is not None else list(spec.seeds)
 
     # the jobs differ only in algorithm and run seed, so they share one
-    # read-only problem and its bound inputs; a job's RunResult is dropped
-    # once its rows are built, so no two jobs' device states are alive at once
+    # read-only problem and its bound inputs, and advance in lockstep
     problem = prepare(spec.config, spec.dataset)
     bounds = _shared_bounds(spec.config, problem)
-    by_job = {
-        (variant, seed): rows_for_run(
-            spec, variant, seed, run(sim_config(spec, variant, seed), prepared=problem), bounds
-        )
-        for variant in variants
-        for seed in seeds
-    }
+    jobs = [(variant, seed) for variant in variants for seed in seeds]
+    results = run_jobs([sim_config(spec, *job) for job in jobs], problem)
+    by_job = {job: rows_for_run(spec, *job, result, bounds) for job, result in zip(jobs, results)}
 
     paths: dict[str, Path] = {}
     summary: dict = {"experiment": spec.name, "variants": {}}

@@ -4,8 +4,8 @@ One round, mirroring a synchronous implementation:
 
 1. the server picks ``s`` of the ``n`` devices uniformly without replacement;
 2. each picked device runs ``E`` local epochs of per-sample SGD from its
-   current parameters, producing a local update (all picked devices train
-   together in one batched call, see ``training``);
+   current parameters, producing a local update (the picked devices of
+   every job in flight train together in one batched call, see below);
 3. (``safl_extended`` only) each picked device scores the last broadcast
    global model against its local update on its private holdout and uploads
    with probability ``exp(-gap / gap_scale)`` (all picked devices are scored
@@ -25,11 +25,21 @@ that ``Devices`` record; ``extras`` holds the picked ids (``"selected"``),
 their trained parameters by id (``"locals"``) and, for ``safl_extended``,
 each one's gap, upload probability and decision by id (``"gate"``).
 
+``run_jobs`` advances the jobs of one experiment, which differ only in
+algorithm and seed, in lockstep, and ``run`` is its one-job case.  Each
+round, every live job takes its draws from its own plan, and one
+``run_local_epochs`` call trains the picked rows of all of them.  The kernel
+computes each row on its own (see ``training``), so a job's rows, and hence
+its bytes, never depend on which jobs share its batch.  Each job then runs
+steps 3-6 in ``run_round``.  Divergence is reported as a loop running the
+jobs one after another would report it: that of the first job, in job
+order, to diverge.
+
 Every random draw comes from a stream dedicated to one (device, purpose)
 pair, spawned deterministically from the run seed, so trajectories are a pure
 function of the configuration and independent of scheduling.
 
-``run`` draws ahead.  For each block of rounds, ``plan_rounds`` makes the
+Each job draws ahead.  For each block of rounds, ``plan_rounds`` makes the
 block's server selections (one ``choice`` per round, in round order), then
 one draw per selected device per stream for the whole block: its sample
 indices for every round it trains in, and its mask uniforms.  The draws are
@@ -40,13 +50,15 @@ the values a round-by-round loop would draw; only how far a generator has
 advanced by a given round changes, and an observer sees the train and mask
 generators already advanced to the end of the current block.  Upload
 decisions still draw from the gate stream one device at a time.
-``PLAN_ENTRIES`` caps a block's draws, so memory stays bounded at any ``T``.
+``PLAN_ENTRIES`` caps the draws held ahead by all the jobs in flight
+together, so memory stays bounded at any ``T`` and any job count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +72,8 @@ from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies
 ALGORITHMS = ("fedavg", "safl", "safl_extended")
 LOCAL_SOLVERS = ("sgd", "oracle")
 
-# the most entries (sample indices plus mask uniforms) drawn ahead for one
-# block of rounds; a block holds at least one round
+# the most entries (sample indices plus mask uniforms) drawn ahead by all the
+# jobs in flight: a job's block holds PLAN_ENTRIES // jobs, and at least one round
 PLAN_ENTRIES = 2**17
 
 
@@ -295,9 +307,9 @@ class RoundDraws:
     uniforms: np.ndarray | None
 
 
-def block_rounds(config: SimConfig, problem: PreparedProblem) -> int:
+def block_rounds(config: SimConfig, problem: PreparedProblem, entries: int | None = None) -> int:
     """Rounds per block of ``plan_rounds``: as many as keep the block's draws
-    within ``PLAN_ENTRIES`` entries, and at least one.
+    within ``entries`` entries (default ``PLAN_ENTRIES``), and at least one.
 
     A round draws at most ``E`` times the ``s`` largest training shards'
     sizes in sample indices, plus ``s`` rows of mask uniforms.
@@ -308,7 +320,7 @@ def block_rounds(config: SimConfig, problem: PreparedProblem) -> int:
         per_round += config.local_epochs * int(np.sort(problem.train_sizes)[-s:].sum())
     if config.algorithm != "fedavg":
         per_round += s * config.anneal.mask_columns(config.objective.param_dim)
-    return max(1, PLAN_ENTRIES // max(1, per_round))
+    return max(1, (PLAN_ENTRIES if entries is None else entries) // max(1, per_round))
 
 
 def _plan_block(
@@ -346,13 +358,16 @@ def _plan_block(
     return [RoundDraws(*draws) for draws in zip(chosen, indices, uniforms)]
 
 
-def plan_rounds(config: SimConfig, server: ServerState, devices: Devices, problem: PreparedProblem):
+def plan_rounds(
+    config: SimConfig, server: ServerState, devices: Devices, problem: PreparedProblem, entries: int | None = None
+):
     """Yield ``(round_index, RoundDraws)`` for rounds 1..T, drawn a block at a time.
 
-    A block is drawn when its first round is asked for, so a run that stops
-    early draws nothing for the blocks after the one it stops in.
+    A block holds at most ``entries`` drawn entries (see ``block_rounds``).
+    It is drawn when its first round is asked for, so a run that stops early
+    draws nothing for the blocks after the one it stops in.
     """
-    block = block_rounds(config, problem)
+    block = block_rounds(config, problem, entries)
     for first in range(1, config.rounds + 1, block):
         count = min(block, config.rounds + 1 - first)
         yield from enumerate(_plan_block(config, server, devices, problem, count), start=first)
@@ -364,35 +379,19 @@ def run_round(
     config: SimConfig,
     round_index: int,
     draws: RoundDraws,
+    trained: np.ndarray,
     *,
     problem: PreparedProblem,
     observer=None,
 ) -> RoundRecord:
-    """Execute one communication round from its planned draws and return its metrics."""
+    """Execute one communication round from its planned draws and return its metrics.
+
+    ``trained`` holds the chosen devices' parameters after local training,
+    one row per entry of ``draws.chosen`` (see ``run_jobs``).
+    """
     obj = config.objective
     chosen = draws.chosen
-    shards = [problem.pairs[k][0] for k in chosen]
     stale_global = server.global_params
-
-    if config.local_solver == "oracle":
-        trained = np.array([optimum_oracle(obj, shard) for shard in shards])
-    else:
-        try:
-            trained, _ = run_local_epochs(
-                devices.params[chosen],
-                shards,
-                obj,
-                config.local_epochs,
-                config.lr,
-                draws.indices,
-                start_steps=devices.steps_done[chosen],
-            )
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"device {chosen[err.device_index]} diverged in round {round_index}: {err}",
-                round_index=round_index,
-            ) from err
-        devices.steps_done[chosen] += config.local_epochs * problem.train_sizes[chosen]
 
     uploaded = np.ones(len(chosen), dtype=bool)
     gate_info: dict[int, dict] = {}
@@ -451,6 +450,121 @@ def run_round(
     return record
 
 
+@dataclass
+class _Job:
+    """One job in flight: its config, the result it grows, and its draws."""
+
+    config: SimConfig
+    result: RunResult
+    plan: Iterator[tuple[int, RoundDraws]]
+    observer: Callable | None
+
+    def stops(self, record: RoundRecord) -> bool:
+        limit = self.config.early_stop_mse
+        return limit is not None and record.mse < limit
+
+
+def _train(jobs: list[_Job], round_draws: list[RoundDraws], problem: PreparedProblem, round_index: int):
+    """Train the chosen devices of one round of every job.
+
+    Returns each job's trained rows, in ``chosen`` order, for every job
+    before the first whose training diverges, and that job's
+    ``DivergenceError`` (None if none does).  By SGD, the rows of all the
+    jobs train in one ``run_local_epochs`` call, and each job's
+    ``steps_done`` advances; a row's result does not depend on its
+    batch-mates (see ``training``).  The oracle solves each chosen shard.
+    """
+    config = jobs[0].config
+    chosen = [draws.chosen for draws in round_draws]
+    ends = np.cumsum([len(ids) for ids in chosen])
+    shards = [problem.pairs[k][0] for k in np.concatenate(chosen)]
+    if config.local_solver == "oracle":
+        trained = np.array([optimum_oracle(config.objective, shard) for shard in shards])
+        return np.split(trained, ends[:-1]), None
+    devices = [job.result.devices for job in jobs]
+    try:
+        trained, _ = run_local_epochs(
+            np.concatenate([dev.params[ids] for dev, ids in zip(devices, chosen)]),
+            shards,
+            config.objective,
+            config.local_epochs,
+            config.lr,
+            np.concatenate([draws.indices for draws in round_draws]),
+            start_steps=np.concatenate([dev.steps_done[ids] for dev, ids in zip(devices, chosen)]),
+        )
+    except DivergenceError as err:
+        first = int(np.searchsorted(ends, err.device_index, side="right"))
+        device = chosen[first][err.device_index - ends[first] + len(chosen[first])]
+        error = DivergenceError(f"device {device} diverged in round {round_index}: {err}", round_index=round_index)
+        error.__cause__ = err
+        # the rows of the jobs before it stayed finite, and a row does not
+        # depend on its batch-mates, so training them again gives them bitwise
+        return (_train(jobs[:first], round_draws[:first], problem, round_index)[0] if first else []), error
+    for dev, ids in zip(devices, chosen):
+        dev.steps_done[ids] += config.local_epochs * problem.train_sizes[ids]
+    return np.split(trained, ends[:-1]), None
+
+
+def run_jobs(
+    configs: list[SimConfig], problem: PreparedProblem, observers: list | None = None
+) -> list[RunResult]:
+    """Run jobs that differ only in algorithm and seed, in lockstep; one
+    ``RunResult`` per config, each the result of running that job alone.
+
+    Every round, each live job takes its draws from its own plan, one
+    ``run_local_epochs`` call trains every job's chosen rows, and each job
+    then runs the rest of its round (``run_round``) with ``observers[i]``,
+    if any.  A job leaves the loop when it stops early.  The plans share
+    ``PLAN_ENTRIES``: each job's blocks hold ``PLAN_ENTRIES // len(configs)``
+    entries, so the draws held ahead do not grow with the job count.
+
+    Divergence is reported as if the jobs ran one after another: the
+    ``DivergenceError`` raised is that of the first job, in ``configs``
+    order, that diverges.  A job that diverges retires with every job after
+    it, and the jobs before it run on, since one of them may diverge later.
+    """
+    if not configs:
+        raise ValueError("need at least one job")
+    first = configs[0]
+    for config in configs[1:]:
+        if replace(config, algorithm=first.algorithm, seed=first.seed) != first:
+            raise ValueError("jobs run in lockstep must differ only in algorithm and seed")
+    entries = PLAN_ENTRIES // len(configs)
+    jobs = []
+    for config, observer in zip(configs, observers or [None] * len(configs), strict=True):
+        devices, server, _, w_star = build_state(config, prepared=problem)
+        result = RunResult([], w_star, devices, server, devices.params.copy())
+        jobs.append(_Job(config, result, plan_rounds(config, server, devices, problem, entries), observer))
+
+    live, failure = jobs, None
+    for r in range(1, first.rounds + 1):
+        # a round's draws hold their whole block alive, so the last round's
+        # are dropped before any job draws its next block
+        round_draws = trained = None
+        if not live:
+            break
+        round_draws = [next(job.plan)[1] for job in live]
+        trained, error = _train(live, round_draws, problem, r)
+        failure = error or failure
+        kept = []
+        for job, draws, rows in zip(live, round_draws, trained):
+            try:
+                record = run_round(
+                    job.result.server, job.result.devices, job.config, r, draws, rows,
+                    problem=problem, observer=job.observer,
+                )
+            except DivergenceError as err:
+                failure = err
+                break
+            job.result.records.append(record)
+            if not job.stops(record):
+                kept.append(job)
+        live = kept
+    if failure is not None:
+        raise failure
+    return [job.result for job in jobs]
+
+
 def run(
     config: SimConfig,
     dataset: Dataset | None = None,
@@ -459,19 +573,5 @@ def run(
     prepared: PreparedProblem | None = None,
 ) -> RunResult:
     """Run the configured number of rounds; a fixed config yields one trajectory."""
-    problem = _problem(config, dataset, shards, prepared)
-    devices, server, _, w_star = build_state(config, prepared=problem)
-    init_params = devices.params.copy()
-    records: list[RoundRecord] = []
-    for r, draws in plan_rounds(config, server, devices, problem):
-        record = run_round(server, devices, config, r, draws, problem=problem, observer=observer)
-        records.append(record)
-        if config.early_stop_mse is not None and record.mse < config.early_stop_mse:
-            break
-    return RunResult(
-        records=records,
-        w_star=w_star,
-        devices=devices,
-        server=server,
-        init_params=init_params,
-    )
+    (result,) = run_jobs([config], _problem(config, dataset, shards, prepared), [observer])
+    return result

@@ -387,10 +387,13 @@ def test_criterion_9_thread_count_never_changes_output(tmp_path):
     config.write_text(json.dumps(doc))
     blobs = {}
     # the second process runs safl alone, with a leftover thread-count
-    # variable that the serial runner ignores
+    # variable that the runner ignores; the third runs seed 2 alone.  All
+    # jobs advance in lockstep, so each of these changes which jobs share a
+    # kernel call, and none may change a job's rows
     for label, extra, env in (
         ("all", [], dict(os.environ)),
         ("safl", ["--variants", "safl"], dict(os.environ, SAFL_SIM_THREADS="3")),
+        ("seed2", ["--seed-override", "2"], dict(os.environ)),
     ):
         out = tmp_path / f"out_{label}"
         proc = subprocess.run(
@@ -402,3 +405,6 @@ def test_criterion_9_thread_count_never_changes_output(tmp_path):
         assert proc.returncode == 0, proc.stderr
         blobs[label] = (out / "safl.csv").read_bytes()
     report(9, blobs["all"] == blobs["safl"], "safl.csv byte-identical run alongside fedavg and run alone")
+    header, *rows = blobs["all"].decode().splitlines(keepends=True)
+    seed2 = "".join([header] + [row for row in rows if row.startswith("safl,2,")])
+    report(9, blobs["seed2"].decode() == seed2, "safl.csv rows of seed 2 identical run alongside seeds 1 and 3 and run alone")

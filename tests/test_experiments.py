@@ -204,6 +204,14 @@ class TestSharedProblem:
         assert len(partitions) == 1 and len(pooled_solves) == 1
         assert len(parse_metrics_csv(paths["safl"])) == 2 * 3  # two seeds, three rounds
 
+    def test_every_job_trains_in_one_kernel_call_per_round(self, tmp_path, monkeypatch):
+        # the (variant, seed) jobs advance in lockstep: T kernel calls, not jobs * T
+        calls = count_calls(monkeypatch, safl_sim.simulation, "run_local_epochs")
+        doc = experiment_doc(s=5, seeds=[1, 2, 3])
+        execute(load_experiment(write_doc(tmp_path, doc)), tmp_path / "out", quiet=True)
+        assert len(calls) == doc["T"]
+        assert [len(shards) for _, shards, *_ in calls] == [2 * 3 * doc["s"]] * doc["T"]
+
     def test_unmet_step_precondition_solves_no_shard(self, tmp_path, monkeypatch):
         shard_solves = count_calls(monkeypatch, safl_sim.objectives, "optimum_oracle")
         curvatures = [count_calls(monkeypatch, m, "curvature") for m in (safl_sim.bounds, safl_sim.experiments)]

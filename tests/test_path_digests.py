@@ -117,4 +117,9 @@ def test_many_blocks_write_the_bytes_of_one(tmp_path, monkeypatch, name):
     spec = load_experiment(config)
     problem = simulation.prepare(spec.config, spec.dataset)
     assert [simulation.block_rounds(sim_config(spec, v, 0), problem) for v in spec.variants] == lengths
+    # execute runs every job in lockstep, and the jobs share the budget, so
+    # each job's blocks are shorter than those of the job run alone
+    entries = budget // (len(spec.variants) * len(spec.seeds))
+    shared = [simulation.block_rounds(sim_config(spec, v, 0), problem, entries) for v in spec.variants]
+    assert all(mine < alone for mine, alone in zip(shared, lengths))
     assert run_digests(tmp_path, name) == DIGESTS[name]

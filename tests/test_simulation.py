@@ -434,3 +434,69 @@ class TestDrawAhead:
         assert block_rounds(cfg, prepare(cfg, data)) == 3
         run(cfg, dataset=data)
         assert max(draws.values()) <= math.ceil(13 / 3) < 13
+
+
+class TestLockstep:
+    """``run_jobs`` advances jobs together, one kernel call per round; each
+    job's result must be bitwise the one it gets run alone."""
+
+    def configs(self):
+        data, obj, part = regression_setup()
+        cfg = base_config(
+            obj, part, selected_per_round=4, rounds=30,
+            anneal=AnnealConfig(temperature=6.0, epsilon=0.4),
+            gate=GateConfig(gap_scale=0.5, proxy="inverse_risk"),
+            early_stop_mse=6e-4,
+        )
+        return data, [replace(cfg, algorithm=a, seed=s) for a in simulation.ALGORITHMS for s in (11, 12)]
+
+    @pytest.mark.parametrize("entries", [None, 200])
+    def test_jobs_in_lockstep_equal_jobs_run_alone(self, monkeypatch, entries):
+        data, configs = self.configs()
+        problem = prepare(configs[0], data)
+        alone = [run(config, prepared=problem) for config in configs]
+        if entries is not None:  # many blocks of a few rounds each
+            monkeypatch.setattr(simulation, "PLAN_ENTRIES", entries)
+        together = simulation.run_jobs(configs, problem)
+        lengths = [len(result.records) for result in together]
+        assert min(lengths) < 30 == max(lengths)  # a job stops early and another runs on
+        for own, joint in zip(alone, together):
+            assert joint.records == own.records
+            assert np.array_equal(joint.devices.params, own.devices.params)
+            assert np.array_equal(joint.devices.steps_done, own.devices.steps_done)
+
+    def test_jobs_must_differ_only_in_algorithm_and_seed(self):
+        data, configs = self.configs()
+        with pytest.raises(ValueError, match="only in algorithm and seed"):
+            simulation.run_jobs([configs[0], replace(configs[1], rounds=5)], prepare(configs[0], data))
+
+    def test_divergence_is_that_of_the_first_job_to_diverge(self):
+        # device 4 overflows in the first round it trains in: round 8 for
+        # seed 3, round 3 for seed 4, round 2 for seed 2.  Run one after
+        # another, the first job raises and the others never start, so the
+        # report names round 8, although the later jobs diverge first.
+        obj = Objective("ridge", 2, reg=0.5)
+        sizes, scales = (4, 6, 5, 7, 80, 3), (0.1, 0.1, 0.1, 0.1, 1e4, 0.1)
+        shards = [Dataset(np.full((m, 2), x), np.zeros(m)) for m, x in zip(sizes, scales)]
+        cfg = base_config(
+            obj, PartitionSpec(n=6, mean_size=10.0, seed=1), selected_per_round=2, rounds=12,
+            lr=LrSchedule("constant", 1.0),
+        )
+        configs = [replace(cfg, seed=3), replace(cfg, algorithm="safl", seed=4), replace(cfg, seed=2)]
+        with pytest.raises(DivergenceError) as alone:
+            run(configs[0], shards=shards)
+        with pytest.raises(DivergenceError) as joint:
+            simulation.run_jobs(configs, prepare(cfg, shards=shards))
+        assert str(joint.value) == str(alone.value) == (
+            "device 4 diverged in round 8: parameters diverged during local training"
+        )
+        assert joint.value.round_index == 8
+
+    def test_metrics_divergence_is_that_of_the_first_job_to_diverge(self):
+        # the metrics overflow in round 18 for seed 1 and in round 16 for seed 2
+        data, obj, part = regression_setup()
+        cfg = base_config(obj, part, selected_per_round=3, rounds=40, lr=LrSchedule("constant", 20.0))
+        configs = [replace(cfg, seed=1), replace(cfg, seed=2)]
+        with pytest.raises(DivergenceError) as joint:
+            simulation.run_jobs(configs, prepare(cfg, data))
+        assert str(joint.value).startswith("metrics diverged in round 18: ")

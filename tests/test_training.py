@@ -225,6 +225,24 @@ class TestBatchedKernel:
             )
             assert np.array_equal(alone, Z[k])
 
+    @pytest.mark.parametrize("kind", ["ridge", "multinomial_logistic"])
+    def test_lockstep_batch_repeating_each_shard_matches_each_device_alone(self, kind):
+        # jobs run in lockstep put a device's shard in the batch once per
+        # job, each copy with its own parameters, stream and schedule offset
+        obj, shards, _, _ = ragged_batch(kind, 40, seed=5)
+        rng = np.random.default_rng(6)
+        rows = np.concatenate([rng.permutation(40) for _ in range(6)])  # 240 rows, 6 per shard
+        params = 0.5 * rng.standard_normal((len(rows), obj.param_dim))
+        starts = rng.choice([0, 0, 3, 17, 250, 999], size=len(rows))
+        streams = [stream(shards[k], 2, 900 + i) for i, k in enumerate(rows)]
+        sched = LrSchedule("inverse", 1.5)
+        Z, _ = run_local_epochs(
+            params, [shards[k] for k in rows], obj, 2, sched, np.concatenate(streams), start_steps=starts
+        )
+        for i, k in enumerate(rows):
+            (alone,), _ = run_local_epochs([params[i]], [shards[k]], obj, 2, sched, streams[i], start_steps=[starts[i]])
+            assert np.array_equal(alone, Z[i])
+
     def test_simulation_resolves_the_kernel_and_gets_an_int_step_total(self):
         from safl_sim import simulation
 
