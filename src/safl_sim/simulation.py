@@ -358,9 +358,7 @@ def _plan_block(
     return [RoundDraws(*draws) for draws in zip(chosen, indices, uniforms)]
 
 
-def plan_rounds(
-    config: SimConfig, server: ServerState, devices: Devices, problem: PreparedProblem, entries: int | None = None
-):
+def plan_rounds(config: SimConfig, server: ServerState, devices: Devices, problem: PreparedProblem, entries: int):
     """Yield ``(round_index, RoundDraws)`` for rounds 1..T, drawn a block at a time.
 
     A block holds at most ``entries`` drawn entries (see ``block_rounds``).
