@@ -182,7 +182,6 @@ def measure_bound_inputs(
     alpha: float,
     epsilon: float,
     local_iterations: int,
-    selection_prob: float = 1.0,
 ) -> BoundInputs:
     """Assemble bound inputs from measured quantities.
 
@@ -202,7 +201,6 @@ def measure_bound_inputs(
         epsilon=epsilon,
         local_iterations=local_iterations,
         zeta=initial_spread(init_stacks, w_star),
-        selection_prob=selection_prob,
     )
 
 
@@ -235,7 +233,11 @@ def fit_rate(mse_series, *, subtract_floor: bool = False) -> tuple[float, float]
     return float(slope), floor
 
 
-def rate_class(exponent: float, linear_cutoff: float = -3.0) -> str:
+# fitted exponents below this are geometric decay
+LINEAR_CUTOFF = -3.0
+
+
+def rate_class(exponent: float) -> str:
     """Coarse label for a fitted exponent: geometric decay fits poorly on a
     log-log axis and shows up far below any polynomial rate."""
-    return "linear" if exponent < linear_cutoff else "sublinear"
+    return "linear" if exponent < LINEAR_CUTOFF else "sublinear"

@@ -6,12 +6,8 @@ a list of seeds.  All variants share the partition seed and the per-seed
 device initialisations, so differences between their metric files are due to
 the algorithms alone.  Unknown keys anywhere in the document are rejected.
 
-Each variant produces one CSV with columns
-
-    variant,seed,round,mse,accuracy_proxy,uploads_cumulative,p,bound_theorem1,bound_corollary1
-
-where ``p`` is empty for plain averaging and the bound columns are empty
-whenever their preconditions do not hold.  A ``summary.json`` with final-round
+Each variant produces one CSV with a row per (seed, round); its columns are
+the fields of ``MetricsRow``, in order.  A ``summary.json`` with final-round
 aggregates is written alongside.
 """
 
@@ -19,10 +15,12 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import json
 import math
 import re
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -31,7 +29,6 @@ import numpy as np
 from .aggregation import WeightScheme, weights
 from .annealing import AnnealConfig
 from .bounds import (
-    BoundInputs,
     check_decaying_step,
     corollary1_bound,
     corollary1_constant,
@@ -48,18 +45,6 @@ from .simulation import run  # noqa: F401  (perfbench/layers.py wraps experiment
 from .training import LrSchedule
 from .upload_gate import GateConfig
 
-METRICS_COLUMNS = (
-    "variant",
-    "seed",
-    "round",
-    "mse",
-    "accuracy_proxy",
-    "uploads_cumulative",
-    "p",
-    "bound_theorem1",
-    "bound_corollary1",
-)
-
 
 class ExperimentConfigError(ValueError):
     """The experiment document is malformed; the message names the key."""
@@ -67,6 +52,13 @@ class ExperimentConfigError(ValueError):
 
 @dataclass(frozen=True)
 class MetricsRow:
+    """One row of a metrics CSV.  The fields, in order, are its columns, and
+    each field's type is how the column is written and read: a float as
+    ``.17g``, an int or a string as itself, and None as the empty field.
+
+    ``p`` is None for plain averaging; a bound is None whenever its
+    preconditions do not hold."""
+
     variant: str
     seed: int
     round: int
@@ -74,8 +66,13 @@ class MetricsRow:
     accuracy_proxy: float
     uploads_cumulative: int
     p: float | None
-    bound_theorem1: float | None
-    bound_corollary1: float | None
+    bound_theorem1: float | None = None
+    bound_corollary1: float | None = None
+
+
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+# (name, type, optional) of each column; the types are annotation strings
+_COLUMN_TYPES = tuple((f.name, f.type.removesuffix(" | None"), f.type.endswith(" | None")) for f in fields(MetricsRow))
 
 
 @dataclass(frozen=True)
@@ -216,8 +213,8 @@ def load_experiment(path) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ExperimentConfigError(f"experiment file is not valid JSON: {err}") from err
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ExperimentConfigError(f"experiment file is not valid UTF-8 JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ExperimentConfigError("experiment document must be a JSON object")
     _check_keys(doc, TOP_KEYS, "experiment")
@@ -275,100 +272,83 @@ def sim_config(spec: ExperimentSpec, variant: str, seed: int) -> SimConfig:
     return replace(spec.config, algorithm=variant, seed=seed)
 
 
-@dataclass(frozen=True)
-class _SharedBounds:
-    """The bound inputs that every job of an experiment shares; a job adds
-    only its own initial spread zeta.  ``theorem1`` (measured at zeta = 0) is
-    set when the constant-step bound's preconditions hold, ``corollary1``
-    = (mu, max sigma_sq) when the decaying-step bound's do."""
-
-    theorem1: BoundInputs | None = None
-    corollary1: tuple[float, float] | None = None
+# a bound column's name -> (a job's initial spread zeta -> (round t -> its bound))
+BoundColumns = dict[str, Callable[[float], Callable[[int], float]]]
 
 
-def _shared_bounds(config: SimConfig, problem: PreparedProblem) -> _SharedBounds:
-    """Assemble the bound inputs once per experiment.
+def _shared_bounds(config: SimConfig, problem: PreparedProblem) -> BoundColumns:
+    """The bound columns whose preconditions hold, with the inputs that every
+    job of the experiment shares; a job adds only its own zeta.
 
     The step-size preconditions need only the Hessian bounds, so they are
     checked before any shard's sigma_sq (for logistic, an iterative solve).
     """
     if config.local_solver != "sgd" or not config.objective.is_smooth:
-        return _SharedBounds()
+        return {}
     if config.selected_per_round != config.n:
-        return _SharedBounds()
+        return {}
 
     obj = config.objective
     etas = weights(config.weight_scheme, np.arange(config.n), problem.sizes)
     shards = [train for train, _ in problem.pairs]
     try:
         if config.lr.kind == "constant":
+            # measured at zeta = 0; each job replaces it with its own
             inputs = measure_bound_inputs(
                 obj, shards, problem.w_star[None], problem.w_star, etas,
                 alpha=config.lr.value, epsilon=config.anneal.epsilon,
                 local_iterations=config.local_epochs * max(len(s) for s in shards),
             )
-            return _SharedBounds(theorem1=inputs)
+            return {"bound_theorem1": lambda zeta: functools.partial(theorem1_bound, replace(inputs, zeta=zeta))}
         mu, _ = hessian_range(obj, shards)
         check_decaying_step(config.lr.value, mu)
-        return _SharedBounds(corollary1=(mu, max(curvature(obj, s).sigma_sq for s in shards)))
+        sigma_sq_max = max(curvature(obj, s).sigma_sq for s in shards)
+        return {
+            "bound_corollary1": lambda zeta: functools.partial(
+                corollary1_bound, corollary1_constant(config.lr.value, mu, sigma_sq_max, zeta)
+            )
+        }
     except ValueError:
-        return _SharedBounds()
-
-
-def _bound_columns(config: SimConfig, bounds: _SharedBounds, result: RunResult) -> tuple[list, list]:
-    """Per-round bound values, or Nones when the preconditions are unmet."""
-    empty = [None] * len(result.records)
-    if bounds.theorem1 is None and bounds.corollary1 is None:
-        return empty, empty
-    try:
-        zeta = initial_spread(result.init_params, result.w_star)
-        if bounds.theorem1 is not None:
-            inputs = replace(bounds.theorem1, zeta=zeta)
-            return [theorem1_bound(inputs, r.round_index) for r in result.records], empty
-        c0 = corollary1_constant(config.lr.value, *bounds.corollary1, zeta)
-        return empty, [corollary1_bound(c0, r.round_index) for r in result.records]
-    except ValueError:  # a zeta beyond the float range
-        return empty, empty
+        return {}
 
 
 def rows_for_run(
-    spec: ExperimentSpec, variant: str, seed: int, result: RunResult, bounds: _SharedBounds
+    spec: ExperimentSpec, variant: str, seed: int, result: RunResult, bounds: BoundColumns
 ) -> list[MetricsRow]:
-    theorem1_col, corollary1_col = _bound_columns(spec.config, bounds, result)
-    rows = []
-    cumulative = 0
-    for i, rec in enumerate(result.records):
-        cumulative += rec.uploads
-        rows.append(
-            MetricsRow(
-                variant=variant,
-                seed=seed,
-                round=rec.round_index,
-                mse=rec.mse,
-                accuracy_proxy=rec.accuracy,
-                uploads_cumulative=cumulative,
-                p=rec.selection_prob,
-                bound_theorem1=theorem1_col[i],
-                bound_corollary1=corollary1_col[i],
-            )
+    """The job's metrics rows; ``bounds`` comes from ``_shared_bounds``."""
+    zeta = initial_spread(result.init_params, result.w_star)
+    try:
+        bound_at = {column: at_spread(zeta) for column, at_spread in bounds.items()}
+    except ValueError:  # a zeta beyond the float range
+        bound_at = {}
+    uploads = itertools.accumulate(rec.uploads for rec in result.records)
+    return [
+        MetricsRow(
+            variant, seed, rec.round_index, rec.mse, rec.accuracy, cumulative, rec.selection_prob,
+            **{column: bound(rec.round_index) for column, bound in bound_at.items()},
         )
-    return rows
+        for rec, cumulative in zip(result.records, uploads)
+    ]
 
 
-def _fmt(value) -> str:
+def _format(value, kind: str) -> str:
     if value is None:
         return ""
-    return f"{value:.17g}"
+    return f"{value:.17g}" if kind == "float" else str(value)
+
+
+_PARSERS = {"str": str, "int": int, "float": float}
+
+
+def _parse(text: str, kind: str, optional: bool):
+    return None if optional and not text else _PARSERS[kind](text)
 
 
 def emit_metrics_csv(rows: list[MetricsRow], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(METRICS_COLUMNS) + "\n")
         for r in rows:
-            fh.write(
-                f"{r.variant},{r.seed},{r.round},{_fmt(r.mse)},{_fmt(r.accuracy_proxy)},"
-                f"{r.uploads_cumulative},{_fmt(r.p)},{_fmt(r.bound_theorem1)},{_fmt(r.bound_corollary1)}\n"
-            )
+            fh.write(",".join(_format(getattr(r, name), kind) for name, kind, _ in _COLUMN_TYPES) + "\n")
 
 
 def parse_metrics_csv(path) -> list[MetricsRow]:
@@ -384,19 +364,7 @@ def parse_metrics_csv(path) -> list[MetricsRow]:
             parts = line.split(",")
             if len(parts) != len(METRICS_COLUMNS):
                 raise ValueError(f"{path}: malformed metrics row")
-            rows.append(
-                MetricsRow(
-                    variant=parts[0],
-                    seed=int(parts[1]),
-                    round=int(parts[2]),
-                    mse=float(parts[3]),
-                    accuracy_proxy=float(parts[4]),
-                    uploads_cumulative=int(parts[5]),
-                    p=float(parts[6]) if parts[6] else None,
-                    bound_theorem1=float(parts[7]) if parts[7] else None,
-                    bound_corollary1=float(parts[8]) if parts[8] else None,
-                )
-            )
+            rows.append(MetricsRow(*(_parse(text, kind, optional) for text, (_, kind, optional) in zip(parts, _COLUMN_TYPES))))
     return rows
 
 
@@ -480,9 +448,10 @@ def compare(paths: list, mse_threshold: float | None = None, stream=None) -> Non
         raise ValueError("compare needs at least two metrics files")
     tables = []
     for path in paths:
-        grouped = _series_by_variant(parse_metrics_csv(path))
-        for variant, by_round in grouped.items():
-            tables.append((variant, by_round))
+        rows = parse_metrics_csv(path)
+        if not rows:
+            raise ValueError(f"{path}: no metrics rows")
+        tables.extend(_series_by_variant(rows).items())
     base_rounds = sorted(tables[0][1])
     for variant, by_round in tables[1:]:
         if sorted(by_round) != base_rounds:

@@ -45,7 +45,8 @@ class Dataset:
     """In-memory dataset: features ``X`` of shape (m, d) and targets ``y`` of shape (m,).
 
     ``n_classes`` is set for classification data (integer labels in
-    ``[0, n_classes)``) and ``None`` for regression targets.
+    ``[0, n_classes)``) and ``None`` for regression targets.  Every feature
+    and target must be finite.
     """
 
     __slots__ = ("X", "y", "n_classes")
@@ -54,12 +55,20 @@ class Dataset:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array of shape (m, d)")
+        if not np.isfinite(X).all():
+            raise ValueError("features must be finite")
+        y = np.asarray(y)
+        integral = y.dtype.kind in "iu"
+        if not (integral or np.isfinite(y).all()):
+            raise ValueError("targets must be finite")
         if n_classes is not None:
-            y = np.ascontiguousarray(y, dtype=np.int64)
             if n_classes < 2:
                 raise ValueError("n_classes must be >= 2")
+            if not (integral or np.array_equal(y, np.trunc(y))):
+                raise ValueError("class labels must be integers")
             if y.size and (y.min() < 0 or y.max() >= n_classes):
                 raise ValueError("class labels must lie in [0, n_classes)")
+            y = np.ascontiguousarray(y, dtype=np.int64)
         else:
             y = np.ascontiguousarray(y, dtype=np.float64)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
@@ -367,18 +376,18 @@ def _lasso_coordinate_descent(dataset: Dataset, reg: float, tol: float = 1e-12, 
     raise ConvergenceError("lasso coordinate descent did not converge")
 
 
-def optimum_oracle(
-    obj: Objective,
-    dataset: Dataset,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-) -> np.ndarray:
+# the logistic solver stops once the gradient norm is at most LOGISTIC_TOL,
+# and gives up after LOGISTIC_MAX_ITER steps
+LOGISTIC_TOL = 1e-10
+LOGISTIC_MAX_ITER = 200_000
+
+
+def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
     """Arg-min of the empirical risk over ``dataset``.
 
     Least squares and ridge use the closed form; multinomial logistic runs
     full-batch gradient descent with step 1 / lam until the gradient norm
-    drops below ``tol``, in the class-major layout of ``_logistic_gd``.
+    drops below ``LOGISTIC_TOL``, in the class-major layout of ``_logistic_gd``.
     Lasso minimises the summed cost ``sum_i (y_i - x_i'w)^2 + reg * ||w||_1``
     (the form whose coordinate-wise solution is an exact soft threshold, in
     rational arithmetic when every sample touches a single coordinate); per
@@ -401,10 +410,10 @@ def optimum_oracle(
         if _lasso_is_separable(dataset):
             return _lasso_separable_optimum(dataset, obj.reg)
         return _lasso_coordinate_descent(dataset, obj.reg)
-    return _logistic_gd(obj, X, dataset.y, tol, max_iter)
+    return _logistic_gd(obj, X, dataset.y)
 
 
-def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Full-batch gradient descent with step 1 / lam for multinomial logistic.
 
     The iterates are held class-major.  The logits ``W @ X.T`` form a (C, m)
@@ -430,7 +439,7 @@ def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray, tol: float, max_i
     top = np.empty(m)
     total = np.empty(m)
     expd = np.empty((C, m))
-    for _ in range(max_iter):
+    for _ in range(LOGISTIC_MAX_ITER):
         S = w.reshape(C, d) @ X.T  # (C, m) logits
         np.maximum(S[0], S[1], out=top)
         for c in range(2, C):
@@ -445,7 +454,7 @@ def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray, tol: float, max_i
         P -= is_label
         g = (P @ X).ravel() / m + obj.reg * w
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
+        if gnorm <= LOGISTIC_TOL:
             return w
         w = w - step * g
-    raise ConvergenceError(f"logistic solver still has gradient norm {gnorm:.3e} after {max_iter} iterations")
+    raise ConvergenceError(f"logistic solver still has gradient norm {gnorm:.3e} after {LOGISTIC_MAX_ITER} iterations")

@@ -1,10 +1,12 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import safl_sim.simulation
 from safl_sim import run, selection_probability
 from safl_sim.cli import main as cli_main
 from safl_sim.experiments import (
+    METRICS_COLUMNS,
     ExperimentConfigError,
     MetricsRow,
     compare,
@@ -161,10 +164,26 @@ class TestExecute:
         rows = [
             MetricsRow("safl", 3, 1, 0.125, 0.5, 4, 0.9048374180359595, None, 12.0),
             MetricsRow("safl", 3, 2, 1e-17, 0.25, 8, None, 3.5e300, None),
+            MetricsRow("safl_extended", 2**40, 10**6, -2.5e-308, 1.0, 0, 0.1 + 0.2, math.pi, 1 / 3),
         ]
+        # every column type appears, and each optional column both empty and filled
+        kinds = {f.name: f.type for f in dataclasses.fields(MetricsRow)}
+        assert set(kinds.values()) == {"str", "int", "float", "float | None"}
+        for name, kind in kinds.items():
+            values = [getattr(r, name) for r in rows]
+            assert (None in values) == kind.endswith(" | None")
+            assert all(type(v).__name__ == kind.removesuffix(" | None") for v in values if v is not None)
         path = tmp_path / "m.csv"
         emit_metrics_csv(rows, path)
-        assert parse_metrics_csv(path) == rows
+        parsed = parse_metrics_csv(path)
+        assert parsed == rows
+        assert [[type(v) for v in vars(r).values()] for r in parsed] == [[type(v) for v in vars(r).values()] for r in rows]
+
+    def test_readme_states_the_metrics_header(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        formats = readme[readme.index("## File formats"):]
+        header = re.search(r"Metrics CSV.*?```\n(.*?)\n```", formats, re.S)[1]
+        assert header == ",".join(METRICS_COLUMNS)
 
     def test_unknown_variant_filter_rejected(self, tmp_path):
         spec = load_experiment(write_doc(tmp_path, experiment_doc()))
@@ -385,13 +404,46 @@ class TestCli:
         assert code == 1
         assert "max_labels_per_device" in capsys.readouterr().err
 
-    def test_dataset_csv_with_a_bad_header_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "objective, classes, cell, value",
+        [
+            ({"kind": "least_squares"}, None, (5, 0), "nan"),
+            ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 1), "nan"),
+            ({"kind": "lasso", "reg": 0.5}, None, (5, 0), "inf"),
+            ({"kind": "ridge", "reg": 1.0}, None, (5, 1), "-inf"),
+            ({"kind": "ridge", "reg": 1.0}, None, (5, 3), "nan"),
+            ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 3), "1.5"),
+            ({"kind": "ridge", "reg": 1.0}, None, (0, 0), "x0"),
+        ],
+        ids=[
+            "nan-feature-least_squares", "nan-feature-logistic", "inf-feature-lasso", "inf-feature-ridge",
+            "nan-target", "fractional-label", "bad-header",
+        ],
+    )
+    def test_malformed_dataset_csv_exits_one(self, tmp_path, capsys, objective, classes, cell, value):
+        # past loading, a non-finite value ends in a solver traceback, a
+        # divergence or NaN metrics, and a fractional label is truncated
+        lines = ["f0,f1,f2,label"] + [f"{0.1 * i},{0.3 - 0.01 * i},{(-1) ** i},{i % 3}" for i in range(60)]
+        row, column = cell
+        fields = lines[row].split(",")
+        fields[column] = value
+        lines[row] = ",".join(fields)
         data = tmp_path / "data.csv"
-        data.write_text("x0,x1,label\n0.5,1.5,2.0\n")
-        path = write_doc(tmp_path, experiment_doc(data={"kind": "csv", "path": str(data)}, T=2, seeds=[1]))
+        data.write_text("\n".join(lines) + "\n")
+        doc = experiment_doc(data={"kind": "csv", "path": str(data), "classes": classes}, objective=objective, n=4, s=4, T=3, seeds=[1])
+        doc["partition"]["mean_size"] = 10
+        if objective["kind"] == "lasso":
+            doc["local_solver"] = "oracle"  # lasso is not trained by SGD
+        code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert "data: 'path'" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_bytes(json.dumps(experiment_doc()).encode("utf-8").replace(b'"unit"', b'"\xff"'))
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
-        assert "'path'" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_negative_seed_override_exits_one(self, tmp_path, capsys):
         path = write_doc(tmp_path, experiment_doc(T=2, seeds=[1]))
@@ -440,6 +492,20 @@ class TestCli:
         code = cli_main(["run", "--config", str(path), "--out", str(out), "--variants", "safl", "--quiet"])
         assert code == 0
         assert (out / "safl.csv").exists() and not (out / "fedavg.csv").exists()
+
+    @pytest.mark.parametrize("both_empty", [True, False])
+    def test_compare_of_a_header_only_file_exits_one(self, tmp_path, capsys, both_empty):
+        empty = tmp_path / "empty.csv"
+        emit_metrics_csv([], empty)
+        other = tmp_path / "other.csv"
+        if both_empty:
+            emit_metrics_csv([], other)
+        else:
+            emit_metrics_csv([MetricsRow("fedavg", 1, 1, 0.5, 0.5, 4, None, None, None)], other)
+        code = cli_main(["compare", str(other), str(empty)])
+        assert code == 1
+        expected = other if both_empty else empty
+        assert capsys.readouterr().err == f"compare error: {expected}: no metrics rows\n"
 
     def test_compare_single_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
