@@ -37,33 +37,48 @@ def weights(scheme: WeightScheme, ids: np.ndarray, sizes: np.ndarray) -> np.ndar
     """Normalised non-negative weights of the devices ``ids``, summing to 1.
 
     ``sizes`` holds every device's sample count, indexed by device id.
+    ``ids`` is one set of devices (k,), or one row of ``k`` devices per job
+    (J, k), weighed row by row; each row's weights are bitwise those the row
+    gets alone, since every sum runs along the contiguous last axis.
     """
     ids = np.asarray(ids, dtype=np.intp)
-    if len(ids) == 0:
+    n = ids.shape[-1]
+    if n == 0:
         raise ValueError("cannot weigh an empty update set")
-    n = len(ids)
     if scheme.kind == "uniform":
-        w = np.full(n, 1.0 / n)
+        w = np.full(ids.shape, 1.0 / n)
     elif scheme.kind == "size_proportional":
         picked = np.asarray(sizes, dtype=np.float64)[ids]
-        if picked.sum() <= 0:
+        total = picked.sum(axis=-1, keepdims=True)
+        if (total <= 0).any():
             raise ValueError("size-proportional weights need positive shard sizes")
-        w = picked / picked.sum()
+        w = picked / total
     else:  # custom
         try:
             raw = np.asarray(scheme.custom, dtype=np.float64)[ids]
         except IndexError:
             raise ValueError("custom weights missing an entry for a device id") from None
-        w = raw / raw.sum()
-    w = w / w.sum()
-    assert abs(float(w.sum()) - 1.0) <= 1e-12
+        w = raw / raw.sum(axis=-1, keepdims=True)
+    w = w / w.sum(axis=-1, keepdims=True)
+    assert (abs(w.sum(axis=-1) - 1.0) <= 1e-12).all()
     return w
 
 
 def aggregate(params: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Weighted sum of the rows of ``params``, one parameter vector per row."""
-    if np.ndim(params) != 2:
-        raise ValueError("params must be a 2-d array, one parameter vector per row")
-    if len(params) != len(wts):
+    """Weighted sum of the rows of ``params``, one parameter vector per row.
+
+    ``params`` (k, P) with weights (k,) gives one (P,) model; a stack of J
+    jobs' rows (J, k, P) with weights (J, k) gives each job's model, (J, P),
+    bitwise the one its rows give alone.  Each job's rows are fused with its
+    own weights, so jobs with different numbers of rows are fused apart:
+    zero-padding them to one ``k`` would change the sums' bits.
+    """
+    params = np.asarray(params)
+    wts = np.asarray(wts, dtype=np.float64)
+    if params.ndim not in (2, 3) or params.ndim != wts.ndim + 1:
+        raise ValueError(
+            "params must be a 2-d array of rows with (k,) weights, or a (J, k, P) stack with (J, k) weights"
+        )
+    if params.shape[:-1] != wts.shape:
         raise ValueError("one weight per row required")
-    return np.asarray(wts, dtype=np.float64) @ params
+    return (wts[..., None, :] @ params)[..., 0, :]

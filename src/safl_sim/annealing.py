@@ -55,27 +55,34 @@ def selection_probability(t: float, temperature: float) -> float:
 
 
 def sample_mask(uniforms: np.ndarray, p: float, epsilon: float, dim: int) -> np.ndarray:
-    """Blend masks of a round's devices from their uniforms, shape (k, dim).
+    """Blend masks of a round's devices from their uniforms, shape (k, dim),
+    or (J, k, dim) for the devices of J jobs.
 
     Row ``i`` is ``epsilon`` where ``uniforms[i] < p`` and 1 elsewhere.
     ``uniforms`` is (k, dim) for per-coordinate masks, or (k, 1) for scalar
     masks, whose one draw covers every coordinate (see
-    ``AnnealConfig.mask_columns``).  Comparing a uniform against ``p`` is a
-    Bernoulli(p) draw, so the draws can be made ahead of the round's ``p``.
+    ``AnnealConfig.mask_columns``), with a leading job axis if stacked.
+    Comparing a uniform against ``p`` is a Bernoulli(p) draw, so the draws
+    can be made ahead of the round's ``p``.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    if uniforms.ndim != 2 or uniforms.shape[1] not in (1, dim):
-        raise ValueError(f"uniforms must have shape (k, {dim}) or (k, 1), not {uniforms.shape}")
-    return np.broadcast_to(np.where(uniforms < p, epsilon, 1.0), (len(uniforms), dim))
+    if uniforms.ndim not in (2, 3) or uniforms.shape[-1] not in (1, dim):
+        raise ValueError(f"uniforms must have shape ([J,] k, {dim}) or ([J,] k, 1), not {uniforms.shape}")
+    return np.broadcast_to(np.where(uniforms < p, epsilon, 1.0), (*uniforms.shape[:-1], dim))
 
 
 def mix(mask: np.ndarray, global_params: np.ndarray, local_params: np.ndarray) -> np.ndarray:
     """Coordinate-wise blend ``mask * global + (1 - mask) * local``.
 
-    ``mask`` and ``local_params`` share one shape: (P,) for one device, or
-    (k, P) for k devices blending the one (P,) global model.
+    ``mask`` and ``local_params`` share one shape: (P,) for one device, (k, P)
+    for k devices blending the one (P,) global model, or (J, k, P) for the k
+    devices of each of J jobs, each job's blending its own row of the
+    (J, P) global models.
     """
-    if global_params.ndim != 1 or mask.shape != local_params.shape or mask.shape[-1:] != global_params.shape:
+    expected = mask.shape[:-2] + mask.shape[-1:]
+    if mask.ndim > 3 or mask.shape != local_params.shape or global_params.shape != expected:
         raise ValueError("mask and local parameters must share one shape, ending in the global model's")
+    if mask.ndim == 3:
+        global_params = global_params[:, None, :]
     return mask * global_params + (1.0 - mask) * local_params

@@ -91,9 +91,18 @@ class Dataset:
     def sample(self, i: int) -> Sample:
         return Sample(self.X[i], self.y[i])
 
+    @classmethod
+    def _trusted(cls, X: np.ndarray, y: np.ndarray, n_classes: int | None) -> "Dataset":
+        """A dataset of arrays cut from checked ones, which hold every
+        invariant already (finite, contiguous, labels in range), so it skips
+        the checks of ``__init__``."""
+        data = object.__new__(cls)
+        data.X, data.y, data.n_classes = X, y, n_classes
+        return data
+
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.X[idx], self.y[idx], self.n_classes)
+        return Dataset._trusted(self.X[idx], self.y[idx], self.n_classes)
 
     def labels(self) -> np.ndarray:
         """Distinct class labels present, sorted."""
@@ -108,7 +117,7 @@ class Dataset:
         n_classes = parts[0].n_classes
         if any(p.n_classes != n_classes for p in parts):
             raise ValueError("datasets disagree on n_classes")
-        return Dataset(
+        return Dataset._trusted(
             np.concatenate([p.X for p in parts]),
             np.concatenate([p.y for p in parts]),
             n_classes,
@@ -186,6 +195,29 @@ def _check_param(obj: Objective, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _check_params(obj: Objective, w: np.ndarray) -> np.ndarray:
+    """One parameter vector (param_dim,), or a stack of them (J, param_dim)."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim not in (1, 2) or w.shape[-1] != obj.param_dim:
+        raise ValueError(f"parameters have shape {w.shape}, expected ({obj.param_dim},) or (J, {obj.param_dim})")
+    return w
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of two vectors, or of each pair of rows of two stacks: one
+    BLAS dot per pair, so a row's product is the one it gives alone."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _scores(obj: Objective, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``X @ w`` for the quadratic families, or the (m, C) logits: (m,)/(m, C)
+    for one model, (J, m)/(J, m, C) for a stack, each model's the product
+    it gives alone."""
+    if obj.is_classification:
+        return X @ w.reshape(*w.shape[:-1], obj.n_classes, obj.dim).swapaxes(-1, -2)
+    return (X @ w[..., None])[..., 0]
+
+
 def _check_sample(obj: Objective, s: Sample) -> None:
     if np.shape(s.x) != (obj.dim,):
         raise ValueError(f"sample feature vector has shape {np.shape(s.x)}, expected ({obj.dim},)")
@@ -233,9 +265,13 @@ def grad(obj: Objective, w: np.ndarray, s: Sample) -> np.ndarray:
     return (np.outer(p, s.x)).ravel() + obj.reg * w
 
 
-def empirical_risk(obj: Objective, w: np.ndarray, dataset: Dataset) -> float:
-    """Mean of the per-sample losses over ``dataset``."""
-    w = _check_param(obj, w)
+def empirical_risk(obj: Objective, w: np.ndarray, dataset: Dataset) -> float | np.ndarray:
+    """Mean of the per-sample losses over ``dataset``.
+
+    ``w`` is one parameter vector, giving a float, or a stack (J, param_dim),
+    giving one risk per row, each bitwise the float that row gives alone.
+    """
+    w = _check_params(obj, w)
     m = len(dataset)
     if m == 0:
         raise ValueError("empirical risk of an empty dataset is undefined")
@@ -243,18 +279,19 @@ def empirical_risk(obj: Objective, w: np.ndarray, dataset: Dataset) -> float:
         raise ValueError("dataset dimension does not match the objective")
     X, y = dataset.X, dataset.y
     if obj.kind in ("least_squares", "ridge"):
-        r = X @ w - y
-        val = 0.5 * float(r @ r) / m
+        r = _scores(obj, w, X) - y
+        risk = 0.5 * _dots(r, r) / m
         if obj.reg:
-            val += 0.5 * obj.reg * float(w @ w)
-        return val
-    if obj.kind == "lasso":
-        r = y - X @ w
-        return float(r @ r) / m + obj.reg * float(np.abs(w).sum())
-    scores = X @ w.reshape(obj.n_classes, obj.dim).T
-    logp = log_softmax(scores)
-    ce = -float(logp[np.arange(m), dataset.y].sum()) / m
-    return ce + 0.5 * obj.reg * float(w @ w)
+            risk = risk + 0.5 * obj.reg * _dots(w, w)
+    elif obj.kind == "lasso":
+        r = y - _scores(obj, w, X)
+        risk = _dots(r, r) / m + obj.reg * np.abs(w).sum(-1)
+    else:
+        logp = log_softmax(_scores(obj, w, X))
+        # copied so that each row sums along a contiguous axis, as it does alone
+        ce = -np.ascontiguousarray(logp[..., np.arange(m), y]).sum(-1) / m
+        risk = ce + 0.5 * obj.reg * _dots(w, w)
+    return float(risk) if w.ndim == 1 else risk
 
 
 def per_sample_grads(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndarray:
@@ -276,12 +313,11 @@ def per_sample_grads(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndar
 
 
 def predict_classes(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndarray:
-    """Argmax class predictions for a classification objective."""
+    """Argmax class predictions for a classification objective: (m,) for one
+    parameter vector, (J, m) for a stack of them."""
     if not obj.is_classification:
         raise ValueError("class prediction requires a classification objective")
-    w = _check_param(obj, w)
-    scores = dataset.X @ w.reshape(obj.n_classes, obj.dim).T
-    return scores.argmax(axis=1)
+    return _scores(obj, _check_params(obj, w), dataset.X).argmax(axis=-1)
 
 
 def _check_smooth_data(obj: Objective, dataset: Dataset) -> None:

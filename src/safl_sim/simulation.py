@@ -8,8 +8,8 @@ One round, mirroring a synchronous implementation:
    every job in flight train together in one batched call, see below);
 3. (``safl_extended`` only) each picked device scores the last broadcast
    global model against its local update on its private holdout and uploads
-   with probability ``exp(-gap / gap_scale)`` (all picked devices are scored
-   in one batched call, see ``upload_gate.gate_proxies``);
+   with probability ``exp(-gap / gap_scale)`` (a job's picked devices are
+   scored in one batched call, see ``upload_gate.gate_proxies``);
 4. the server fuses the received updates into the new global model (an empty
    round leaves it unchanged);
 5. every picked device folds the new global model into its parameters:
@@ -26,14 +26,23 @@ their trained parameters by id (``"locals"``) and, for ``safl_extended``,
 each one's gap, upload probability and decision by id (``"gate"``).
 
 ``run_jobs`` advances the jobs of one experiment, which differ only in
-algorithm and seed, in lockstep, and ``run`` is its one-job case.  Each
-round, every live job takes its draws from its own plan, and one
-``run_local_epochs`` call trains the picked rows of all of them.  The kernel
-computes each row on its own (see ``training``), so a job's rows, and hence
-its bytes, never depend on which jobs share its batch.  Each job then runs
-steps 3-6 in ``run_round``.  Divergence is reported as a loop running the
-jobs one after another would report it: that of the first job, in job
-order, to diverge.
+algorithm and seed, in lockstep, and ``run`` is its one-job case.  Every
+job's device parameters and step counts are views into one (J, n, P) and
+one (J, n) array.  Each round, every live job takes its draws from its own
+plan; one ``run_local_epochs`` call trains the picked rows of all of them,
+reading each shard in place in the pooled training set; and one
+``run_round`` call runs steps 3-6 for all of them as whole-array operations
+with a leading job axis: every job picks ``s`` devices, so the weights are
+(J, s) and the trained rows (J, s, P).  fedavg and the annealed variants
+differ only in the fold.  ``safl_extended`` jobs gate and fuse one job at a
+time, since each fuses its own number of uploads.  Each batched product
+and sum is the one a job's arrays give alone, bitwise (see ``aggregate``,
+``empirical_risk``), and the kernel computes each row on its own (see
+``training``), so a job's bytes never depend on which jobs share its
+batch.  Divergence is reported as a loop running the jobs one after
+another would report it: that of the first job, in job order, to diverge;
+the jobs before it record the round and call their observers, and it and
+the jobs after it retire.
 
 Every random draw comes from a stream dedicated to one (device, purpose)
 pair, spawned deterministically from the run seed, so trajectories are a pure
@@ -66,7 +75,7 @@ from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
 from .partition import PartitionSpec, partition_with_holdout
-from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, run_local_epochs, sample_indices
+from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, Shards, run_local_epochs, sample_indices
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies, performance_gap, upload_probability
 
 ALGORITHMS = ("fedavg", "safl", "safl_extended")
@@ -184,8 +193,10 @@ global_estimate = aggregate
 @dataclass(frozen=True)
 class PreparedProblem:
     """What every (variant, seed) job of one experiment shares: each device's
-    (train, holdout) pair, its sample count (train plus holdout) and its
-    training-set size, the pooled training set and its optimum.
+    (train, holdout) pair, its sample count (train plus holdout), its
+    training-set size and the row where its training set starts in the
+    pooled training set, which holds them in device order, and the pooled
+    set's optimum.
 
     It depends on the objective, the partition and the holdout fraction,
     never on the algorithm or the run seed.  Every array is read-only, so a
@@ -196,6 +207,7 @@ class PreparedProblem:
     pairs: tuple[tuple[Dataset, Dataset], ...]
     sizes: np.ndarray
     train_sizes: np.ndarray
+    train_starts: np.ndarray
     pooled: Dataset
     w_star: np.ndarray
 
@@ -231,12 +243,13 @@ def prepare(
     pairs = tuple((_freeze(train), _freeze(hold)) for train, hold in pairs)
     train_sizes = np.array([len(train) for train, _ in pairs])
     sizes = train_sizes + np.array([len(hold) for _, hold in pairs])
-    sizes.setflags(write=False)
-    train_sizes.setflags(write=False)
+    train_starts = np.cumsum(train_sizes) - train_sizes
+    for array in (sizes, train_sizes, train_starts):
+        array.setflags(write=False)
     pooled = _freeze(Dataset.concat([train for train, _ in pairs]))
     w_star = optimum_oracle(config.objective, pooled)
     w_star.setflags(write=False)
-    return PreparedProblem(pairs, sizes, train_sizes, pooled, w_star)
+    return PreparedProblem(pairs, sizes, train_sizes, train_starts, pooled, w_star)
 
 
 def _problem(
@@ -372,135 +385,178 @@ def plan_rounds(config: SimConfig, server: ServerState, devices: Devices, proble
 
 
 def run_round(
-    server: ServerState,
-    devices: Devices,
-    config: SimConfig,
+    jobs: list[_Job],
     round_index: int,
-    draws: RoundDraws,
+    round_draws: list[RoundDraws],
+    chosen: np.ndarray,
     trained: np.ndarray,
-    *,
+    params: np.ndarray,
     problem: PreparedProblem,
-    observer=None,
-) -> RoundRecord:
-    """Execute one communication round from its planned draws and return its metrics.
+) -> tuple[list[RoundRecord], DivergenceError | None]:
+    """Run steps 3-6 of one round for every job in ``jobs`` at once.
 
-    ``trained`` holds the chosen devices' parameters after local training,
-    one row per entry of ``draws.chosen`` (see ``run_jobs``).
+    ``chosen`` (J, s) holds each job's chosen device ids, ``trained``
+    (J, s, P) their parameters after local training, and ``params`` the stack of
+    every job's device parameters, indexed by ``_Job.slot`` (see
+    ``run_jobs``).  Fusion, the fold and the metrics act on whole arrays
+    over the jobs; only the gated jobs score, decide and fuse one by one,
+    since each fuses its own number of uploads.
+
+    Returns the records of the jobs before the first that diverges, in job
+    order, each of whose observers has been called, and that job's
+    ``DivergenceError`` (None if none does).
     """
-    obj = config.objective
-    chosen = draws.chosen
-    stale_global = server.global_params
+    config = jobs[0].config
+    obj, scheme = config.objective, config.weight_scheme
+    slots = np.array([job.slot for job in jobs])[:, None]
+    servers = [job.result.server for job in jobs]
+    gated = np.array([job.config.algorithm == "safl_extended" for job in jobs])
+    adopts = np.array([job.config.algorithm == "fedavg" for job in jobs])  # the global model, outright
 
-    uploaded = np.ones(len(chosen), dtype=bool)
-    gate_info: dict[int, dict] = {}
-    if config.algorithm == "safl_extended":
-        gate = config.gate
-        eval_sets = [hold if len(hold) > 0 else train for train, hold in (problem.pairs[k] for k in chosen)]
-        h_global, h_local = gate_proxies(stale_global, trained, eval_sets, obj, gate.proxy)
-        for i, (k, hg, hl) in enumerate(zip(chosen.tolist(), h_global.tolist(), h_local.tolist())):
-            gap = performance_gap(hg, hl, gate.eps_div)
-            q = upload_probability(gap, gate.gap_scale)
-            uploaded[i] = decide_upload(q, devices.gate_rngs[k])
-            gate_info[k] = {"gap": gap, "q": q, "uploaded": bool(uploaded[i])}
-
-    if uploaded.any():
-        agg_w = weights(config.weight_scheme, chosen[uploaded], problem.sizes)
-        server.global_params = aggregate(trained[uploaded], agg_w)
-        if not np.isfinite(server.global_params).all():
-            raise DivergenceError(
-                f"aggregate diverged in round {round_index}", round_index=round_index
-            )
-
-    p = None
-    if config.algorithm == "fedavg":
-        devices.params[chosen] = server.global_params
-    else:
-        anneal = config.anneal
-        p = selection_probability(round_index, anneal.temperature)
-        masks = sample_mask(draws.uniforms, p, anneal.epsilon, obj.param_dim)
-        devices.params[chosen] = mix(masks, server.global_params, trained)
-
-    # metric evaluation may overflow on a nearly divergent run; the finite
-    # checks above are the divergence authority, not numpy warnings here
+    # every device an ungated job chose uploads, so the weights of its
+    # uploads are those of the chosen set, which the metrics use too
+    record_w = weights(scheme, chosen, problem.sizes)
+    uploads = np.full(len(jobs), chosen.shape[1])
+    gate_info: list[dict[int, dict]] = [{} for _ in jobs]
+    fused = np.empty((len(jobs), trained.shape[-1]))
+    # a nearly divergent run may overflow anywhere below; the finite checks
+    # at the end are the divergence authority, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        record_w = weights(config.weight_scheme, chosen, problem.sizes)
-        current = devices.params[chosen]
+        if not gated.all():
+            fused[~gated] = aggregate(trained[~gated], record_w[~gated])
+        for i in np.flatnonzero(gated).tolist():
+            gate, devices, ids = config.gate, jobs[i].result.devices, chosen[i]
+            eval_sets = [hold if len(hold) > 0 else train for train, hold in (problem.pairs[k] for k in ids)]
+            h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj, gate.proxy)
+            uploaded = np.empty(len(ids), dtype=bool)
+            for j, (k, hg, hl) in enumerate(zip(ids.tolist(), h_global.tolist(), h_local.tolist())):
+                gap = performance_gap(hg, hl, gate.eps_div)
+                q = upload_probability(gap, gate.gap_scale)
+                uploaded[j] = decide_upload(q, devices.gate_rngs[k])
+                gate_info[i][k] = {"gap": gap, "q": q, "uploaded": bool(uploaded[j])}
+            uploads[i] = uploaded.sum()
+            if uploads[i]:
+                fused[i] = aggregate(trained[i, uploaded], weights(scheme, ids[uploaded], problem.sizes))
+            else:  # an empty round leaves the global model as it was
+                fused[i] = servers[i].global_params
+        for i, server in enumerate(servers):
+            if uploads[i]:
+                server.global_params = fused[i]
+
+        p = None
+        if adopts.all():
+            params[slots, chosen] = fused[:, None, :]
+        else:
+            anneal = config.anneal
+            p = selection_probability(round_index, anneal.temperature)
+            plain, mixed = np.flatnonzero(adopts), np.flatnonzero(~adopts)
+            params[slots[plain], chosen[plain]] = fused[plain, None, :]
+            uniforms = np.stack([round_draws[i].uniforms for i in mixed])
+            masks = sample_mask(uniforms, p, anneal.epsilon, obj.param_dim)
+            params[slots[mixed], chosen[mixed]] = mix(masks, fused[mixed], trained[mixed])
+
+        current = params[slots, chosen]
         estimate = global_estimate(current, record_w)
         diffs = current - problem.w_star
-        device_mse = float(record_w @ (diffs * diffs).sum(axis=1))
+        device_mse = (record_w[:, None, :] @ (diffs * diffs).sum(axis=-1)[:, :, None])[:, 0, 0]
+        mse = ((estimate - problem.w_star) ** 2).sum(axis=-1)
         proxy_kind = "holdout_accuracy" if obj.is_classification else "inverse_risk"
+        accuracy = accuracy_proxy(estimate, problem.pooled, obj, proxy_kind)
+
+    records = []
+    finite = np.isfinite(fused).all(axis=-1).tolist()
+    columns = zip(mse.tolist(), accuracy.tolist(), uploads.tolist(), device_mse.tolist())
+    for i, (job, (mse_i, accuracy_i, uploads_i, device_mse_i)) in enumerate(zip(jobs, columns)):
+        if not finite[i]:
+            return records, DivergenceError(f"aggregate diverged in round {round_index}", round_index=round_index)
         record = RoundRecord(
             round_index=round_index,
-            mse=float(np.sum((estimate - problem.w_star) ** 2)),
-            accuracy=accuracy_proxy(estimate, problem.pooled, obj, proxy_kind),
-            uploads=int(uploaded.sum()),
-            selection_prob=p,
-            device_mse=device_mse,
+            mse=mse_i,
+            accuracy=accuracy_i,
+            uploads=uploads_i,
+            selection_prob=None if adopts[i] else p,
+            device_mse=device_mse_i,
         )
-    if not (math.isfinite(record.mse) and math.isfinite(record.device_mse)):
-        raise DivergenceError(
-            f"metrics diverged in round {round_index}: mse {record.mse}, device_mse {record.device_mse}",
-            round_index=round_index,
-        )
-    if observer is not None:
-        selected = chosen.tolist()
-        observer(record, server, devices, {"selected": selected, "locals": dict(zip(selected, trained)), "gate": gate_info})
-    return record
+        if not (math.isfinite(record.mse) and math.isfinite(record.device_mse)):
+            return records, DivergenceError(
+                f"metrics diverged in round {round_index}: mse {record.mse}, device_mse {record.device_mse}",
+                round_index=round_index,
+            )
+        if job.observer is not None:
+            selected = chosen[i].tolist()
+            extras = {"selected": selected, "locals": dict(zip(selected, trained[i])), "gate": gate_info[i]}
+            job.observer(record, servers[i], job.result.devices, extras)
+        records.append(record)
+    return records, None
 
 
 @dataclass
 class _Job:
-    """One job in flight: its config, the result it grows, and its draws."""
+    """One job in flight: its config, the result it grows, its draws, and
+    its slot in the stacked device state."""
 
     config: SimConfig
     result: RunResult
     plan: Iterator[tuple[int, RoundDraws]]
     observer: Callable | None
+    slot: int
 
     def stops(self, record: RoundRecord) -> bool:
         limit = self.config.early_stop_mse
         return limit is not None and record.mse < limit
 
 
-def _train(jobs: list[_Job], round_draws: list[RoundDraws], problem: PreparedProblem, round_index: int):
+def _train(
+    jobs: list[_Job],
+    round_draws: list[RoundDraws],
+    chosen: np.ndarray,
+    params: np.ndarray,
+    steps_done: np.ndarray,
+    problem: PreparedProblem,
+    round_index: int,
+) -> tuple[np.ndarray, DivergenceError | None]:
     """Train the chosen devices of one round of every job.
 
-    Returns each job's trained rows, in ``chosen`` order, for every job
-    before the first whose training diverges, and that job's
-    ``DivergenceError`` (None if none does).  By SGD, the rows of all the
-    jobs train in one ``run_local_epochs`` call, and each job's
-    ``steps_done`` advances; a row's result does not depend on its
-    batch-mates (see ``training``).  The oracle solves each chosen shard.
+    ``chosen`` (J, s) holds each job's chosen device ids, and ``params``
+    and ``steps_done`` are the stacked device state, indexed by
+    ``_Job.slot``.  Returns the trained rows (J, s, P), in ``chosen``
+    order, of every job before the first whose training diverges, and that
+    job's ``DivergenceError`` (None if none does).  By SGD, the rows of all
+    the jobs train in one ``run_local_epochs`` call, which reads each shard
+    in place in the pooled training set, and each job's ``steps_done``
+    advances; a row's result does not depend on its batch-mates (see
+    ``training``).  The oracle solves each chosen shard.
     """
     config = jobs[0].config
-    chosen = [draws.chosen for draws in round_draws]
-    ends = np.cumsum([len(ids) for ids in chosen])
-    shards = [problem.pairs[k][0] for k in np.concatenate(chosen)]
+    slots = np.array([job.slot for job in jobs])[:, None]
+    ids = chosen.ravel()
     if config.local_solver == "oracle":
-        trained = np.array([optimum_oracle(config.objective, shard) for shard in shards])
-        return np.split(trained, ends[:-1]), None
-    devices = [job.result.devices for job in jobs]
+        trained = np.array([optimum_oracle(config.objective, problem.pairs[k][0]) for k in ids.tolist()])
+        return trained.reshape(*chosen.shape, -1), None
     try:
         trained, _ = run_local_epochs(
-            np.concatenate([dev.params[ids] for dev, ids in zip(devices, chosen)]),
-            shards,
+            params[slots, chosen].reshape(len(ids), -1),
+            Shards(problem.pooled, problem.train_starts[ids], problem.train_sizes[ids]),
             config.objective,
             config.local_epochs,
             config.lr,
             np.concatenate([draws.indices for draws in round_draws]),
-            start_steps=np.concatenate([dev.steps_done[ids] for dev, ids in zip(devices, chosen)]),
+            start_steps=steps_done[slots, chosen].ravel(),
         )
     except DivergenceError as err:
-        first = int(np.searchsorted(ends, err.device_index, side="right"))
-        device = chosen[first][err.device_index - ends[first] + len(chosen[first])]
-        error = DivergenceError(f"device {device} diverged in round {round_index}: {err}", round_index=round_index)
+        first, column = divmod(err.device_index, chosen.shape[1])
+        error = DivergenceError(
+            f"device {chosen[first, column]} diverged in round {round_index}: {err}", round_index=round_index
+        )
         error.__cause__ = err
         # the rows of the jobs before it stayed finite, and a row does not
         # depend on its batch-mates, so training them again gives them bitwise
-        return (_train(jobs[:first], round_draws[:first], problem, round_index)[0] if first else []), error
-    for dev, ids in zip(devices, chosen):
-        dev.steps_done[ids] += config.local_epochs * problem.train_sizes[ids]
-    return np.split(trained, ends[:-1]), None
+        if not first:
+            return np.empty((0, chosen.shape[1], params.shape[-1])), error
+        trained, _ = _train(jobs[:first], round_draws[:first], chosen[:first], params, steps_done, problem, round_index)
+        return trained, error
+    steps_done[slots, chosen] += config.local_epochs * problem.train_sizes[chosen]
+    return trained.reshape(*chosen.shape, -1), None
 
 
 def run_jobs(
@@ -509,10 +565,12 @@ def run_jobs(
     """Run jobs that differ only in algorithm and seed, in lockstep; one
     ``RunResult`` per config, each the result of running that job alone.
 
-    Every round, each live job takes its draws from its own plan, one
-    ``run_local_epochs`` call trains every job's chosen rows, and each job
-    then runs the rest of its round (``run_round``) with ``observers[i]``,
-    if any.  A job leaves the loop when it stops early.  The plans share
+    Every job's device parameters and step counts are views into one
+    stacked array each, (J, n, P) and (J, n).  Every round, each live job
+    takes its draws from its own plan, one ``run_local_epochs`` call trains
+    every job's chosen rows, and one ``run_round`` call gates, fuses, mixes
+    and records the round of them all, calling ``observers[i]``, if any.  A
+    job leaves the loop when it stops early.  The plans share
     ``PLAN_ENTRIES``: each job's blocks hold ``PLAN_ENTRIES // len(configs)``
     entries, so the draws held ahead do not grow with the job count.
 
@@ -528,11 +586,15 @@ def run_jobs(
         if replace(config, algorithm=first.algorithm, seed=first.seed) != first:
             raise ValueError("jobs run in lockstep must differ only in algorithm and seed")
     entries = PLAN_ENTRIES // len(configs)
+    params = np.empty((len(configs), first.n, first.objective.param_dim))
+    steps_done = np.zeros((len(configs), first.n), dtype=np.int64)
     jobs = []
-    for config, observer in zip(configs, observers or [None] * len(configs), strict=True):
+    for slot, (config, observer) in enumerate(zip(configs, observers or [None] * len(configs), strict=True)):
         devices, server, _, w_star = build_state(config, prepared=problem)
+        params[slot] = devices.params
+        devices = replace(devices, params=params[slot], steps_done=steps_done[slot])
         result = RunResult([], w_star, devices, server, devices.params.copy())
-        jobs.append(_Job(config, result, plan_rounds(config, server, devices, problem, entries), observer))
+        jobs.append(_Job(config, result, plan_rounds(config, server, devices, problem, entries), observer, slot))
 
     live, failure = jobs, None
     for r in range(1, first.rounds + 1):
@@ -542,22 +604,19 @@ def run_jobs(
         if not live:
             break
         round_draws = [next(job.plan)[1] for job in live]
-        trained, error = _train(live, round_draws, problem, r)
-        failure = error or failure
-        kept = []
-        for job, draws, rows in zip(live, round_draws, trained):
-            try:
-                record = run_round(
-                    job.result.server, job.result.devices, job.config, r, draws, rows,
-                    problem=problem, observer=job.observer,
-                )
-            except DivergenceError as err:
-                failure = err
-                break
+        chosen = np.stack([draws.chosen for draws in round_draws])
+        trained, error = _train(live, round_draws, chosen, params, steps_done, problem, r)
+        ran = len(trained)
+        live, records, failed = live[:ran], [], None
+        if ran:
+            records, failed = run_round(live, r, round_draws[:ran], chosen[:ran], trained, params, problem)
+        # run_round's jobs precede the one whose training diverged, and the
+        # live jobs precede any that failed before, so the newest error is
+        # that of the first job in order
+        failure = failed or error or failure
+        for job, record in zip(live, records):
             job.result.records.append(record)
-            if not job.stops(record):
-                kept.append(job)
-        live = kept
+        live = [job for job, record in zip(live, records) if not job.stops(record)]
     if failure is not None:
         raise failure
     return [job.result for job in jobs]

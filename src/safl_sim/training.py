@@ -100,9 +100,28 @@ def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) ->
     return np.concatenate([rng.permutation(m) for _ in range(epochs)])
 
 
+@dataclass(frozen=True)
+class Shards:
+    """Devices' training shards as row ranges of one dataset: shard ``k`` is
+    rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``data``."""
+
+    data: Dataset
+    starts: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def pool(cls, shards: Sequence[Dataset]) -> "Shards":
+        """Separate shards, concatenated in order."""
+        sizes = np.array([len(shard) for shard in shards], dtype=np.intp)
+        return cls(Dataset.concat(list(shards)), np.cumsum(sizes) - sizes, sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+
 def run_local_epochs(
     params: Sequence[np.ndarray],
-    shards: Sequence[Dataset],
+    shards: Sequence[Dataset] | Shards,
     obj: Objective,
     epochs: int,
     schedule: LrSchedule,
@@ -113,10 +132,11 @@ def run_local_epochs(
     """Run ``epochs`` passes of per-sample SGD on each device's shard.
 
     Device ``k`` starts from ``params[k]`` and trains on ``shards[k]``;
-    ``start_steps[k]`` (default 0) offsets its schedule.  ``indices`` holds
-    every device's sample-index stream, ``epochs * len(shards[k])`` indices
-    into ``shards[k]`` for device ``k``, concatenated in input order (see
-    ``sample_indices``).
+    ``start_steps[k]`` (default 0) offsets its schedule.  The shards are
+    separate datasets, or row ranges of one (``Shards``), which the kernel
+    reads in place.  ``indices`` holds every device's sample-index stream,
+    ``epochs * len(shards[k])`` indices into ``shards[k]`` for device ``k``,
+    concatenated in input order (see ``sample_indices``).
 
     Returns the trained parameters, stacked as (K, param_dim) in input order,
     and the total number of steps, ``epochs * sum(len(shard))``.  Raises
@@ -132,12 +152,14 @@ def run_local_epochs(
         raise ValueError("need one parameter vector and shard per device, and at least one device")
     if start_steps is None:
         start_steps = [0] * count
-    sizes = np.array([len(shard) for shard in shards], dtype=np.intp)
+    if not isinstance(shards, Shards):
+        shards = Shards.pool(shards)
+    sizes = shards.sizes
     steps = epochs * sizes
     if not sizes.all():
         raise ValueError("cannot train on an empty shard")
 
-    # each index is offset into the shards pooled in input order; a stream
+    # each index is offset to its shard's rows of the pooled data; a stream
     # that must stay inside its own shard could otherwise read a neighbour's
     indices = np.asarray(indices)
     if indices.shape != (int(steps.sum()),):
@@ -146,15 +168,15 @@ def run_local_epochs(
         raise ValueError("every sample index must lie inside its own device's shard")
     n_steps = int(steps.max())
     picks = np.zeros((count, n_steps), dtype=np.intp)
-    picks[steps[:, None] > np.arange(n_steps)] = indices + np.repeat(np.cumsum(sizes) - sizes, steps)
+    picks[steps[:, None] > np.arange(n_steps)] = indices + np.repeat(shards.starts, steps)
 
     # longest stream first, so the devices still training at step j are the
     # leading rows W[:active[j]]; ties keep input order
     rank = np.argsort(-steps, kind="stable")
     active = np.count_nonzero(steps[rank] > np.arange(n_steps)[:, None], axis=1).tolist()
     picks = picks[rank].T  # (n_steps, K), column rank-of-device
-    X = np.concatenate([shard.X for shard in shards])[picks]  # (n_steps, K, d)
-    y = np.concatenate([shard.y for shard in shards])[picks]
+    X = shards.data.X[picks]  # (n_steps, K, d)
+    y = shards.data.y[picks]
     alphas = schedule.rates(np.asarray(start_steps)[rank], n_steps)
 
     W = np.asarray(params, dtype=np.float64)[rank]
@@ -175,14 +197,16 @@ def run_local_epochs(
                 w -= alphas[j, :a, None] * g
         else:  # multinomial_logistic
             W3 = W.reshape(count, obj.n_classes, obj.dim)
-            batch = np.arange(count)
+            # the one-hot labels: subtracting a row takes 1 from the label's
+            # entry and 0 from the rest, which leaves them bitwise as they were
+            Y = np.eye(obj.n_classes)[y]  # (n_steps, K, C)
             for j, a in enumerate(active):
                 w, x = W3[:a], X[j, :a]
                 scores = (w * x[:, None, :]).sum(-1)
                 scores -= scores.max(-1, keepdims=True)
                 p = np.exp(scores)
                 p /= p.sum(-1, keepdims=True)
-                p[batch[:a], y[j, :a]] -= 1.0
+                p -= Y[j, :a]
                 w -= alphas[j, :a, None, None] * (p[:, :, None] * x[:, None, :] + reg * w)
 
     trained = np.empty_like(W)

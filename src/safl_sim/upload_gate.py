@@ -43,20 +43,23 @@ class GateConfig:
             raise ValueError(f"unknown accuracy proxy {self.proxy!r}")
 
 
-def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective, kind: str) -> float:
+def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective, kind: str) -> float | np.ndarray:
     """Nonnegative model-quality score on ``eval_set``.
 
     ``holdout_accuracy`` is the fraction of correct argmax predictions
     (classification objectives only); ``inverse_risk`` is 1/(1 + risk), a
-    bounded stand-in for tasks without a native accuracy.
+    bounded stand-in for tasks without a native accuracy.  ``model`` is one
+    parameter vector, giving a float, or a stack of J jobs' models
+    (J, param_dim), giving one score per row, each bitwise the float that
+    row gives alone.
     """
     if len(eval_set) == 0:
         raise ValueError("accuracy proxy needs a nonempty evaluation set")
     if kind == "holdout_accuracy":
         if not obj.is_classification:
             raise ValueError("holdout_accuracy requires a classification objective")
-        pred = predict_classes(obj, model, eval_set)
-        return float((pred == eval_set.y).mean())
+        hits = (predict_classes(obj, model, eval_set) == eval_set.y).mean(axis=-1)
+        return float(hits) if np.ndim(model) == 1 else hits
     if kind == "inverse_risk":
         return 1.0 / (1.0 + empirical_risk(obj, model, eval_set))
     raise ValueError(f"unknown accuracy proxy {kind!r}")

@@ -51,6 +51,22 @@ class TestWeights:
             updates = [Update(int(k), None, int(sizes[k])) for k in ids]
             assert np.array_equal(weights(scheme, ids, sizes), reference_weights(scheme, updates))
 
+    @pytest.mark.parametrize("kind", ["uniform", "size_proportional", "custom"])
+    def test_rows_of_jobs_equal_their_own_weights_bitwise(self, kind):
+        # one row of chosen devices per job, as a lockstep round weighs them
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            sizes = rng.integers(1, 500, size=n)
+            custom = tuple(rng.uniform(0.01, 10.0, size=n).tolist()) if kind == "custom" else None
+            scheme = WeightScheme(kind, custom)
+            k = int(rng.integers(1, n + 1))
+            ids = np.array([np.sort(rng.choice(n, size=k, replace=False)) for _ in range(int(rng.integers(1, 8)))])
+            got = weights(scheme, ids, sizes)
+            assert got.shape == ids.shape
+            for row, own in zip(got, ids):
+                assert np.array_equal(row, weights(scheme, own, sizes))
+
     def test_weights_always_sum_to_one(self):
         for kind in ("uniform", "size_proportional"):
             got = weights(WeightScheme(kind), np.arange(5), np.array([1, 2, 3, 4, 5]))
@@ -99,6 +115,25 @@ class TestAggregate:
         got = aggregate(params, uniform(4))
         assert np.all(got >= params.min(axis=0) - 1e-12)
         assert np.all(got <= params.max(axis=0) + 1e-12)
+
+    def test_stacked_jobs_equal_their_own_fusions_bitwise(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            jobs, k, dim = (int(v) for v in rng.integers(1, [12, 210, 40]))
+            params = rng.standard_normal((jobs, k, dim))
+            wts = rng.uniform(0.01, 1.0, size=(jobs, k))
+            wts /= wts.sum(axis=1, keepdims=True)
+            got = aggregate(params, wts)
+            assert got.shape == (jobs, dim)
+            for row, own, w in zip(got, params, wts):
+                assert np.array_equal(row, w @ own)
+                assert np.array_equal(row, aggregate(own, w))
+
+    def test_stacked_jobs_need_a_weight_row_per_job(self):
+        with pytest.raises(ValueError, match="one weight per row"):
+            aggregate(np.zeros((2, 3, 4)), np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="one weight per row"):
+            aggregate(np.zeros((2, 3, 4)), np.full((3, 3), 1.0 / 3.0))
 
     def test_params_must_be_2d_with_one_weight_per_row(self):
         with pytest.raises(ValueError, match="2-d"):

@@ -113,7 +113,22 @@ class TestMix:
         rows = np.array([mix(m, g, l) for m, l in zip(masks, local)])
         assert np.array_equal(mix(masks, g, local), rows)
 
+    def test_jobs_each_blending_their_own_global_equal_their_own_blends_bitwise(self):
+        rng = np.random.default_rng(11)
+        for mode_columns in (7, 1):  # per-coordinate and scalar masks
+            uniforms = rng.random((4, 5, mode_columns))
+            globals_, local = rng.standard_normal((4, 7)), rng.standard_normal((4, 5, 7))
+            masks = sample_mask(uniforms, 0.6, 0.3, 7)
+            assert masks.shape == (4, 5, 7)
+            mixed = mix(masks, globals_, local)
+            for job in range(4):
+                own = sample_mask(uniforms[job], 0.6, 0.3, 7)
+                assert np.array_equal(masks[job], own)
+                assert np.array_equal(mixed[job], mix(own, globals_[job], local[job]))
+
     def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            mix(np.ones((2, 5, 3)), np.zeros(3), np.zeros((2, 5, 3)))  # one global per job
         with pytest.raises(ValueError):
             mix(np.ones(3), np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError):

@@ -59,6 +59,10 @@ def test_traced_run_charges_each_solve_to_its_layer(tmp_path, monkeypatch):
     assert figures["objectives.optimum_calls"] == 1
     assert figures["objectives.curvature_calls"] == 0
     assert figures["upload_gate.s"] == 0
+    # each step of a lockstep round runs once for all jobs; one that no
+    # longer passed through its wrap site would read 0 here
+    for layer in ("simulation.metrics_s", "aggregation.s", "annealing.s", "simulation.round_s"):
+        assert figures[layer] > 0, layer
 
 
 def test_traced_gate_counts_one_decision_per_selected_device(tmp_path, monkeypatch):

@@ -465,6 +465,42 @@ class TestLockstep:
             assert np.array_equal(joint.devices.params, own.devices.params)
             assert np.array_equal(joint.devices.steps_done, own.devices.steps_done)
 
+    def test_observers_see_what_they_see_alone(self):
+        # the round's steps run for every job before any observer is called,
+        # so each observer must still see only its own job's state, as alone
+        data, configs = self.configs()
+        problem = prepare(configs[0], data)
+
+        def recorder(log):
+            def observer(record, server, devices, extras):
+                log.append((
+                    record,
+                    server.global_params.copy(),
+                    devices.params.copy(),
+                    devices.steps_done.copy(),
+                    extras["selected"],
+                    {k: v.copy() for k, v in extras["locals"].items()},
+                    {k: dict(v) for k, v in extras["gate"].items()},
+                ))
+            return observer
+
+        alone = [[] for _ in configs]
+        for config, log in zip(configs, alone):
+            run(config, prepared=problem, observer=recorder(log))
+        together = [[] for _ in configs]
+        simulation.run_jobs(configs, problem, [recorder(log) for log in together])
+        assert min(map(len, together)) < 30 == max(map(len, together))  # an early stop
+        assert any(seen[6] for log in together for seen in log)  # a gated job is seen
+        for own, joint in zip(alone, together):
+            assert len(joint) == len(own)
+            for (rec, server, params, steps, selected, locals_, gate), seen in zip(own, joint):
+                assert seen[0] == rec
+                assert np.array_equal(seen[1], server)
+                assert np.array_equal(seen[2], params) and np.array_equal(seen[3], steps)
+                assert seen[4] == selected and seen[6] == gate
+                assert seen[5].keys() == locals_.keys()
+                assert all(np.array_equal(seen[5][k], v) for k, v in locals_.items())
+
     def test_jobs_must_differ_only_in_algorithm_and_seed(self):
         data, configs = self.configs()
         with pytest.raises(ValueError, match="only in algorithm and seed"):

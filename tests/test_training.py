@@ -14,7 +14,7 @@ from safl_sim import (
     run_local_epochs,
     sgd_step,
 )
-from safl_sim.training import sample_indices
+from safl_sim.training import Shards, sample_indices
 
 
 class TestLrSchedule:
@@ -239,6 +239,11 @@ class TestBatchedKernel:
         Z, _ = run_local_epochs(
             params, [shards[k] for k in rows], obj, 2, sched, np.concatenate(streams), start_steps=starts
         )
+        # the same rows read in place from the shards pooled once, as a simulation reads them
+        pooled = Shards.pool(shards)
+        in_place = Shards(pooled.data, pooled.starts[rows], pooled.sizes[rows])
+        Z_pooled, _ = run_local_epochs(params, in_place, obj, 2, sched, np.concatenate(streams), start_steps=starts)
+        assert np.array_equal(Z_pooled, Z)
         for i, k in enumerate(rows):
             (alone,), _ = run_local_epochs([params[i]], [shards[k]], obj, 2, sched, streams[i], start_steps=[starts[i]])
             assert np.array_equal(alone, Z[i])

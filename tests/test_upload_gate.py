@@ -24,6 +24,26 @@ from safl_sim import (
 from safl_sim.upload_gate import gate_proxies
 
 
+def reference_proxy(model: np.ndarray, data: Dataset, obj: Objective, kind: str) -> float:
+    """One model's proxy by vector products alone: the form that scoring a
+    stack of models must equal bitwise."""
+    m = len(data)
+    if kind == "holdout_accuracy":
+        return float((np.argmax(data.X @ model.reshape(obj.n_classes, obj.dim).T, axis=1) == data.y).mean())
+    if obj.kind == "ridge":
+        r = data.X @ model - data.y
+        risk = 0.5 * float(r @ r) / m + 0.5 * obj.reg * float(model @ model)
+    elif obj.kind == "lasso":
+        r = data.y - data.X @ model
+        risk = float(r @ r) / m + obj.reg * float(np.abs(model).sum())
+    else:
+        scores = data.X @ model.reshape(obj.n_classes, obj.dim).T
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        risk = -float(logp[np.arange(m), data.y].sum()) / m + 0.5 * obj.reg * float(model @ model)
+    return 1.0 / (1.0 + risk)
+
+
 class TestAccuracyProxy:
     def test_perfect_classifier_scores_one(self):
         data = make_blobs(300, 4, 3, separation=8.0, cluster_std=0.2, seed=1)
@@ -61,6 +81,30 @@ class TestAccuracyProxy:
         data = Dataset(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError, match="nonempty"):
             accuracy_proxy(np.zeros(2), data, Objective("least_squares", 2), "inverse_risk")
+
+    @pytest.mark.parametrize(
+        "obj, kind",
+        [
+            (Objective("ridge", 5, reg=0.3), "inverse_risk"),
+            (Objective("lasso", 5, reg=0.3), "inverse_risk"),
+            (Objective("multinomial_logistic", 5, reg=0.3, n_classes=4), "inverse_risk"),
+            (Objective("multinomial_logistic", 5, reg=0.3, n_classes=4), "holdout_accuracy"),
+        ],
+    )
+    def test_models_of_jobs_score_as_they_score_alone_bitwise(self, obj, kind):
+        # the metrics score every job's estimate in one call
+        rng = np.random.default_rng(13)
+        for samples in (1, 37, 400):
+            if obj.is_classification:
+                data = make_blobs(samples, 5, 4, cluster_std=2.0, seed=samples)
+            else:
+                data = make_linear_regression(samples, 5, noise_std=0.5, seed=samples)
+            models = rng.standard_normal((6, obj.param_dim))
+            got = accuracy_proxy(models, data, obj, kind)
+            assert got.shape == (6,)
+            for score, model in zip(got, models):
+                alone = accuracy_proxy(model, data, obj, kind)
+                assert isinstance(alone, float) and float(score) == alone == reference_proxy(model, data, obj, kind)
 
 
 class TestPerformanceGap:
