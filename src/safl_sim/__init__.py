@@ -20,21 +20,17 @@ from .bounds import (
 )
 from .datasets import load_csv, make_blobs, make_linear_regression, save_csv
 from .objectives import (
-    ConvergenceError,
     Dataset,
     GradientUnavailableError,
     Objective,
-    Sample,
     curvature,
     empirical_risk,
-    grad,
-    loss,
     optimum_oracle,
     per_sample_grads,
 )
 from .partition import PartitionSpec, partition, partition_with_holdout, sample_sizes
 from .simulation import SimConfig, global_estimate, run
-from .training import DivergenceError, LrSchedule, run_local_epochs, sgd_step
+from .training import DivergenceError, LrSchedule, run_local_epochs
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, performance_gap, upload_probability
 
 __version__ = "0.1.0"
@@ -42,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealConfig",
     "BoundInputs",
-    "ConvergenceError",
     "Dataset",
     "DivergenceError",
     "GateConfig",
@@ -50,7 +45,6 @@ __all__ = [
     "LrSchedule",
     "Objective",
     "PartitionSpec",
-    "Sample",
     "SimConfig",
     "WeightScheme",
     "accuracy_proxy",
@@ -62,9 +56,7 @@ __all__ = [
     "empirical_risk",
     "fit_rate",
     "global_estimate",
-    "grad",
     "load_csv",
-    "loss",
     "make_blobs",
     "make_linear_regression",
     "measure_bound_inputs",
@@ -81,7 +73,6 @@ __all__ = [
     "sample_sizes",
     "save_csv",
     "selection_probability",
-    "sgd_step",
     "theorem1_bound",
     "theorem3_bound",
     "theorem3_constant",

@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         try:
             spec = load_experiment(args.config)
-            variants = [v.strip() for v in args.variants.split(",") if v.strip()] if args.variants else None
+            variants = None if args.variants is None else [v.strip() for v in args.variants.split(",") if v.strip()]
             execute(
                 spec,
                 args.out,

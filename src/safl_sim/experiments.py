@@ -150,20 +150,18 @@ def _parameters(build) -> dict[str, inspect.Parameter]:
     return dict(inspect.signature(build).parameters)
 
 
-def _call(build, section: dict, where: str, fixed: dict | None = None, defaults: dict | None = None):
+def _call(build, section: dict, where: str, fixed: dict | None = None):
     """``build`` called with the keys of ``section``.
 
     The keys are the parameters of ``build`` outside ``fixed``, each of the
-    JSON type that its annotation names.  A key left out takes its value from
-    ``defaults``, else the parameter's own default, so each default has one
-    owner.
+    JSON type that its annotation names.  A key left out takes the
+    parameter's own default, so each default has one owner.
     """
-    fixed = fixed or {}
-    params = {name: p for name, p in _parameters(build).items() if name not in fixed}
+    values = dict(fixed or {})
+    params = {name: p for name, p in _parameters(build).items() if name not in values}
     _check_keys(section, set(params), where)
-    values = {**(defaults or {}), **fixed}
     for name, param in params.items():
-        if name in section or (name not in values and param.default is param.empty):
+        if name in section or param.default is param.empty:
             values[name] = _read(section, where, name, param.annotation)
     return _owned(where, build, **values)
 
@@ -234,15 +232,13 @@ def load_experiment(path) -> ExperimentSpec:
     part = _call(PartitionSpec, top("partition", "dict"), "partition", {"n": top("n", "int")})
     _owned("partition", check_fits, dataset, part)
 
-    gate = top("gate", "dict", None)
-    if gate is not None:
-        proxy = "holdout_accuracy" if objective.is_classification else "inverse_risk"
-        gate = _call(GateConfig, gate, "gate", defaults={"proxy": proxy})
+    gate = _call(GateConfig, top("gate", "dict"), "gate") if "gate" in doc else None
 
     variants = _read_list(doc, "experiment", "variants", "str")
-    if len(set(variants)) != len(variants):
-        raise ExperimentConfigError("experiment: 'variants' contains duplicates")
     seeds = _read_list(doc, "experiment", "seeds", "int")
+    for key, values in (("variants", variants), ("seeds", seeds)):
+        if len(set(values)) != len(values):  # a repeated job would write its rows twice
+            raise ExperimentConfigError(f"experiment: '{key}' contains duplicates")
     rounds = top("T", "int")
     if rounds < 1:  # SimConfig allows 0; the summary needs a final round
         raise ExperimentConfigError("experiment: 'T' must be >= 1")
@@ -380,10 +376,10 @@ def execute(
 
     Returns the mapping from variant name to its metrics file.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     variants = list(spec.variants)
-    if variants_filter:
+    if variants_filter is not None:
+        if not variants_filter:
+            raise ExperimentConfigError("--variants names no variant")
         unknown = [v for v in variants_filter if v not in variants]
         if unknown:
             raise ExperimentConfigError(f"variant '{unknown[0]}' not declared in the experiment file")
@@ -391,6 +387,8 @@ def execute(
     if seed_override is not None:
         _owned("--seed-override", replace, spec.config, seed=seed_override)
     seeds = [seed_override] if seed_override is not None else list(spec.seeds)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     # the jobs differ only in algorithm and run seed, so they share one
     # read-only problem and its bound inputs, and advance in lockstep

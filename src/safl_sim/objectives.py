@@ -1,4 +1,4 @@
-"""Convex learning objectives with per-sample losses, gradients, and solvable optima.
+"""Convex learning objectives: risks, per-sample gradients, curvature and solvable optima.
 
 Four loss families are supported:
 
@@ -31,14 +31,6 @@ class GradientUnavailableError(TypeError):
 
 class ConvergenceError(RuntimeError):
     """Iterative solver exhausted its iteration budget."""
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One labelled example: feature vector ``x`` and target ``y``."""
-
-    x: np.ndarray
-    y: float
 
 
 class Dataset:
@@ -87,9 +79,6 @@ class Dataset:
     @property
     def is_classification(self) -> bool:
         return self.n_classes is not None
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.X[i], self.y[i])
 
     @classmethod
     def _trusted(cls, X: np.ndarray, y: np.ndarray, n_classes: int | None) -> "Dataset":
@@ -218,51 +207,10 @@ def _scores(obj: Objective, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (X @ w[..., None])[..., 0]
 
 
-def _check_sample(obj: Objective, s: Sample) -> None:
-    if np.shape(s.x) != (obj.dim,):
-        raise ValueError(f"sample feature vector has shape {np.shape(s.x)}, expected ({obj.dim},)")
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities over the last axis, shifted by its max for stability."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def loss(obj: Objective, w: np.ndarray, s: Sample) -> float:
-    """Per-sample loss at ``w``."""
-    w = _check_param(obj, w)
-    _check_sample(obj, s)
-    if obj.kind == "least_squares":
-        r = float(s.x @ w - s.y)
-        return 0.5 * r * r
-    if obj.kind == "ridge":
-        r = float(s.x @ w - s.y)
-        return 0.5 * r * r + 0.5 * obj.reg * float(w @ w)
-    if obj.kind == "lasso":
-        r = float(s.y - s.x @ w)
-        return r * r + obj.reg * float(np.abs(w).sum())
-    # multinomial_logistic
-    scores = w.reshape(obj.n_classes, obj.dim) @ s.x
-    ce = -float(log_softmax(scores)[int(s.y)])
-    return ce + 0.5 * obj.reg * float(w @ w)
-
-
-def grad(obj: Objective, w: np.ndarray, s: Sample) -> np.ndarray:
-    """Per-sample gradient at ``w``.  Raises for the non-smooth lasso family."""
-    w = _check_param(obj, w)
-    _check_sample(obj, s)
-    if obj.kind == "lasso":
-        raise GradientUnavailableError("lasso is non-smooth; use optimum_oracle instead")
-    if obj.kind in ("least_squares", "ridge"):
-        g = (float(s.x @ w - s.y)) * s.x
-        if obj.reg:
-            g = g + obj.reg * w
-        return np.asarray(g, dtype=np.float64)
-    scores = w.reshape(obj.n_classes, obj.dim) @ s.x
-    p = np.exp(log_softmax(scores))
-    p[int(s.y)] -= 1.0
-    return (np.outer(p, s.x)).ravel() + obj.reg * w
 
 
 def empirical_risk(obj: Objective, w: np.ndarray, dataset: Dataset) -> float | np.ndarray:
@@ -426,9 +374,9 @@ def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
     drops below ``LOGISTIC_TOL``, in the class-major layout of ``_logistic_gd``.
     Lasso minimises the summed cost ``sum_i (y_i - x_i'w)^2 + reg * ||w||_1``
     (the form whose coordinate-wise solution is an exact soft threshold, in
-    rational arithmetic when every sample touches a single coordinate); per
-    sample that is the same objective as ``loss``, and for multi-sample data
-    it weighs the penalty once rather than once per sample.
+    rational arithmetic when every sample touches a single coordinate); for
+    one sample that is the lasso risk of ``empirical_risk``, and for
+    multi-sample data it weighs the penalty once rather than once per sample.
     """
     m = len(dataset)
     if m == 0:

@@ -129,8 +129,6 @@ class SimConfig:
             raise ValueError(f"custom weights need one entry per device: {len(custom)} for n = {self.n}")
         if self.algorithm == "safl_extended" and self.gate is None:
             raise ValueError("safl_extended requires a gate configuration")
-        if self.gate is not None and self.gate.proxy == "holdout_accuracy" and not self.objective.is_classification:
-            raise ValueError("gate proxy 'holdout_accuracy' needs a classification objective")
         if self.local_solver == "sgd" and not self.objective.is_smooth:
             raise ValueError("non-smooth objectives cannot be trained by SGD; use local_solver='oracle'")
         if not (0.0 <= self.holdout_fraction < 1.0):
@@ -425,13 +423,13 @@ def run_round(
         if not gated.all():
             fused[~gated] = aggregate(trained[~gated], record_w[~gated])
         for i in np.flatnonzero(gated).tolist():
-            gate, devices, ids = config.gate, jobs[i].result.devices, chosen[i]
+            devices, ids = jobs[i].result.devices, chosen[i]
             eval_sets = [hold if len(hold) > 0 else train for train, hold in (problem.pairs[k] for k in ids)]
-            h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj, gate.proxy)
+            h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj)
             uploaded = np.empty(len(ids), dtype=bool)
             for j, (k, hg, hl) in enumerate(zip(ids.tolist(), h_global.tolist(), h_local.tolist())):
-                gap = performance_gap(hg, hl, gate.eps_div)
-                q = upload_probability(gap, gate.gap_scale)
+                gap = performance_gap(hg, hl)
+                q = upload_probability(gap, config.gate.gap_scale)
                 uploaded[j] = decide_upload(q, devices.gate_rngs[k])
                 gate_info[i][k] = {"gap": gap, "q": q, "uploaded": bool(uploaded[j])}
             uploads[i] = uploaded.sum()
@@ -460,8 +458,7 @@ def run_round(
         diffs = current - problem.w_star
         device_mse = (record_w[:, None, :] @ (diffs * diffs).sum(axis=-1)[:, :, None])[:, 0, 0]
         mse = ((estimate - problem.w_star) ** 2).sum(axis=-1)
-        proxy_kind = "holdout_accuracy" if obj.is_classification else "inverse_risk"
-        accuracy = accuracy_proxy(estimate, problem.pooled, obj, proxy_kind)
+        accuracy = accuracy_proxy(estimate, problem.pooled, obj)
 
     records = []
     finite = np.isfinite(fused).all(axis=-1).tolist()

@@ -9,8 +9,9 @@ training generator, drawn ahead for a block of rounds by the simulation's
 planner, so stream ownership and determinism are those of a
 device-by-device loop.
 
-Equivalence policy.  A device's trained parameters match chained
-``sgd_step`` calls over the same index stream and rates to within
+Equivalence policy.  A device's trained parameters match chained calls of
+the per-sample reference step ``sgd_step`` (in the test suite's
+``tests/reference.py``) over the same index stream and rates to within
 ``max|delta| <= 1e-13 * max(1, max|ref|)``, not bitwise: dot products are
 elementwise products summed along the last axis instead of BLAS dot calls.
 The elementwise order of the update is kept (``r * x + reg * w``, then
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, GradientUnavailableError, Objective, grad
+from .objectives import Dataset, GradientUnavailableError, Objective
 
 SAMPLE_ORDERS = ("iid_draw", "shuffle")
 
@@ -71,19 +72,6 @@ class LrSchedule:
         if self.kind == "constant":
             return np.full(steps.shape, self.value)
         return self.value / (steps + 1.0)
-
-
-def sgd_step(w: np.ndarray, sample, obj: Objective, alpha: float) -> np.ndarray:
-    """One stochastic gradient step ``w - alpha * grad(w; sample)``.
-
-    The reference stepper that ``run_local_epochs`` is tested against.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    g = grad(obj, w, sample)
-    if not np.isfinite(g).all():
-        raise DivergenceError("non-finite gradient in sgd_step")
-    return w - alpha * g
 
 
 def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) -> np.ndarray:

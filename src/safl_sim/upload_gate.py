@@ -4,11 +4,13 @@ A device compares the quality of the model it last received from the server
 against its freshly trained local model, both scored on its own held-out
 split.  The relative gap
 
-    gap = |h_global - h_local| / (h_global + h_local + eps_div)
+    gap = |h_global - h_local| / (h_global + h_local + GAP_EPS)
 
 feeds an exponentially decaying upload probability ``exp(-gap / gap_scale)``:
 a device whose local model behaves very differently from the global one is
 probably overfitting a biased shard, and mostly keeps its update to itself.
+The objective picks the score: holdout accuracy for classification, and
+``1 / (1 + risk)`` otherwise.
 """
 
 from __future__ import annotations
@@ -19,16 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, Objective, empirical_risk, log_softmax, predict_classes
+from .objectives import Dataset, Objective, empirical_risk, predict_classes
 
-PROXY_KINDS = ("holdout_accuracy", "inverse_risk")
+# keeps the gap defined when both scores are 0
+GAP_EPS = 1e-6
 
 
 @dataclass(frozen=True)
 class GateConfig:
     gap_scale: float
-    eps_div: float = 1e-6
-    proxy: str = "holdout_accuracy"
 
     def __post_init__(self):
         if not (self.gap_scale > 0):
@@ -37,32 +38,23 @@ class GateConfig:
         # probability; at 0 a device with a full gap could never be decided
         if math.exp(-1.0 / self.gap_scale) == 0.0:
             raise ValueError(f"gap_scale {self.gap_scale!r} is too small: exp(-1 / gap_scale) underflows to 0")
-        if not (self.eps_div > 0):
-            raise ValueError("eps_div must be > 0")
-        if self.proxy not in PROXY_KINDS:
-            raise ValueError(f"unknown accuracy proxy {self.proxy!r}")
 
 
-def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective, kind: str) -> float | np.ndarray:
+def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective) -> float | np.ndarray:
     """Nonnegative model-quality score on ``eval_set``.
 
-    ``holdout_accuracy`` is the fraction of correct argmax predictions
-    (classification objectives only); ``inverse_risk`` is 1/(1 + risk), a
-    bounded stand-in for tasks without a native accuracy.  ``model`` is one
-    parameter vector, giving a float, or a stack of J jobs' models
-    (J, param_dim), giving one score per row, each bitwise the float that
-    row gives alone.
+    For a classification objective, the fraction of correct argmax
+    predictions; otherwise 1/(1 + risk), a bounded stand-in for tasks
+    without a native accuracy.  ``model`` is one parameter vector, giving a
+    float, or a stack of J jobs' models (J, param_dim), giving one score per
+    row, each bitwise the float that row gives alone.
     """
     if len(eval_set) == 0:
         raise ValueError("accuracy proxy needs a nonempty evaluation set")
-    if kind == "holdout_accuracy":
-        if not obj.is_classification:
-            raise ValueError("holdout_accuracy requires a classification objective")
+    if obj.is_classification:
         hits = (predict_classes(obj, model, eval_set) == eval_set.y).mean(axis=-1)
         return float(hits) if np.ndim(model) == 1 else hits
-    if kind == "inverse_risk":
-        return 1.0 / (1.0 + empirical_risk(obj, model, eval_set))
-    raise ValueError(f"unknown accuracy proxy {kind!r}")
+    return 1.0 / (1.0 + empirical_risk(obj, model, eval_set))
 
 
 def gate_proxies(
@@ -70,7 +62,6 @@ def gate_proxies(
     local_models: np.ndarray,
     eval_sets: Sequence[Dataset],
     obj: Objective,
-    kind: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``accuracy_proxy`` of the global model and of each local model, for
     every device of a round at once.
@@ -81,19 +72,15 @@ def gate_proxies(
     rows, and the per-device sums are ``np.bincount`` over row owners.
     Returns ``(h_global, h_local)``, each of shape (k,).
 
-    Equivalence policy.  ``holdout_accuracy`` equals ``accuracy_proxy``: the
-    hit counts are integers, and a row's argmax could differ only if two of
-    its class scores lay within rounding of each other.  ``inverse_risk``
-    agrees to within 1e-13 relative, since a device's losses are summed in
-    another order.
+    Equivalence policy.  Accuracy equals ``accuracy_proxy``: the hit counts
+    are integers, and a row's argmax could differ only if two of its class
+    scores lay within rounding of each other.  Inverse risk agrees to
+    within 1e-13 relative, since a device's losses are summed in another
+    order.
     """
     sizes = np.array([len(e) for e in eval_sets])
     if not sizes.all():
         raise ValueError("accuracy proxy needs a nonempty evaluation set")
-    if kind == "holdout_accuracy" and not obj.is_classification:
-        raise ValueError("holdout_accuracy requires a classification objective")
-    if kind not in PROXY_KINDS:
-        raise ValueError(f"unknown accuracy proxy {kind!r}")
     X = np.concatenate([e.X for e in eval_sets])
     y = np.concatenate([e.y for e in eval_sets])
     owner = np.repeat(np.arange(sizes.size), sizes)
@@ -107,14 +94,10 @@ def gate_proxies(
         local_scores = (local_models[owner] * X).sum(-1)
 
     def per_device(scores: np.ndarray, models: np.ndarray) -> np.ndarray:
-        if kind == "holdout_accuracy":
-            return np.bincount(owner[scores.argmax(axis=1) == y], minlength=sizes.size) / sizes
         if obj.is_classification:
-            losses = -log_softmax(scores)[np.arange(y.size), y]
-        else:
-            losses = (scores - y) ** 2
+            return np.bincount(owner[scores.argmax(axis=1) == y], minlength=sizes.size) / sizes
         scale = 0.5 if obj.kind in ("least_squares", "ridge") else 1.0  # lasso sums whole squares
-        risk = scale * np.bincount(owner, weights=losses, minlength=sizes.size) / sizes
+        risk = scale * np.bincount(owner, weights=(scores - y) ** 2, minlength=sizes.size) / sizes
         if obj.kind == "lasso":
             risk += obj.reg * np.abs(models).sum(axis=1)
         elif obj.reg:
@@ -124,11 +107,11 @@ def gate_proxies(
     return per_device(global_scores, global_model[None, :]), per_device(local_scores, local_models)
 
 
-def performance_gap(h_global: float, h_local: float, eps_div: float = 1e-6) -> float:
+def performance_gap(h_global: float, h_local: float) -> float:
     """Relative accuracy gap in [0, 1)."""
     if h_global < 0 or h_local < 0:
         raise ValueError("accuracy proxies must be >= 0")
-    return abs(h_global - h_local) / (h_global + h_local + eps_div)
+    return abs(h_global - h_local) / (h_global + h_local + GAP_EPS)
 
 
 def upload_probability(gap: float, gap_scale: float) -> float:

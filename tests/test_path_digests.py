@@ -5,7 +5,7 @@ Both shipped configs select every device, draw samples with replacement,
 mask per coordinate and train by SGD (see ``test_shipped_configs``).  These
 documents cover the rest: partial participation, shuffled epochs, the
 scalar mask, the oracle solver, a seed stopped early by ``early_stop_mse``,
-and the gate's ``inverse_risk`` proxy on ridge, plus logistic SGD at
+and the gate's inverse-risk score on ridge, plus logistic SGD at
 partial participation with ragged shards.  A refactor that keeps behaviour
 leaves every digest as it is.
 """
@@ -23,7 +23,7 @@ RIDGE_DATA = {"kind": "linear", "samples": 160, "dim": 4, "feature_scale": 0.3, 
 RIDGE = {"kind": "ridge", "reg": 0.8}
 
 DOCS = {
-    # s < n, shuffled epochs, scalar masks, the inverse_risk gate on ridge
+    # s < n, shuffled epochs, scalar masks, the inverse-risk gate on ridge
     "partial_shuffle_scalar": {
         "data": RIDGE_DATA, "objective": RIDGE,
         "partition": {"mean_size": 11, "size_var": 9.0, "max_labels_per_device": 1, "seed": 7},

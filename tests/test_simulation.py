@@ -445,7 +445,7 @@ class TestLockstep:
         cfg = base_config(
             obj, part, selected_per_round=4, rounds=30,
             anneal=AnnealConfig(temperature=6.0, epsilon=0.4),
-            gate=GateConfig(gap_scale=0.5, proxy="inverse_risk"),
+            gate=GateConfig(gap_scale=0.5),
             early_stop_mse=6e-4,
         )
         return data, [replace(cfg, algorithm=a, seed=s) for a in simulation.ALGORITHMS for s in (11, 12)]

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 from conftest import full_batch_grad, random_problem
+from reference import Sample, sample, sgd_step
 
 from safl_sim import (
     Dataset,
     DivergenceError,
     LrSchedule,
     Objective,
-    Sample,
     curvature,
     empirical_risk,
     optimum_oracle,
     run_local_epochs,
-    sgd_step,
 )
 from safl_sim.training import Shards, sample_indices
 
@@ -87,7 +86,7 @@ class TestRunLocalEpochs:
         w0 = np.zeros(3)
         (z,), steps = run_local_epochs([w0], [shard], obj, 1, sched, stream(shard, 1, 42))
         assert steps == 1
-        manual = sgd_step(w0, shard.sample(0), obj, 0.1)
+        manual = sgd_step(w0, sample(shard, 0), obj, 0.1)
         assert np.allclose(z, manual, atol=0)
 
     def test_step_count_is_epochs_times_shard_size(self):
@@ -110,7 +109,7 @@ class TestRunLocalEpochs:
         perm = np.random.default_rng(11).permutation(6)
         w = np.zeros(3)
         for i in perm:
-            w = sgd_step(w, shard.sample(int(i)), obj, 0.05)
+            w = sgd_step(w, sample(shard, int(i)), obj, 0.05)
         assert np.allclose(z, w, atol=0)
 
     def test_iid_draw_replays_the_index_stream(self):
@@ -120,14 +119,14 @@ class TestRunLocalEpochs:
         idx = np.random.default_rng(12).integers(0, 6, size=12)
         w = np.zeros(3)
         for i in idx:
-            w = sgd_step(w, shard.sample(int(i)), obj, 0.05)
+            w = sgd_step(w, sample(shard, int(i)), obj, 0.05)
         assert np.allclose(z, w, atol=0)
 
     def test_start_step_offsets_the_schedule(self):
         obj, shard = tiny_shard(1)
         sched = LrSchedule("inverse", 1.0)
         (z,), _ = run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, stream(shard, 1, 3), start_steps=[9])
-        manual = sgd_step(np.zeros(3), shard.sample(0), obj, 1.0 / 10)
+        manual = sgd_step(np.zeros(3), sample(shard, 0), obj, 1.0 / 10)
         assert np.allclose(z, manual, atol=0)
 
     def test_logistic_path_matches_generic_stepper(self):
@@ -138,7 +137,7 @@ class TestRunLocalEpochs:
         idx = np.random.default_rng(9).integers(0, 6, size=6)
         w = np.zeros(obj.param_dim)
         for i in idx:
-            w = sgd_step(w, shard.sample(int(i)), obj, 0.1)
+            w = sgd_step(w, sample(shard, int(i)), obj, 0.1)
         assert np.allclose(z, w, atol=1e-12)
 
     def test_full_batch_descent_decreases_risk_each_epoch(self):
@@ -182,7 +181,7 @@ def replay_sgd(w, shard, obj, epochs, sched, rng, start_step, order):
     else:
         idx = np.concatenate([rng.permutation(m) for _ in range(epochs)])
     for t, i in enumerate(idx):
-        w = sgd_step(w, shard.sample(int(i)), obj, sched.rate(start_step + t))
+        w = sgd_step(w, sample(shard, int(i)), obj, sched.rate(start_step + t))
     return w
 
 

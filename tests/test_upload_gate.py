@@ -24,23 +24,18 @@ from safl_sim import (
 from safl_sim.upload_gate import gate_proxies
 
 
-def reference_proxy(model: np.ndarray, data: Dataset, obj: Objective, kind: str) -> float:
+def reference_proxy(model: np.ndarray, data: Dataset, obj: Objective) -> float:
     """One model's proxy by vector products alone: the form that scoring a
     stack of models must equal bitwise."""
     m = len(data)
-    if kind == "holdout_accuracy":
+    if obj.is_classification:
         return float((np.argmax(data.X @ model.reshape(obj.n_classes, obj.dim).T, axis=1) == data.y).mean())
     if obj.kind == "ridge":
         r = data.X @ model - data.y
         risk = 0.5 * float(r @ r) / m + 0.5 * obj.reg * float(model @ model)
-    elif obj.kind == "lasso":
+    else:  # lasso
         r = data.y - data.X @ model
         risk = float(r @ r) / m + obj.reg * float(np.abs(model).sum())
-    else:
-        scores = data.X @ model.reshape(obj.n_classes, obj.dim).T
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        risk = -float(logp[np.arange(m), data.y].sum()) / m + 0.5 * obj.reg * float(model @ model)
     return 1.0 / (1.0 + risk)
 
 
@@ -49,7 +44,7 @@ class TestAccuracyProxy:
         data = make_blobs(300, 4, 3, separation=8.0, cluster_std=0.2, seed=1)
         obj = Objective("multinomial_logistic", 4, reg=0.01, n_classes=3)
         w = optimum_oracle(obj, data)
-        assert accuracy_proxy(w, data, obj, "holdout_accuracy") == 1.0
+        assert accuracy_proxy(w, data, obj) == 1.0
 
     def test_fraction_correct_counting(self):
         # separable 1-d two-class data; a constant-score model predicts class 0
@@ -61,37 +56,31 @@ class TestAccuracyProxy:
         data = Dataset(X, y, n_classes=2)
         obj = Objective("multinomial_logistic", 1, reg=0.1, n_classes=2)
         w = np.array([1.0, -1.0])  # class 0 score always higher
-        assert accuracy_proxy(w, data, obj, "holdout_accuracy") == pytest.approx(0.7)
+        assert accuracy_proxy(w, data, obj) == pytest.approx(0.7)
 
     def test_inverse_risk_is_one_at_zero_risk(self):
         data = make_linear_regression(50, 3, seed=2)
         obj = Objective("least_squares", 3)
         w = optimum_oracle(obj, data)  # noiseless, interpolates
-        assert accuracy_proxy(w, data, obj, "inverse_risk") == pytest.approx(1.0, abs=1e-12)
-
-    def test_holdout_accuracy_rejected_for_regression(self):
-        data = make_linear_regression(20, 3, seed=3)
-        obj = Objective("ridge", 3, reg=0.1)
-        with pytest.raises(ValueError, match="classification"):
-            accuracy_proxy(np.zeros(3), data, obj, "holdout_accuracy")
+        assert accuracy_proxy(w, data, obj) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_eval_set_rejected(self):
         from safl_sim import Dataset
 
         data = Dataset(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError, match="nonempty"):
-            accuracy_proxy(np.zeros(2), data, Objective("least_squares", 2), "inverse_risk")
+            accuracy_proxy(np.zeros(2), data, Objective("least_squares", 2))
 
     @pytest.mark.parametrize(
-        "obj, kind",
+        "obj",
         [
-            (Objective("ridge", 5, reg=0.3), "inverse_risk"),
-            (Objective("lasso", 5, reg=0.3), "inverse_risk"),
-            (Objective("multinomial_logistic", 5, reg=0.3, n_classes=4), "inverse_risk"),
-            (Objective("multinomial_logistic", 5, reg=0.3, n_classes=4), "holdout_accuracy"),
+            Objective("ridge", 5, reg=0.3),
+            Objective("lasso", 5, reg=0.3),
+            Objective("multinomial_logistic", 5, reg=0.3, n_classes=4),
         ],
+        ids=["ridge", "lasso", "multinomial_logistic"],
     )
-    def test_models_of_jobs_score_as_they_score_alone_bitwise(self, obj, kind):
+    def test_models_of_jobs_score_as_they_score_alone_bitwise(self, obj):
         # the metrics score every job's estimate in one call
         rng = np.random.default_rng(13)
         for samples in (1, 37, 400):
@@ -100,11 +89,11 @@ class TestAccuracyProxy:
             else:
                 data = make_linear_regression(samples, 5, noise_std=0.5, seed=samples)
             models = rng.standard_normal((6, obj.param_dim))
-            got = accuracy_proxy(models, data, obj, kind)
+            got = accuracy_proxy(models, data, obj)
             assert got.shape == (6,)
             for score, model in zip(got, models):
-                alone = accuracy_proxy(model, data, obj, kind)
-                assert isinstance(alone, float) and float(score) == alone == reference_proxy(model, data, obj, kind)
+                alone = accuracy_proxy(model, data, obj)
+                assert isinstance(alone, float) and float(score) == alone == reference_proxy(model, data, obj)
 
 
 class TestPerformanceGap:
@@ -112,10 +101,10 @@ class TestPerformanceGap:
         assert performance_gap(0.8, 0.8) == 0.0
 
     def test_zero_scores_guarded_against_division(self):
-        assert performance_gap(0.0, 0.0, 1e-6) == 0.0
+        assert performance_gap(0.0, 0.0) == 0.0
 
     def test_hand_value(self):
-        assert performance_gap(0.9, 0.3, 1e-6) == pytest.approx(0.6 / 1.200001, rel=1e-12)
+        assert performance_gap(0.9, 0.3) == pytest.approx(0.6 / 1.200001, rel=1e-12)
 
     def test_range_is_sub_unit(self):
         rng = np.random.default_rng(5)
@@ -175,10 +164,6 @@ class TestGateConfigAndState:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GateConfig(gap_scale=0.0)
-        with pytest.raises(ValueError):
-            GateConfig(gap_scale=0.1, eps_div=0.0)
-        with pytest.raises(ValueError):
-            GateConfig(gap_scale=0.1, proxy="f1")
 
     def test_gap_scale_whose_full_gap_probability_underflows_rejected(self):
         # exp(-gap / gap_scale) must stay positive for every gap, and a gap is at most 1
@@ -187,10 +172,10 @@ class TestGateConfigAndState:
         assert upload_probability(1.0, GateConfig(gap_scale=0.0014).gap_scale) > 0.0
 
 
-def _per_device_proxies(global_model, local_models, eval_sets, obj, kind):
+def _per_device_proxies(global_model, local_models, eval_sets, obj):
     """``gate_proxies`` as two ``accuracy_proxy`` calls per device: the reference."""
-    h_global = np.array([accuracy_proxy(global_model, e, obj, kind) for e in eval_sets])
-    h_local = np.array([accuracy_proxy(w, e, obj, kind) for w, e in zip(local_models, eval_sets)])
+    h_global = np.array([accuracy_proxy(global_model, e, obj) for e in eval_sets])
+    h_local = np.array([accuracy_proxy(w, e, obj) for w, e in zip(local_models, eval_sets)])
     return h_global, h_local
 
 
@@ -216,13 +201,13 @@ def _random_round(kind: str, rng: np.random.Generator):
 
 
 class TestGateProxies:
-    @pytest.mark.parametrize("kind", ["least_squares", "ridge", "lasso", "multinomial_logistic"])
+    @pytest.mark.parametrize("kind", ["least_squares", "ridge", "lasso"])
     def test_inverse_risk_matches_the_per_device_proxy(self, kind):
         rng = np.random.default_rng(11)
         for _ in range(50):
             obj, w_global, w_local, eval_sets = _random_round(kind, rng)
-            got = gate_proxies(w_global, w_local, eval_sets, obj, "inverse_risk")
-            for batched, ref in zip(got, _per_device_proxies(w_global, w_local, eval_sets, obj, "inverse_risk")):
+            got = gate_proxies(w_global, w_local, eval_sets, obj)
+            for batched, ref in zip(got, _per_device_proxies(w_global, w_local, eval_sets, obj)):
                 assert batched.shape == ref.shape == (len(eval_sets),)
                 np.testing.assert_allclose(batched, ref, rtol=1e-13, atol=0)
 
@@ -230,23 +215,21 @@ class TestGateProxies:
         rng = np.random.default_rng(12)
         for _ in range(100):
             obj, w_global, w_local, eval_sets = _random_round("multinomial_logistic", rng)
-            got = gate_proxies(w_global, w_local, eval_sets, obj, "holdout_accuracy")
-            ref = _per_device_proxies(w_global, w_local, eval_sets, obj, "holdout_accuracy")
+            got = gate_proxies(w_global, w_local, eval_sets, obj)
+            ref = _per_device_proxies(w_global, w_local, eval_sets, obj)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_zero_global_model_predicts_class_zero(self):
         # the first round scores the all-zero global model: every class ties
         obj, _, w_local, eval_sets = _random_round("multinomial_logistic", np.random.default_rng(3))
-        h_global, _ = gate_proxies(np.zeros(obj.param_dim), w_local, eval_sets, obj, "holdout_accuracy")
+        h_global, _ = gate_proxies(np.zeros(obj.param_dim), w_local, eval_sets, obj)
         assert np.array_equal(h_global, [np.mean(e.y == 0) for e in eval_sets])
 
-    def test_empty_eval_set_and_regression_accuracy_rejected(self):
+    def test_empty_eval_set_rejected(self):
         obj = Objective("ridge", 2, reg=0.1)
         sets = [Dataset(np.ones((2, 2)), np.zeros(2)), Dataset(np.zeros((0, 2)), np.zeros(0))]
         with pytest.raises(ValueError, match="nonempty"):
-            gate_proxies(np.zeros(2), np.zeros((2, 2)), sets, obj, "inverse_risk")
-        with pytest.raises(ValueError, match="classification"):
-            gate_proxies(np.zeros(2), np.zeros((1, 2)), sets[:1], obj, "holdout_accuracy")
+            gate_proxies(np.zeros(2), np.zeros((2, 2)), sets, obj)
 
 
 class TestBatchedGateInTheRound:
@@ -261,11 +244,11 @@ class TestBatchedGateInTheRound:
         if classification:
             data = make_blobs(600, 3, 3, seed=4)
             obj = Objective("multinomial_logistic", 3, reg=0.1, n_classes=3)
-            gate = GateConfig(gap_scale=0.2, proxy="holdout_accuracy")
+            gate = GateConfig(gap_scale=0.2)
         else:
             data = make_linear_regression(600, 3, seed=4)
             obj = Objective("ridge", 3, reg=0.3)
-            gate = GateConfig(gap_scale=0.05, proxy="inverse_risk")
+            gate = GateConfig(gap_scale=0.05)
         config = SimConfig(
             objective=obj, partition=part, selected_per_round=7, rounds=15, algorithm="safl_extended",
             anneal=AnnealConfig(temperature=8.0, epsilon=0.3), gate=gate,
