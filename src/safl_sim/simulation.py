@@ -46,7 +46,13 @@ the jobs after it retire.
 
 Every random draw comes from a stream dedicated to one (device, purpose)
 pair, spawned deterministically from the run seed, so trajectories are a pure
-function of the configuration and independent of scheduling.
+function of the configuration and independent of scheduling.  The device
+streams are derived in one pass: ``stream_states`` computes numpy's
+SeedSequence hash over every (device, purpose) key of a job as whole
+``uint32`` arrays, and each generator is a ``PCG64`` seeded from its row.
+The table is bitwise what ``SeedSequence(seed).spawn`` gives (tested), and
+``build_state`` checks one row against numpy's ``SeedSequence`` on every
+call, so a numpy whose hash changed raises instead of moving the streams.
 
 Each job draws ahead.  For each block of rounds, ``plan_rounds`` makes the
 block's server selections (one ``choice`` per round, in round order), then
@@ -70,6 +76,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
@@ -266,6 +273,75 @@ def _problem(
 # the device streams each variant draws from, by child index (see build_state)
 _DRAWN = {"fedavg": (1,), "safl": (1, 2), "safl_extended": (1, 2, 3)}
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its pool size,
+# the constants of entropy mixing (A) and of state generation (B), and the mix
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` for
+    every row ``key`` of ``keys`` (m, w), w >= 1, as one (m, 4) table.
+
+    Every entry of ``keys`` must fit in one 32-bit word.  The rows share the
+    hash's structure, so the hash runs once over whole columns in wrapping
+    ``uint32`` arithmetic; the 4-word state is what a ``PCG64`` seeds from.
+    """
+    run, rest = [], seed
+    while True:  # the seed's 32-bit words, least significant first
+        run.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    # a spawned sequence pads the run entropy with zeros to the pool size
+    run += [0] * (_POOL_SIZE - len(run))
+    columns = [np.full(len(keys), word, dtype=np.uint32) for word in run] + list(np.asarray(keys, dtype=np.uint32).T)
+    shift = np.uint32(16)
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> shift)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> shift)
+
+    pool = [hashmix(word) for word in columns[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):  # every pool word into every other
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in columns[_POOL_SIZE:]:  # the entropy beyond the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = np.empty((len(keys), 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = (const * _MULT_B) & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> shift)
+    # word pairs form each uint64 little-endian, whatever the host's order
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateRow(ISeedSequence):
+    """A seed sequence whose state is one precomputed row of ``stream_states``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
 
 def build_state(
     config: SimConfig,
@@ -277,29 +353,36 @@ def build_state(
 
     ``prepared`` is a problem shared with other jobs; without one, the
     problem is prepared here from ``dataset`` or ``shards`` (see ``prepare``).
+
+    Every generator is that of ``SeedSequence(config.seed).spawn``'s child
+    at its key: the server is child 0 of the root, and device k's init,
+    train, mask and gate streams are children 0-3 of its child 1 + k.  The
+    device streams' states come from one ``stream_states`` table, and one
+    row of it is checked against numpy's own ``SeedSequence``.
     """
     prepared = _problem(config, dataset, shards, prepared)
     if len(prepared.pairs) != config.n:
         raise ValueError(f"need exactly one shard per device: {len(prepared.pairs)} for n = {config.n}")
 
-    dim = config.objective.param_dim
-    root = np.random.SeedSequence(config.seed)
+    n, dim = config.n, config.objective.param_dim
+    purposes = (0, *_DRAWN[config.algorithm])  # init, then what the variant draws
+    keys = np.empty((n, len(purposes), 2), dtype=np.int64)
+    keys[..., 0] = np.arange(1, n + 1)[:, None]
+    keys[..., 1] = purposes
+    keys = keys.reshape(-1, 2)
+    states = stream_states(config.seed, keys)
+    check = np.random.SeedSequence(config.seed, spawn_key=tuple(keys[-1].tolist()))
+    if not np.array_equal(states[-1], check.generate_state(4, np.uint64)):
+        raise RuntimeError("stream_states no longer matches numpy's SeedSequence; the streams would change")
 
-    def stream(*key: int) -> np.random.Generator:
-        # the generator of ``root.spawn``'s child at ``key``, built without
-        # its siblings: the server is child 0 of the root, and device k's
-        # init, train, mask and gate streams are children 0-3 of its child 1 + k
-        return np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=key, pool_size=root.pool_size))
-
-    params = np.empty((config.n, dim))
-    rngs: dict[int, list] = {1: [], 2: [], 3: []}  # train, mask, gate
-    for k in range(config.n):
-        params[k] = config.init_scale * stream(1 + k, 0).standard_normal(dim)
-        for purpose in _DRAWN[config.algorithm]:
-            rngs[purpose].append(stream(1 + k, purpose))
-    devices = Devices(params, np.zeros(config.n, dtype=np.int64), rngs[1], rngs[2], rngs[3])
-    server = ServerState(global_params=np.zeros(dim), rng=stream(0))
-    return devices, server, prepared.pooled, prepared.w_star
+    generators = [np.random.Generator(np.random.PCG64(_StateRow(row))) for row in states]
+    params = np.empty((n, dim))
+    for k, init in enumerate(generators[:: len(purposes)]):
+        params[k] = config.init_scale * init.standard_normal(dim)
+    drawn = {purpose: generators[i :: len(purposes)] for i, purpose in enumerate(purposes)}
+    devices = Devices(params, np.zeros(n, dtype=np.int64), *(drawn.get(purpose, []) for purpose in (1, 2, 3)))
+    server_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
+    return devices, ServerState(np.zeros(dim), server_rng), prepared.pooled, prepared.w_star
 
 
 @dataclass(frozen=True)
@@ -346,7 +429,8 @@ def _plan_block(
     by_device = np.argsort(slots, kind="stable")
     counts = np.bincount(slots, minlength=n)
     picked = np.flatnonzero(counts)
-    owned = np.split(by_device, np.cumsum(counts[picked])[:-1])
+    ends = np.cumsum(counts[picked]).tolist()
+    owned = [by_device[start:end] for start, end in zip([0, *ends], ends)]
 
     indices = [None] * count
     if config.local_solver == "sgd":

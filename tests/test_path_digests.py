@@ -6,7 +6,8 @@ mask per coordinate and train by SGD (see ``test_shipped_configs``).  These
 documents cover the rest: partial participation, shuffled epochs, the
 scalar mask, the oracle solver, a seed stopped early by ``early_stop_mse``,
 and the gate's inverse-risk score on ridge, plus logistic SGD at
-partial participation with ragged shards.  A refactor that keeps behaviour
+partial participation with ragged shards, and a run seed longer than the
+seed hash's pool of four 32-bit words.  A refactor that keeps behaviour
 leaves every digest as it is.
 """
 
@@ -56,6 +57,14 @@ DOCS = {
         "anneal": {"temperature": 6.0, "epsilon": 0.4}, "holdout_fraction": 0.0, "early_stop_mse": 3e-4,
         "variants": ["fedavg", "safl"], "seeds": [1, 2],
     },
+    # run seeds of 5 and 3 words: the fifth word of 10**40 is mixed in past the pool
+    "long_seed": {
+        "data": RIDGE_DATA, "objective": RIDGE,
+        "partition": {"mean_size": 11, "size_var": 9.0, "max_labels_per_device": 1, "seed": 6},
+        "n": 7, "s": 4, "T": 7, "E": 1, "lr": {"kind": "constant", "value": 0.05},
+        "anneal": {"temperature": 5.0, "epsilon": 0.4}, "gate": {"gap_scale": 0.05}, "holdout_fraction": 0.25,
+        "variants": ["fedavg", "safl", "safl_extended"], "seeds": [10**40, 2**64 + 7],
+    },
 }
 
 DIGESTS = {
@@ -79,6 +88,12 @@ DIGESTS = {
         "fedavg.csv": "2b7371db328546c85e24abade098f54ef2b30e175068cc0da6caf01266cea316",
         "safl.csv": "9fa3681fb84958bf526b981c9d71b9f1320a82b0ac33e70bae2687da101d3b05",
         "summary.json": "d4ae76dc8b064eb55259fa03e31c0052a80f997eb0f4e1faf2f02f5a24f581c4",
+    },
+    "long_seed": {
+        "fedavg.csv": "0c32f36f54ef171fcb83ff095f40df0e587fe069710324f0f219efa4cf4764dc",
+        "safl.csv": "c8372c9898b71244cf1553e7010eeecf95c8eb29d39c78ec90b47935d234a409",
+        "safl_extended.csv": "3a7412eb8c6529451a861a8fb59dc08eac9f395502bc7e5cc5d20a9bc7f8282d",
+        "summary.json": "3814a93b2b55001f32d896a6df4725dc36ba4f3f9ed70427ddaf4ab5a6dda372",
     },
 }
 
@@ -105,6 +120,7 @@ BLOCKS = {
     "logistic_partial": (800, [2, 2]),
     "oracle": (100, [100, 4]),
     "early_stop": (800, [9, 6]),
+    "long_seed": (200, [5, 3, 3]),
 }
 
 

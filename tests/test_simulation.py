@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from safl_sim import (
     AnnealConfig,
@@ -251,6 +253,64 @@ class TestDeterminismAndAccounting:
             run(cfg, shards=shards)
         assert str(err.value).startswith("device 1 diverged in round 1: ")
         assert err.value.round_index == 1
+
+
+# run seeds of 1, 2, 3-4 and 5-8 32-bit words: a seed shorter than the
+# hash's pool of 4 is padded to it, and the words of a longer one past the
+# pool are mixed in one by one
+SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**128 - 1),
+    st.integers(2**128, 2**256 - 1),
+)
+
+
+class TestStreamDerivation:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 1000), tail=st.lists(st.integers(0, 2**32 - 1), max_size=2))
+    @example(seed=0, n=1000, tail=[3])
+    @example(seed=10**40, n=1000, tail=[2**32 - 1])
+    def test_state_table_is_numpys_seed_hash(self, seed, n, tail):
+        keys = np.column_stack([np.arange(1, n + 1)] + [np.full(n, word) for word in tail])
+        table = simulation.stream_states(seed, keys)
+        assert table.shape == (n, 4) and table.dtype == np.uint64
+        for key, row in zip(keys.tolist(), table):
+            assert np.array_equal(row, np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("seed", [11, 2**64 + 7, 10**40])
+    @pytest.mark.parametrize("algo", ["fedavg", "safl", "safl_extended"])
+    def test_every_generator_is_the_spawned_childs(self, algo, seed):
+        data, obj, part = regression_setup()
+        cfg = base_config(obj, part, algorithm=algo, seed=seed, gate=GateConfig(gap_scale=0.1))
+        devices, server, _, _ = build_state(cfg, data)
+        server_seq, *device_seqs = np.random.SeedSequence(seed).spawn(1 + cfg.n)
+
+        def state(seq):
+            return np.random.default_rng(seq).bit_generator.state
+
+        assert server.rng.bit_generator.state == state(server_seq)
+        drawn = {"fedavg": 1, "safl": 2, "safl_extended": 3}[algo]
+        lists = (devices.train_rngs, devices.mask_rngs, devices.gate_rngs)
+        assert [len(rngs) for rngs in lists] == [cfg.n if purpose <= drawn else 0 for purpose in (1, 2, 3)]
+        for k, seq in enumerate(device_seqs):
+            init, *streams = seq.spawn(4)
+            assert np.array_equal(devices.params[k], cfg.init_scale * np.random.default_rng(init).standard_normal(obj.param_dim))
+            for rngs, child in zip(lists[:drawn], streams):
+                assert rngs[k].bit_generator.state == state(child)
+
+    def test_a_hash_that_drifts_from_numpy_fails_loudly(self, monkeypatch):
+        data, obj, part = regression_setup()
+        exact = simulation.stream_states
+
+        def corrupted(seed, keys):
+            table = exact(seed, keys)
+            table[-1, 0] ^= np.uint64(1)
+            return table
+
+        monkeypatch.setattr(simulation, "stream_states", corrupted)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            build_state(base_config(obj, part), data)
 
 
 class TestGatedUploads:
