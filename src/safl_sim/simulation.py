@@ -57,20 +57,25 @@ call, so a numpy whose hash changed raises instead of moving the streams.
 Each job draws ahead.  For each block of rounds, ``plan_rounds`` makes the
 block's server selections (one ``choice`` per round, in round order), then
 one draw per selected device per stream for the whole block: its sample
-indices for every round it trains in, and its mask uniforms.  The draws are
-held flat by selection slot, so a round takes its rows by slicing
-(``RoundDraws``).  Numpy's generators return the same values for one draw of
-a summed size as for successive draws of the parts, so every stream yields
-the values a round-by-round loop would draw; only how far a generator has
-advanced by a given round changes, and an observer sees the train and mask
-generators already advanced to the end of the current block.  Upload
-decisions still draw from the gate stream one device at a time.
+indices for every round it trains in, and its mask uniforms.  At full
+participation (``s == n``) every round selects every device, and the server
+stream is not drawn at all, which an observer can see in its state.  Each
+device's draws are written device-major, one contiguous run per device, and
+one scatter per stream moves them to selection-slot order, so a round takes
+its rows by slicing (``RoundDraws``).  Numpy's generators return the same
+values for one draw of a summed size as for successive draws of the parts,
+so every stream yields the values a round-by-round loop would draw; only
+how far a generator has advanced by a given round changes, and an observer
+sees the train and mask generators already advanced to the end of the
+current block.  Upload decisions still draw from the gate stream one device
+at a time.
 ``PLAN_ENTRIES`` caps the draws held ahead by all the jobs in flight
 together, so memory stays bounded at any ``T`` and any job count.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
@@ -375,7 +380,15 @@ def build_state(
     if not np.array_equal(states[-1], check.generate_state(4, np.uint64)):
         raise RuntimeError("stream_states no longer matches numpy's SeedSequence; the streams would change")
 
-    generators = [np.random.Generator(np.random.PCG64(_StateRow(row))) for row in states]
+    # every generator is a container the cyclic collector tracks, so building
+    # thousands at once would set off collections that can free none of them
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        generators = [np.random.Generator(np.random.PCG64(_StateRow(row))) for row in states]
+    finally:
+        if collecting:
+            gc.enable()
     params = np.empty((n, dim))
     for k, init in enumerate(generators[:: len(purposes)]):
         params[k] = config.init_scale * init.standard_normal(dim)
@@ -389,11 +402,14 @@ def build_state(
 class RoundDraws:
     """One round's random draws, made ahead of it by ``plan_rounds``.
 
-    ``chosen`` holds the selected device ids, sorted.  ``indices`` holds each
-    chosen device's sample-index stream for the round (``E * len(shard)``
-    entries), concatenated in ``chosen`` order, and is None for the oracle
-    solver.  ``uniforms`` (s, ``AnnealConfig.mask_columns``) holds each one's
-    mask uniforms, and is None for fedavg.
+    ``chosen`` holds the selected device ids, sorted: ``arange(n)`` at full
+    participation, taken without drawing the server stream.  ``indices``
+    holds each chosen device's sample-index stream for the round
+    (``E * len(shard)`` entries), concatenated in ``chosen`` order, and is
+    None for the oracle solver.  ``uniforms`` (s, ``AnnealConfig.mask_columns``)
+    holds each one's mask uniforms, and is None for fedavg.  The arrays are
+    views into the block's arrays, which the planner fills device-major and
+    moves to this slot order with one scatter per stream.
     """
 
     chosen: np.ndarray
@@ -420,35 +436,54 @@ def block_rounds(config: SimConfig, problem: PreparedProblem, entries: int | Non
 def _plan_block(
     config: SimConfig, server: ServerState, devices: Devices, problem: PreparedProblem, count: int
 ) -> list[RoundDraws]:
-    """The draws of the next ``count`` rounds: one draw per chosen device per stream."""
+    """The draws of the next ``count`` rounds: one draw per chosen device per stream.
+
+    At full participation every round chooses ``arange(n)``, which is what
+    the sorted server draw would return, and the server stream is not drawn.
+    Each device's draw is written to its own contiguous run of a
+    device-major buffer (its slots in round order, the order in which the
+    draw is consumed), and one scatter per stream moves the buffer to slot
+    order, round-major.
+    """
     n, s = config.n, config.selected_per_round
-    chosen = np.array([np.sort(server.rng.choice(n, size=s, replace=False)) for _ in range(count)])
+    if s == n:
+        chosen = np.broadcast_to(np.arange(n), (count, n))
+    else:
+        chosen = np.array([np.sort(server.rng.choice(n, size=s, replace=False)) for _ in range(count)])
     slots = chosen.ravel()  # selection slots, round-major
-    # each chosen device's slots in round order, the order in which its one
-    # draw for the block is consumed; the draw is written straight to them
-    by_device = np.argsort(slots, kind="stable")
+    by_device = np.argsort(slots, kind="stable")  # the slots, device-major
     counts = np.bincount(slots, minlength=n)
     picked = np.flatnonzero(counts)
-    ends = np.cumsum(counts[picked]).tolist()
-    owned = [by_device[start:end] for start, end in zip([0, *ends], ends)]
+    uses = counts[picked]
 
     indices = [None] * count
     if config.local_solver == "sgd":
         E, sizes = config.local_epochs, problem.train_sizes
         lengths = E * sizes[slots]  # sample indices per slot
         starts = np.cumsum(lengths) - lengths
-        flat = np.empty(int(lengths.sum()), dtype=np.intp)
-        for k, its in zip(picked.tolist(), owned):
-            span = np.arange(E * sizes[k])
-            draw = sample_indices(int(sizes[k]), E * len(its), config.sample_order, devices.train_rngs[k])
-            flat[(starts[its, None] + span).ravel()] = draw
-        indices = np.split(flat, starts[s::s])
+        major = lengths[by_device]  # the slots' lengths, device-major
+        offsets = np.cumsum(major) - major
+        buffer = np.empty(int(lengths.sum()), dtype=np.intp)
+        runs = E * sizes[picked] * uses  # each device's run in the buffer
+        ends = np.cumsum(runs)
+        for k, used, a, b in zip(picked.tolist(), uses.tolist(), (ends - runs).tolist(), ends.tolist()):
+            buffer[a:b] = sample_indices(int(sizes[k]), E * used, config.sample_order, devices.train_rngs[k])
+        # each slot's entries move from its device-major offset to its start
+        to = np.repeat(starts[by_device] - offsets, major)
+        to += np.arange(len(buffer))
+        flat = np.empty_like(buffer)
+        flat[to] = buffer
+        bounds = [*starts[::s].tolist(), len(flat)]
+        indices = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     uniforms = [None] * count
     if config.algorithm != "fedavg":
-        rows = np.empty((len(slots), config.anneal.mask_columns(config.objective.param_dim)))
-        for k, its in zip(picked.tolist(), owned):
-            rows[its] = devices.mask_rngs[k].random((len(its), rows.shape[1]))
+        buffer = np.empty((len(slots), config.anneal.mask_columns(config.objective.param_dim)))
+        ends = np.cumsum(uses)
+        for k, a, b in zip(picked.tolist(), (ends - uses).tolist(), ends.tolist()):
+            devices.mask_rngs[k].random(out=buffer[a:b])
+        rows = np.empty_like(buffer)
+        rows[by_device] = buffer
         uniforms = rows.reshape(count, s, -1)
     return [RoundDraws(*draws) for draws in zip(chosen, indices, uniforms)]
 

@@ -78,14 +78,16 @@ def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) ->
     """``epochs * m`` sample indices into a shard of ``m`` samples, from ``rng``.
 
     ``order="iid_draw"`` samples with replacement; ``order="shuffle"`` is one
-    permutation per epoch.  One call for ``a + b`` epochs returns the values
+    permutation per epoch, all shuffled in one ``permuted`` call, which gives
+    the values of, and leaves the generator as, one ``permutation(m)`` call
+    per epoch (tested).  One call for ``a + b`` epochs returns the values
     of a call for ``a`` followed by a call for ``b`` on the same generator,
     so a stream drawn ahead for several rounds is the one drawn round by
     round (see README "Determinism").
     """
     if order == "iid_draw":
         return rng.integers(0, m, size=epochs * m)
-    return np.concatenate([rng.permutation(m) for _ in range(epochs)])
+    return rng.permuted(np.tile(np.arange(m), (epochs, 1)), axis=1).ravel()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
-"""The per-sample reference that the batched code is tested against: one
-labelled example, its loss and gradient, and one SGD step on it."""
+"""The references that the batched code is tested against: one labelled
+example, its loss and gradient, and one SGD step on it; a sample-index
+stream drawn one epoch at a time; and a block of rounds planned device by
+device."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import numpy as np
 
 from safl_sim import Dataset, DivergenceError, GradientUnavailableError, Objective
 from safl_sim.objectives import _check_param, log_softmax
+from safl_sim.simulation import Devices, PreparedProblem, RoundDraws, ServerState, SimConfig
 
 
 @dataclass(frozen=True)
@@ -76,3 +79,57 @@ def sgd_step(w: np.ndarray, sample, obj: Objective, alpha: float) -> np.ndarray:
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient in sgd_step")
     return w - alpha * g
+
+
+def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) -> np.ndarray:
+    """``epochs * m`` sample indices into a shard of ``m`` samples: draws with
+    replacement, or one ``permutation(m)`` call per epoch.
+
+    The reference that ``training.sample_indices`` is tested against, in
+    values and in the generator state it leaves.
+    """
+    if order == "iid_draw":
+        return rng.integers(0, m, size=epochs * m)
+    return np.concatenate([rng.permutation(m) for _ in range(epochs)])
+
+
+def plan_block(
+    config: SimConfig, server: ServerState, devices: Devices, problem: PreparedProblem, count: int
+) -> list[RoundDraws]:
+    """The draws of the next ``count`` rounds, one chosen device at a time:
+    a sorted server ``choice`` per round, then per chosen device one draw per
+    stream, written to its slots by fancy indexing.
+
+    The reference that ``simulation.plan_rounds`` is tested against; it
+    draws from the server stream even when every device is chosen.
+    """
+    n, s = config.n, config.selected_per_round
+    chosen = np.array([np.sort(server.rng.choice(n, size=s, replace=False)) for _ in range(count)])
+    slots = chosen.ravel()  # selection slots, round-major
+    # each chosen device's slots in round order, the order in which its one
+    # draw for the block is consumed; the draw is written straight to them
+    by_device = np.argsort(slots, kind="stable")
+    counts = np.bincount(slots, minlength=n)
+    picked = np.flatnonzero(counts)
+    ends = np.cumsum(counts[picked]).tolist()
+    owned = [by_device[start:end] for start, end in zip([0, *ends], ends)]
+
+    indices = [None] * count
+    if config.local_solver == "sgd":
+        E, sizes = config.local_epochs, problem.train_sizes
+        lengths = E * sizes[slots]  # sample indices per slot
+        starts = np.cumsum(lengths) - lengths
+        flat = np.empty(int(lengths.sum()), dtype=np.intp)
+        for k, its in zip(picked.tolist(), owned):
+            span = np.arange(E * sizes[k])
+            draw = sample_indices(int(sizes[k]), E * len(its), config.sample_order, devices.train_rngs[k])
+            flat[(starts[its, None] + span).ravel()] = draw
+        indices = np.split(flat, starts[s::s])
+
+    uniforms = [None] * count
+    if config.algorithm != "fedavg":
+        rows = np.empty((len(slots), config.anneal.mask_columns(config.objective.param_dim)))
+        for k, its in zip(picked.tolist(), owned):
+            rows[its] = devices.mask_rngs[k].random((len(its), rows.shape[1]))
+        uniforms = rows.reshape(count, s, -1)
+    return [RoundDraws(*draws) for draws in zip(chosen, indices, uniforms)]

@@ -6,9 +6,10 @@ mask per coordinate and train by SGD (see ``test_shipped_configs``).  These
 documents cover the rest: partial participation, shuffled epochs, the
 scalar mask, the oracle solver, a seed stopped early by ``early_stop_mse``,
 and the gate's inverse-risk score on ridge, plus logistic SGD at
-partial participation with ragged shards, and a run seed longer than the
-seed hash's pool of four 32-bit words.  A refactor that keeps behaviour
-leaves every digest as it is.
+partial participation with ragged shards, a run seed longer than the
+seed hash's pool of four 32-bit words, and shuffled epochs at full
+participation, where the server draws nothing.  A refactor that keeps
+behaviour leaves every digest as it is.
 """
 
 import hashlib
@@ -65,6 +66,15 @@ DOCS = {
         "anneal": {"temperature": 5.0, "epsilon": 0.4}, "gate": {"gap_scale": 0.05}, "holdout_fraction": 0.25,
         "variants": ["fedavg", "safl", "safl_extended"], "seeds": [10**40, 2**64 + 7],
     },
+    # every device every round, shuffled epochs, ragged shards with holdouts
+    "full_shuffle": {
+        "data": RIDGE_DATA, "objective": RIDGE,
+        "partition": {"mean_size": 11, "size_var": 9.0, "max_labels_per_device": 1, "seed": 4},
+        "n": 7, "s": 7, "T": 10, "E": 2, "lr": {"kind": "inverse", "value": 1.5},
+        "anneal": {"temperature": 5.0, "epsilon": 0.4}, "gate": {"gap_scale": 0.05},
+        "sample_order": "shuffle", "holdout_fraction": 0.25,
+        "variants": ["fedavg", "safl", "safl_extended"], "seeds": [3, 4],
+    },
 }
 
 DIGESTS = {
@@ -95,6 +105,12 @@ DIGESTS = {
         "safl_extended.csv": "3a7412eb8c6529451a861a8fb59dc08eac9f395502bc7e5cc5d20a9bc7f8282d",
         "summary.json": "3814a93b2b55001f32d896a6df4725dc36ba4f3f9ed70427ddaf4ab5a6dda372",
     },
+    "full_shuffle": {
+        "fedavg.csv": "e877db1bab4888d755c23a0257ec5f7eda06d63e87ea98c65e12c644df792a6a",
+        "safl.csv": "cadf162ca3dbd7aaddf3a1e84ee7c2ecf00e5b3a1b49296663979567d72a0a4d",
+        "safl_extended.csv": "a799a2b7075ef9de16f4663ae3c9fc9745e4a49d3d29376d94f044cccd71ee17",
+        "summary.json": "e8cbf40f68ffa7dd952d3240edd00392ed00ef6890a590eef047faa260a860c8",
+    },
 }
 
 
@@ -121,6 +137,7 @@ BLOCKS = {
     "oracle": (100, [100, 4]),
     "early_stop": (800, [9, 6]),
     "long_seed": (200, [5, 3, 3]),
+    "full_shuffle": (500, [4, 3, 3]),
 }
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -494,6 +495,84 @@ class TestDrawAhead:
         assert block_rounds(cfg, prepare(cfg, data)) == 3
         run(cfg, dataset=data)
         assert max(draws.values()) <= math.ceil(13 / 3) < 13
+
+
+def generator_states(server, devices):
+    """The state of the server's generator, then of every device generator."""
+    rngs = [server.rng, *devices.train_rngs, *devices.mask_rngs, *devices.gate_rngs]
+    return [rng.bit_generator.state for rng in rngs]
+
+
+def same_draws(got, want):
+    """Both None, or equal in dtype, shape and every value."""
+    if want is None:
+        return got is None
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestPlanner:
+    """``plan_rounds`` draws every block's values, and leaves every stream in
+    the state, of the device-by-device reference planner, except that it
+    does not draw the server stream when every device is chosen."""
+
+    VARIANTS = {
+        "fedavg": dict(algorithm="fedavg"),
+        "safl": dict(algorithm="safl", anneal=AnnealConfig(temperature=6.0, epsilon=0.4)),
+        "safl_scalar": dict(algorithm="safl", anneal=AnnealConfig(temperature=6.0, epsilon=0.4, mask_mode="scalar")),
+        "gated_oracle": dict(algorithm="safl_extended", gate=GateConfig(gap_scale=0.5), local_solver="oracle"),
+    }
+
+    def ragged(self, **kw):
+        n, mean_size = 7, 8
+        data = make_linear_regression(depth_samples(n, mean_size), 4, feature_scale=0.3, coef_scale=3.0, seed=3)
+        part = PartitionSpec(n=n, mean_size=mean_size, size_var=9.0, max_labels_per_device=1, seed=17)
+        cfg = base_config(Objective("ridge", 4, reg=0.8), part, rounds=11, holdout_fraction=0.25, **kw)
+        problem = prepare(cfg, data)
+        assert len(set(problem.train_sizes.tolist())) > 2 and (problem.sizes > problem.train_sizes).all()
+        return cfg, problem
+
+    # one round per block, a few rounds per block, and the whole run in one
+    @pytest.mark.parametrize("entries", [40, 150, simulation.PLAN_ENTRIES])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("s", [3, 7])
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    @pytest.mark.parametrize("order", ["iid_draw", "shuffle"])
+    def test_blocks_match_the_reference_planner(self, order, epochs, s, variant, entries):
+        cfg, problem = self.ragged(
+            sample_order=order, local_epochs=epochs, selected_per_round=s, **self.VARIANTS[variant]
+        )
+        devices, server, _, _ = build_state(cfg, prepared=problem)
+        ref_devices, ref_server, _, _ = build_state(cfg, prepared=problem)
+        untouched = server.rng.bit_generator.state
+        plan = simulation.plan_rounds(cfg, server, devices, problem, entries)
+        block = block_rounds(cfg, problem, entries)
+        firsts = range(1, cfg.rounds + 1, block)
+        if entries == 40:
+            assert len(firsts) > 1
+        elif entries == simulation.PLAN_ENTRIES:
+            assert len(firsts) == 1
+        for first in firsts:
+            want = reference.plan_block(cfg, ref_server, ref_devices, problem, min(block, cfg.rounds + 1 - first))
+            for r, draws in enumerate(want, start=first):
+                index, got = next(plan)
+                assert index == r
+                assert same_draws(got.chosen, draws.chosen)
+                assert same_draws(got.indices, draws.indices)
+                assert same_draws(got.uniforms, draws.uniforms)
+                if r == first:  # the block is drawn when its first round is taken
+                    states, ref_states = generator_states(server, devices), generator_states(ref_server, ref_devices)
+                    assert states[1:] == ref_states[1:]
+                    assert states[0] == (untouched if s == cfg.n else ref_states[0])
+        assert next(plan, None) is None
+
+    def test_full_participation_leaves_the_server_stream_undrawn(self):
+        cfg, problem = self.ragged(**self.VARIANTS["safl"])
+        _, server, _, _ = build_state(cfg, prepared=problem)
+        result = run(cfg, prepared=problem)
+        assert len(result.records) == cfg.rounds
+        assert result.server.rng.bit_generator.state == server.rng.bit_generator.state
+        partial = run(replace(cfg, selected_per_round=cfg.n - 1), prepared=problem)
+        assert partial.server.rng.bit_generator.state != server.rng.bit_generator.state
 
 
 class TestLockstep:

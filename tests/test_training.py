@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import full_batch_grad, random_problem
+import reference
 from reference import Sample, sample, sgd_step
 
 from safl_sim import (
@@ -77,6 +78,18 @@ def tiny_shard(m: int, d: int = 3, seed: int = 0) -> tuple[Objective, Dataset]:
 def stream(shard, epochs: int, seed: int, order: str = "iid_draw") -> np.ndarray:
     """One device's sample-index stream from a fresh generator."""
     return sample_indices(len(shard), epochs, order, np.random.default_rng(seed))
+
+
+class TestSampleIndices:
+    @pytest.mark.parametrize("order", ["iid_draw", "shuffle"])
+    @pytest.mark.parametrize("m", [1, 2, 6, 13, 100])
+    @pytest.mark.parametrize("epochs", [1, 3, 29])
+    def test_values_and_generator_state_match_one_draw_per_epoch(self, order, m, epochs):
+        rng, ref = np.random.default_rng(m + epochs), np.random.default_rng(m + epochs)
+        got = sample_indices(m, epochs, order, rng)
+        want = reference.sample_indices(m, epochs, order, ref)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRunLocalEpochs:
