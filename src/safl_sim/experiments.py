@@ -327,10 +327,10 @@ def rows_for_run(
     ]
 
 
-def _format(value, kind: str) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}" if kind == "float" else str(value)
+def _format_column(values: list, kind: str) -> list[str]:
+    if kind == "float":
+        return ["" if v is None else f"{v:.17g}" for v in values]
+    return ["" if v is None else str(v) for v in values]
 
 
 _PARSERS = {"str": str, "int": int, "float": float}
@@ -341,10 +341,10 @@ def _parse(text: str, kind: str, optional: bool):
 
 
 def emit_metrics_csv(rows: list[MetricsRow], path) -> None:
+    columns = [_format_column([getattr(r, name) for r in rows], kind) for name, kind, _ in _COLUMN_TYPES]
+    lines = [",".join(METRICS_COLUMNS), *map(",".join, zip(*columns))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(_format(getattr(r, name), kind) for name, kind, _ in _COLUMN_TYPES) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def parse_metrics_csv(path) -> list[MetricsRow]:

@@ -260,12 +260,39 @@ def per_sample_grads(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndar
     return G + obj.reg * w
 
 
+def _first_max_class(scores: np.ndarray) -> np.ndarray:
+    """The first class with the largest score, ``np.argmax``'s rule, of
+    class-major scores: (C, m) give (m,), a stack (J, C, m) gives (J, m).
+
+    Taken as a running max in class order: a class replaces the best so far
+    only if its score is strictly greater, so ties keep the first class.
+    """
+    best = scores[..., 0, :].copy()
+    pred = np.zeros(best.shape, dtype=np.intp)
+    better = np.empty(best.shape, dtype=bool)
+    for c in range(1, scores.shape[-2]):
+        row = scores[..., c, :]
+        np.greater(row, best, out=better)
+        np.putmask(pred, better, c)
+        np.maximum(best, row, out=best)
+    return pred
+
+
 def predict_classes(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndarray:
     """Argmax class predictions for a classification objective: (m,) for one
-    parameter vector, (J, m) for a stack of them."""
+    parameter vector, (J, m) for a stack of them.
+
+    The logits are class-major, (C, d) or (J, C, d) weights times a
+    contiguous copy of ``X.T`` made in the call, and each model's are the
+    product it gives alone.  Equivalence policy: a prediction can differ
+    from the row-major ``np.argmax(X @ W.T, axis=1)`` only where two of the
+    row's class scores lie within rounding of each other.
+    """
     if not obj.is_classification:
         raise ValueError("class prediction requires a classification objective")
-    return _scores(obj, _check_params(obj, w), dataset.X).argmax(axis=-1)
+    w = _check_params(obj, w)
+    weights = w.reshape(*w.shape[:-1], obj.n_classes, obj.dim)
+    return _first_max_class(weights @ np.ascontiguousarray(dataset.X.T))
 
 
 def _check_smooth_data(obj: Objective, dataset: Dataset) -> None:
@@ -401,10 +428,11 @@ def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Full-batch gradient descent with step 1 / lam for multinomial logistic.
 
     The iterates are held class-major.  The logits ``W @ X.T`` form a (C, m)
-    array, read through a transposed view of ``X``, never a copy.  The max
-    and the log-sum-exp over classes are then C whole-row operations instead
-    of reductions over a short last axis, the label term is one subtraction
-    of a precomputed 0/1 label mask, and the gradient is ``P @ X``.
+    array, written in place each step from one contiguous copy of ``X.T``
+    made per solve (and freed with it).  The max and the log-sum-exp over
+    classes are then C whole-row operations instead of reductions over a
+    short last axis, the label term is one subtraction of a precomputed 0/1
+    label mask, and the gradient is ``P @ X``.
 
     Equivalence policy: the iterates, step and stop rule are those of the
     row-major form (logits ``X @ W.T``, ``P.T @ X``), and ``w*`` agrees with
@@ -420,11 +448,13 @@ def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     step = 1.0 / lam
     w = np.zeros(obj.param_dim)
     is_label = (np.arange(C)[:, None] == y).astype(np.float64)  # (C, m)
+    XT = np.ascontiguousarray(X.T)
+    S = np.empty((C, m))  # the logits
     top = np.empty(m)
     total = np.empty(m)
     expd = np.empty((C, m))
     for _ in range(LOGISTIC_MAX_ITER):
-        S = w.reshape(C, d) @ X.T  # (C, m) logits
+        np.matmul(w.reshape(C, d), XT, out=S)
         np.maximum(S[0], S[1], out=top)
         for c in range(2, C):
             np.maximum(top, S[c], out=top)

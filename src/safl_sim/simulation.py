@@ -9,7 +9,8 @@ One round, mirroring a synchronous implementation:
 3. (``safl_extended`` only) each picked device scores the last broadcast
    global model against its local update on its private holdout and uploads
    with probability ``exp(-gap / gap_scale)`` (a job's picked devices are
-   scored in one batched call, see ``upload_gate.gate_proxies``);
+   scored in one batched call, see ``upload_gate.gate_proxies``, and their
+   gaps and probabilities are one array pass each);
 4. the server fuses the received updates into the new global model (an empty
    round leaves it unchanged);
 5. every picked device folds the new global model into its parameters:
@@ -545,12 +546,15 @@ def run_round(
             devices, ids = jobs[i].result.devices, chosen[i]
             eval_sets = [hold if len(hold) > 0 else train for train, hold in (problem.pairs[k] for k in ids)]
             h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj)
-            uploaded = np.empty(len(ids), dtype=bool)
-            for j, (k, hg, hl) in enumerate(zip(ids.tolist(), h_global.tolist(), h_local.tolist())):
-                gap = performance_gap(hg, hl)
-                q = upload_probability(gap, config.gate.gap_scale)
-                uploaded[j] = decide_upload(q, devices.gate_rngs[k])
-                gate_info[i][k] = {"gap": gap, "q": q, "uploaded": bool(uploaded[j])}
+            gaps = performance_gap(h_global, h_local)
+            qs = upload_probability(gaps, config.gate.gap_scale).tolist()
+            decisions = [decide_upload(q, devices.gate_rngs[k]) for k, q in zip(ids.tolist(), qs)]
+            if jobs[i].observer is not None:
+                gate_info[i] = {
+                    k: {"gap": gap, "q": q, "uploaded": up}
+                    for k, gap, q, up in zip(ids.tolist(), gaps.tolist(), qs, decisions)
+                }
+            uploaded = np.array(decisions, dtype=bool)
             uploads[i] = uploaded.sum()
             if uploads[i]:
                 fused[i] = aggregate(trained[i, uploaded], weights(scheme, ids[uploaded], problem.sizes))

@@ -176,28 +176,8 @@ def run_local_epochs(
     # overflow is caught by the finite check below, not by numpy warnings; a
     # non-finite entry spreads to its whole row and never becomes finite
     # again, so one check at the end sees every divergence
-    reg = obj.reg
     with np.errstate(over="ignore", invalid="ignore"):
-        if obj.kind in ("least_squares", "ridge"):
-            for j, a in enumerate(active):
-                w, x = W[:a], X[j, :a]
-                g = ((w * x).sum(-1) - y[j, :a])[:, None] * x
-                if reg:
-                    g += reg * w
-                w -= alphas[j, :a, None] * g
-        else:  # multinomial_logistic
-            W3 = W.reshape(count, obj.n_classes, obj.dim)
-            # the one-hot labels: subtracting a row takes 1 from the label's
-            # entry and 0 from the rest, which leaves them bitwise as they were
-            Y = np.eye(obj.n_classes)[y]  # (n_steps, K, C)
-            for j, a in enumerate(active):
-                w, x = W3[:a], X[j, :a]
-                scores = (w * x[:, None, :]).sum(-1)
-                scores -= scores.max(-1, keepdims=True)
-                p = np.exp(scores)
-                p /= p.sum(-1, keepdims=True)
-                p -= Y[j, :a]
-                w -= alphas[j, :a, None, None] * (p[:, :, None] * x[:, None, :] + reg * w)
+        _sgd_steps(W, X, y, alphas, active, obj)
 
     trained = np.empty_like(W)
     trained[rank] = W
@@ -207,3 +187,52 @@ def run_local_epochs(
             "parameters diverged during local training", device_index=int(np.argmin(finite))
         )
     return trained, int(steps.sum())
+
+
+def _sgd_steps(
+    W: np.ndarray, X: np.ndarray, y: np.ndarray, alphas: np.ndarray, active: list[int], obj: Objective
+) -> None:
+    """Step ``W`` (K, param_dim) in place: at step ``j`` the leading
+    ``active[j]`` rows take one SGD step on the samples ``X[j]``, ``y[j]``
+    at the rates ``alphas[j]``.
+
+    Every intermediate is written into a buffer allocated once for all the
+    steps, sliced to the active rows, and the reductions are direct
+    ``np.add.reduce``/``np.maximum.reduce`` calls: the same ufunc calls on
+    the same layouts as allocating each step, so the same bits.
+    """
+    count, reg = len(W), obj.reg
+    if obj.kind in ("least_squares", "ridge"):
+        prod = np.empty_like(W)
+        grad = np.empty_like(W)
+        resid = np.empty(count)
+        for j, a in enumerate(active):
+            w, x, g, r = W[:a], X[j, :a], grad[:a], resid[:a]
+            np.add.reduce(np.multiply(w, x, out=prod[:a]), axis=-1, out=r)
+            np.subtract(r, y[j, :a], out=r)
+            np.multiply(r[:, None], x, out=g)
+            if reg:
+                g += np.multiply(reg, w, out=prod[:a])
+            w -= np.multiply(alphas[j, :a, None], g, out=g)
+        return
+    # multinomial_logistic
+    C = obj.n_classes
+    W3 = W.reshape(count, C, obj.dim)
+    # the one-hot labels: subtracting a row takes 1 from the label's entry
+    # and 0 from the rest, which leaves them bitwise as they were
+    Y = np.eye(C)[y]  # (n_steps, K, C)
+    prod = np.empty_like(W3)
+    penalty = np.empty_like(W3)
+    scores = np.empty((count, C))
+    top = np.empty((count, 1))
+    total = np.empty((count, 1))
+    for j, a in enumerate(active):
+        w, x, g, s = W3[:a], X[j, :a], prod[:a], scores[:a]
+        np.add.reduce(np.multiply(w, x[:, None, :], out=g), axis=-1, out=s)
+        s -= np.maximum.reduce(s, axis=-1, keepdims=True, out=top[:a])
+        p = np.exp(s, out=s)
+        p /= np.add.reduce(p, axis=-1, keepdims=True, out=total[:a])
+        p -= Y[j, :a]
+        np.multiply(p[:, :, None], x[:, None, :], out=g)
+        g += np.multiply(reg, w, out=penalty[:a])
+        w -= np.multiply(alphas[j, :a, None, None], g, out=g)

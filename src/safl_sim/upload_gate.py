@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, Objective, empirical_risk, predict_classes
+from .objectives import Dataset, Objective, _first_max_class, empirical_risk, predict_classes
 
 # keeps the gap defined when both scores are 0
 GAP_EPS = 1e-6
@@ -48,6 +48,11 @@ def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective) -> floa
     without a native accuracy.  ``model`` is one parameter vector, giving a
     float, or a stack of J jobs' models (J, param_dim), giving one score per
     row, each bitwise the float that row gives alone.
+
+    Equivalence policy.  The predictions are ``predict_classes``', from
+    class-major logits, so the accuracy equals that of the row-major
+    ``np.argmax(X @ W.T, axis=1)`` unless two of a row's class scores lie
+    within rounding of each other.
     """
     if len(eval_set) == 0:
         raise ValueError("accuracy proxy needs a nonempty evaluation set")
@@ -73,7 +78,8 @@ def gate_proxies(
     Returns ``(h_global, h_local)``, each of shape (k,).
 
     Equivalence policy.  Accuracy equals ``accuracy_proxy``: the hit counts
-    are integers, and a row's argmax could differ only if two of its class
+    are integers, and a row's prediction, the first class with the largest
+    score as in ``predict_classes``, could differ only if two of its class
     scores lay within rounding of each other.  Inverse risk agrees to
     within 1e-13 relative, since a device's losses are summed in another
     order.
@@ -95,7 +101,8 @@ def gate_proxies(
 
     def per_device(scores: np.ndarray, models: np.ndarray) -> np.ndarray:
         if obj.is_classification:
-            return np.bincount(owner[scores.argmax(axis=1) == y], minlength=sizes.size) / sizes
+            hits = _first_max_class(scores.T) == y
+            return np.bincount(owner[hits], minlength=sizes.size) / sizes
         scale = 0.5 if obj.kind in ("least_squares", "ridge") else 1.0  # lasso sums whole squares
         risk = scale * np.bincount(owner, weights=(scores - y) ** 2, minlength=sizes.size) / sizes
         if obj.kind == "lasso":
@@ -107,20 +114,29 @@ def gate_proxies(
     return per_device(global_scores, global_model[None, :]), per_device(local_scores, local_models)
 
 
-def performance_gap(h_global: float, h_local: float) -> float:
-    """Relative accuracy gap in [0, 1)."""
-    if h_global < 0 or h_local < 0:
+def performance_gap(h_global: float | np.ndarray, h_local: float | np.ndarray) -> float | np.ndarray:
+    """Relative accuracy gap in [0, 1), of two scores or elementwise of two
+    arrays of them; each element is bitwise the gap of its pair alone."""
+    if np.any(np.less(h_global, 0)) or np.any(np.less(h_local, 0)):
         raise ValueError("accuracy proxies must be >= 0")
     return abs(h_global - h_local) / (h_global + h_local + GAP_EPS)
 
 
-def upload_probability(gap: float, gap_scale: float) -> float:
-    """Upload probability ``exp(-gap / gap_scale)`` in (0, 1]."""
-    if gap < 0:
+def upload_probability(gap: float | np.ndarray, gap_scale: float) -> float | np.ndarray:
+    """Upload probability ``exp(-gap / gap_scale)`` in (0, 1], of one gap or
+    elementwise of an array of them.
+
+    Each element is ``math.exp`` of its own gap, bitwise the probability of
+    that gap alone: numpy's SIMD ``exp`` may round the last bit otherwise,
+    and the probability is compared with a uniform draw.
+    """
+    if np.any(np.less(gap, 0)):
         raise ValueError("gap must be >= 0")
     if gap_scale <= 0:
         raise ValueError("gap_scale must be > 0")
-    return math.exp(-gap / gap_scale)
+    if np.ndim(gap) == 0:
+        return math.exp(-gap / gap_scale)
+    return np.array([math.exp(-g / gap_scale) for g in np.asarray(gap).tolist()])
 
 
 def decide_upload(q: float, rng: np.random.Generator) -> bool:

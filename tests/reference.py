@@ -1,7 +1,8 @@
 """The references that the batched code is tested against: one labelled
-example, its loss and gradient, and one SGD step on it; a sample-index
-stream drawn one epoch at a time; and a block of rounds planned device by
-device."""
+example, its loss and gradient, and one SGD step on it; the batched SGD
+kernel's step loops with a fresh array for every intermediate; a
+sample-index stream drawn one epoch at a time; and a block of rounds
+planned device by device."""
 
 from __future__ import annotations
 
@@ -79,6 +80,33 @@ def sgd_step(w: np.ndarray, sample, obj: Objective, alpha: float) -> np.ndarray:
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient in sgd_step")
     return w - alpha * g
+
+
+def sgd_steps(
+    W: np.ndarray, X: np.ndarray, y: np.ndarray, alphas: np.ndarray, active: list[int], obj: Objective
+) -> None:
+    """The step loops of ``training.run_local_epochs`` allocating every
+    intermediate afresh, as ``training._sgd_steps`` computes them into
+    buffers: the reference it must equal bitwise."""
+    count, reg = len(W), obj.reg
+    if obj.kind in ("least_squares", "ridge"):
+        for j, a in enumerate(active):
+            w, x = W[:a], X[j, :a]
+            g = ((w * x).sum(-1) - y[j, :a])[:, None] * x
+            if reg:
+                g += reg * w
+            w -= alphas[j, :a, None] * g
+    else:  # multinomial_logistic
+        W3 = W.reshape(count, obj.n_classes, obj.dim)
+        Y = np.eye(obj.n_classes)[y]  # (n_steps, K, C)
+        for j, a in enumerate(active):
+            w, x = W3[:a], X[j, :a]
+            scores = (w * x[:, None, :]).sum(-1)
+            scores -= scores.max(-1, keepdims=True)
+            p = np.exp(scores)
+            p /= p.sum(-1, keepdims=True)
+            p -= Y[j, :a]
+            w -= alphas[j, :a, None, None] * (p[:, :, None] * x[:, None, :] + reg * w)
 
 
 def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) -> np.ndarray:

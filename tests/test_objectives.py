@@ -20,7 +20,9 @@ from safl_sim import (
     per_sample_grads,
 )
 from safl_sim.experiments import load_experiment
-from safl_sim.objectives import log_softmax
+from safl_sim.objectives import _first_max_class, log_softmax
+from safl_sim.simulation import prepare
+from safl_sim.upload_gate import accuracy_proxy
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -333,3 +335,45 @@ class TestLogisticLayout:
             ref = _row_major_gd(obj, data)
             got = optimum_oracle(obj, data)
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), (C, m, d)
+
+
+class TestClassMajorPredictions:
+    @pytest.mark.parametrize("C", [2, 3, 7, 8, 16])
+    def test_first_max_class_is_argmax_with_exact_ties(self, C):
+        rng = np.random.default_rng(C)
+        for shape in [(C, 257), (5, C, 257)]:
+            scores = rng.standard_normal(shape)
+            # exact ties: a column's max copied into another class, whole
+            # columns of one value, and small integers that tie everywhere
+            cols = rng.choice(257, size=60, replace=False)
+            scores[..., rng.integers(0, C, size=60), cols] = scores[..., :, cols].max(axis=-2)
+            scores[..., :, cols[:10]] = scores[..., :1, cols[:10]]
+            scores[..., :, cols[10:13]] = -np.inf
+            for stack in (scores, rng.integers(0, 3, size=shape).astype(np.float64)):
+                got = _first_max_class(stack)
+                assert got.dtype == np.intp and np.array_equal(got, np.argmax(stack, axis=-2))
+
+    @pytest.mark.parametrize("source", ["configs/biased_devices.json", "biased", "stress"])
+    def test_accuracy_of_stacked_estimates_equals_the_row_major_argmax(self, tmp_path, monkeypatch, source):
+        if source.endswith(".json"):
+            path = ROOT / source
+        else:
+            path = tmp_path / f"{source}.json"
+            path.write_text(json.dumps(_workload_document(source, monkeypatch)))
+        spec = load_experiment(path)
+        obj = spec.config.objective
+        problem = prepare(spec.config, spec.dataset)
+        pooled, w_star = problem.pooled, problem.w_star
+        rng = np.random.default_rng(17)
+        # the all-tied zero model of the first round, the optimum, models
+        # near it (whose class scores are close where the optimum's are) and
+        # random ones
+        models = np.stack(
+            [np.zeros(obj.param_dim), w_star]
+            + [w_star + 1e-3 * rng.standard_normal(obj.param_dim) for _ in range(3)]
+            + [rng.standard_normal(obj.param_dim) for _ in range(3)]
+        )
+        got = accuracy_proxy(models, pooled, obj)
+        for score, w in zip(got.tolist(), models):
+            row_major = np.argmax(pooled.X @ w.reshape(obj.n_classes, obj.dim).T, axis=1)
+            assert score == float(np.mean(row_major == pooled.y))

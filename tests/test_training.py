@@ -4,6 +4,7 @@ from conftest import full_batch_grad, random_problem
 import reference
 from reference import Sample, sample, sgd_step
 
+import safl_sim.training
 from safl_sim import (
     Dataset,
     DivergenceError,
@@ -224,6 +225,17 @@ class TestBatchedKernel:
         for k in range(count):
             ref = replay_sgd(params[k], shards[k], obj, 2, sched, np.random.default_rng(500 + k), starts[k], order)
             assert np.abs(Z[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("kind", ["least_squares", "ridge", "multinomial_logistic"])
+    @pytest.mark.parametrize("order", ["iid_draw", "shuffle"])
+    @pytest.mark.parametrize("sched", [LrSchedule("constant", 0.05), LrSchedule("inverse", 2.0)])
+    def test_buffered_steps_equal_the_allocating_loops_bitwise(self, monkeypatch, kind, order, sched):
+        obj, shards, params, starts = ragged_batch(kind, 40, seed=len(kind) + len(order))
+        indices = np.concatenate([stream(shards[k], 2, 500 + k, order) for k in range(len(shards))])
+        Z, _ = run_local_epochs(params, shards, obj, 2, sched, indices, start_steps=starts)
+        monkeypatch.setattr(safl_sim.training, "_sgd_steps", reference.sgd_steps)
+        Z_ref, _ = run_local_epochs(params, shards, obj, 2, sched, indices, start_steps=starts)
+        assert np.array_equal(Z, Z_ref)
 
     @pytest.mark.parametrize("kind", ["ridge", "multinomial_logistic"])
     def test_result_is_bitwise_independent_of_the_batch(self, kind):

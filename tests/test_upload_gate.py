@@ -21,7 +21,7 @@ from safl_sim import (
     run,
     upload_probability,
 )
-from safl_sim.upload_gate import gate_proxies
+from safl_sim.upload_gate import GAP_EPS, gate_proxies
 
 
 def reference_proxy(model: np.ndarray, data: Dataset, obj: Objective) -> float:
@@ -134,6 +134,44 @@ class TestUploadProbability:
             upload_probability(-0.1, 0.2)
         with pytest.raises(ValueError):
             upload_probability(0.1, 0.0)
+
+
+class TestArrayGap:
+    """One array call gives, element by element, the bits of the per-device
+    scalar calls."""
+
+    @staticmethod
+    def _proxies(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        h_global = rng.integers(0, 41, size=200) / 40  # holdout accuracies
+        h_local = rng.random(200)
+        h_local[:20] = h_global[:20]  # equal pairs
+        h_global[20:30] = h_local[20:30] = 0.0
+        h_global[30:40] = GAP_EPS
+        h_local[30:35] = 0.0
+        h_local[35:40] = [GAP_EPS / 2, GAP_EPS, 2 * GAP_EPS, 1e-300, 1.0]
+        return h_global, h_local
+
+    def test_array_gap_and_probability_equal_the_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(21)
+        for gap_scale in (0.05, 0.1, 0.2, 1.0, 3.7):
+            h_global, h_local = self._proxies(rng)
+            gaps = performance_gap(h_global, h_local)
+            want = [performance_gap(a, b) for a, b in zip(h_global.tolist(), h_local.tolist())]
+            assert gaps.tobytes() == np.array(want).tobytes()
+            qs = upload_probability(gaps, gap_scale)
+            want_q = [upload_probability(g, gap_scale) for g in want]
+            assert qs.tobytes() == np.array(want_q).tobytes()
+
+    def test_negative_array_inputs_rejected(self):
+        ok = np.array([0.2, 0.5, 0.0])
+        with pytest.raises(ValueError, match="proxies"):
+            performance_gap(np.array([0.2, -1e-300, 0.1]), ok)
+        with pytest.raises(ValueError, match="proxies"):
+            performance_gap(ok, np.array([0.2, 0.5, -0.1]))
+        with pytest.raises(ValueError, match="gap"):
+            upload_probability(np.array([0.1, -1e-300]), 0.1)
+        with pytest.raises(ValueError, match="gap_scale"):
+            upload_probability(ok, 0.0)
 
 
 class TestDecideUpload:
