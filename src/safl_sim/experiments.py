@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import Dataset, Objective, curvature
-from .partition import PartitionSpec, check_fits
+from .partition import MAX_ROUND_STEPS, PartitionSpec, check_fits, holdout_sizes
 from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run_jobs
 from .simulation import run  # noqa: F401  (perfbench/layers.py wraps experiments.run)
 from .training import LrSchedule
@@ -230,7 +230,7 @@ def load_experiment(path) -> ExperimentSpec:
     objective = _call(Objective, section, "objective", {"dim": dataset.dim, "n_classes": n_classes})
 
     part = _call(PartitionSpec, top("partition", "dict"), "partition", {"n": top("n", "int")})
-    _owned("partition", check_fits, dataset, part)
+    shard_sizes = _owned("partition", check_fits, dataset, part)
 
     gate = _call(GateConfig, top("gate", "dict"), "gate") if "gate" in doc else None
 
@@ -261,7 +261,19 @@ def load_experiment(path) -> ExperimentSpec:
     except ValueError as err:
         message = re.sub(r"\b(" + "|".join(_DOC_KEYS) + r")\b", lambda m: f"'{_DOC_KEYS[m[1]]}'", str(err))
         raise ExperimentConfigError(f"experiment: {message}") from err
-    return ExperimentSpec(top("name", "str", Path(path).stem), dataset, configs[0], variants, seeds)
+    config = configs[0]
+    # E times every whole shard bounds a round's steps from above, so only a
+    # document above the limit by that count needs the exact one
+    if config.local_solver == "sgd" and config.local_epochs * sum(shard_sizes) > MAX_ROUND_STEPS:
+        shard_sizes = np.array(shard_sizes)
+        train = np.sort(shard_sizes - holdout_sizes(shard_sizes, config.holdout_fraction))
+        steps = config.local_epochs * int(train[-config.selected_per_round :].sum())
+        if steps > MAX_ROUND_STEPS:
+            raise ExperimentConfigError(
+                f"experiment: 'E' = {config.local_epochs} gives a round of {steps:.3g} local steps (E times "
+                f"the {config.selected_per_round} largest training shards), above the limit of {MAX_ROUND_STEPS}"
+            )
+    return ExperimentSpec(top("name", "str", Path(path).stem), dataset, config, variants, seeds)
 
 
 def sim_config(spec: ExperimentSpec, variant: str, seed: int) -> SimConfig:

@@ -65,6 +65,12 @@ def sample_sizes(spec: PartitionSpec) -> list[int]:
 # overflow (a size near 1e150 could not be allocated, let alone drawn).
 MAX_SHARD_FACTOR = 10
 
+# One round's local SGD steps, E times the s largest training shards, are
+# drawn ahead and gathered as one batch, so each job's round is capped at
+# this many: above it the draws alone take gigabytes (E near 1e9 on the demo
+# asks for terabytes), and a document with such an E is rejected on load.
+MAX_ROUND_STEPS = 2**24
+
 
 def _check_sizes(dataset: Dataset, spec: PartitionSpec, sizes: list[int]) -> None:
     limit = MAX_SHARD_FACTOR * len(dataset)
@@ -77,16 +83,26 @@ def _check_sizes(dataset: Dataset, spec: PartitionSpec, sizes: list[int]) -> Non
         )
 
 
+def holdout_sizes(sizes, holdout_fraction: float) -> np.ndarray:
+    """Samples of each shard of ``sizes`` samples that go to its holdout:
+    ``floor(m * holdout_fraction)``, leaving at least one to train on."""
+    sizes = np.asarray(sizes)
+    return np.minimum(np.floor(sizes * holdout_fraction).astype(np.intp), sizes - 1)
+
+
 def _check_labels(dataset: Dataset, spec: PartitionSpec) -> None:
     if dataset.is_classification and spec.max_labels_per_device > dataset.labels().size:
         raise ValueError("max_labels_per_device exceeds the number of labels present")
 
 
-def check_fits(dataset: Dataset, spec: PartitionSpec) -> None:
-    """Raise ValueError when ``spec`` caps label subsets above the labels
-    ``dataset`` holds, or draws a shard above ``MAX_SHARD_FACTOR`` times its size."""
+def check_fits(dataset: Dataset, spec: PartitionSpec) -> list[int]:
+    """The shard sizes ``spec`` draws (``sample_sizes``).  Raises ValueError
+    when ``spec`` caps label subsets above the labels ``dataset`` holds, or
+    draws a shard above ``MAX_SHARD_FACTOR`` times its size."""
     _check_labels(dataset, spec)
-    _check_sizes(dataset, spec, sample_sizes(spec))
+    sizes = sample_sizes(spec)
+    _check_sizes(dataset, spec, sizes)
+    return sizes
 
 
 def _label_pool(labels: np.ndarray, chosen: np.ndarray, n_classes: int) -> np.ndarray:
@@ -151,10 +167,10 @@ def partition_with_holdout(
     if not (0.0 <= holdout_fraction < 1.0):
         raise ValueError("holdout_fraction must lie in [0, 1)")
     _, _, _, split_rng = _streams(spec)
+    shards = _shard_indices(dataset, spec)
+    holds = holdout_sizes([idx.size for idx in shards], holdout_fraction).tolist()
     out = []
-    for idx in _shard_indices(dataset, spec):
-        m = idx.size
-        n_hold = min(int(np.floor(m * holdout_fraction)), m - 1)
-        perm = idx[split_rng.permutation(m)]
+    for idx, n_hold in zip(shards, holds):
+        perm = idx[split_rng.permutation(idx.size)]
         out.append((dataset.subset(perm[n_hold:]), dataset.subset(perm[:n_hold])))
     return out

@@ -34,13 +34,17 @@ plan; one ``run_local_epochs`` call trains the picked rows of all of them,
 reading each shard in place in the pooled training set; and one
 ``run_round`` call runs steps 3-6 for all of them as whole-array operations
 with a leading job axis: every job picks ``s`` devices, so the weights are
-(J, s) and the trained rows (J, s, P).  fedavg and the annealed variants
-differ only in the fold.  ``safl_extended`` jobs gate and fuse one job at a
-time, since each fuses its own number of uploads.  Each batched product
-and sum is the one a job's arrays give alone, bitwise (see ``aggregate``,
-``empirical_risk``), and the kernel computes each row on its own (see
-``training``), so a job's bytes never depend on which jobs share its
-batch.  Divergence is reported as a loop running the jobs one after
+(J, s) and the trained rows (J, s, P).  What these derive from the live
+jobs and their picks alone (the rows, the shards with the kernel's step
+layout, the record weights, the step increments) is one batch (``_Batch``),
+rebuilt only when the live jobs or any job's picks change: at full
+participation once per set of live jobs, otherwise once per round.  fedavg
+and the annealed variants differ only in the fold.  ``safl_extended`` jobs
+gate and fuse one job at a time, since each fuses its own number of
+uploads.  Each batched product and sum is the one a job's arrays give
+alone, bitwise (see ``aggregate``, ``empirical_risk``), and the kernel
+computes each row on its own (see ``training``), so a job's bytes never
+depend on which jobs share its batch.  Divergence is reported as a loop running the jobs one after
 another would report it: that of the first job, in job order, to diverge;
 the jobs before it record the round and call their observers, and it and
 the jobs after it retire.
@@ -503,19 +507,18 @@ def plan_rounds(config: SimConfig, server: ServerState, devices: Devices, proble
 
 
 def run_round(
-    jobs: list[_Job],
+    batch: _Batch,
     round_index: int,
     round_draws: list[RoundDraws],
-    chosen: np.ndarray,
     trained: np.ndarray,
     params: np.ndarray,
     problem: PreparedProblem,
 ) -> tuple[list[RoundRecord], DivergenceError | None]:
-    """Run steps 3-6 of one round for every job in ``jobs`` at once.
+    """Run steps 3-6 of one round for every job of ``batch`` at once.
 
-    ``chosen`` (J, s) holds each job's chosen device ids, ``trained``
-    (J, s, P) their parameters after local training, and ``params`` the stack of
-    every job's device parameters, indexed by ``_Job.slot`` (see
+    ``trained`` (J, s, P) holds the parameters of each job's chosen devices
+    after local training, in ``batch.chosen`` order, and ``params`` the stack
+    of every job's device parameters, indexed by ``_Job.slot`` (see
     ``run_jobs``).  Fusion, the fold and the metrics act on whole arrays
     over the jobs; only the gated jobs score, decide and fuse one by one,
     since each fuses its own number of uploads.
@@ -524,24 +527,27 @@ def run_round(
     order, each of whose observers has been called, and that job's
     ``DivergenceError`` (None if none does).
     """
+    jobs, chosen, rows = batch.jobs, batch.chosen, batch.rows
     config = jobs[0].config
     obj, scheme = config.objective, config.weight_scheme
-    slots = np.array([job.slot for job in jobs])[:, None]
     servers = [job.result.server for job in jobs]
-    gated = np.array([job.config.algorithm == "safl_extended" for job in jobs])
-    adopts = np.array([job.config.algorithm == "fedavg" for job in jobs])  # the global model, outright
+    flat = params.reshape(-1, params.shape[-1])  # a row per (slot, device)
 
     # every device an ungated job chose uploads, so the weights of its
     # uploads are those of the chosen set, which the metrics use too
-    record_w = weights(scheme, chosen, problem.sizes)
+    record_w = batch.record_w
     uploads = np.full(len(jobs), chosen.shape[1])
     gate_info: list[dict[int, dict]] = [{} for _ in jobs]
-    fused = np.empty((len(jobs), trained.shape[-1]))
     # a nearly divergent run may overflow anywhere below; the finite checks
     # at the end are the divergence authority, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if not gated.all():
-            fused[~gated] = aggregate(trained[~gated], record_w[~gated])
+        gated, adopts = batch.gated, batch.adopts
+        if not gated.any():
+            fused = aggregate(trained, record_w)
+        else:
+            fused = np.empty((len(jobs), trained.shape[-1]))
+            if not gated.all():
+                fused[~gated] = aggregate(trained[~gated], record_w[~gated])
         for i in np.flatnonzero(gated).tolist():
             devices, ids = jobs[i].result.devices, chosen[i]
             eval_sets = [hold if len(hold) > 0 else train for train, hold in (problem.pairs[k] for k in ids)]
@@ -566,17 +572,17 @@ def run_round(
 
         p = None
         if adopts.all():
-            params[slots, chosen] = fused[:, None, :]
+            flat[rows] = fused[:, None, :]
         else:
             anneal = config.anneal
             p = selection_probability(round_index, anneal.temperature)
             plain, mixed = np.flatnonzero(adopts), np.flatnonzero(~adopts)
-            params[slots[plain], chosen[plain]] = fused[plain, None, :]
-            uniforms = np.stack([round_draws[i].uniforms for i in mixed])
+            flat[rows[plain]] = fused[plain, None, :]
+            uniforms = np.array([round_draws[i].uniforms for i in mixed])
             masks = sample_mask(uniforms, p, anneal.epsilon, obj.param_dim)
-            params[slots[mixed], chosen[mixed]] = mix(masks, fused[mixed], trained[mixed])
+            flat[rows[mixed]] = mix(masks, fused[mixed], trained[mixed])
 
-        current = params[slots, chosen]
+        current = flat[rows]
         estimate = global_estimate(current, record_w)
         diffs = current - problem.w_star
         device_mse = (record_w[:, None, :] @ (diffs * diffs).sum(axis=-1)[:, :, None])[:, 0, 0]
@@ -610,7 +616,7 @@ def run_round(
     return records, None
 
 
-@dataclass
+@dataclass(eq=False)
 class _Job:
     """One job in flight: its config, the result it grows, its draws, and
     its slot in the stacked device state."""
@@ -626,42 +632,89 @@ class _Job:
         return limit is not None and record.mse < limit
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """The rows that a round trains, those of every live job, and what the
+    round derives from them alone:
+
+    - each job's chosen ids (J, s), and their rows of the stacked device
+      state seen as one (slots * n, P) array (J, s);
+    - the chosen shards, in place in the pooled training set, on which the
+      kernel keeps its step layout (see ``Shards.layout``);
+    - each job's record weights (J, s), and the steps by which each chosen
+      device's ``steps_done`` advances (J, s);
+    - which jobs gate their uploads (``safl_extended``), and which adopt
+      the global model outright (fedavg) instead of blending it in.
+
+    ``run_jobs`` keeps a batch for as long as the live jobs and their chosen
+    ids stay the same; the kernel keeps its layout on the shards only at
+    full participation (see ``_train``)."""
+
+    jobs: list[_Job]
+    chosen: np.ndarray
+    rows: np.ndarray
+    shards: Shards
+    record_w: np.ndarray
+    increments: np.ndarray
+    gated: np.ndarray
+    adopts: np.ndarray
+
+
+def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _Batch:
+    config = jobs[0].config
+    ids = chosen.ravel()
+    slots = np.array([job.slot for job in jobs])
+    algorithms = np.array([job.config.algorithm for job in jobs])
+    return _Batch(
+        jobs,
+        chosen,
+        slots[:, None] * config.n + chosen,
+        Shards(problem.pooled, problem.train_starts[ids], problem.train_sizes[ids]),
+        weights(config.weight_scheme, chosen, problem.sizes),
+        config.local_epochs * problem.train_sizes[chosen],
+        algorithms == "safl_extended",
+        algorithms == "fedavg",
+    )
+
+
 def _train(
-    jobs: list[_Job],
+    batch: _Batch,
     round_draws: list[RoundDraws],
-    chosen: np.ndarray,
     params: np.ndarray,
     steps_done: np.ndarray,
     problem: PreparedProblem,
     round_index: int,
-) -> tuple[np.ndarray, DivergenceError | None]:
-    """Train the chosen devices of one round of every job.
+) -> tuple[_Batch | None, np.ndarray, DivergenceError | None]:
+    """Train the chosen devices of one round of every job of ``batch``.
 
-    ``chosen`` (J, s) holds each job's chosen device ids, and ``params``
-    and ``steps_done`` are the stacked device state, indexed by
-    ``_Job.slot``.  Returns the trained rows (J, s, P), in ``chosen``
-    order, of every job before the first whose training diverges, and that
-    job's ``DivergenceError`` (None if none does).  By SGD, the rows of all
-    the jobs train in one ``run_local_epochs`` call, which reads each shard
-    in place in the pooled training set, and each job's ``steps_done``
+    ``params`` and ``steps_done`` are the stacked device state, indexed by
+    ``_Job.slot``.  Returns the batch of the jobs before the first whose
+    training diverges (all of them if none does, None if the first does),
+    their trained rows (J, s, P), in ``chosen`` order, and that job's
+    ``DivergenceError`` (None if none does).  By SGD, the rows of all the
+    jobs train in one ``run_local_epochs`` call, which reads each shard in
+    place in the pooled training set, and each job's ``steps_done``
     advances; a row's result does not depend on its batch-mates (see
     ``training``).  The oracle solves each chosen shard.
     """
+    jobs, chosen, rows = batch.jobs, batch.chosen, batch.rows
     config = jobs[0].config
-    slots = np.array([job.slot for job in jobs])[:, None]
-    ids = chosen.ravel()
     if config.local_solver == "oracle":
-        trained = np.array([optimum_oracle(config.objective, problem.pairs[k][0]) for k in ids.tolist()])
-        return trained.reshape(*chosen.shape, -1), None
+        trained = np.array([optimum_oracle(config.objective, problem.pairs[k][0]) for k in chosen.ravel().tolist()])
+        return batch, trained.reshape(*chosen.shape, -1), None
+    # below full participation the picks change from round to round all but
+    # surely, so the kernel reads a copy of the shards that keeps no layout:
+    # one kept past the call would only add to the round's peak memory
+    shards = batch.shards if config.selected_per_round == config.n else replace(batch.shards)
     try:
         trained, _ = run_local_epochs(
-            params[slots, chosen].reshape(len(ids), -1),
-            Shards(problem.pooled, problem.train_starts[ids], problem.train_sizes[ids]),
+            params.reshape(-1, params.shape[-1])[rows.ravel()],
+            shards,
             config.objective,
             config.local_epochs,
             config.lr,
             np.concatenate([draws.indices for draws in round_draws]),
-            start_steps=steps_done[slots, chosen].ravel(),
+            start_steps=steps_done.ravel()[rows.ravel()],
         )
     except DivergenceError as err:
         first, column = divmod(err.device_index, chosen.shape[1])
@@ -672,11 +725,12 @@ def _train(
         # the rows of the jobs before it stayed finite, and a row does not
         # depend on its batch-mates, so training them again gives them bitwise
         if not first:
-            return np.empty((0, chosen.shape[1], params.shape[-1])), error
-        trained, _ = _train(jobs[:first], round_draws[:first], chosen[:first], params, steps_done, problem, round_index)
-        return trained, error
-    steps_done[slots, chosen] += config.local_epochs * problem.train_sizes[chosen]
-    return trained.reshape(*chosen.shape, -1), None
+            return None, np.empty((0, chosen.shape[1], params.shape[-1])), error
+        head = _batch(jobs[:first], chosen[:first], problem)
+        head, trained, _ = _train(head, round_draws[:first], params, steps_done, problem, round_index)
+        return head, trained, error
+    steps_done.ravel()[rows] += batch.increments
+    return batch, trained.reshape(*chosen.shape, -1), None
 
 
 def run_jobs(
@@ -716,7 +770,7 @@ def run_jobs(
         result = RunResult([], w_star, devices, server, devices.params.copy())
         jobs.append(_Job(config, result, plan_rounds(config, server, devices, problem, entries), observer, slot))
 
-    live, failure = jobs, None
+    live, failure, batch = jobs, None, None
     for r in range(1, first.rounds + 1):
         # a round's draws hold their whole block alive, so the last round's
         # are dropped before any job draws its next block
@@ -724,12 +778,15 @@ def run_jobs(
         if not live:
             break
         round_draws = [next(job.plan)[1] for job in live]
-        chosen = np.stack([draws.chosen for draws in round_draws])
-        trained, error = _train(live, round_draws, chosen, params, steps_done, problem, r)
+        chosen = np.array([draws.chosen for draws in round_draws])
+        if batch is None or batch.jobs != live or not np.array_equal(batch.chosen, chosen):
+            batch = None  # the old batch goes before the new one is built
+            batch = _batch(live, chosen, problem)
+        batch, trained, error = _train(batch, round_draws, params, steps_done, problem, r)
         ran = len(trained)
         live, records, failed = live[:ran], [], None
         if ran:
-            records, failed = run_round(live, r, round_draws[:ran], chosen[:ran], trained, params, problem)
+            records, failed = run_round(batch, r, round_draws[:ran], trained, params, problem)
         # run_round's jobs precede the one whose training diverged, and the
         # live jobs precede any that failed before, so the newest error is
         # that of the first job in order

@@ -7,7 +7,10 @@ index stream has not run out yet.  The kernel draws nothing: each device's
 sample-index stream comes from ``sample_indices`` on that device's own
 training generator, drawn ahead for a block of rounds by the simulation's
 planner, so stream ownership and determinism are those of a
-device-by-device loop.
+device-by-device loop.  Where each stream's entries go in the kernel's step
+table depends on the shard sizes alone (``StepLayout``); a ``Shards`` keeps
+the layout once built, so a simulation whose batch of shards repeats from
+round to round builds it once.
 
 Equivalence policy.  A device's trained parameters match chained calls of
 the per-sample reference step ``sgd_step`` (in the test suite's
@@ -17,13 +20,19 @@ elementwise products summed along the last axis instead of BLAS dot calls.
 The elementwise order of the update is kept (``r * x + reg * w``, then
 ``alpha * g``).  Every operation acts on each device's row alone, so a
 device's result is bitwise independent of which other devices share its
-batch, and of their order.
+batch, and of their order.  The step loops (``_sgd_steps``) are bitwise
+equal to loops that allocate every intermediate and give every row its own
+rate column, which ``tests/reference.py`` keeps (``sgd_steps``): they write
+into buffers allocated once per call, keep ``np.add.reduce`` for the feature
+and class sums (numpy's pairwise order from 8 terms on), take the class max
+as column ``np.maximum`` calls (exact in any order), and multiply by one
+float per step when every row shares its rate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,14 +99,58 @@ def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) ->
     return rng.permuted(np.tile(np.arange(m), (epochs, 1)), axis=1).ravel()
 
 
+@dataclass(frozen=True, eq=False)
+class StepLayout:
+    """Where ``epochs`` passes over each shard of a ``Shards`` go in the
+    kernel's step table; it depends on the shards' sizes and starts alone.
+
+    Device ``k`` takes ``steps[k]`` steps.  The table has one row per step
+    and one column per device, longest stream first (``rank``, ties in input
+    order), so the devices still training at step ``j`` are its leading
+    ``active[j]`` columns.  Entry ``i`` of the devices' concatenated index
+    streams lands at flat ``positions[i]`` of the table.  A column's indices
+    must lie below ``bounds``, its shard's size, and are offset by
+    ``offsets``, its shard's first row in the pooled data.
+    """
+
+    steps: np.ndarray
+    rank: np.ndarray
+    active: list[int]
+    positions: np.ndarray
+    bounds: np.ndarray
+    offsets: np.ndarray
+
+
+def step_layout(shards: Shards, epochs: int) -> StepLayout:
+    """The ``StepLayout`` of ``epochs`` passes over ``shards``."""
+    count, steps = len(shards), epochs * shards.sizes
+    n_steps = int(steps.max())
+    rank = np.argsort(-steps, kind="stable")
+    # the streams still running at step j are those longer than j
+    active = (count - np.searchsorted(np.sort(steps), np.arange(n_steps), side="right")).tolist()
+    column = np.empty(count, dtype=np.intp)
+    column[rank] = np.arange(count)
+    # entry t of a device's stream is its step t: row t, the device's column
+    first = np.cumsum(steps) - steps
+    positions = (np.arange(int(steps.sum())) - np.repeat(first, steps)) * count
+    positions += np.repeat(column, steps)
+    return StepLayout(steps, rank, active, positions, shards.sizes[rank].astype(np.uintp), shards.starts[rank])
+
+
 @dataclass(frozen=True)
 class Shards:
     """Devices' training shards as row ranges of one dataset: shard ``k`` is
-    rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``data``."""
+    rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``data``.
+
+    The kernel's step layout for a number of epochs is built on first use
+    and kept (``layout``), so a batch that trains the same shards again
+    reuses it.
+    """
 
     data: Dataset
     starts: np.ndarray
     sizes: np.ndarray
+    _layouts: dict[int, StepLayout] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def pool(cls, shards: Sequence[Dataset]) -> "Shards":
@@ -107,6 +160,12 @@ class Shards:
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+    def layout(self, epochs: int) -> StepLayout:
+        """The step layout of ``epochs`` passes over these shards (``step_layout``), kept once built."""
+        if epochs not in self._layouts:
+            self._layouts[epochs] = step_layout(self, epochs)
+        return self._layouts[epochs]
 
 
 def run_local_epochs(
@@ -140,34 +199,30 @@ def run_local_epochs(
     count = len(shards)
     if count == 0 or len(params) != count:
         raise ValueError("need one parameter vector and shard per device, and at least one device")
-    if start_steps is None:
-        start_steps = [0] * count
     if not isinstance(shards, Shards):
         shards = Shards.pool(shards)
-    sizes = shards.sizes
-    steps = epochs * sizes
-    if not sizes.all():
+    if not shards.sizes.all():
         raise ValueError("cannot train on an empty shard")
+    layout = shards.layout(epochs)
 
-    # each index is offset to its shard's rows of the pooled data; a stream
-    # that must stay inside its own shard could otherwise read a neighbour's
     indices = np.asarray(indices)
-    if indices.shape != (int(steps.sum()),):
-        raise ValueError(f"need {int(steps.sum())} sample indices, one per step, not an array of shape {indices.shape}")
-    if not ((indices >= 0) & (indices < np.repeat(sizes, steps))).all():
+    if indices.shape != layout.positions.shape:
+        raise ValueError(
+            f"need {len(layout.positions)} sample indices, one per step, not an array of shape {indices.shape}"
+        )
+    rank, active = layout.rank, layout.active
+    picks = np.zeros((len(active), count), dtype=np.intp)  # (n_steps, K), column rank-of-device
+    picks.reshape(-1)[layout.positions] = indices
+    # each index is offset to its shard's rows of the pooled data, so a
+    # stream that strayed outside its own shard would read a neighbour's; a
+    # negative index reads as a huge unsigned one, so one comparison checks
+    # both ends (the table's padding, 0, lies inside every shard)
+    if not (picks.view(np.uintp) < layout.bounds).all():
         raise ValueError("every sample index must lie inside its own device's shard")
-    n_steps = int(steps.max())
-    picks = np.zeros((count, n_steps), dtype=np.intp)
-    picks[steps[:, None] > np.arange(n_steps)] = indices + np.repeat(shards.starts, steps)
-
-    # longest stream first, so the devices still training at step j are the
-    # leading rows W[:active[j]]; ties keep input order
-    rank = np.argsort(-steps, kind="stable")
-    active = np.count_nonzero(steps[rank] > np.arange(n_steps)[:, None], axis=1).tolist()
-    picks = picks[rank].T  # (n_steps, K), column rank-of-device
-    X = shards.data.X[picks]  # (n_steps, K, d)
-    y = shards.data.y[picks]
-    alphas = schedule.rates(np.asarray(start_steps)[rank], n_steps)
+    picks += layout.offsets
+    X = np.take(shards.data.X, picks, axis=0)  # (n_steps, K, d)
+    y = np.take(shards.data.y, picks, axis=0)
+    starts = np.zeros(count, dtype=np.int64) if start_steps is None else np.asarray(start_steps)[rank]
 
     W = np.asarray(params, dtype=np.float64)[rank]
     if W.shape != (count, obj.param_dim):
@@ -177,43 +232,71 @@ def run_local_epochs(
     # non-finite entry spreads to its whole row and never becomes finite
     # again, so one check at the end sees every divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        _sgd_steps(W, X, y, alphas, active, obj)
+        _sgd_steps(W, X, y, active, obj, schedule, starts)
 
     trained = np.empty_like(W)
     trained[rank] = W
-    finite = np.isfinite(trained).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(W).all():
+        finite = np.isfinite(trained).all(axis=1)
         raise DivergenceError(
             "parameters diverged during local training", device_index=int(np.argmin(finite))
         )
-    return trained, int(steps.sum())
+    return trained, int(layout.steps.sum())
+
+
+def _step_rates(schedule: LrSchedule, starts: np.ndarray, active: list[int], trailing: int) -> list:
+    """Each step's rates for the rows of ``starts``: one float when every row
+    shares it, else the active rows' column, shaped to broadcast over
+    ``trailing`` axes.
+
+    Every row shares its rate under a constant schedule and when all the
+    start steps are equal.  Numpy multiplies a float as the float64 that a
+    rate array would hold, so both forms give the same bits.
+    """
+    if schedule.kind == "constant" or (starts == starts[0]).all():
+        return schedule.rates(int(starts[0]), len(active)).tolist()
+    alphas = schedule.rates(starts, len(active)).reshape(len(active), len(starts), *[1] * trailing)
+    return [alphas[j, :a] for j, a in enumerate(active)]
 
 
 def _sgd_steps(
-    W: np.ndarray, X: np.ndarray, y: np.ndarray, alphas: np.ndarray, active: list[int], obj: Objective
+    W: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    active: list[int],
+    obj: Objective,
+    schedule: LrSchedule,
+    starts: np.ndarray,
 ) -> None:
     """Step ``W`` (K, param_dim) in place: at step ``j`` the leading
-    ``active[j]`` rows take one SGD step on the samples ``X[j]``, ``y[j]``
-    at the rates ``alphas[j]``.
+    ``active[j]`` rows take one SGD step on the samples ``X[j]``, ``y[j]``,
+    row ``k`` at the rate of its schedule's step ``starts[k] + j``.
 
     Every intermediate is written into a buffer allocated once for all the
-    steps, sliced to the active rows, and the reductions are direct
-    ``np.add.reduce``/``np.maximum.reduce`` calls: the same ufunc calls on
-    the same layouts as allocating each step, so the same bits.
+    steps, and the views of the active rows are made once per active count.
+    The reductions are direct ``np.add.reduce`` calls on the same layouts as
+    allocating each step, and the class max is exact in any order, so the
+    result is bitwise that of ``tests/reference.py``'s allocating loops.
     """
     count, reg = len(W), obj.reg
+    size = None
     if obj.kind in ("least_squares", "ridge"):
         prod = np.empty_like(W)
         grad = np.empty_like(W)
         resid = np.empty(count)
-        for j, a in enumerate(active):
-            w, x, g, r = W[:a], X[j, :a], grad[:a], resid[:a]
-            np.add.reduce(np.multiply(w, x, out=prod[:a]), axis=-1, out=r)
-            np.subtract(r, y[j, :a], out=r)
-            np.multiply(r[:, None], x, out=g)
+        for a, x, t, rate in zip(active, X, y, _step_rates(schedule, starts, active, 1)):
+            if a != size:
+                size = a
+                w, p, g, r = W[:a], prod[:a], grad[:a], resid[:a]
+                column = r[:, None]
+            if a < count:
+                x, t = x[:a], t[:a]
+            np.add.reduce(np.multiply(w, x, out=p), axis=-1, out=r)
+            np.subtract(r, t, out=r)
+            np.multiply(column, x, out=g)
             if reg:
-                g += np.multiply(reg, w, out=prod[:a])
-            w -= np.multiply(alphas[j, :a, None], g, out=g)
+                g += np.multiply(reg, w, out=p)
+            w -= np.multiply(rate, g, out=g)
         return
     # multinomial_logistic
     C = obj.n_classes
@@ -221,18 +304,29 @@ def _sgd_steps(
     # the one-hot labels: subtracting a row takes 1 from the label's entry
     # and 0 from the rest, which leaves them bitwise as they were
     Y = np.eye(C)[y]  # (n_steps, K, C)
+    samples = np.empty_like(W3)  # the step's samples, one copy per class
     prod = np.empty_like(W3)
     penalty = np.empty_like(W3)
     scores = np.empty((count, C))
     top = np.empty((count, 1))
     total = np.empty((count, 1))
-    for j, a in enumerate(active):
-        w, x, g, s = W3[:a], X[j, :a], prod[:a], scores[:a]
-        np.add.reduce(np.multiply(w, x[:, None, :], out=g), axis=-1, out=s)
-        s -= np.maximum.reduce(s, axis=-1, keepdims=True, out=top[:a])
-        p = np.exp(s, out=s)
-        p /= np.add.reduce(p, axis=-1, keepdims=True, out=total[:a])
-        p -= Y[j, :a]
-        np.multiply(p[:, :, None], x[:, None, :], out=g)
-        g += np.multiply(reg, w, out=penalty[:a])
-        w -= np.multiply(alphas[j, :a, None, None], g, out=g)
+    for a, x, labels, rate in zip(active, X[:, :, None, :], Y, _step_rates(schedule, starts, active, 2)):
+        if a != size:
+            size = a
+            w, xs, g, pen, s, m, z = W3[:a], samples[:a], prod[:a], penalty[:a], scores[:a], top[:a], total[:a]
+            classes = [s[:, c : c + 1] for c in range(C)]
+            p = s[:, :, None]
+        if a < count:
+            x, labels = x[:a], labels[:a]
+        np.copyto(xs, x)
+        np.add.reduce(np.multiply(w, xs, out=g), axis=-1, out=s)
+        np.maximum(classes[0], classes[1], out=m)
+        for column in classes[2:]:
+            np.maximum(m, column, out=m)
+        s -= m
+        np.exp(s, out=s)
+        s /= np.add.reduce(s, axis=-1, keepdims=True, out=z)
+        s -= labels
+        np.multiply(p, xs, out=g)
+        g += np.multiply(reg, w, out=pen)
+        w -= np.multiply(rate, g, out=g)

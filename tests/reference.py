@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from safl_sim import Dataset, DivergenceError, GradientUnavailableError, Objective
+from safl_sim import Dataset, DivergenceError, GradientUnavailableError, LrSchedule, Objective
 from safl_sim.objectives import _check_param, log_softmax
 from safl_sim.simulation import Devices, PreparedProblem, RoundDraws, ServerState, SimConfig
 
@@ -83,12 +83,20 @@ def sgd_step(w: np.ndarray, sample, obj: Objective, alpha: float) -> np.ndarray:
 
 
 def sgd_steps(
-    W: np.ndarray, X: np.ndarray, y: np.ndarray, alphas: np.ndarray, active: list[int], obj: Objective
+    W: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    active: list[int],
+    obj: Objective,
+    schedule: LrSchedule,
+    starts: np.ndarray,
 ) -> None:
     """The step loops of ``training.run_local_epochs`` allocating every
-    intermediate afresh, as ``training._sgd_steps`` computes them into
-    buffers: the reference it must equal bitwise."""
+    intermediate afresh, with one rate per row at every step, as
+    ``training._sgd_steps`` computes them into buffers: the reference it
+    must equal bitwise."""
     count, reg = len(W), obj.reg
+    alphas = schedule.rates(starts, len(active))  # (n_steps, K)
     if obj.kind in ("least_squares", "ridge"):
         for j, a in enumerate(active):
             w, x = W[:a], X[j, :a]

@@ -8,7 +8,8 @@ import sys
 from pathlib import Path
 
 from safl_sim import cli
-from safl_sim.experiments import parse_metrics_csv
+from safl_sim.experiments import load_experiment, parse_metrics_csv
+from safl_sim.simulation import prepare
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,12 +56,20 @@ def test_traced_run_charges_each_solve_to_its_layer(tmp_path, monkeypatch):
     with layers.traced(tracer):
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     figures = spans.layer_metrics(tracer)
+    # every job trains every device in every round, in one kernel call per
+    # round; a call site that no longer reported its step total reads 0
+    spec = load_experiment(config)
+    jobs = len(doc["variants"]) * len(doc["seeds"])
+    steps = jobs * doc["T"] * doc["E"] * int(prepare(spec.config, spec.dataset).train_sizes.sum())
+    assert figures["training.calls"] == doc["T"]
+    assert figures["training.steps"] == steps
     assert figures["partition.calls"] == 1
     assert figures["objectives.optimum_calls"] == 1
     assert figures["objectives.curvature_calls"] == 0
     assert figures["upload_gate.s"] == 0
-    # each step of a lockstep round runs once for all jobs; one that no
-    # longer passed through its wrap site would read 0 here
+    # each step of a lockstep round runs once for all jobs, and the round's
+    # weights once per batch of them; one that no longer passed through its
+    # wrap site would read 0 here
     for layer in ("simulation.metrics_s", "aggregation.s", "annealing.s", "simulation.round_s"):
         assert figures[layer] > 0, layer
 

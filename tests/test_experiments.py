@@ -31,6 +31,7 @@ from safl_sim.experiments import (
     parse_metrics_csv,
     sim_config,
 )
+from safl_sim.partition import MAX_ROUND_STEPS
 from safl_sim.simulation import prepare
 from safl_sim.training import DivergenceError
 
@@ -418,6 +419,28 @@ class TestCli:
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
         assert named in capsys.readouterr().err
+
+    def test_epochs_beyond_a_rounds_step_limit_exit_one_naming_e(self, tmp_path, capsys):
+        # E = 1e9 on the demo asks for 2.4e11 sample indices in one round:
+        # refused on load, never a failed allocation with a traceback
+        doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "demo.json").read_text())
+        doc["E"] = 10**9
+        path = write_doc(tmp_path, doc)
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'E'" in err and "Traceback" not in err
+
+    def test_round_step_limit_counts_the_s_largest_training_shards(self, tmp_path):
+        # 8 devices of 10 samples, 2 held out each: 8 to train on, so a
+        # round of s = 3 takes 24 E steps; the oracle draws none
+        limit = MAX_ROUND_STEPS
+        doc = experiment_doc(partition={"mean_size": 10, "size_var": 0.0, "seed": 7}, s=3, holdout_fraction=0.2)
+        load_experiment(write_doc(tmp_path, {**doc, "E": limit // 24}))
+        with pytest.raises(ExperimentConfigError, match="'E'"):
+            load_experiment(write_doc(tmp_path, {**doc, "E": limit // 24 + 1}))
+        oracle = {**doc, "E": limit, "local_solver": "oracle", "objective": {"kind": "lasso", "reg": 1.0}}
+        load_experiment(write_doc(tmp_path, oracle))
 
     def test_label_cap_above_the_labels_present_exits_one(self, tmp_path, capsys):
         doc = experiment_doc(data={"kind": "blobs", "samples": 60, "dim": 3, "classes": 3}, T=2, seeds=[1])

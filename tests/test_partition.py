@@ -184,6 +184,15 @@ class TestHoldoutSplit:
             assert np.array_equal(train.X, shard.X[perm[n_hold:]]) and np.array_equal(train.y, shard.y[perm[n_hold:]])
             assert np.array_equal(hold.X, shard.X[perm[:n_hold]]) and np.array_equal(hold.y, shard.y[perm[:n_hold]])
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
+    def test_holdout_sizes_are_those_of_the_split(self, fraction):
+        data = make_blobs(300, 3, 3, seed=9)
+        spec = PartitionSpec(n=9, mean_size=12.0, size_var=40.0, max_labels_per_device=2, seed=21)
+        sizes = PARTITION.check_fits(data, spec)
+        assert sizes == sample_sizes(spec)
+        holds = [len(hold) for _, hold in partition_with_holdout(data, spec, fraction)]
+        assert holds == PARTITION.holdout_sizes(sizes, fraction).tolist()
+
     def test_split_is_deterministic(self):
         data = make_blobs(200, 3, 3, seed=9)
         spec = PartitionSpec(n=5, mean_size=30.0, max_labels_per_device=2, seed=21)

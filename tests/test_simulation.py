@@ -25,6 +25,7 @@ from safl_sim import (
     run,
     run_local_epochs,
 )
+import safl_sim.training
 from safl_sim import simulation
 from safl_sim.simulation import block_rounds, build_state, prepare
 from safl_sim.training import sample_indices
@@ -575,6 +576,28 @@ class TestPlanner:
         assert partial.server.rng.bit_generator.state != server.rng.bit_generator.state
 
 
+def state_recorder(log: list):
+    """An observer that keeps each round's record and device state."""
+
+    def observer(record, server, devices, extras):
+        log.append((record, devices.params.copy(), devices.steps_done.copy()))
+
+    return observer
+
+
+def count_layouts(monkeypatch) -> list:
+    """Count the kernel's step layouts as they are built."""
+    builds = []
+    build = safl_sim.training.step_layout
+
+    def counted(shards, epochs):
+        builds.append(len(shards))
+        return build(shards, epochs)
+
+    monkeypatch.setattr(safl_sim.training, "step_layout", counted)
+    return builds
+
+
 class TestLockstep:
     """``run_jobs`` advances jobs together, one kernel call per round; each
     job's result must be bitwise the one it gets run alone."""
@@ -639,6 +662,92 @@ class TestLockstep:
                 assert seen[4] == selected and seen[6] == gate
                 assert seen[5].keys() == locals_.keys()
                 assert all(np.array_equal(seen[5][k], v) for k, v in locals_.items())
+
+    def full_participation(self):
+        # every job trains all six devices each round, so the batch repeats
+        # until a job retires: at rounds 5, 10 and 11, the last at 20
+        data, obj, part = regression_setup()
+        cfg = base_config(obj, part, rounds=30, anneal=AnnealConfig(temperature=6.0, epsilon=0.4), early_stop_mse=1e-3)
+        return data, [replace(cfg, algorithm=a, seed=s) for a in ("fedavg", "safl") for s in (11, 12)]
+
+    def diverging_later_job(self):
+        # device 4's first sample overflows a step that starts from the
+        # result of a step on it: a job whose stream draws it twice in one
+        # round diverges in training.  Seed 104 does in round 3; seeds 47
+        # and 52 never do in 4 rounds (checked below).
+        obj = Objective("ridge", 2, reg=0.5)
+        rng = np.random.default_rng(0)
+        shards = [Dataset(0.3 * rng.standard_normal((m, 2)), rng.standard_normal(m)) for m in (4, 6, 5, 7, 12, 3)]
+        shards[4].X[0] = [1e150, 0.0]
+        cfg = base_config(obj, PartitionSpec(n=6, mean_size=10.0, seed=1), rounds=4, lr=LrSchedule("constant", 0.1))
+        configs = [replace(cfg, seed=47), replace(cfg, seed=104), replace(cfg, algorithm="safl", seed=52)]
+        return prepare(cfg, shards=shards), configs
+
+    def test_jobs_retiring_at_full_participation_equal_jobs_run_alone(self):
+        data, configs = self.full_participation()
+        problem = prepare(configs[0], data)
+        alone = [run(config, prepared=problem) for config in configs]
+        together = simulation.run_jobs(configs, problem)
+        assert sorted(len(result.records) for result in together) == [5, 10, 11, 20]
+        for own, joint in zip(alone, together):
+            assert joint.records == own.records
+            assert np.array_equal(joint.devices.params, own.devices.params)
+            assert np.array_equal(joint.devices.steps_done, own.devices.steps_done)
+
+    def test_a_later_job_diverging_leaves_every_job_as_it_runs_alone(self):
+        # the diverging job's rows train in one call with the others', so the
+        # jobs before it are trained again without it; every job must still
+        # see, round by round, what it sees alone
+        problem, configs = self.diverging_later_job()
+        alone, errors = [[] for _ in configs], []
+        for config, log in zip(configs, alone):
+            try:
+                run(config, prepared=problem, observer=state_recorder(log))
+            except DivergenceError as err:
+                errors.append(str(err))
+        assert [len(log) for log in alone] == [4, 2, 4]
+        assert errors == ["device 4 diverged in round 3: parameters diverged during local training"]
+        together = [[] for _ in configs]
+        with pytest.raises(DivergenceError) as joint:
+            simulation.run_jobs(configs, problem, [state_recorder(log) for log in together])
+        assert str(joint.value) == errors[0]
+        # the job after the diverging one retires with it, after round 2
+        assert [len(log) for log in together] == [4, 2, 2]
+        for own, seen in zip(alone, together):
+            for (record, params, steps), (record_j, params_j, steps_j) in zip(own, seen):
+                assert record_j == record
+                assert np.array_equal(params_j, params) and np.array_equal(steps_j, steps)
+
+    def test_the_layout_is_built_once_per_live_job_set_at_full_participation(self, monkeypatch):
+        builds = count_layouts(monkeypatch)
+        data, configs = self.full_participation()
+        simulation.run_jobs(configs, prepare(configs[0], data))
+        assert len(builds) == 4  # all four jobs, then three, two and one
+        builds.clear()
+        # the jobs before the diverging one train again on a batch of their
+        # own, which the rounds after keep
+        problem, configs = self.diverging_later_job()
+        with pytest.raises(DivergenceError):
+            simulation.run_jobs(configs, problem)
+        assert len(builds) == 2
+
+    def test_the_layout_is_built_once_per_round_at_partial_participation(self, monkeypatch):
+        data, configs = self.configs()
+        problem = prepare(configs[0], data)
+        chosen = [{} for _ in configs]
+
+        def recorder(picks):
+            def observer(record, server, devices, extras):
+                picks[record.round_index] = tuple(extras["selected"])
+            return observer
+
+        builds = count_layouts(monkeypatch)
+        simulation.run_jobs(configs, problem, [recorder(picks) for picks in chosen])
+        rounds = max(map(len, chosen))
+        # every round some live job chooses another set than the round before
+        for r in range(2, rounds + 1):
+            assert any(r in picks and picks[r] != picks[r - 1] for picks in chosen)
+        assert len(builds) == rounds
 
     def test_jobs_must_differ_only_in_algorithm_and_seed(self):
         data, configs = self.configs()

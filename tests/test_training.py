@@ -176,9 +176,11 @@ class TestRunLocalEpochs:
         sched = LrSchedule("constant", 0.1)
         with pytest.raises(ValueError, match="one per step"):
             run_local_epochs([np.zeros(3)], [shard], obj, 1, sched, np.zeros(3, dtype=int))
-        # index 4 is past the first shard: it would read the second one's first row
-        with pytest.raises(ValueError, match="its own device's shard"):
-            run_local_epochs([np.zeros(3)] * 2, [shard] * 2, obj, 1, sched, np.array([0, 1, 2, 4, 0, 1, 2, 3]))
+        # index 4 is past the first shard: it would read the second one's first
+        # row; index -1 is before the second: it would read the first one's last
+        for bad in ([0, 1, 2, 4, 0, 1, 2, 3], [0, 1, 2, 3, 0, -1, 2, 3]):
+            with pytest.raises(ValueError, match="its own device's shard"):
+                run_local_epochs([np.zeros(3)] * 2, [shard] * 2, obj, 1, sched, np.array(bad))
 
     def test_empty_shard_rejected(self):
         obj = Objective("least_squares", 2)
@@ -211,6 +213,33 @@ def ragged_batch(kind: str, count: int, seed: int):
     return obj, shards, params, starts
 
 
+def start_steps(count: int, offsets: str, rng: np.random.Generator, apart: int = 0) -> np.ndarray:
+    """Schedule offsets that all rows share (``equal``), that all rows but
+    row ``apart`` share (``one_apart``), or that differ from row to row
+    (``mixed``)."""
+    if offsets == "equal":
+        return np.full(count, 37)
+    if offsets == "one_apart":
+        starts = np.full(count, 37)
+        starts[apart] = 36
+        return starts
+    return rng.choice(1000, size=count, replace=False)
+
+
+def class_batch(classes: int, count: int, offsets: str, seed: int):
+    """``count`` logistic devices over ``classes`` labels with shard sizes
+    1..count in shuffled order, random starting points and ``start_steps``."""
+    rng = np.random.default_rng(seed)
+    obj = Objective("multinomial_logistic", 4, reg=0.1, n_classes=classes)
+    sizes = rng.permutation(np.arange(1, count + 1))
+    shards = [
+        Dataset(rng.standard_normal((m, 4)), rng.integers(0, classes, size=m), n_classes=classes) for m in sizes
+    ]
+    params = [rng.standard_normal(obj.param_dim) for _ in range(count)]
+    # the row apart is the longest stream's, the kernel's first row
+    return obj, shards, params, start_steps(count, offsets, rng, apart=int(np.argmax(sizes)))
+
+
 class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ["least_squares", "ridge", "multinomial_logistic"])
     @pytest.mark.parametrize("order", ["iid_draw", "shuffle"])
@@ -236,6 +265,49 @@ class TestBatchedKernel:
         monkeypatch.setattr(safl_sim.training, "_sgd_steps", reference.sgd_steps)
         Z_ref, _ = run_local_epochs(params, shards, obj, 2, sched, indices, start_steps=starts)
         assert np.array_equal(Z, Z_ref)
+
+    @pytest.mark.parametrize("classes", [2, 8, 9])  # numpy's class sum is pairwise from 8 on
+    @pytest.mark.parametrize("sched", [LrSchedule("constant", 0.3), LrSchedule("inverse", 4.0)])
+    @pytest.mark.parametrize("offsets", ["equal", "one_apart", "mixed"])
+    def test_every_class_count_and_rate_sharing_equals_the_allocating_loops_bitwise(
+        self, monkeypatch, classes, sched, offsets
+    ):
+        obj, shards, params, starts = class_batch(classes, 30, offsets, seed=classes)
+        self.assert_equals_the_allocating_loops(monkeypatch, obj, shards, params, starts, sched)
+
+    @pytest.mark.parametrize("kind", ["least_squares", "ridge"])
+    @pytest.mark.parametrize("sched", [LrSchedule("constant", 0.05), LrSchedule("inverse", 0.5)])
+    @pytest.mark.parametrize("offsets", ["equal", "one_apart", "mixed"])
+    def test_quadratic_rate_sharing_equals_the_allocating_loops_bitwise(self, monkeypatch, kind, sched, offsets):
+        obj, shards, params, _ = ragged_batch(kind, 30, seed=len(kind))
+        longest = int(np.argmax([len(shard) for shard in shards]))
+        starts = start_steps(30, offsets, np.random.default_rng(4), apart=longest)
+        self.assert_equals_the_allocating_loops(monkeypatch, obj, shards, params, starts, sched)
+
+    @staticmethod
+    def assert_equals_the_allocating_loops(monkeypatch, obj, shards, params, starts, sched):
+        # one epoch over shard sizes 1..K: one stream runs out at every step,
+        # so the active rows shrink by one each step
+        assert sorted(len(shard) for shard in shards) == list(range(1, len(shards) + 1))
+        indices = np.concatenate([stream(shards[k], 1, 700 + k) for k in range(len(shards))])
+        Z, _ = run_local_epochs(params, shards, obj, 1, sched, indices, start_steps=starts)
+        monkeypatch.setattr(safl_sim.training, "_sgd_steps", reference.sgd_steps)
+        Z_ref, _ = run_local_epochs(params, shards, obj, 1, sched, indices, start_steps=starts)
+        assert np.array_equal(Z, Z_ref)
+
+    @pytest.mark.parametrize("offsets", ["equal", "one_apart", "mixed"])
+    def test_rows_share_one_float_rate_when_the_schedule_allows(self, offsets):
+        starts = start_steps(6, offsets, np.random.default_rng(2))
+        active = [6, 6, 4, 1]
+        for sched in (LrSchedule("constant", 0.3), LrSchedule("inverse", 2.0)):
+            rates = safl_sim.training._step_rates(sched, starts, active, 1)
+            full = sched.rates(starts, len(active))
+            if sched.kind == "constant" or offsets == "equal":
+                assert all(type(rate) is float for rate in rates)
+                assert rates == full[:, 0].tolist()
+            else:
+                assert [rate.shape for rate in rates] == [(a, 1) for a in active]
+                assert all(np.array_equal(rate[:, 0], full[j, :a]) for j, (a, rate) in enumerate(zip(active, rates)))
 
     @pytest.mark.parametrize("kind", ["ridge", "multinomial_logistic"])
     def test_result_is_bitwise_independent_of_the_batch(self, kind):
