@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import Dataset, Objective, curvature
-from .partition import MAX_ROUND_STEPS, PartitionSpec, check_fits, holdout_sizes
+from .partition import MAX_ROUND_STEPS, PartitionSpec, check_fits, holdout_sizes, round_steps
 from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run_jobs
 from .simulation import run  # noqa: F401  (perfbench/layers.py wraps experiments.run)
 from .training import LrSchedule
@@ -265,9 +265,8 @@ def load_experiment(path) -> ExperimentSpec:
     # E times every whole shard bounds a round's steps from above, so only a
     # document above the limit by that count needs the exact one
     if config.local_solver == "sgd" and config.local_epochs * sum(shard_sizes) > MAX_ROUND_STEPS:
-        shard_sizes = np.array(shard_sizes)
-        train = np.sort(shard_sizes - holdout_sizes(shard_sizes, config.holdout_fraction))
-        steps = config.local_epochs * int(train[-config.selected_per_round :].sum())
+        train = np.array(shard_sizes) - holdout_sizes(shard_sizes, config.holdout_fraction)
+        steps = round_steps(config.local_epochs, train, config.selected_per_round)
         if steps > MAX_ROUND_STEPS:
             raise ExperimentConfigError(
                 f"experiment: 'E' = {config.local_epochs} gives a round of {steps:.3g} local steps (E times "
@@ -298,7 +297,7 @@ def _shared_bounds(config: SimConfig, problem: PreparedProblem) -> BoundColumns:
 
     obj = config.objective
     etas = weights(config.weight_scheme, np.arange(config.n), problem.sizes)
-    shards = [train for train, _ in problem.pairs]
+    shards = [problem.train.dataset(k) for k in range(config.n)]
     try:
         if config.lr.kind == "constant":
             # measured at zeta = 0; each job replaces it with its own

@@ -99,19 +99,6 @@ class Dataset:
             raise ValueError("labels() requires classification data")
         return np.unique(self.y)
 
-    @staticmethod
-    def concat(parts: list["Dataset"]) -> "Dataset":
-        if not parts:
-            raise ValueError("cannot concatenate zero datasets")
-        n_classes = parts[0].n_classes
-        if any(p.n_classes != n_classes for p in parts):
-            raise ValueError("datasets disagree on n_classes")
-        return Dataset._trusted(
-            np.concatenate([p.X for p in parts]),
-            np.concatenate([p.y for p in parts]),
-            n_classes,
-        )
-
 
 @dataclass(frozen=True)
 class Objective:
@@ -421,11 +408,11 @@ def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
         if _lasso_is_separable(dataset):
             return _lasso_separable_optimum(dataset, obj.reg)
         return _lasso_coordinate_descent(dataset, obj.reg)
-    return _logistic_gd(obj, X, dataset.y)
+    return _logistic_gd(obj, X, dataset.y, 1.0 / hessian_bounds(obj, dataset)[1])
 
 
-def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full-batch gradient descent with step 1 / lam for multinomial logistic.
+def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
+    """Full-batch gradient descent with ``step``, 1 / lam, for multinomial logistic.
 
     The iterates are held class-major.  The logits ``W @ X.T`` form a (C, m)
     array, written in place each step from one contiguous copy of ``X.T``
@@ -443,9 +430,6 @@ def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     m = X.shape[0]
     C, d = obj.n_classes, obj.dim
-    eigs = np.linalg.eigvalsh(X.T @ X / m)
-    lam = 0.5 * float(eigs[-1]) + obj.reg
-    step = 1.0 / lam
     w = np.zeros(obj.param_dim)
     is_label = (np.arange(C)[:, None] == y).astype(np.float64)  # (C, m)
     XT = np.ascontiguousarray(X.T)

@@ -72,6 +72,11 @@ MAX_SHARD_FACTOR = 10
 MAX_ROUND_STEPS = 2**24
 
 
+def round_steps(epochs: int, train_sizes, selected: int) -> int:
+    """One round's local SGD steps at most: E times the s largest training shards."""
+    return epochs * int(np.sort(train_sizes)[-selected:].sum())
+
+
 def _check_sizes(dataset: Dataset, spec: PartitionSpec, sizes: list[int]) -> None:
     limit = MAX_SHARD_FACTOR * len(dataset)
     biggest = max(sizes)

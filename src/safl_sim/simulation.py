@@ -91,7 +91,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
-from .partition import PartitionSpec, partition_with_holdout
+from .partition import PartitionSpec, partition_with_holdout, round_steps
 from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, Shards, run_local_epochs, sample_indices
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies, performance_gap, upload_probability
 
@@ -208,10 +208,10 @@ global_estimate = aggregate
 @dataclass(frozen=True)
 class PreparedProblem:
     """What every (variant, seed) job of one experiment shares: each device's
-    (train, holdout) pair, its sample count (train plus holdout), its
-    training-set size and the row where its training set starts in the
-    pooled training set, which holds them in device order, and the pooled
-    set's optimum.
+    training set and eval set (its holdout, or its training set where that
+    is empty; ``evals`` is ``train`` itself if every one is), each a row
+    range per device of one pooled set, its sample count (train plus
+    holdout), and the pooled training set's optimum.
 
     It depends on the objective, the partition and the holdout fraction,
     never on the algorithm or the run seed.  Every array is read-only, so a
@@ -219,18 +219,10 @@ class PreparedProblem:
     the other jobs see.
     """
 
-    pairs: tuple[tuple[Dataset, Dataset], ...]
+    train: Shards
+    evals: Shards
     sizes: np.ndarray
-    train_sizes: np.ndarray
-    train_starts: np.ndarray
-    pooled: Dataset
     w_star: np.ndarray
-
-
-def _freeze(data: Dataset) -> Dataset:
-    data.X.setflags(write=False)
-    data.y.setflags(write=False)
-    return data
 
 
 def prepare(
@@ -242,7 +234,7 @@ def prepare(
 
     ``shards`` bypasses the partitioner for tests that need exact shard
     contents: each is a device's training set, with an empty holdout, so
-    ``holdout_fraction`` must be 0.
+    ``holdout_fraction`` must be 0.  The caller's arrays stay writable.
     """
     if shards is None:
         if dataset is None:
@@ -251,20 +243,15 @@ def prepare(
     else:
         if config.holdout_fraction > 0:
             raise ValueError("explicit shards take no holdout; holdout_fraction must be 0")
-        # copies, so the caller's arrays stay writable
-        pairs = [(shard.subset(np.arange(len(shard))), shard.subset(np.arange(0))) for shard in shards]
-    # every array here is a fresh copy that only the problem holds, so it is
-    # frozen in place; a read-only view of each would cost an extra header
-    pairs = tuple((_freeze(train), _freeze(hold)) for train, hold in pairs)
-    train_sizes = np.array([len(train) for train, _ in pairs])
-    sizes = train_sizes + np.array([len(hold) for _, hold in pairs])
-    train_starts = np.cumsum(train_sizes) - train_sizes
-    for array in (sizes, train_sizes, train_starts):
-        array.setflags(write=False)
-    pooled = _freeze(Dataset.concat([train for train, _ in pairs]))
-    w_star = optimum_oracle(config.objective, pooled)
+        pairs = [(shard, shard.subset([])) for shard in shards]
+    train = Shards.pool([shard for shard, _ in pairs])
+    held = np.array([len(hold) for _, hold in pairs], dtype=np.intp)
+    evals = Shards.pool([hold if len(hold) else shard for shard, hold in pairs]) if held.any() else train
+    sizes = train.sizes + held
+    sizes.setflags(write=False)
+    w_star = optimum_oracle(config.objective, train.data)
     w_star.setflags(write=False)
-    return PreparedProblem(pairs, sizes, train_sizes, train_starts, pooled, w_star)
+    return PreparedProblem(train, evals, sizes, w_star)
 
 
 def _problem(
@@ -371,8 +358,8 @@ def build_state(
     row of it is checked against numpy's own ``SeedSequence``.
     """
     prepared = _problem(config, dataset, shards, prepared)
-    if len(prepared.pairs) != config.n:
-        raise ValueError(f"need exactly one shard per device: {len(prepared.pairs)} for n = {config.n}")
+    if len(prepared.train) != config.n:
+        raise ValueError(f"need exactly one shard per device: {len(prepared.train)} for n = {config.n}")
 
     n, dim = config.n, config.objective.param_dim
     purposes = (0, *_DRAWN[config.algorithm])  # init, then what the variant draws
@@ -400,7 +387,7 @@ def build_state(
     drawn = {purpose: generators[i :: len(purposes)] for i, purpose in enumerate(purposes)}
     devices = Devices(params, np.zeros(n, dtype=np.int64), *(drawn.get(purpose, []) for purpose in (1, 2, 3)))
     server_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    return devices, ServerState(np.zeros(dim), server_rng), prepared.pooled, prepared.w_star
+    return devices, ServerState(np.zeros(dim), server_rng), prepared.train.data, prepared.w_star
 
 
 @dataclass(frozen=True)
@@ -432,7 +419,7 @@ def block_rounds(config: SimConfig, problem: PreparedProblem, entries: int | Non
     s = config.selected_per_round
     per_round = 0
     if config.local_solver == "sgd":
-        per_round += config.local_epochs * int(np.sort(problem.train_sizes)[-s:].sum())
+        per_round += round_steps(config.local_epochs, problem.train.sizes, s)
     if config.algorithm != "fedavg":
         per_round += s * config.anneal.mask_columns(config.objective.param_dim)
     return max(1, (PLAN_ENTRIES if entries is None else entries) // max(1, per_round))
@@ -463,7 +450,7 @@ def _plan_block(
 
     indices = [None] * count
     if config.local_solver == "sgd":
-        E, sizes = config.local_epochs, problem.train_sizes
+        E, sizes = config.local_epochs, problem.train.sizes
         lengths = E * sizes[slots]  # sample indices per slot
         starts = np.cumsum(lengths) - lengths
         major = lengths[by_device]  # the slots' lengths, device-major
@@ -529,7 +516,7 @@ def run_round(
     """
     jobs, chosen, rows = batch.jobs, batch.chosen, batch.rows
     config = jobs[0].config
-    obj, scheme = config.objective, config.weight_scheme
+    obj, scheme, evals = config.objective, config.weight_scheme, problem.evals
     servers = [job.result.server for job in jobs]
     flat = params.reshape(-1, params.shape[-1])  # a row per (slot, device)
 
@@ -550,7 +537,7 @@ def run_round(
                 fused[~gated] = aggregate(trained[~gated], record_w[~gated])
         for i in np.flatnonzero(gated).tolist():
             devices, ids = jobs[i].result.devices, chosen[i]
-            eval_sets = [hold if len(hold) > 0 else train for train, hold in (problem.pairs[k] for k in ids)]
+            eval_sets = Shards(evals.data, evals.starts[ids], evals.sizes[ids])
             h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj)
             gaps = performance_gap(h_global, h_local)
             qs = upload_probability(gaps, config.gate.gap_scale).tolist()
@@ -587,7 +574,7 @@ def run_round(
         diffs = current - problem.w_star
         device_mse = (record_w[:, None, :] @ (diffs * diffs).sum(axis=-1)[:, :, None])[:, 0, 0]
         mse = ((estimate - problem.w_star) ** 2).sum(axis=-1)
-        accuracy = accuracy_proxy(estimate, problem.pooled, obj)
+        accuracy = accuracy_proxy(estimate, problem.train.data, obj)
 
     records = []
     finite = np.isfinite(fused).all(axis=-1).tolist()
@@ -647,8 +634,7 @@ class _Batch:
       the global model outright (fedavg) instead of blending it in.
 
     ``run_jobs`` keeps a batch for as long as the live jobs and their chosen
-    ids stay the same; the kernel keeps its layout on the shards only at
-    full participation (see ``_train``)."""
+    ids stay the same."""
 
     jobs: list[_Job]
     chosen: np.ndarray
@@ -661,7 +647,7 @@ class _Batch:
 
 
 def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _Batch:
-    config = jobs[0].config
+    config, train = jobs[0].config, problem.train
     ids = chosen.ravel()
     slots = np.array([job.slot for job in jobs])
     algorithms = np.array([job.config.algorithm for job in jobs])
@@ -669,9 +655,9 @@ def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _B
         jobs,
         chosen,
         slots[:, None] * config.n + chosen,
-        Shards(problem.pooled, problem.train_starts[ids], problem.train_sizes[ids]),
+        Shards(train.data, train.starts[ids], train.sizes[ids]),
         weights(config.weight_scheme, chosen, problem.sizes),
-        config.local_epochs * problem.train_sizes[chosen],
+        config.local_epochs * train.sizes[chosen],
         algorithms == "safl_extended",
         algorithms == "fedavg",
     )
@@ -684,6 +670,7 @@ def _train(
     steps_done: np.ndarray,
     problem: PreparedProblem,
     round_index: int,
+    optima: np.ndarray | None,
 ) -> tuple[_Batch | None, np.ndarray, DivergenceError | None]:
     """Train the chosen devices of one round of every job of ``batch``.
 
@@ -695,21 +682,16 @@ def _train(
     jobs train in one ``run_local_epochs`` call, which reads each shard in
     place in the pooled training set, and each job's ``steps_done``
     advances; a row's result does not depend on its batch-mates (see
-    ``training``).  The oracle solves each chosen shard.
+    ``training``).  The oracle solver takes each shard's row of ``optima``.
     """
     jobs, chosen, rows = batch.jobs, batch.chosen, batch.rows
     config = jobs[0].config
-    if config.local_solver == "oracle":
-        trained = np.array([optimum_oracle(config.objective, problem.pairs[k][0]) for k in chosen.ravel().tolist()])
-        return batch, trained.reshape(*chosen.shape, -1), None
-    # below full participation the picks change from round to round all but
-    # surely, so the kernel reads a copy of the shards that keeps no layout:
-    # one kept past the call would only add to the round's peak memory
-    shards = batch.shards if config.selected_per_round == config.n else replace(batch.shards)
+    if optima is not None:
+        return batch, optima[chosen], None
     try:
         trained, _ = run_local_epochs(
             params.reshape(-1, params.shape[-1])[rows.ravel()],
-            shards,
+            batch.shards,
             config.objective,
             config.local_epochs,
             config.lr,
@@ -727,7 +709,7 @@ def _train(
         if not first:
             return None, np.empty((0, chosen.shape[1], params.shape[-1])), error
         head = _batch(jobs[:first], chosen[:first], problem)
-        head, trained, _ = _train(head, round_draws[:first], params, steps_done, problem, round_index)
+        head, trained, _ = _train(head, round_draws[:first], params, steps_done, problem, round_index, None)
         return head, trained, error
     steps_done.ravel()[rows] += batch.increments
     return batch, trained.reshape(*chosen.shape, -1), None
@@ -769,6 +751,9 @@ def run_jobs(
         devices = replace(devices, params=params[slot], steps_done=steps_done[slot])
         result = RunResult([], w_star, devices, server, devices.params.copy())
         jobs.append(_Job(config, result, plan_rounds(config, server, devices, problem, entries), observer, slot))
+    optima = None  # the oracle trains every job's device to its shard's optimum, solved once
+    if first.local_solver == "oracle":
+        optima = np.array([optimum_oracle(first.objective, problem.train.dataset(k)) for k in range(first.n)])
 
     live, failure, batch = jobs, None, None
     for r in range(1, first.rounds + 1):
@@ -782,7 +767,7 @@ def run_jobs(
         if batch is None or batch.jobs != live or not np.array_equal(batch.chosen, chosen):
             batch = None  # the old batch goes before the new one is built
             batch = _batch(live, chosen, problem)
-        batch, trained, error = _train(batch, round_draws, params, steps_done, problem, r)
+        batch, trained, error = _train(batch, round_draws, params, steps_done, problem, r, optima)
         ran = len(trained)
         live, records, failed = live[:ran], [], None
         if ran:

@@ -139,8 +139,8 @@ def step_layout(shards: Shards, epochs: int) -> StepLayout:
 
 @dataclass(frozen=True)
 class Shards:
-    """Devices' training shards as row ranges of one dataset: shard ``k`` is
-    rows ``starts[k]`` to ``starts[k] + sizes[k]`` of ``data``.
+    """Devices' data as row ranges of one dataset: shard ``k`` is rows
+    ``starts[k]`` to ``starts[k] + sizes[k]`` of ``data``.
 
     The kernel's step layout for a number of epochs is built on first use
     and kept (``layout``), so a batch that trains the same shards again
@@ -154,12 +154,26 @@ class Shards:
 
     @classmethod
     def pool(cls, shards: Sequence[Dataset]) -> "Shards":
-        """Separate shards, concatenated in order."""
+        """Separate shards, concatenated in order into fresh read-only arrays."""
+        n_classes = {shard.n_classes for shard in shards}
+        if len(n_classes) != 1:
+            raise ValueError("need at least one shard, and shards that agree on n_classes")
+        X = np.concatenate([shard.X for shard in shards])
+        y = np.concatenate([shard.y for shard in shards])
         sizes = np.array([len(shard) for shard in shards], dtype=np.intp)
-        return cls(Dataset.concat(list(shards)), np.cumsum(sizes) - sizes, sizes)
+        starts = np.cumsum(sizes) - sizes
+        for array in (X, y, starts, sizes):
+            array.setflags(write=False)
+        return cls(Dataset._trusted(X, y, *n_classes), starts, sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)
+
+    def dataset(self, k: int) -> Dataset:
+        """Shard ``k`` as a view of its rows of ``data``, which copies nothing."""
+        start = int(self.starts[k])
+        rows = slice(start, start + int(self.sizes[k]))
+        return Dataset._trusted(self.data.X[rows], self.data.y[rows], self.data.n_classes)
 
     def layout(self, epochs: int) -> StepLayout:
         """The step layout of ``epochs`` passes over these shards (``step_layout``), kept once built."""

@@ -16,12 +16,12 @@ The objective picks the score: holdout accuracy for classification, and
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objectives import Dataset, Objective, _first_max_class, empirical_risk, predict_classes
+from .training import Shards
 
 # keeps the gap defined when both scores are 0
 GAP_EPS = 1e-6
@@ -65,17 +65,17 @@ def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective) -> floa
 def gate_proxies(
     global_model: np.ndarray,
     local_models: np.ndarray,
-    eval_sets: Sequence[Dataset],
+    eval_sets: Shards,
     obj: Objective,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``accuracy_proxy`` of the global model and of each local model, for
     every device of a round at once.
 
-    Device ``i`` scores ``global_model`` and ``local_models[i]`` on
-    ``eval_sets[i]``.  The eval sets are concatenated: the global model is
-    scored over every row in one product, each local model over its own
-    rows, and the per-device sums are ``np.bincount`` over row owners.
-    Returns ``(h_global, h_local)``, each of shape (k,).
+    Device ``i`` scores ``global_model`` and ``local_models[i]`` on shard
+    ``i`` of ``eval_sets``.  The shards' rows are gathered in one take: the
+    global model is scored over every row in one product, each local model
+    over its own rows, and the per-device sums are ``np.bincount`` over row
+    owners.  Returns ``(h_global, h_local)``, each of shape (k,).
 
     Equivalence policy.  Accuracy equals ``accuracy_proxy``: the hit counts
     are integers, and a row's prediction, the first class with the largest
@@ -84,12 +84,12 @@ def gate_proxies(
     within 1e-13 relative, since a device's losses are summed in another
     order.
     """
-    sizes = np.array([len(e) for e in eval_sets])
+    sizes = eval_sets.sizes
     if not sizes.all():
         raise ValueError("accuracy proxy needs a nonempty evaluation set")
-    X = np.concatenate([e.X for e in eval_sets])
-    y = np.concatenate([e.y for e in eval_sets])
     owner = np.repeat(np.arange(sizes.size), sizes)
+    rows = np.arange(owner.size) + (eval_sets.starts - np.cumsum(sizes) + sizes)[owner]  # each shard's own rows
+    X, y = eval_sets.data.X[rows], eval_sets.data.y[rows]
     local_models = np.asarray(local_models, dtype=np.float64)
     if obj.is_classification:
         shape = (obj.n_classes, obj.dim)

@@ -152,7 +152,7 @@ def plan_block(
 
     indices = [None] * count
     if config.local_solver == "sgd":
-        E, sizes = config.local_epochs, problem.train_sizes
+        E, sizes = config.local_epochs, problem.train.sizes
         lengths = E * sizes[slots]  # sample indices per slot
         starts = np.cumsum(lengths) - lengths
         flat = np.empty(int(lengths.sum()), dtype=np.intp)

@@ -37,6 +37,7 @@ from safl_sim import (
     sample_mask,
     theorem1_bound,
 )
+from safl_sim.training import Shards
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -129,7 +130,7 @@ def test_criterion_1_toy_goldens():
 
     w_a = optimum_oracle(toy, shard_a)
     w_b = optimum_oracle(toy, shard_b)
-    w_star = optimum_oracle(toy, Dataset.concat([shard_a, shard_b]))
+    w_star = optimum_oracle(toy, Shards.pool([shard_a, shard_b]).data)
     assert w_a.tolist() == [0.0, 0.0]
     assert w_b.tolist() == [0.0, 4.0 / 9.0]
     assert w_star.tolist() == [0.0, 4.0 / 9.0]

@@ -60,7 +60,7 @@ def test_traced_run_charges_each_solve_to_its_layer(tmp_path, monkeypatch):
     # round; a call site that no longer reported its step total reads 0
     spec = load_experiment(config)
     jobs = len(doc["variants"]) * len(doc["seeds"])
-    steps = jobs * doc["T"] * doc["E"] * int(prepare(spec.config, spec.dataset).train_sizes.sum())
+    steps = jobs * doc["T"] * doc["E"] * int(prepare(spec.config, spec.dataset).train.sizes.sum())
     assert figures["training.calls"] == doc["T"]
     assert figures["training.steps"] == steps
     assert figures["partition.calls"] == 1

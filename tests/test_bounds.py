@@ -202,7 +202,8 @@ class TestBoundDominanceSmall:
             mses.append([r.mse for r in res.records])
             inits.append(res.init_params)
             w_star = res.w_star
-        shards = [train for train, _ in prepare(cfg, data).pairs]
+        train = prepare(cfg, data).train
+        shards = [train.dataset(k) for k in range(len(train))]
         mses = np.array(mses)
         inp = measure_bound_inputs(
             obj, shards, np.stack(inits), w_star, np.full(6, 1 / 6),

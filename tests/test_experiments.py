@@ -129,11 +129,13 @@ class TestSharedSeedGuarantee:
         res_f = run(sim_config(spec, "fedavg", 1), dataset=spec.dataset)
         res_s = run(sim_config(spec, "safl", 1), dataset=spec.dataset)
         assert np.array_equal(res_f.init_params, res_s.init_params)
-        pairs_f = prepare(sim_config(spec, "fedavg", 1), spec.dataset).pairs
-        pairs_s = prepare(sim_config(spec, "safl", 1), spec.dataset).pairs
-        for (df, _), (ds_, _) in zip(pairs_f, pairs_s):
-            assert np.array_equal(df.X, ds_.X)
-            assert np.array_equal(df.y, ds_.y)
+        problem_f = prepare(sim_config(spec, "fedavg", 1), spec.dataset)
+        problem_s = prepare(sim_config(spec, "safl", 1), spec.dataset)
+        for shards_f, shards_s in ((problem_f.train, problem_s.train), (problem_f.evals, problem_s.evals)):
+            assert np.array_equal(shards_f.starts, shards_s.starts)
+            assert np.array_equal(shards_f.sizes, shards_s.sizes)
+            assert np.array_equal(shards_f.data.X, shards_s.data.X)
+            assert np.array_equal(shards_f.data.y, shards_s.data.y)
 
 
 class TestExecute:
@@ -275,12 +277,21 @@ class TestSharedProblem:
         for variant in ("fedavg", "safl"):
             assert all(getattr(r, column) is not None for r in parse_metrics_csv(paths[variant]))
 
+    @pytest.mark.parametrize("T, seeds", [(5, [1]), (20, [1, 2, 3])])
+    def test_oracle_solves_each_training_shard_once(self, tmp_path, monkeypatch, T, seeds):
+        doc = experiment_doc(local_solver="oracle", s=5, T=T, seeds=seeds)
+        solves = count_calls(monkeypatch, safl_sim.simulation, "optimum_oracle")
+        execute(load_experiment(write_doc(tmp_path, doc)), tmp_path / "out", quiet=True)
+        assert len(solves) == 1 + doc["n"]  # the pooled optimum, then each shard: none per round or job
+
     def test_shared_arrays_are_read_only(self, tmp_path):
         spec = load_experiment(write_doc(tmp_path, classification_doc()))
         problem = prepare(spec.config, spec.dataset)
         run(sim_config(spec, "safl", 1), prepared=problem)
-        shared = [problem.pooled.X, problem.pooled.y, problem.w_star, problem.sizes]
-        shared += [a for train, hold in problem.pairs for a in (train.X, train.y, hold.X, hold.y)]
+        shared = [problem.w_star, problem.sizes]
+        for shards in (problem.train, problem.evals):
+            shared += [shards.data.X, shards.data.y, shards.starts, shards.sizes]
+            shared += [a for k in range(len(shards)) for a in (shards.dataset(k).X, shards.dataset(k).y)]
         for array in shared:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0

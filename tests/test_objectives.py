@@ -22,6 +22,7 @@ from safl_sim import (
 from safl_sim.experiments import load_experiment
 from safl_sim.objectives import _first_max_class, log_softmax
 from safl_sim.simulation import prepare
+from safl_sim.training import Shards
 from safl_sim.upload_gate import accuracy_proxy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,7 +35,7 @@ TOY_D2 = Dataset(np.array([[0.0, 1.5]]), np.array([1.0]))
 
 
 def toy_union() -> Dataset:
-    return Dataset.concat([TOY_D1, TOY_D2])
+    return Shards.pool([TOY_D1, TOY_D2]).data
 
 
 class TestLoss:
@@ -321,7 +322,7 @@ class TestLogisticLayout:
         spec = load_experiment(path)
         config = spec.config
         pairs = partition_with_holdout(spec.dataset, config.partition, config.holdout_fraction)
-        pooled = Dataset.concat([train for train, _ in pairs])
+        pooled = Shards.pool([train for train, _ in pairs]).data
         assert np.array_equal(optimum_oracle(config.objective, pooled), _row_major_gd(config.objective, pooled))
 
     def test_random_problems_agree_within_1e_14(self):
@@ -363,7 +364,7 @@ class TestClassMajorPredictions:
         spec = load_experiment(path)
         obj = spec.config.objective
         problem = prepare(spec.config, spec.dataset)
-        pooled, w_star = problem.pooled, problem.w_star
+        pooled, w_star = problem.train.data, problem.w_star
         rng = np.random.default_rng(17)
         # the all-tied zero model of the first round, the optimum, models
         # near it (whose class scores are close where the optimum's are) and

@@ -177,7 +177,7 @@ class TestPreparedProblem:
         cfg = base_config(obj, part)
         problem = prepare(cfg, data)
         _, _, pooled, w_star = build_state(cfg, prepared=problem)
-        assert pooled is problem.pooled and w_star is problem.w_star
+        assert pooled is problem.train.data and w_star is problem.w_star
 
     def test_pair_count_must_equal_the_device_count(self):
         data, obj, part = regression_setup(n=6)
@@ -196,8 +196,39 @@ class TestPreparedProblem:
         cfg = base_config(TOY_OBJ, PartitionSpec(n=2, mean_size=1.0, seed=1), local_solver="oracle", rounds=1)
         shards = [Dataset(s.X.copy(), s.y.copy()) for s in TOY_SHARDS]
         problem = prepare(cfg, shards=shards)
-        assert not problem.pairs[0][0].X.flags.writeable
+        assert not problem.train.data.X.flags.writeable and problem.evals is problem.train
         shards[0].X[0, 0] = 0.5  # the caller's arrays stay writable
+
+    @staticmethod
+    def ragged_problem(holdout_fraction=0.15):
+        # shard sizes straddle 1 / holdout_fraction, so some holdouts are empty
+        data = make_linear_regression(400, 3, seed=4)
+        part = PartitionSpec(n=12, mean_size=9.0, size_var=16.0, max_labels_per_device=1, seed=5)
+        cfg = base_config(Objective("ridge", 3, reg=0.3), part, holdout_fraction=holdout_fraction)
+        return prepare(cfg, data), partition_with_holdout(data, part, holdout_fraction)
+
+    def test_each_eval_set_is_the_holdout_or_else_the_training_set(self):
+        problem, pairs = self.ragged_problem()
+        held = [len(hold) > 0 for _, hold in pairs]
+        assert any(held) and not all(held)
+        for k, (train, hold) in enumerate(pairs):
+            eval_set = hold if len(hold) else train
+            for got, want in ((problem.train.dataset(k), train), (problem.evals.dataset(k), eval_set)):
+                assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+        assert problem.sizes.tolist() == [len(train) + len(hold) for train, hold in pairs]
+        unheld, _ = self.ragged_problem(holdout_fraction=0.0)
+        assert unheld.evals is unheld.train
+
+    def test_every_array_is_read_only_and_every_view_shares_the_pool(self):
+        problem, _ = self.ragged_problem()
+        arrays = [problem.sizes, problem.w_star]
+        for shards in (problem.train, problem.evals):
+            arrays += [shards.data.X, shards.data.y, shards.starts, shards.sizes]
+            for k in range(len(shards)):
+                view = shards.dataset(k)
+                assert np.shares_memory(view.X, shards.data.X) and np.shares_memory(view.y, shards.data.y)
+                arrays += [view.X, view.y]
+        assert not any(array.flags.writeable for array in arrays)
 
 
 class TestDeterminismAndAccounting:
@@ -529,7 +560,7 @@ class TestPlanner:
         part = PartitionSpec(n=n, mean_size=mean_size, size_var=9.0, max_labels_per_device=1, seed=17)
         cfg = base_config(Objective("ridge", 4, reg=0.8), part, rounds=11, holdout_fraction=0.25, **kw)
         problem = prepare(cfg, data)
-        assert len(set(problem.train_sizes.tolist())) > 2 and (problem.sizes > problem.train_sizes).all()
+        assert len(set(problem.train.sizes.tolist())) > 2 and (problem.sizes > problem.train.sizes).all()
         return cfg, problem
 
     # one round per block, a few rounds per block, and the whole run in one

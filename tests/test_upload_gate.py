@@ -21,6 +21,7 @@ from safl_sim import (
     run,
     upload_probability,
 )
+from safl_sim.training import Shards
 from safl_sim.upload_gate import GAP_EPS, gate_proxies
 
 
@@ -211,14 +212,17 @@ class TestGateConfigAndState:
 
 
 def _per_device_proxies(global_model, local_models, eval_sets, obj):
-    """``gate_proxies`` as two ``accuracy_proxy`` calls per device: the reference."""
-    h_global = np.array([accuracy_proxy(global_model, e, obj) for e in eval_sets])
-    h_local = np.array([accuracy_proxy(w, e, obj) for w, e in zip(local_models, eval_sets)])
+    """``gate_proxies`` as two ``accuracy_proxy`` calls per device, each on a
+    view of its shard: the reference."""
+    sets = [eval_sets.dataset(k) for k in range(len(eval_sets))]
+    h_global = np.array([accuracy_proxy(global_model, e, obj) for e in sets])
+    h_local = np.array([accuracy_proxy(w, e, obj) for w, e in zip(local_models, sets)])
     return h_global, h_local
 
 
 def _random_round(kind: str, rng: np.random.Generator):
-    """An objective, a global model, k local models and k eval sets of unequal sizes."""
+    """An objective, a global model, k local models and k eval sets of unequal
+    sizes, pooled as ``Shards``."""
     d = int(rng.integers(1, 9))
     if kind == "multinomial_logistic":
         C = int(rng.integers(2, 6))
@@ -235,7 +239,7 @@ def _random_round(kind: str, rng: np.random.Generator):
         else:
             eval_sets.append(Dataset(X, rng.standard_normal(m)))
     scale = rng.uniform(0.1, 5.0)
-    return obj, scale * rng.standard_normal(obj.param_dim), scale * rng.standard_normal((k, obj.param_dim)), eval_sets
+    return obj, scale * rng.standard_normal(obj.param_dim), scale * rng.standard_normal((k, obj.param_dim)), Shards.pool(eval_sets)
 
 
 class TestGateProxies:
@@ -261,11 +265,24 @@ class TestGateProxies:
         # the first round scores the all-zero global model: every class ties
         obj, _, w_local, eval_sets = _random_round("multinomial_logistic", np.random.default_rng(3))
         h_global, _ = gate_proxies(np.zeros(obj.param_dim), w_local, eval_sets, obj)
-        assert np.array_equal(h_global, [np.mean(e.y == 0) for e in eval_sets])
+        assert np.array_equal(h_global, [np.mean(eval_sets.dataset(k).y == 0) for k in range(len(eval_sets))])
+
+    def test_shards_are_read_in_place_in_any_order(self):
+        # a round's chosen devices are a subset of the pooled eval set, in
+        # any order: the gather equals the proxies of the shards pooled apart
+        rng = np.random.default_rng(13)
+        for kind in ("multinomial_logistic", "ridge"):
+            obj, w_global, w_local, pooled = _random_round(kind, rng)
+            picks = rng.permutation(len(pooled))[: max(1, len(pooled) // 2)]
+            chosen = Shards(pooled.data, pooled.starts[picks], pooled.sizes[picks])
+            apart = Shards.pool([pooled.dataset(k) for k in picks])
+            got = gate_proxies(w_global, w_local[picks], chosen, obj)
+            want = gate_proxies(w_global, w_local[picks], apart, obj)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_empty_eval_set_rejected(self):
         obj = Objective("ridge", 2, reg=0.1)
-        sets = [Dataset(np.ones((2, 2)), np.zeros(2)), Dataset(np.zeros((0, 2)), np.zeros(0))]
+        sets = Shards.pool([Dataset(np.ones((2, 2)), np.zeros(2)), Dataset(np.zeros((0, 2)), np.zeros(0))])
         with pytest.raises(ValueError, match="nonempty"):
             gate_proxies(np.zeros(2), np.zeros((2, 2)), sets, obj)
 
@@ -303,8 +320,9 @@ class TestBatchedGateInTheRound:
     @pytest.mark.parametrize("classification", [True, False])
     def test_gaps_and_decisions_equal_the_per_device_reference(self, monkeypatch, classification):
         config, data, batched, got = self._gated_run(classification)
-        pairs = safl_sim.simulation.prepare(config, data).pairs
-        assert {len(hold) > 0 for _, hold in pairs} == {True, False}
+        problem = safl_sim.simulation.prepare(config, data)
+        held = problem.sizes > problem.train.sizes
+        assert held.any() and not held.all()
         with monkeypatch.context() as patch:
             patch.setattr(safl_sim.simulation, "gate_proxies", _per_device_proxies)
             _, _, reference, ref = self._gated_run(classification)
