@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import Dataset, Objective, curvature
-from .partition import MAX_ROUND_STEPS, PartitionSpec, check_fits, holdout_sizes, round_steps
+from .partition import MAX_ROUND_STEPS, PartitionSpec, check_fits, holdout_sizes
 from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run_jobs
 from .simulation import run  # noqa: F401  (perfbench/layers.py wraps experiments.run)
 from .training import LrSchedule
@@ -262,15 +262,14 @@ def load_experiment(path) -> ExperimentSpec:
         message = re.sub(r"\b(" + "|".join(_DOC_KEYS) + r")\b", lambda m: f"'{_DOC_KEYS[m[1]]}'", str(err))
         raise ExperimentConfigError(f"experiment: {message}") from err
     config = configs[0]
-    # E times every whole shard bounds a round's steps from above, so only a
-    # document above the limit by that count needs the exact one
-    if config.local_solver == "sgd" and config.local_epochs * sum(shard_sizes) > MAX_ROUND_STEPS:
-        train = np.array(shard_sizes) - holdout_sizes(shard_sizes, config.holdout_fraction)
-        steps = round_steps(config.local_epochs, train, config.selected_per_round)
+    if config.local_solver == "sgd":
+        longest = int((np.array(shard_sizes) - holdout_sizes(shard_sizes, config.holdout_fraction)).max())
+        steps = config.local_epochs * config.selected_per_round * longest
         if steps > MAX_ROUND_STEPS:
             raise ExperimentConfigError(
-                f"experiment: 'E' = {config.local_epochs} gives a round of {steps:.3g} local steps (E times "
-                f"the {config.selected_per_round} largest training shards), above the limit of {MAX_ROUND_STEPS}"
+                f"experiment: 'E' = {config.local_epochs} gives a round a step table of {steps:.3g} entries "
+                f"(E times s = {config.selected_per_round} times the longest training shard, {longest} samples), "
+                f"above the limit of {MAX_ROUND_STEPS}"
             )
     return ExperimentSpec(top("name", "str", Path(path).stem), dataset, config, variants, seeds)
 

@@ -65,16 +65,12 @@ def sample_sizes(spec: PartitionSpec) -> list[int]:
 # overflow (a size near 1e150 could not be allocated, let alone drawn).
 MAX_SHARD_FACTOR = 10
 
-# One round's local SGD steps, E times the s largest training shards, are
-# drawn ahead and gathered as one batch, so each job's round is capped at
-# this many: above it the draws alone take gigabytes (E near 1e9 on the demo
-# asks for terabytes), and a document with such an E is rejected on load.
+# The kernel gathers one round's samples as a step table that pads every
+# selected shard's stream to the longest, so a job's round holds up to E
+# times s times the longest training shard entries, capped at this many:
+# above it the table alone takes gigabytes (E near 1e9 on the demo asks for
+# terabytes), and a document that reaches it is rejected on load.
 MAX_ROUND_STEPS = 2**24
-
-
-def round_steps(epochs: int, train_sizes, selected: int) -> int:
-    """One round's local SGD steps at most: E times the s largest training shards."""
-    return epochs * int(np.sort(train_sizes)[-selected:].sum())
 
 
 def _check_sizes(dataset: Dataset, spec: PartitionSpec, sizes: list[int]) -> None:
@@ -158,24 +154,17 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
 
 
 def partition_with_holdout(
-    dataset: Dataset,
-    spec: PartitionSpec,
-    holdout_fraction: float = 0.2,
-) -> list[tuple[Dataset, Dataset]]:
-    """Partition, then split each shard into (train, holdout) pieces.
+    dataset: Dataset, spec: PartitionSpec, holdout_fraction: float
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Partition, then split each shard into training and holdout rows, index arrays into ``dataset``.
 
     The holdout takes ``floor(m_k * holdout_fraction)`` samples (possibly
     zero), leaving at least one training sample.  The split is driven by the
     partition seed, so every run over the same spec sees the same split.
-    Both pieces are gathered straight from ``dataset``.
     """
     if not (0.0 <= holdout_fraction < 1.0):
         raise ValueError("holdout_fraction must lie in [0, 1)")
     _, _, _, split_rng = _streams(spec)
-    shards = _shard_indices(dataset, spec)
-    holds = holdout_sizes([idx.size for idx in shards], holdout_fraction).tolist()
-    out = []
-    for idx, n_hold in zip(shards, holds):
-        perm = idx[split_rng.permutation(idx.size)]
-        out.append((dataset.subset(perm[n_hold:]), dataset.subset(perm[:n_hold])))
-    return out
+    perms = [idx[split_rng.permutation(idx.size)] for idx in _shard_indices(dataset, spec)]
+    holds = holdout_sizes([perm.size for perm in perms], holdout_fraction).tolist()
+    return [perm[n:] for perm, n in zip(perms, holds)], [perm[:n] for perm, n in zip(perms, holds)]

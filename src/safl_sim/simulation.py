@@ -91,7 +91,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
-from .partition import PartitionSpec, partition_with_holdout, round_steps
+from .partition import PartitionSpec, partition_with_holdout
 from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, Shards, run_local_epochs, sample_indices
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies, performance_gap, upload_probability
 
@@ -230,25 +230,26 @@ def prepare(
     dataset: Dataset | None = None,
     shards: list[Dataset] | None = None,
 ) -> PreparedProblem:
-    """Partition and split ``dataset`` per the config, then solve the pooled optimum.
+    """Partition and split ``dataset`` per the config, gather each pooled set once, then solve its optimum.
 
     ``shards`` bypasses the partitioner for tests that need exact shard
-    contents: each is a device's training set, with an empty holdout, so
+    contents: each is a device's training set, with no holdout, so
     ``holdout_fraction`` must be 0.  The caller's arrays stay writable.
     """
     if shards is None:
         if dataset is None:
             raise ValueError("either a dataset or explicit shards are required")
-        pairs = partition_with_holdout(dataset, config.partition, config.holdout_fraction)
+        fits, holds = partition_with_holdout(dataset, config.partition, config.holdout_fraction)
+        train = evals = Shards.take(dataset, fits)
+        if any(len(rows) for rows in holds):
+            evals = Shards.take(dataset, [hold if len(hold) else fit for fit, hold in zip(fits, holds)])
+        sizes = train.sizes + [len(rows) for rows in holds]
+        sizes.setflags(write=False)
     else:
         if config.holdout_fraction > 0:
             raise ValueError("explicit shards take no holdout; holdout_fraction must be 0")
-        pairs = [(shard, shard.subset([])) for shard in shards]
-    train = Shards.pool([shard for shard, _ in pairs])
-    held = np.array([len(hold) for _, hold in pairs], dtype=np.intp)
-    evals = Shards.pool([hold if len(hold) else shard for shard, hold in pairs]) if held.any() else train
-    sizes = train.sizes + held
-    sizes.setflags(write=False)
+        train = evals = Shards.pool(shards)
+        sizes = train.sizes
     w_star = optimum_oracle(config.objective, train.data)
     w_star.setflags(write=False)
     return PreparedProblem(train, evals, sizes, w_star)
@@ -419,7 +420,7 @@ def block_rounds(config: SimConfig, problem: PreparedProblem, entries: int | Non
     s = config.selected_per_round
     per_round = 0
     if config.local_solver == "sgd":
-        per_round += round_steps(config.local_epochs, problem.train.sizes, s)
+        per_round += config.local_epochs * int(np.sort(problem.train.sizes)[-s:].sum())
     if config.algorithm != "fedavg":
         per_round += s * config.anneal.mask_columns(config.objective.param_dim)
     return max(1, (PLAN_ENTRIES if entries is None else entries) // max(1, per_round))

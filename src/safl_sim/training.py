@@ -160,11 +160,22 @@ class Shards:
             raise ValueError("need at least one shard, and shards that agree on n_classes")
         X = np.concatenate([shard.X for shard in shards])
         y = np.concatenate([shard.y for shard in shards])
+        return cls._frozen(X, y, *n_classes, shards)
+
+    @classmethod
+    def take(cls, dataset: Dataset, rows: Sequence[np.ndarray]) -> "Shards":
+        """Shard ``k`` as rows ``rows[k]`` of ``dataset``, gathered in order into fresh read-only arrays."""
+        flat = np.concatenate(rows)
+        return cls._frozen(np.take(dataset.X, flat, axis=0), np.take(dataset.y, flat), dataset.n_classes, rows)
+
+    @classmethod
+    def _frozen(cls, X: np.ndarray, y: np.ndarray, n_classes: int | None, shards: Sequence) -> "Shards":
+        """``X`` and ``y`` cut into runs of ``len(shards[k])`` rows, every array read-only."""
         sizes = np.array([len(shard) for shard in shards], dtype=np.intp)
         starts = np.cumsum(sizes) - sizes
         for array in (X, y, starts, sizes):
             array.setflags(write=False)
-        return cls(Dataset._trusted(X, y, *n_classes), starts, sizes)
+        return cls(Dataset._trusted(X, y, n_classes), starts, sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)

@@ -63,7 +63,7 @@ def regression_pool():
 
 @pytest.fixture(scope="module")
 def regression_curvature(regression_pool):
-    shards = [tr for tr, _ in partition_with_holdout(regression_pool, REG_PART, 0.0)]
+    shards = [regression_pool.subset(tr) for tr in partition_with_holdout(regression_pool, REG_PART, 0.0)[0]]
     bounds = [curvature(REG_OBJ, sh) for sh in shards]
     mu = min(b.mu for b in bounds)
     lam = max(b.lam for b in bounds)
@@ -273,7 +273,7 @@ def test_criterion_5_constant_step_bound_and_network_size(regression_pool, regre
     floors = {}
     for n in (5, 20, 80):
         part_n = PartitionSpec(n=n, mean_size=12.0, size_var=0.0, max_labels_per_device=1, seed=202)
-        shards_n = [tr for tr, _ in partition_with_holdout(pool, part_n, 0.0)]
+        shards_n = [pool.subset(tr) for tr in partition_with_holdout(pool, part_n, 0.0)[0]]
         bounds_n = [curvature(REG_OBJ, sh) for sh in shards_n]
         alpha_n = 0.5 / (2 * max(b.lam for b in bounds_n) - min(b.mu for b in bounds_n))
         tails = []

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safl_sim.bounds
+import safl_sim.cli
 import safl_sim.experiments
 import safl_sim.objectives
 import safl_sim.simulation
@@ -452,6 +453,25 @@ class TestCli:
             load_experiment(write_doc(tmp_path, {**doc, "E": limit // 24 + 1}))
         oracle = {**doc, "E": limit, "local_solver": "oracle", "objective": {"kind": "lasso", "reg": 1.0}}
         load_experiment(write_doc(tmp_path, oracle))
+
+    def test_round_step_limit_counts_the_padded_step_table(self, tmp_path, monkeypatch, capsys):
+        # a round draws 3.34e6 steps, under the limit, but the kernel pads
+        # all 1000 streams to the longest training shard, 24784 samples: a
+        # table of 2.48e7 entries, refused on load before anything runs
+        doc = {
+            "data": {"kind": "blobs", "samples": 30000, "dim": 8, "classes": 3,
+                     "separation": 1.1, "cluster_std": 1.4, "seed": 31},
+            "objective": {"kind": "multinomial_logistic", "reg": 0.05},
+            "partition": {"mean_size": 20, "size_var": 1e8, "max_labels_per_device": 3,
+                          "pure_count": 300, "seed": 77},
+            "n": 1000, "s": 1000, "T": 2, "E": 1, "lr": {"kind": "constant", "value": 0.1},
+            "holdout_fraction": 0.2, "variants": ["fedavg"], "seeds": [1],
+        }
+        monkeypatch.setattr(safl_sim.cli, "execute", lambda *args, **kwargs: pytest.fail("the document ran"))
+        code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'E'" in err and "24784 samples" in err and "Traceback" not in err
 
     def test_label_cap_above_the_labels_present_exits_one(self, tmp_path, capsys):
         doc = experiment_doc(data={"kind": "blobs", "samples": 60, "dim": 3, "classes": 3}, T=2, seeds=[1])

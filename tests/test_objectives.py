@@ -321,8 +321,8 @@ class TestLogisticLayout:
             path.write_text(json.dumps(_workload_document(source, monkeypatch)))
         spec = load_experiment(path)
         config = spec.config
-        pairs = partition_with_holdout(spec.dataset, config.partition, config.holdout_fraction)
-        pooled = Shards.pool([train for train, _ in pairs]).data
+        fits, _ = partition_with_holdout(spec.dataset, config.partition, config.holdout_fraction)
+        pooled = Shards.pool([spec.dataset.subset(rows) for rows in fits]).data
         assert np.array_equal(optimum_oracle(config.objective, pooled), _row_major_gd(config.objective, pooled))
 
     def test_random_problems_agree_within_1e_14(self):

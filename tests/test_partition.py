@@ -158,26 +158,30 @@ class TestHoldoutSplit:
     def test_split_is_disjoint_and_sized(self):
         data = make_blobs(400, 4, 4, seed=7)
         spec = PartitionSpec(n=6, mean_size=20.0, max_labels_per_device=2, seed=5)
-        pairs = partition_with_holdout(data, spec, 0.2)
+        fits, holds = partition_with_holdout(data, spec, 0.2)
         sizes = sample_sizes(spec)
-        for (train, hold), m in zip(pairs, sizes):
+        for train, hold, m in zip(fits, holds, sizes):
             assert len(train) + len(hold) == m
             assert len(hold) == int(np.floor(0.2 * m))
             assert len(train) >= 1
+        # together, a device's pieces are its shard's rows (a draw may repeat a row)
+        for rows, train, hold in zip(PARTITION._shard_indices(data, spec), fits, holds):
+            assert np.array_equal(np.sort(np.concatenate([train, hold])), np.sort(rows))
 
     def test_singleton_shards_keep_their_only_sample_for_training(self):
         data = make_linear_regression(50, 3, seed=2)
         spec = PartitionSpec(n=5, mean_size=0.5, seed=3)
-        for train, hold in partition_with_holdout(data, spec, 0.5):
-            assert len(train) == 1 and len(hold) == 0
+        for train, hold in zip(*partition_with_holdout(data, spec, 0.5)):
+            assert len(data.subset(train)) == 1 and len(data.subset(hold)) == 0
 
     def test_pieces_are_the_shards_split_by_the_split_stream(self):
-        # the pieces are gathered from the dataset, not from the shard: the
-        # same rows as splitting each shard of ``partition``
+        # the pieces are rows of the dataset, not of the shard: the same
+        # rows as splitting each shard of ``partition``
         data = make_blobs(300, 3, 3, seed=9)
         spec = PartitionSpec(n=9, mean_size=12.0, size_var=20.0, max_labels_per_device=2, seed=21)
         split_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(4)[3])
-        for shard, (train, hold) in zip(partition(data, spec), partition_with_holdout(data, spec, 0.3)):
+        for shard, train_rows, hold_rows in zip(partition(data, spec), *partition_with_holdout(data, spec, 0.3)):
+            train, hold = data.subset(train_rows), data.subset(hold_rows)
             perm = split_rng.permutation(len(shard))
             n_hold = len(hold)
             assert n_hold == min(int(np.floor(len(shard) * 0.3)), len(shard) - 1)
@@ -190,16 +194,17 @@ class TestHoldoutSplit:
         spec = PartitionSpec(n=9, mean_size=12.0, size_var=40.0, max_labels_per_device=2, seed=21)
         sizes = PARTITION.check_fits(data, spec)
         assert sizes == sample_sizes(spec)
-        holds = [len(hold) for _, hold in partition_with_holdout(data, spec, fraction)]
-        assert holds == PARTITION.holdout_sizes(sizes, fraction).tolist()
+        _, holds = partition_with_holdout(data, spec, fraction)
+        assert [len(data.subset(hold)) for hold in holds] == PARTITION.holdout_sizes(sizes, fraction).tolist()
 
     def test_split_is_deterministic(self):
         data = make_blobs(200, 3, 3, seed=9)
         spec = PartitionSpec(n=5, mean_size=30.0, max_labels_per_device=2, seed=21)
         a = partition_with_holdout(data, spec, 0.25)
         b = partition_with_holdout(data, spec, 0.25)
-        for (ta, ha), (tb, hb) in zip(a, b):
-            assert np.array_equal(ta.X, tb.X) and np.array_equal(ha.X, hb.X)
+        for ta, ha, tb, hb in zip(*a, *b):
+            assert np.array_equal(data.subset(ta).X, data.subset(tb).X)
+            assert np.array_equal(data.subset(ha).X, data.subset(hb).X)
 
 
 class TestDatasetCsv:

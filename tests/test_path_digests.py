@@ -7,9 +7,11 @@ documents cover the rest: partial participation, shuffled epochs, the
 scalar mask, the oracle solver, a seed stopped early by ``early_stop_mse``,
 and the gate's inverse-risk score on ridge, plus logistic SGD at
 partial participation with ragged shards, a run seed longer than the
-seed hash's pool of four 32-bit words, and shuffled epochs at full
-participation, where the server draws nothing.  A refactor that keeps
-behaviour leaves every digest as it is.
+seed hash's pool of four 32-bit words, shuffled epochs at full
+participation, where the server draws nothing, and a partition where some
+devices hold out samples and others, with none to spare, are scored on
+their training set.  A refactor that keeps behaviour leaves every digest as
+it is.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ import pytest
 from safl_sim import simulation
 from safl_sim.cli import main as cli_main
 from safl_sim.experiments import load_experiment, sim_config
+from safl_sim.partition import holdout_sizes, sample_sizes
 
 RIDGE_DATA = {"kind": "linear", "samples": 160, "dim": 4, "feature_scale": 0.3, "coef_scale": 3.0, "seed": 5}
 RIDGE = {"kind": "ridge", "reg": 0.8}
@@ -75,6 +78,14 @@ DOCS = {
         "sample_order": "shuffle", "holdout_fraction": 0.25,
         "variants": ["fedavg", "safl", "safl_extended"], "seeds": [3, 4],
     },
+    # holdouts of [0, 1, 0, 1, 1, 1, 0, 1, 0]: the gate scores four devices on their training set
+    "mixed_holdout": {
+        "data": RIDGE_DATA, "objective": RIDGE,
+        "partition": {"mean_size": 6, "size_var": 16.0, "max_labels_per_device": 1, "seed": 4},
+        "n": 9, "s": 6, "T": 8, "E": 2, "lr": {"kind": "constant", "value": 0.05},
+        "anneal": {"temperature": 5.0, "epsilon": 0.4}, "gate": {"gap_scale": 0.05}, "holdout_fraction": 0.2,
+        "variants": ["fedavg", "safl", "safl_extended"], "seeds": [5],
+    },
 }
 
 DIGESTS = {
@@ -111,6 +122,12 @@ DIGESTS = {
         "safl_extended.csv": "a799a2b7075ef9de16f4663ae3c9fc9745e4a49d3d29376d94f044cccd71ee17",
         "summary.json": "e8cbf40f68ffa7dd952d3240edd00392ed00ef6890a590eef047faa260a860c8",
     },
+    "mixed_holdout": {
+        "fedavg.csv": "72d7cdc84953bac33fae6d6ff52bd1c5dfdae62dc1d730b79a2a17aaa3499c83",
+        "safl.csv": "d92f42cb66742d39318f9327c2f42a42f3c38b6d9bf83a0b046834de8cc226c1",
+        "safl_extended.csv": "8c3bd06594a514ef1ad8d43ad942898e37186b60b1241fc3761d34e629d44d59",
+        "summary.json": "78f191ff2ee303dcd7ee95b8c9d67b8e9affc47ae9a430ea609d63d41cb1b898",
+    },
 }
 
 
@@ -128,6 +145,19 @@ def test_document_writes_the_recorded_bytes(tmp_path, name):
     assert run_digests(tmp_path, name) == DIGESTS[name]
 
 
+def test_mixed_holdout_document_has_both_kinds_of_holdout(tmp_path):
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps(DOCS["mixed_holdout"]))
+    spec = load_experiment(config)
+    holds = holdout_sizes(sample_sizes(spec.config.partition), spec.config.holdout_fraction)
+    assert holds.tolist() == [0, 1, 0, 1, 1, 1, 0, 1, 0]
+    problem = simulation.prepare(spec.config, spec.dataset)
+    empty = holds == 0
+    assert problem.evals is not problem.train
+    assert (problem.evals.sizes[empty] == problem.train.sizes[empty]).all()
+    assert (problem.evals.sizes[~empty] == holds[~empty]).all()
+
+
 # a block budget per document and the rounds per block it gives each variant:
 # every run spans several blocks and ends in a partial one, except oracle
 # fedavg, which draws nothing but its selections
@@ -138,6 +168,7 @@ BLOCKS = {
     "early_stop": (800, [9, 6]),
     "long_seed": (200, [5, 3, 3]),
     "full_shuffle": (500, [4, 3, 3]),
+    "mixed_holdout": (400, [5, 3, 3]),
 }
 
 

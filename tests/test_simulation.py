@@ -150,7 +150,7 @@ class TestSingleDevice:
         _, dev_ss = root.spawn(2)
         init_ss, train_ss, _, _ = dev_ss.spawn(4)
         w = 0.1 * np.random.default_rng(init_ss).standard_normal(obj.param_dim)
-        shard = partition_with_holdout(data, part, 0.0)[0][0]
+        shard = data.subset(partition_with_holdout(data, part, 0.0)[0][0])
         rng = np.random.default_rng(train_ss)
         steps = 0
         for _ in range(8):
@@ -200,14 +200,19 @@ class TestPreparedProblem:
         shards[0].X[0, 0] = 0.5  # the caller's arrays stay writable
 
     @staticmethod
-    def ragged_problem(holdout_fraction=0.15):
+    def ragged(holdout_fraction=0.15):
         # shard sizes straddle 1 / holdout_fraction, so some holdouts are empty
         data = make_linear_regression(400, 3, seed=4)
         part = PartitionSpec(n=12, mean_size=9.0, size_var=16.0, max_labels_per_device=1, seed=5)
-        cfg = base_config(Objective("ridge", 3, reg=0.3), part, holdout_fraction=holdout_fraction)
-        return prepare(cfg, data), partition_with_holdout(data, part, holdout_fraction)
+        return base_config(Objective("ridge", 3, reg=0.3), part, holdout_fraction=holdout_fraction), data
 
-    def test_each_eval_set_is_the_holdout_or_else_the_training_set(self):
+    @classmethod
+    def ragged_problem(cls, holdout_fraction=0.15):
+        cfg, data = cls.ragged(holdout_fraction)
+        fits, holds = partition_with_holdout(data, cfg.partition, holdout_fraction)
+        return prepare(cfg, data), [(data.subset(fit), data.subset(hold)) for fit, hold in zip(fits, holds)]
+
+    def test_each_eval_set_is_the_holdout_or_else_the_training_set(self, monkeypatch):
         problem, pairs = self.ragged_problem()
         held = [len(hold) > 0 for _, hold in pairs]
         assert any(held) and not all(held)
@@ -216,8 +221,25 @@ class TestPreparedProblem:
             for got, want in ((problem.train.dataset(k), train), (problem.evals.dataset(k), eval_set)):
                 assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
         assert problem.sizes.tolist() == [len(train) + len(hold) for train, hold in pairs]
+        # each pooled set is bitwise the devices' own gathers, concatenated
+        evals = [hold if len(hold) else train for train, hold in pairs]
+        for shards, pieces in ((problem.train, [train for train, _ in pairs]), (problem.evals, evals)):
+            for field in ("X", "y"):
+                got, want = getattr(shards.data, field), np.concatenate([getattr(piece, field) for piece in pieces])
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         unheld, _ = self.ragged_problem(holdout_fraction=0.0)
         assert unheld.evals is unheld.train
+
+        # prepare builds one Dataset per pooled set, and none per device
+        built = []
+        trusted, subset = Dataset._trusted, Dataset.subset
+        monkeypatch.setattr(Dataset, "_trusted", staticmethod(lambda *args: built.append("_trusted") or trusted(*args)))
+        monkeypatch.setattr(Dataset, "subset", lambda self, rows: built.append("subset") or subset(self, rows))
+        for fraction, pooled_sets in ((0.15, 2), (0.0, 1)):
+            cfg, data = self.ragged(fraction)
+            built.clear()
+            prepare(cfg, data)
+            assert built == ["_trusted"] * pooled_sets
 
     def test_every_array_is_read_only_and_every_view_shares_the_pool(self):
         problem, _ = self.ragged_problem()
