@@ -446,9 +446,19 @@ def _series_by_variant(rows: list[MetricsRow]) -> dict[str, dict[int, list[Metri
     return grouped
 
 
+def _sign_test(wins: int, losses: int) -> float:
+    """The two-sided exact sign test's p-value of ``wins`` against ``losses``, ties dropped."""
+    trials = wins + losses
+    tail = sum(math.comb(trials, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**trials)
+
+
 def compare(paths: list, mse_threshold: float | None = None, stream=None) -> None:
     """Print per-round mean and standard error of the metrics in each file,
-    the difference against the first file, and rounds-to-threshold stats."""
+    the difference against the first file, then each file's final-round
+    difference paired by seed against the first (its mean, paired stderr,
+    wins and losses, where a win is a lower mse, and sign test), and
+    rounds-to-threshold stats."""
     import sys
 
     stream = stream or sys.stdout
@@ -490,6 +500,22 @@ def compare(paths: list, mse_threshold: float | None = None, stream=None) -> Non
             mean, se, acc = stats(by_round[r])
             delta = mean - base_means[r]
             print(f"{variant:<16}{r:>8}{mean:>14.6g}{se:>12.3g}{acc:>12.4f}{delta:>20.6g}", file=stream)
+    # variants share each seed's random numbers, so a seed's difference
+    # against the first file is far less noisy than the difference of means
+    last = rounds[-1]
+    base_mse = {row.seed: row.mse for row in tables[0][1][last]}
+    for variant, by_round in tables[1:]:
+        diffs = [row.mse - base_mse[row.seed] for row in by_round[last] if row.seed in base_mse]
+        if not diffs:
+            print(f"{variant:<16}{last:>8}  paired vs {base_name}: no shared seed", file=stream)
+            continue
+        wins, losses = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
+        se = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else 0.0
+        print(
+            f"{variant:<16}{last:>8}  paired vs {base_name} over {len(diffs)} seeds: wins {wins}, losses {losses},"
+            f" sign test p {_sign_test(wins, losses):.3g}, stderr {se:.3g}, d_mse {statistics.fmean(diffs):.6g}",
+            file=stream,
+        )
 
     if mse_threshold is not None:
         print(f"\nrounds to mse <= {mse_threshold:g}:", file=stream)

@@ -29,8 +29,9 @@ each one's gap, upload probability and decision by id (``"gate"``).
 ``run_jobs`` advances the jobs of one experiment, which differ only in
 algorithm and seed, in lockstep, and ``run`` is its one-job case.  Every
 job's device parameters and step counts are views into one (J, n, P) and
-one (J, n) array.  Each round, every live job takes its draws from its own
-plan; one ``run_local_epochs`` call trains the picked rows of all of them,
+one (J, n) array.  Each round, every run seed with a live job takes one
+round of draws from its plan, which all its live jobs read (see below); one
+``run_local_epochs`` call trains the picked rows of all of them,
 reading each shard in place in the pooled training set; and one
 ``run_round`` call runs steps 3-6 for all of them as whole-array operations
 with a leading job axis: every job picks ``s`` devices, so the weights are
@@ -59,8 +60,17 @@ The table is bitwise what ``SeedSequence(seed).spawn`` gives (tested), and
 ``build_state`` checks one row against numpy's ``SeedSequence`` on every
 call, so a numpy whose hash changed raises instead of moving the streams.
 
-Each job draws ahead.  For each block of rounds, ``plan_rounds`` makes the
-block's server selections (one ``choice`` per round, in round order), then
+The stream keys leave out the variant, so the jobs of one run seed share
+their random numbers: the initialisation, the server selections, the sample
+indices and, for the annealed variants, the mask uniforms (common random
+numbers, which couple the variants' runs seed by seed).  ``run_jobs`` draws
+them once per seed: one ``build_state`` call, for the member whose variant
+draws the most streams, and one plan.  Each job keeps its own parameters,
+step counts and global model, and its ``Devices`` holds the seed's
+generators for the streams its variant draws.
+
+Each run seed draws ahead.  For each block of rounds, ``plan_rounds`` makes
+the block's server selections (one ``choice`` per round, in round order), then
 one draw per selected device per stream for the whole block: its sample
 indices for every round it trains in, and its mask uniforms.  At full
 participation (``s == n``) every round selects every device, and the server
@@ -71,10 +81,10 @@ its rows by slicing (``RoundDraws``).  Numpy's generators return the same
 values for one draw of a summed size as for successive draws of the parts,
 so every stream yields the values a round-by-round loop would draw; only
 how far a generator has advanced by a given round changes, and an observer
-sees the train and mask generators already advanced to the end of the
-current block.  Upload decisions still draw from the gate stream one device
+sees the train and mask generators already advanced to the end of its
+seed's current block.  Upload decisions still draw from the gate stream one device
 at a time.
-``PLAN_ENTRIES`` caps the draws held ahead by all the jobs in flight
+``PLAN_ENTRIES`` caps the draws held ahead by all the seeds in flight
 together, so memory stays bounded at any ``T`` and any job count.
 """
 
@@ -99,7 +109,7 @@ ALGORITHMS = ("fedavg", "safl", "safl_extended")
 LOCAL_SOLVERS = ("sgd", "oracle")
 
 # the most entries (sample indices plus mask uniforms) drawn ahead by all the
-# jobs in flight: a job's block holds PLAN_ENTRIES // jobs, and at least one round
+# run seeds in flight: a seed's block holds PLAN_ENTRIES // seeds, and at least one round
 PLAN_ENTRIES = 2**17
 
 
@@ -165,7 +175,8 @@ class Devices:
     belongs to one (device, purpose) pair.  A list whose purpose the variant
     never draws from is empty: ``mask_rngs`` for fedavg, ``gate_rngs`` for
     all but safl_extended.  A round updates the arrays in place, on the rows
-    of the devices it selected.
+    of the devices it selected.  The jobs of one run seed share its generator
+    objects (see ``run_jobs``), each job holding its own arrays.
     """
 
     params: np.ndarray
@@ -436,13 +447,15 @@ def _plan_block(
     Each device's draw is written to its own contiguous run of a
     device-major buffer (its slots in round order, the order in which the
     draw is consumed), and one scatter per stream moves the buffer to slot
-    order, round-major.
+    order, round-major.  The block's arrays are read-only, since every job
+    of a run seed reads them.
     """
     n, s = config.n, config.selected_per_round
     if s == n:
         chosen = np.broadcast_to(np.arange(n), (count, n))
     else:
         chosen = np.array([np.sort(server.rng.choice(n, size=s, replace=False)) for _ in range(count)])
+        chosen.setflags(write=False)
     slots = chosen.ravel()  # selection slots, round-major
     by_device = np.argsort(slots, kind="stable")  # the slots, device-major
     counts = np.bincount(slots, minlength=n)
@@ -466,6 +479,7 @@ def _plan_block(
         to += np.arange(len(buffer))
         flat = np.empty_like(buffer)
         flat[to] = buffer
+        flat.setflags(write=False)
         bounds = [*starts[::s].tolist(), len(flat)]
         indices = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -477,6 +491,7 @@ def _plan_block(
             devices.mask_rngs[k].random(out=buffer[a:b])
         rows = np.empty_like(buffer)
         rows[by_device] = buffer
+        rows.setflags(write=False)
         uniforms = rows.reshape(count, s, -1)
     return [RoundDraws(*draws) for draws in zip(chosen, indices, uniforms)]
 
@@ -606,8 +621,9 @@ def run_round(
 
 @dataclass(eq=False)
 class _Job:
-    """One job in flight: its config, the result it grows, its draws, and
-    its slot in the stacked device state."""
+    """One job in flight: its config, the result it grows, its run seed's
+    plan (shared with the seed's other jobs), and its slot in the stacked
+    device state."""
 
     config: SimConfig
     result: RunResult
@@ -723,13 +739,20 @@ def run_jobs(
     ``RunResult`` per config, each the result of running that job alone.
 
     Every job's device parameters and step counts are views into one
-    stacked array each, (J, n, P) and (J, n).  Every round, each live job
-    takes its draws from its own plan, one ``run_local_epochs`` call trains
-    every job's chosen rows, and one ``run_round`` call gates, fuses, mixes
-    and records the round of them all, calling ``observers[i]``, if any.  A
-    job leaves the loop when it stops early.  The plans share
-    ``PLAN_ENTRIES``: each job's blocks hold ``PLAN_ENTRIES // len(configs)``
-    entries, so the draws held ahead do not grow with the job count.
+    stacked array each, (J, n, P) and (J, n).  The jobs of one run seed
+    share its streams: ``build_state`` runs once per seed, for the job whose
+    variant draws the most streams, and each job copies the seed's
+    initialisation into its own rows, keeps its own global model, and holds
+    the seed's generators for the streams its variant draws.  Every round,
+    each seed with a live job takes one round from its one plan, which all
+    its live jobs read, one ``run_local_epochs`` call trains every job's
+    chosen rows, and one ``run_round`` call gates, fuses, mixes and records
+    the round of them all, calling ``observers[i]``, if any.  A job leaves
+    the loop when it stops early; its seed's plan runs on while a seed-mate
+    lives.  The plans share ``PLAN_ENTRIES``: each seed's blocks hold
+    ``PLAN_ENTRIES // seeds`` entries, so the draws held ahead do not grow
+    with the job count.  A job repeated in ``configs`` counts as a seed of
+    its own, since each gated job draws its own upload decisions.
 
     Divergence is reported as if the jobs ran one after another: the
     ``DivergenceError`` raised is that of the first job, in ``configs``
@@ -742,16 +765,32 @@ def run_jobs(
     for config in configs[1:]:
         if replace(config, algorithm=first.algorithm, seed=first.seed) != first:
             raise ValueError("jobs run in lockstep must differ only in algorithm and seed")
-    entries = PLAN_ENTRIES // len(configs)
+    # a seed's jobs share its streams, so its state and plan are drawn once,
+    # for the member whose variant draws the most (``_DRAWN`` is nested); a
+    # repeated job draws its own gate decisions, so it keys a group of its own
+    keys = [(config.seed, configs[:slot].count(config)) for slot, config in enumerate(configs)]
+    entries = PLAN_ENTRIES // len(set(keys))
+    seeds = {}
+    for key in dict.fromkeys(keys):
+        lead = max((c for k, c in zip(keys, configs) if k == key), key=lambda c: len(_DRAWN[c.algorithm]))
+        devices, server, _, w_star = build_state(lead, prepared=problem)
+        seeds[key] = devices, server, w_star, plan_rounds(lead, server, devices, problem, entries)
     params = np.empty((len(configs), first.n, first.objective.param_dim))
     steps_done = np.zeros((len(configs), first.n), dtype=np.int64)
     jobs = []
-    for slot, (config, observer) in enumerate(zip(configs, observers or [None] * len(configs), strict=True)):
-        devices, server, _, w_star = build_state(config, prepared=problem)
+    for slot, (config, key, observer) in enumerate(zip(configs, keys, observers or [None] * len(configs), strict=True)):
+        devices, server, w_star, plan = seeds[key]
         params[slot] = devices.params
-        devices = replace(devices, params=params[slot], steps_done=steps_done[slot])
-        result = RunResult([], w_star, devices, server, devices.params.copy())
-        jobs.append(_Job(config, result, plan_rounds(config, server, devices, problem, entries), observer, slot))
+        streams = _DRAWN[config.algorithm]
+        own = replace(
+            devices,
+            params=params[slot],
+            steps_done=steps_done[slot],
+            mask_rngs=devices.mask_rngs if 2 in streams else [],
+            gate_rngs=devices.gate_rngs if 3 in streams else [],
+        )
+        own_server = ServerState(server.global_params.copy(), server.rng)
+        jobs.append(_Job(config, RunResult([], w_star, own, own_server, devices.params.copy()), plan, observer, slot))
     optima = None  # the oracle trains every job's device to its shard's optimum, solved once
     if first.local_solver == "oracle":
         optima = np.array([optimum_oracle(first.objective, problem.train.dataset(k)) for k in range(first.n)])
@@ -759,11 +798,13 @@ def run_jobs(
     live, failure, batch = jobs, None, None
     for r in range(1, first.rounds + 1):
         # a round's draws hold their whole block alive, so the last round's
-        # are dropped before any job draws its next block
-        round_draws = trained = None
+        # are dropped before any seed draws its next block
+        round_draws = drawn = trained = None
         if not live:
             break
-        round_draws = [next(job.plan)[1] for job in live]
+        # every seed with a live job draws the round once, for all of them
+        drawn = {plan: next(plan)[1] for plan in dict.fromkeys(job.plan for job in live)}
+        round_draws = [drawn[job.plan] for job in live]
         chosen = np.array([draws.chosen for draws in round_draws])
         if batch is None or batch.jobs != live or not np.array_equal(batch.chosen, chosen):
             batch = None  # the old batch goes before the new one is built

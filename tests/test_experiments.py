@@ -349,6 +349,42 @@ class TestCompare:
         assert {int(line.split()[1]) for line in table.strip().splitlines()[1:]} == {1, 2, 3}
         assert "median 3 (min 3, max 3, unreached 1)" in thresholds
 
+    @staticmethod
+    def write_final(path, variant, mses_by_seed):
+        """Two rounds per seed; each seed's second-round mse is its given one."""
+        rows = [
+            MetricsRow(variant, seed, r, mse if r == 2 else 9.0, 0.5, r, None, None, None)
+            for seed, mse in mses_by_seed.items()
+            for r in (1, 2)
+        ]
+        emit_metrics_csv(rows, path)
+        return path
+
+    def paired_lines(self, capsys, *files):
+        compare(list(files))
+        return [line for line in capsys.readouterr().out.splitlines() if "paired" in line]
+
+    def test_paired_difference_at_the_final_round(self, tmp_path, capsys):
+        base = self.write_final(tmp_path / "a.csv", "fedavg", {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0, 5: 5.0})
+        # differences -0.5, -0.5, -0.5, +0.5 and a tie: mean -0.2, sample sd
+        # sqrt(0.2), so paired stderr 0.2; p = 2 * (C(4,0) + C(4,1)) / 2^4
+        other = self.write_final(tmp_path / "b.csv", "safl", {1: 0.5, 2: 1.5, 3: 2.5, 4: 4.5, 5: 5.0})
+        assert self.paired_lines(capsys, base, other) == [
+            "safl                   2  paired vs fedavg over 5 seeds: wins 3, losses 1,"
+            " sign test p 0.625, stderr 0.2, d_mse -0.2"
+        ]
+
+    def test_paired_difference_covers_the_shared_seeds_only(self, tmp_path, capsys):
+        base = self.write_final(tmp_path / "a.csv", "fedavg", {seed: 1.0 for seed in range(1, 12)})
+        # nine shared seeds (3 to 11), all won: p = 2 / 2^9; seed 12 has no pair
+        wins = self.write_final(tmp_path / "b.csv", "safl", {seed: 0.5 for seed in range(3, 13)})
+        apart = self.write_final(tmp_path / "c.csv", "safl_extended", {20: 0.5, 21: 0.5})
+        assert self.paired_lines(capsys, base, wins, apart) == [
+            "safl                   2  paired vs fedavg over 9 seeds: wins 9, losses 0,"
+            " sign test p 0.00391, stderr 0, d_mse -0.5",
+            "safl_extended          2  paired vs fedavg: no shared seed",
+        ]
+
     def test_incompatible_round_grids_rejected(self, tmp_path):
         spec_a = load_experiment(write_doc(tmp_path, experiment_doc(variants=["safl"])))
         spec_b = load_experiment(write_doc(tmp_path, experiment_doc(variants=["safl"], T=5), name="b.json"))

@@ -181,9 +181,21 @@ def test_many_blocks_write_the_bytes_of_one(tmp_path, monkeypatch, name):
     spec = load_experiment(config)
     problem = simulation.prepare(spec.config, spec.dataset)
     assert [simulation.block_rounds(sim_config(spec, v, 0), problem) for v in spec.variants] == lengths
-    # execute runs every job in lockstep, and the jobs share the budget, so
-    # each job's blocks are shorter than those of the job run alone
-    entries = budget // (len(spec.variants) * len(spec.seeds))
-    shared = [simulation.block_rounds(sim_config(spec, v, 0), problem, entries) for v in spec.variants]
-    assert all(mine < alone for mine, alone in zip(shared, lengths))
-    assert run_digests(tmp_path, name) == DIGESTS[name]
+    # execute runs every job in lockstep, and the jobs of a run seed share
+    # one plan, that of the variant drawing the most streams; the seeds share
+    # the budget, so each seed's plan holds budget // seeds entries a block
+    planned = []
+    plan_rounds = simulation.plan_rounds
+
+    def spy(config, server, devices, problem, entries):
+        planned.append((config.algorithm, config.seed, entries))
+        return plan_rounds(config, server, devices, problem, entries)
+
+    monkeypatch.setattr(simulation, "plan_rounds", spy)
+    digests = run_digests(tmp_path, name)
+    lead = max(spec.variants, key=simulation.ALGORITHMS.index)
+    entries = budget // len(spec.seeds)
+    assert planned == [(lead, seed, entries) for seed in spec.seeds]
+    # so every seed's run spans more than one block
+    assert simulation.block_rounds(sim_config(spec, lead, 0), problem, entries) < spec.config.rounds
+    assert digests == DIGESTS[name]

@@ -680,6 +680,90 @@ class TestLockstep:
             assert np.array_equal(joint.devices.params, own.devices.params)
             assert np.array_equal(joint.devices.steps_done, own.devices.steps_done)
 
+    def test_each_seed_draws_its_streams_once_for_all_its_jobs(self, monkeypatch):
+        data, configs = self.configs()  # 3 variants x 2 seeds, 4 of 6 devices a round
+        problem = prepare(configs[0], data)
+        built, planned, draws, drawn = [], [], Counter(), {}
+        real_build, real_plan, real_sample = simulation.build_state, simulation.plan_rounds, simulation.sample_indices
+
+        def build(config, **kw):
+            built.append((config.algorithm, config.seed))
+            return real_build(config, **kw)
+
+        def plan(config, server, devices, problem, entries):
+            planned.append((config.seed, entries))
+            return real_plan(config, server, devices, problem, entries)
+
+        def sample(m, epochs, order, rng):
+            draws[id(rng)] += 1
+            drawn[id(rng)] = rng
+            return real_sample(m, epochs, order, rng)
+
+        monkeypatch.setattr(simulation, "build_state", build)
+        monkeypatch.setattr(simulation, "plan_rounds", plan)
+        monkeypatch.setattr(simulation, "sample_indices", sample)
+        results = simulation.run_jobs(configs, problem)
+        # one state per seed, built for the variant that draws every stream
+        assert built == [("safl_extended", 11), ("safl_extended", 12)]
+        assert planned == [(11, simulation.PLAN_ENTRIES // 2), (12, simulation.PLAN_ENTRIES // 2)]
+        # each seed's whole run is one block, in which every device trains
+        assert block_rounds(configs[-1], problem, simulation.PLAN_ENTRIES // 2) >= configs[0].rounds
+        assert len(draws) == 2 * configs[0].n and set(draws.values()) == {1}
+        by_seed = {seed: [r for c, r in zip(configs, results) if c.seed == seed] for seed in (11, 12)}
+        for first, *others in by_seed.values():
+            assert {id(rng) for rng in first.devices.train_rngs} <= drawn.keys()
+            for other in others:
+                assert all(a is b for a, b in zip(other.devices.train_rngs, first.devices.train_rngs, strict=True))
+                assert not np.shares_memory(other.devices.params, first.devices.params)
+                assert not np.shares_memory(other.devices.steps_done, first.devices.steps_done)
+                assert other.server is not first.server and other.server.rng is first.server.rng
+        for config, result in zip(configs, results):
+            devices = result.devices
+            assert len(devices.mask_rngs) == (0 if config.algorithm == "fedavg" else config.n)
+            assert len(devices.gate_rngs) == (config.n if config.algorithm == "safl_extended" else 0)
+
+    def test_the_blocks_of_a_seed_are_read_only(self):
+        data, configs = self.configs()
+        problem = prepare(configs[-1], data)
+        devices, server, _, _ = build_state(configs[-1], prepared=problem)
+        _, draws = next(simulation.plan_rounds(configs[-1], server, devices, problem, simulation.PLAN_ENTRIES))
+        for array in (draws.chosen, draws.indices, draws.uniforms):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("entries", [None, 300])
+    def test_seed_mates_outlive_the_job_that_draws_their_plan(self, monkeypatch, entries):
+        # seed 11's safl job draws the seed's plan and stops after round 5,
+        # while its fedavg mate runs on to round 11
+        data, configs = self.full_participation()
+        problem = prepare(configs[0], data)
+        alone = [run(config, prepared=problem) for config in configs]
+        if entries is not None:
+            monkeypatch.setattr(simulation, "PLAN_ENTRIES", entries)
+        together = simulation.run_jobs(configs, problem)
+        lengths = {(c.algorithm, c.seed): len(result.records) for c, result in zip(configs, together)}
+        assert lengths[("safl", 11)] == 5 < lengths[("fedavg", 11)] == 11
+        if entries is not None:  # the mate draws blocks after the lead retires
+            block = block_rounds(configs[-1], problem, entries // 2)
+            assert any(5 < first <= 11 for first in range(1, configs[0].rounds + 1, block))
+        for own, joint in zip(alone, together):
+            assert joint.records == own.records
+            assert np.array_equal(joint.devices.params, own.devices.params)
+            assert np.array_equal(joint.devices.steps_done, own.devices.steps_done)
+
+    def test_a_repeated_job_draws_its_own_gate_decisions(self, monkeypatch):
+        # a repeated gated job must not share its gate streams with its twin,
+        # so it plans apart and equals its alone run
+        data, configs = self.configs()
+        problem = prepare(configs[0], data)
+        gated = [config for config in configs if config.algorithm == "safl_extended" and config.seed == 11]
+        alone = run(gated[0], prepared=problem)
+        twins = simulation.run_jobs(gated * 2, problem)
+        assert twins[0].devices.gate_rngs[0] is not twins[1].devices.gate_rngs[0]
+        for result in twins:
+            assert result.records == alone.records
+            assert np.array_equal(result.devices.params, alone.devices.params)
+
     def test_observers_see_what_they_see_alone(self):
         # the round's steps run for every job before any observer is called,
         # so each observer must still see only its own job's state, as alone
