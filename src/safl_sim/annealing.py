@@ -69,7 +69,10 @@ def sample_mask(uniforms: np.ndarray, p: float, epsilon: float, dim: int) -> np.
         raise ValueError("p must lie in [0, 1]")
     if uniforms.ndim not in (2, 3) or uniforms.shape[-1] not in (1, dim):
         raise ValueError(f"uniforms must have shape ([J,] k, {dim}) or ([J,] k, 1), not {uniforms.shape}")
-    return np.broadcast_to(np.where(uniforms < p, epsilon, 1.0), (*uniforms.shape[:-1], dim))
+    masks = np.where(uniforms < p, epsilon, 1.0)
+    if uniforms.shape[-1] == dim:
+        return masks
+    return np.broadcast_to(masks, (*uniforms.shape[:-1], dim))
 
 
 def mix(mask: np.ndarray, global_params: np.ndarray, local_params: np.ndarray) -> np.ndarray:

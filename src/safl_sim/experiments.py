@@ -20,6 +20,7 @@ import json
 import math
 import re
 import statistics
+import typing
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -50,14 +51,14 @@ class ExperimentConfigError(ValueError):
     """The experiment document is malformed; the message names the key."""
 
 
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(typing.NamedTuple):
     """One row of a metrics CSV.  The fields, in order, are its columns, and
     each field's type is how the column is written and read: a float as
     ``.17g``, an int or a string as itself, and None as the empty field.
 
     ``p`` is None for plain averaging; a bound is None whenever its
-    preconditions do not hold."""
+    preconditions do not hold.  A tuple, so that a job's rows are built
+    and written column by column."""
 
     variant: str
     seed: int
@@ -70,9 +71,19 @@ class MetricsRow:
     bound_corollary1: float | None = None
 
 
-METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
-# (name, type, optional) of each column; the types are annotation strings
-_COLUMN_TYPES = tuple((f.name, f.type.removesuffix(" | None"), f.type.endswith(" | None")) for f in fields(MetricsRow))
+METRICS_COLUMNS = MetricsRow._fields
+
+
+def _column_type(hint) -> tuple[str, bool]:
+    """A column's type name and whether it is optional, from its annotation."""
+    types = typing.get_args(hint) or (hint,)  # an optional column's are (type, NoneType)
+    return types[0].__name__, type(None) in types
+
+
+# (name, type, optional) of each column
+_COLUMN_TYPES = tuple((name, *_column_type(hint)) for name, hint in typing.get_type_hints(MetricsRow).items())
+# the columns that a row leaves None unless their bound applies
+_BOUND_COLUMNS = tuple(MetricsRow._field_defaults)
 
 
 @dataclass(frozen=True)
@@ -198,6 +209,8 @@ TOP_KEYS = {
 }
 # top-level keys named after the SimConfig field they set
 SIM_FIELDS = ("sample_order", "local_solver", "holdout_fraction", "init_scale", "early_stop_mse")
+# the document key of each SimConfig field that its errors may name
+_ERROR_KEYS = {**_DOC_KEYS, **{name: name for name in SIM_FIELDS}}
 
 
 def load_experiment(path) -> ExperimentSpec:
@@ -259,7 +272,7 @@ def load_experiment(path) -> ExperimentSpec:
     try:
         configs = [SimConfig(**settings, algorithm=v, seed=s) for v in variants for s in seeds]
     except ValueError as err:
-        message = re.sub(r"\b(" + "|".join(_DOC_KEYS) + r")\b", lambda m: f"'{_DOC_KEYS[m[1]]}'", str(err))
+        message = re.sub(r"\b(" + "|".join(_ERROR_KEYS) + r")\b", lambda m: f"'{_ERROR_KEYS[m[1]]}'", str(err))
         raise ExperimentConfigError(f"experiment: {message}") from err
     config = configs[0]
     if config.local_solver == "sgd":
@@ -321,20 +334,24 @@ def _shared_bounds(config: SimConfig, problem: PreparedProblem) -> BoundColumns:
 def rows_for_run(
     spec: ExperimentSpec, variant: str, seed: int, result: RunResult, bounds: BoundColumns
 ) -> list[MetricsRow]:
-    """The job's metrics rows; ``bounds`` comes from ``_shared_bounds``."""
+    """The job's metrics rows, one per record; ``bounds`` comes from ``_shared_bounds``.
+
+    The rows are built column by column from the records' columns, and a
+    bound column calls its bound once per round."""
     zeta = initial_spread(result.init_params, result.w_star)
     try:
         bound_at = {column: at_spread(zeta) for column, at_spread in bounds.items()}
     except ValueError:  # a zeta beyond the float range
         bound_at = {}
-    uploads = itertools.accumulate(rec.uploads for rec in result.records)
-    return [
-        MetricsRow(
-            variant, seed, rec.round_index, rec.mse, rec.accuracy, cumulative, rec.selection_prob,
-            **{column: bound(rec.round_index) for column, bound in bound_at.items()},
-        )
-        for rec, cumulative in zip(result.records, uploads)
+    if not result.records:
+        return []
+    rounds, mse, accuracy, uploads, probs, _ = zip(*result.records)
+    bound_columns = [
+        [bound_at[column](t) for t in rounds] if column in bound_at else itertools.repeat(None)
+        for column in _BOUND_COLUMNS
     ]
+    columns = (rounds, mse, accuracy, itertools.accumulate(uploads), probs, *bound_columns)
+    return list(map(MetricsRow, itertools.repeat(variant), itertools.repeat(seed), *columns))
 
 
 def _format_column(values: list, kind: str) -> list[str]:
@@ -351,7 +368,7 @@ def _parse(text: str, kind: str, optional: bool):
 
 
 def emit_metrics_csv(rows: list[MetricsRow], path) -> None:
-    columns = [_format_column([getattr(r, name) for r in rows], kind) for name, kind, _ in _COLUMN_TYPES]
+    columns = [_format_column(values, kind) for values, (_, kind, _) in zip(zip(*rows), _COLUMN_TYPES)]
     lines = [",".join(METRICS_COLUMNS), *map(",".join, zip(*columns))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

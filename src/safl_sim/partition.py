@@ -91,16 +91,22 @@ def holdout_sizes(sizes, holdout_fraction: float) -> np.ndarray:
     return np.minimum(np.floor(sizes * holdout_fraction).astype(np.intp), sizes - 1)
 
 
-def _check_labels(dataset: Dataset, spec: PartitionSpec) -> None:
-    if dataset.is_classification and spec.max_labels_per_device > dataset.labels().size:
+def _labels(dataset: Dataset, spec: PartitionSpec) -> np.ndarray | None:
+    """The labels ``dataset`` holds (None for regression).  Raises ValueError
+    when ``spec`` caps label subsets above their count."""
+    if not dataset.is_classification:
+        return None
+    labels = dataset.labels()
+    if spec.max_labels_per_device > labels.size:
         raise ValueError("max_labels_per_device exceeds the number of labels present")
+    return labels
 
 
 def check_fits(dataset: Dataset, spec: PartitionSpec) -> list[int]:
     """The shard sizes ``spec`` draws (``sample_sizes``).  Raises ValueError
     when ``spec`` caps label subsets above the labels ``dataset`` holds, or
     draws a shard above ``MAX_SHARD_FACTOR`` times its size."""
-    _check_labels(dataset, spec)
+    _labels(dataset, spec)
     sizes = sample_sizes(spec)
     _check_sizes(dataset, spec, sizes)
     return sizes
@@ -122,9 +128,8 @@ def _shard_indices(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
     """
     sizes_rng, labels_rng, draw_rng, _ = _streams(spec)
     sizes = _draw_sizes(spec, sizes_rng)
-    _check_labels(dataset, spec)
+    label_values = _labels(dataset, spec)
     _check_sizes(dataset, spec, sizes)
-    label_values = dataset.labels() if dataset.is_classification else None
 
     pools: dict[tuple, np.ndarray] = {}
     shards: list[np.ndarray] = []

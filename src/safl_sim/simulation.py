@@ -94,6 +94,8 @@ import gc
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -162,6 +164,9 @@ class SimConfig:
             raise ValueError("holdout_fraction must lie in [0, 1)")
         if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
             raise ValueError("init_scale must be finite and >= 0")
+        # mse is never negative, so a limit at or below 0 could never stop a run
+        if self.early_stop_mse is not None and not self.early_stop_mse > 0:
+            raise ValueError("early_stop_mse must be > 0")
 
 
 @dataclass(frozen=True)
@@ -192,8 +197,11 @@ class ServerState:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
+    """One job's round: its metrics, its upload count, and its acceptance
+    probability (None for plain averaging).  A tuple, so that ``run_round``
+    builds a round's records in one pass over its metric columns."""
+
     round_index: int
     mse: float
     accuracy: float
@@ -204,6 +212,10 @@ class RoundRecord:
 
 @dataclass
 class RunResult:
+    """A job's trajectory, one ``RoundRecord`` per round it ran, with its
+    pooled optimum, its final device and server state, and its device
+    initialisations."""
+
     records: list[RoundRecord]
     w_star: np.ndarray
     devices: Devices
@@ -524,11 +536,15 @@ def run_round(
     of every job's device parameters, indexed by ``_Job.slot`` (see
     ``run_jobs``).  Fusion, the fold and the metrics act on whole arrays
     over the jobs; only the gated jobs score, decide and fuse one by one,
-    since each fuses its own number of uploads.
+    since each fuses its own number of uploads.  The fold assembles the
+    round's (J, s, P) new rows once, scatters them into ``params`` once, and
+    the metrics read them as assembled.
 
-    Returns the records of the jobs before the first that diverges, in job
-    order, each of whose observers has been called, and that job's
-    ``DivergenceError`` (None if none does).
+    The metrics are checked for finite values as whole arrays.  The records
+    of the jobs before the first that diverges are built in one pass over
+    the round's metric columns, then their observers are called in job
+    order.  Returns those records and that job's ``DivergenceError`` (None
+    if none does).
     """
     jobs, chosen, rows = batch.jobs, batch.chosen, batch.rows
     config = jobs[0].config
@@ -544,7 +560,7 @@ def run_round(
     # a nearly divergent run may overflow anywhere below; the finite checks
     # at the end are the divergence authority, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        gated, adopts = batch.gated, batch.adopts
+        gated = batch.gated
         if not gated.any():
             fused = aggregate(trained, record_w)
         else:
@@ -569,54 +585,50 @@ def run_round(
                 fused[i] = aggregate(trained[i, uploaded], weights(scheme, ids[uploaded], problem.sizes))
             else:  # an empty round leaves the global model as it was
                 fused[i] = servers[i].global_params
-        for i, server in enumerate(servers):
-            if uploads[i]:
-                server.global_params = fused[i]
+        for server, model, uploaded in zip(servers, fused, uploads.tolist()):
+            if uploaded:
+                server.global_params = model
 
-        p = None
-        if adopts.all():
-            flat[rows] = fused[:, None, :]
-        else:
+        # each job's new rows, (J, s, P): the global model, which the
+        # annealed jobs then blend with their local updates
+        current = np.repeat(fused[:, None, :], chosen.shape[1], axis=1)
+        probs = [None] * len(jobs)
+        mixed = batch.mixed
+        if len(mixed):
             anneal = config.anneal
             p = selection_probability(round_index, anneal.temperature)
-            plain, mixed = np.flatnonzero(adopts), np.flatnonzero(~adopts)
-            flat[rows[plain]] = fused[plain, None, :]
-            uniforms = np.array([round_draws[i].uniforms for i in mixed])
+            mixing = mixed.tolist()
+            for i in mixing:
+                probs[i] = p
+            uniforms = np.array([round_draws[i].uniforms for i in mixing])
             masks = sample_mask(uniforms, p, anneal.epsilon, obj.param_dim)
-            flat[rows[mixed]] = mix(masks, fused[mixed], trained[mixed])
+            current[mixed] = mix(masks, fused[mixed], trained[mixed])
+        flat[rows] = current
 
-        current = flat[rows]
         estimate = global_estimate(current, record_w)
         diffs = current - problem.w_star
         device_mse = (record_w[:, None, :] @ (diffs * diffs).sum(axis=-1)[:, :, None])[:, 0, 0]
         mse = ((estimate - problem.w_star) ** 2).sum(axis=-1)
         accuracy = accuracy_proxy(estimate, problem.train.data, obj)
 
-    records = []
-    finite = np.isfinite(fused).all(axis=-1).tolist()
-    columns = zip(mse.tolist(), accuracy.tolist(), uploads.tolist(), device_mse.tolist())
-    for i, (job, (mse_i, accuracy_i, uploads_i, device_mse_i)) in enumerate(zip(jobs, columns)):
-        if not finite[i]:
-            return records, DivergenceError(f"aggregate diverged in round {round_index}", round_index=round_index)
-        record = RoundRecord(
-            round_index=round_index,
-            mse=mse_i,
-            accuracy=accuracy_i,
-            uploads=uploads_i,
-            selection_prob=None if adopts[i] else p,
-            device_mse=device_mse_i,
-        )
-        if not (math.isfinite(record.mse) and math.isfinite(record.device_mse)):
-            return records, DivergenceError(
-                f"metrics diverged in round {round_index}: mse {record.mse}, device_mse {record.device_mse}",
-                round_index=round_index,
-            )
+    fused_ok = np.isfinite(fused).all(axis=-1)
+    ok = fused_ok & np.isfinite(mse) & np.isfinite(device_mse)
+    ran = len(jobs) if ok.all() else int(ok.argmin())  # the jobs before the first to diverge
+    columns = (mse[:ran].tolist(), accuracy[:ran].tolist(), uploads[:ran].tolist(), probs, device_mse[:ran].tolist())
+    records = list(map(RoundRecord, repeat(round_index), *columns))
+    for i, (job, record) in enumerate(zip(jobs, records)):
         if job.observer is not None:
             selected = chosen[i].tolist()
             extras = {"selected": selected, "locals": dict(zip(selected, trained[i])), "gate": gate_info[i]}
             job.observer(record, servers[i], job.result.devices, extras)
-        records.append(record)
-    return records, None
+    if ran == len(jobs):
+        return records, None
+    if not fused_ok[ran]:
+        return records, DivergenceError(f"aggregate diverged in round {round_index}", round_index=round_index)
+    return records, DivergenceError(
+        f"metrics diverged in round {round_index}: mse {float(mse[ran])}, device_mse {float(device_mse[ran])}",
+        round_index=round_index,
+    )
 
 
 @dataclass(eq=False)
@@ -631,10 +643,6 @@ class _Job:
     observer: Callable | None
     slot: int
 
-    def stops(self, record: RoundRecord) -> bool:
-        limit = self.config.early_stop_mse
-        return limit is not None and record.mse < limit
-
 
 @dataclass(frozen=True)
 class _Batch:
@@ -647,8 +655,9 @@ class _Batch:
       kernel keeps its step layout (see ``Shards.layout``);
     - each job's record weights (J, s), and the steps by which each chosen
       device's ``steps_done`` advances (J, s);
-    - which jobs gate their uploads (``safl_extended``), and which adopt
-      the global model outright (fedavg) instead of blending it in.
+    - which jobs gate their uploads (``safl_extended``), and the indices
+      of those that blend the global model in instead of adopting it
+      outright (all but fedavg).
 
     ``run_jobs`` keeps a batch for as long as the live jobs and their chosen
     ids stay the same."""
@@ -660,7 +669,7 @@ class _Batch:
     record_w: np.ndarray
     increments: np.ndarray
     gated: np.ndarray
-    adopts: np.ndarray
+    mixed: np.ndarray
 
 
 def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _Batch:
@@ -676,7 +685,7 @@ def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _B
         weights(config.weight_scheme, chosen, problem.sizes),
         config.local_epochs * train.sizes[chosen],
         algorithms == "safl_extended",
-        algorithms == "fedavg",
+        np.flatnonzero(algorithms != "fedavg"),
     )
 
 
@@ -795,7 +804,7 @@ def run_jobs(
     if first.local_solver == "oracle":
         optima = np.array([optimum_oracle(first.objective, problem.train.dataset(k)) for k in range(first.n)])
 
-    live, failure, batch = jobs, None, None
+    live, failure, batch, limit = jobs, None, None, first.early_stop_mse
     for r in range(1, first.rounds + 1):
         # a round's draws hold their whole block alive, so the last round's
         # are dropped before any seed draws its next block
@@ -818,9 +827,13 @@ def run_jobs(
         # live jobs precede any that failed before, so the newest error is
         # that of the first job in order
         failure = failed or error or failure
+        live = live[: len(records)]
         for job, record in zip(live, records):
             job.result.records.append(record)
-        live = [job for job, record in zip(live, records) if not job.stops(record)]
+        if limit is not None and records:
+            stopped = np.array([record.mse for record in records]) < limit
+            if stopped.any():
+                live = list(compress(live, (~stopped).tolist()))
     if failure is not None:
         raise failure
     return [job.result for job in jobs]

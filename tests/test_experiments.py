@@ -1,11 +1,11 @@
 import contextlib
 import copy
-import dataclasses
 import inspect
 import io
 import json
 import math
 import re
+import typing
 import warnings
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from safl_sim.experiments import (
     sim_config,
 )
 from safl_sim.partition import MAX_ROUND_STEPS
-from safl_sim.simulation import prepare
+from safl_sim.simulation import RoundRecord, prepare
 from safl_sim.training import DivergenceError
 
 
@@ -172,17 +172,29 @@ class TestExecute:
             MetricsRow("safl_extended", 2**40, 10**6, -2.5e-308, 1.0, 0, 0.1 + 0.2, math.pi, 1 / 3),
         ]
         # every column type appears, and each optional column both empty and filled
-        kinds = {f.name: f.type for f in dataclasses.fields(MetricsRow)}
-        assert set(kinds.values()) == {"str", "int", "float", "float | None"}
+        kinds = typing.get_type_hints(MetricsRow)
+        assert list(kinds) == list(METRICS_COLUMNS)
+        assert set(kinds.values()) == {str, int, float, float | None}
         for name, kind in kinds.items():
             values = [getattr(r, name) for r in rows]
-            assert (None in values) == kind.endswith(" | None")
-            assert all(type(v).__name__ == kind.removesuffix(" | None") for v in values if v is not None)
+            optional = type(None) in typing.get_args(kind)
+            assert (None in values) == optional
+            assert all(type(v) is (typing.get_args(kind)[0] if optional else kind) for v in values if v is not None)
         path = tmp_path / "m.csv"
         emit_metrics_csv(rows, path)
         parsed = parse_metrics_csv(path)
         assert parsed == rows
-        assert [[type(v) for v in vars(r).values()] for r in parsed] == [[type(v) for v in vars(r).values()] for r in rows]
+        assert [[type(v) for v in r._asdict().values()] for r in parsed] == [
+            [type(v) for v in r._asdict().values()] for r in rows
+        ]
+
+    def test_rows_and_records_are_immutable(self):
+        row = MetricsRow("safl", 3, 1, 0.125, 0.5, 4, None)
+        record = RoundRecord(1, 0.125, 0.5, 4, None, 0.25)
+        for value, field in ((row, "mse"), (record, "mse"), (row, "bound_theorem1"), (record, "selection_prob")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1.0)
+        assert row.bound_theorem1 is row.bound_corollary1 is None  # the bounds default to empty
 
     def test_readme_states_the_metrics_header(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -432,6 +444,8 @@ class TestCli:
             (None, "holdout_fraction", "0.2", "'holdout_fraction'"),
             (None, "init_scale", "x", "'init_scale'"),
             (None, "early_stop_mse", "x", "'early_stop_mse'"),
+            (None, "early_stop_mse", 0, "'early_stop_mse' must be > 0"),
+            (None, "early_stop_mse", -1, "'early_stop_mse' must be > 0"),
             ("objective", "reg", "0.5", "'reg'"),
             ("partition", "mean_size", math.inf, "'mean_size'"),
             ("partition", "mean_size", 1e12, "mean_size"),

@@ -921,3 +921,31 @@ class TestLockstep:
         with pytest.raises(DivergenceError) as joint:
             simulation.run_jobs(configs, prepare(cfg, data))
         assert str(joint.value).startswith("metrics diverged in round 18: ")
+
+    def test_observed_jobs_before_a_later_metrics_divergence_see_its_round(self):
+        # with T = 16, seeds 1 and 4 never diverge and seed 5 diverges only
+        # in round 17, while fedavg seed 2's metrics overflow in round 16
+        data, obj, part = regression_setup()
+        cfg = base_config(obj, part, selected_per_round=3, rounds=16, lr=LrSchedule("constant", 20.0))
+        configs = [replace(cfg, seed=1), replace(cfg, algorithm="safl", seed=4), replace(cfg, seed=2),
+                   replace(cfg, algorithm="safl", seed=5)]
+        problem = prepare(cfg, data)
+        alone, errors = [[] for _ in configs], []
+        for config, log in zip(configs, alone):
+            try:
+                run(config, prepared=problem, observer=state_recorder(log))
+            except DivergenceError as err:
+                errors.append(str(err))
+        assert [len(log) for log in alone] == [16, 16, 15, 16]
+        assert errors == ["metrics diverged in round 16: mse inf, device_mse inf"]
+        together = [[] for _ in configs]
+        with pytest.raises(DivergenceError) as joint:
+            simulation.run_jobs(configs, problem, [state_recorder(log) for log in together])
+        assert str(joint.value) == errors[0] and joint.value.round_index == 16
+        # the jobs before the diverging one are observed in its round; it and
+        # the job after it retire unobserved in that round
+        assert [len(log) for log in together] == [16, 16, 15, 15]
+        for own, seen in zip(alone, together):
+            for (record, params, steps), (record_j, params_j, steps_j) in zip(own, seen):
+                assert record_j == record
+                assert np.array_equal(params_j, params) and np.array_equal(steps_j, steps)
