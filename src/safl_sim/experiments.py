@@ -356,6 +356,8 @@ def rows_for_run(
 
 def _format_column(values: list, kind: str) -> list[str]:
     if kind == "float":
+        if None not in values:
+            return list(map(format, values, itertools.repeat(".17g")))
         return ["" if v is None else f"{v:.17g}" for v in values]
     return ["" if v is None else str(v) for v in values]
 

@@ -384,8 +384,10 @@ def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
     """Arg-min of the empirical risk over ``dataset``.
 
     Least squares and ridge use the closed form; multinomial logistic runs
-    full-batch gradient descent with step 1 / lam until the gradient norm
-    drops below ``LOGISTIC_TOL``, in the class-major layout of ``_logistic_gd``.
+    full-batch gradient descent with step 1 / lam, lam from the whole
+    dataset, until the gradient norm drops below ``LOGISTIC_TOL``.  It
+    iterates on the distinct (x, y) rows, each weighted by how often it
+    appears (``_distinct_rows``), in the class-major layout of ``_logistic_gd``.
     Lasso minimises the summed cost ``sum_i (y_i - x_i'w)^2 + reg * ||w||_1``
     (the form whose coordinate-wise solution is an exact soft threshold, in
     rational arithmetic when every sample touches a single coordinate); for
@@ -408,48 +410,91 @@ def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
         if _lasso_is_separable(dataset):
             return _lasso_separable_optimum(dataset, obj.reg)
         return _lasso_coordinate_descent(dataset, obj.reg)
-    return _logistic_gd(obj, X, dataset.y, 1.0 / hessian_bounds(obj, dataset)[1])
+    rows, counts = _distinct_rows(X, dataset.y)
+    return _logistic_gd(obj, X[rows], dataset.y[rows], counts, 1.0 / hessian_bounds(obj, dataset)[1])
 
 
-def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray, step: float) -> np.ndarray:
-    """Full-batch gradient descent with ``step``, 1 / lam, for multinomial logistic.
+# odd multipliers of the row hash: the 64-bit golden-ratio constant times 1, 3, 5, ...
+_HASH_STEP = np.uint64(0x9E3779B97F4A7C15)
 
-    The iterates are held class-major.  The logits ``W @ X.T`` form a (C, m)
-    array, written in place each step from one contiguous copy of ``X.T``
-    made per solve (and freed with it).  The max and the log-sum-exp over
-    classes are then C whole-row operations instead of reductions over a
-    short last axis, the label term is one subtraction of a precomputed 0/1
-    label mask, and the gradient is ``P @ X``.
 
-    Equivalence policy: the iterates, step and stop rule are those of the
-    row-major form (logits ``X @ W.T``, ``P.T @ X``), and ``w*`` agrees with
-    it to within 1e-14 relative.  Rows are combined in class order, the
-    order numpy's own reduction uses below 8 classes, but BLAS may block
-    ``P @ X`` differently from ``P.T @ X``, so agreement is not bitwise in
-    general.  It is bitwise on the shipped problems.
+def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first row of each distinct (x, y) pair, in row
+    order, and how many rows of ``(X, y)`` it stands for (as float64,
+    summing to m).
+
+    Each row's key is a hash of its feature bits and label, with its low
+    bits replaced by the row index, so the keys are unique and sort in one
+    order on every machine: by hash, then by row.  A row merges with the
+    one before it in that order only if their features compare equal and
+    their labels match, so a hash collision can only leave a group
+    unmerged (exact, only less compressed).
     """
-    m = X.shape[0]
+    m, d = X.shape
+    bits = X.view(np.uint64)
+    mult = np.arange(1, 2 * d + 2, 2, dtype=np.uint64) * _HASH_STEP  # wraps mod 2**64
+    key = (bits ^ (bits >> np.uint64(32))) @ mult[:d] + y.view(np.uint64) * mult[d]
+    shift = np.uint64((m - 1).bit_length())
+    index_bits = (np.uint64(1) << shift) - np.uint64(1)
+    key &= ~index_bits
+    key |= np.arange(m, dtype=np.uint64)
+    key.sort()
+    order, key = (key & index_bits).astype(np.intp), key >> shift
+    tied = np.flatnonzero(key[1:] == key[:-1])
+    a, b = order[tied], order[tied + 1]
+    repeat = np.zeros(m, dtype=bool)  # in sorted order: the row equals the one before it
+    repeat[tied[(X[a] == X[b]).all(axis=1) & (y[a] == y[b])] + 1] = True
+    starts = np.flatnonzero(~repeat)
+    counts = np.zeros(m)
+    counts[order[starts]] = np.diff(starts, append=m)  # ties sort by row, so each group starts at its first row
+    rows = np.flatnonzero(counts)
+    return rows, counts[rows]
+
+
+def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray, counts: np.ndarray, step: float) -> np.ndarray:
+    """Full-batch gradient descent with ``step``, 1 / lam, for multinomial
+    logistic over rows ``(X, y)`` that stand for ``counts`` rows each.
+
+    The risk and its gradient are means over all m = ``counts.sum()`` rows:
+    each step weighs a row's term by its count and divides by m.  The
+    iterates are held class-major.  The logits ``W @ X.T`` form a (C, k)
+    array over the k given rows, written in place each step from one
+    contiguous copy of ``X.T`` made per solve (and freed with it).  The max
+    and the softmax sum over classes are then C whole-row operations
+    instead of reductions over a short last axis.  P is ``exp(S - max)``
+    divided by its class sum, one exp per step; the label term is one
+    subtraction of a precomputed 0/1 label mask, then ``P *= counts``, and
+    the gradient is ``P @ X``.
+
+    Equivalence policy: the step and stop rule are those of the row-major
+    form over all m rows (logits ``X @ W.T``, ``exp(log_softmax)``,
+    ``P.T @ X``), and ``w*`` agrees with it to within 1e-14 relative.  It
+    is not bitwise: a repeated row's terms are one product by its count
+    rather than a sum, the division rounds differently from the exp of a
+    log-sum-exp, and BLAS may block ``P @ X`` differently from ``P.T @ X``.
+    """
+    m = counts.sum()
+    k = X.shape[0]
     C, d = obj.n_classes, obj.dim
     w = np.zeros(obj.param_dim)
-    is_label = (np.arange(C)[:, None] == y).astype(np.float64)  # (C, m)
+    is_label = (np.arange(C)[:, None] == y).astype(np.float64)  # (C, k)
     XT = np.ascontiguousarray(X.T)
-    S = np.empty((C, m))  # the logits
-    top = np.empty(m)
-    total = np.empty(m)
-    expd = np.empty((C, m))
+    S = np.empty((C, k))  # the logits
+    top = np.empty(k)
+    total = np.empty(k)
     for _ in range(LOGISTIC_MAX_ITER):
         np.matmul(w.reshape(C, d), XT, out=S)
         np.maximum(S[0], S[1], out=top)
         for c in range(2, C):
             np.maximum(top, S[c], out=top)
         S -= top
-        np.exp(S, out=expd)
-        np.add(expd[0], expd[1], out=total)
-        for c in range(2, C):
-            total += expd[c]
-        S -= np.log(total, out=total)
         P = np.exp(S, out=S)
+        np.add(P[0], P[1], out=total)
+        for c in range(2, C):
+            total += P[c]
+        P /= total
         P -= is_label
+        P *= counts
         g = (P @ X).ravel() / m + obj.reg * w
         gnorm = float(np.linalg.norm(g))
         if gnorm <= LOGISTIC_TOL:

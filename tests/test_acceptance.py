@@ -386,15 +386,19 @@ def test_criterion_9_thread_count_never_changes_output(tmp_path):
     }
     config = tmp_path / "exp.json"
     config.write_text(json.dumps(doc))
+    # pytest's pythonpath setting reaches only its own process, so each
+    # child is pointed at this tree's src/ too
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    base = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     blobs = {}
     # the second process runs safl alone, with a leftover thread-count
     # variable that the runner ignores; the third runs seed 2 alone.  All
     # jobs advance in lockstep, so each of these changes which jobs share a
     # kernel call, and none may change a job's rows
     for label, extra, env in (
-        ("all", [], dict(os.environ)),
-        ("safl", ["--variants", "safl"], dict(os.environ, SAFL_SIM_THREADS="3")),
-        ("seed2", ["--seed-override", "2"], dict(os.environ)),
+        ("all", [], base),
+        ("safl", ["--variants", "safl"], dict(base, SAFL_SIM_THREADS="3")),
+        ("seed2", ["--seed-override", "2"], base),
     ):
         out = tmp_path / f"out_{label}"
         proc = subprocess.run(

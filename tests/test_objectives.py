@@ -15,6 +15,7 @@ from safl_sim import (
     Objective,
     curvature,
     empirical_risk,
+    objectives,
     optimum_oracle,
     partition_with_holdout,
     per_sample_grads,
@@ -309,11 +310,39 @@ def _workload_document(name: str, monkeypatch) -> dict:
     return module.document(ROOT, name, 0)
 
 
+def _agrees_within_1e_14(obj: Objective, data: Dataset) -> bool:
+    got, ref = optimum_oracle(obj, data), _row_major_gd(obj, data)
+    return bool(np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(got))
+
+
+def _solved_rows(monkeypatch, obj: Objective, data: Dataset):
+    """The rows, labels and counts that ``optimum_oracle`` iterates on."""
+    seen = []
+    solve = objectives._logistic_gd
+
+    def spy(obj, X, y, counts, step):
+        seen.append((X, y, counts))
+        return solve(obj, X, y, counts, step)
+
+    monkeypatch.setattr(objectives, "_logistic_gd", spy)
+    optimum_oracle(obj, data)
+    monkeypatch.setattr(objectives, "_logistic_gd", solve)
+    (solved,) = seen
+    return solved
+
+
+def _drawn_with_replacement(rng, C: int) -> tuple[Objective, Dataset]:
+    k, d = int(rng.integers(2, 200)), int(rng.integers(1, 10))
+    base = Dataset(rng.standard_normal((k, d)) * rng.uniform(0.2, 3.0), rng.integers(0, C, size=k), n_classes=C)
+    data = base.subset(rng.integers(0, k, size=int(rng.integers(k, 5 * k))))
+    return Objective("multinomial_logistic", d, reg=float(rng.uniform(0.05, 1.0)), n_classes=C), data
+
+
 class TestLogisticLayout:
     @pytest.mark.parametrize("source", ["configs/biased_devices.json", "biased", "stress"])
-    def test_pooled_optimum_is_bitwise_the_row_major_one(self, tmp_path, monkeypatch, source):
+    def test_pooled_optimum_agrees_with_the_row_major_one_within_1e_14(self, tmp_path, monkeypatch, source):
         # the shipped logistic config and the benchmark's logistic workloads
-        # (demo is ridge, solved in closed form)
+        # (demo is ridge, solved in closed form), whose pooled sets repeat rows
         if source.endswith(".json"):
             path = ROOT / source
         else:
@@ -323,7 +352,68 @@ class TestLogisticLayout:
         config = spec.config
         fits, _ = partition_with_holdout(spec.dataset, config.partition, config.holdout_fraction)
         pooled = Shards.pool([spec.dataset.subset(rows) for rows in fits]).data
-        assert np.array_equal(optimum_oracle(config.objective, pooled), _row_major_gd(config.objective, pooled))
+        assert _agrees_within_1e_14(config.objective, pooled)
+
+    @pytest.mark.parametrize("C", [2, 3, 9])
+    def test_rows_drawn_with_replacement_agree_within_1e_14(self, C):
+        rng = np.random.default_rng(C)
+        for _ in range(6):
+            obj, data = _drawn_with_replacement(rng, C)
+            assert _agrees_within_1e_14(obj, data), (len(data), obj.dim)
+
+    @pytest.mark.parametrize("C", [2, 5])
+    def test_the_solve_iterates_on_the_distinct_rows_with_their_counts(self, monkeypatch, C):
+        rng = np.random.default_rng(40 + C)
+        for _ in range(4):
+            obj, data = _drawn_with_replacement(rng, C)
+            X, y, counts = _solved_rows(monkeypatch, obj, data)
+            pairs = np.column_stack([data.X, data.y])
+            _, first, seen = np.unique(pairs, axis=0, return_index=True, return_counts=True)
+            order = np.argsort(first)
+            # one row per distinct (x, y) pair, in order of first appearance,
+            # counting every row it stands for
+            assert len(X) == len(first) < len(data)
+            assert np.array_equal(X, data.X[first[order]]) and np.array_equal(y, data.y[first[order]])
+            assert np.array_equal(counts, seen[order]) and counts.sum() == len(data)
+
+    @pytest.mark.parametrize("C", [2, 4])
+    @pytest.mark.parametrize("hash_step", [objectives._HASH_STEP, np.uint64(0)])
+    def test_equal_features_with_different_labels_do_not_merge(self, monkeypatch, C, hash_step):
+        # with every hash 0 the rows sort by index, so the labels alone
+        # keep each row apart from its neighbour
+        monkeypatch.setattr(objectives, "_HASH_STEP", hash_step)
+        rng = np.random.default_rng(60 + C)
+        x = rng.standard_normal((30, 5))
+        labels = rng.integers(0, C, size=30)
+        # each feature row twice with one label, then once with the next
+        data = Dataset(np.repeat(x, 3, axis=0), np.stack([labels, labels, (labels + 1) % C], axis=1).ravel(), n_classes=C)
+        obj = Objective("multinomial_logistic", 5, reg=0.2, n_classes=C)
+        X, y, counts = _solved_rows(monkeypatch, obj, data)
+        kept = np.sort(np.r_[0:90:3, 2:90:3])
+        assert np.array_equal(X, data.X[kept]) and np.array_equal(y, data.y[kept])
+        assert np.array_equal(counts, np.tile([2.0, 1.0], 30))
+        assert _agrees_within_1e_14(obj, data)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 1000])
+    def test_one_row_repeated_m_times(self, monkeypatch, m):
+        obj = Objective("multinomial_logistic", 3, reg=0.1, n_classes=2)
+        data = Dataset(np.tile([0.5, -1.5, 2.0], (m, 1)), np.ones(m, dtype=np.int64), n_classes=2)
+        X, y, counts = _solved_rows(monkeypatch, obj, data)
+        assert X.shape == (1, 3) and y.tolist() == [1] and counts.tolist() == [m]
+        assert _agrees_within_1e_14(obj, data)
+
+    def test_rows_whose_hashes_collide_stay_exact_unmerged(self, monkeypatch):
+        # every hash 0: the rows sort by index, so only runs of equal
+        # neighbours merge and a repeat after another row stays its own row
+        monkeypatch.setattr(objectives, "_HASH_STEP", np.uint64(0))
+        rng = np.random.default_rng(80)
+        obj, data = _drawn_with_replacement(rng, 3)
+        data = data.subset(np.repeat(np.arange(len(data)), rng.integers(1, 4, size=len(data))))
+        X, _, counts = _solved_rows(monkeypatch, obj, data)
+        runs = 1 + int(((data.X[1:] != data.X[:-1]).any(axis=1) | (data.y[1:] != data.y[:-1])).sum())
+        assert len(X) == runs > len(np.unique(np.column_stack([data.X, data.y]), axis=0))
+        assert counts.sum() == len(data)
+        assert _agrees_within_1e_14(obj, data)
 
     def test_random_problems_agree_within_1e_14(self):
         rng = np.random.default_rng(7)

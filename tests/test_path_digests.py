@@ -96,9 +96,9 @@ DIGESTS = {
         "summary.json": "17d8841c74ba9653ed53ff3b12f253bdfa4f8346bc61bd74e1e3ea235516d1c4",
     },
     "logistic_partial": {
-        "safl.csv": "683c08f7a74f24764b7b8eb9ebdc82b24877c096c3c5640ebe78662cd49f3b39",
-        "safl_extended.csv": "63e128858da7d7fb81aab34ca6fc8c8d5c52b3274ca0472e9b848aa2b52e57e5",
-        "summary.json": "91033088dd3c3fadaf420f377d1a9a58b989cb58ca4ee4901f35a7b92d9f4907",
+        "safl.csv": "4a5e97644cc5d17854e4dd521ea57f4bdc631db449f8a50283f39d30cc782041",
+        "safl_extended.csv": "4ca1e075720f4b9fd5fc223cae4bddc63f75ebfb16d4ab3eb56a6d944cdba8ff",
+        "summary.json": "05d037d128c6cda0e42e7ca67289ff72e28cb83f15c0d2b9ab0e31d833053ad3",
     },
     "oracle": {
         "fedavg.csv": "74dbceedba51e5bdd234f1917766eb44cc418dbd8332eb35df3da93ab55ec2d6",

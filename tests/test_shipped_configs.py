@@ -21,10 +21,10 @@ DIGESTS = {
         "summary.json": "42a4e5eb8ac07530889395b57a2e47482bbf34e2fe643a4326863e26d104498d",
     },
     "biased_devices": {
-        "fedavg.csv": "aa0705eb40a873b421a3afb27efbd3bc12968670d2a426876d593cf994c94b37",
-        "safl.csv": "2069644368d780b3445506ca113fe97015ab8d0c49120920c4647d278f51eae0",
-        "safl_extended.csv": "32a88cd33352a74924ccbbe182dcbd58aad0a908fe9d33e3d25a9897e712879a",
-        "summary.json": "d22cbc2bb90f44bb7eb0ed52300de609e65cf62c0680ab85246124c91c2a3296",
+        "fedavg.csv": "be610f5bedf0d62d2f149cc98ee64663beff123d5b10c1bd2e0f7d8fa9e8a6b5",
+        "safl.csv": "254a3f97d431687c50bd0428a25a9e56eadcc0c5dec944fa82a3c344e3303cb8",
+        "safl_extended.csv": "7371b3524ac7efe71c1cfcec47e0f7b1b1db919705bce4ce7ec2c654949dbab3",
+        "summary.json": "dbbe26f64c0a1540b464e4182c3b1d02b9c44b49614d3c793e9c35ec355ca16d",
     },
 }
 
