@@ -7,37 +7,18 @@ that the simulated trajectories can be checked against.
 
 from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
-from .bounds import (
-    BoundInputs,
-    corollary1_bound,
-    corollary1_constant,
-    fit_rate,
-    measure_bound_inputs,
-    rate_class,
-    theorem1_bound,
-    theorem3_bound,
-    theorem3_constant,
-)
-from .datasets import load_csv, make_blobs, make_linear_regression, save_csv
-from .objectives import (
-    Dataset,
-    GradientUnavailableError,
-    Objective,
-    curvature,
-    empirical_risk,
-    optimum_oracle,
-    per_sample_grads,
-)
-from .partition import PartitionSpec, partition, partition_with_holdout, sample_sizes
-from .simulation import SimConfig, global_estimate, run
-from .training import DivergenceError, LrSchedule, run_local_epochs
+from .bounds import corollary1_bound, corollary1_constant, measure_bound_inputs, theorem1_bound
+from .datasets import load_csv, make_blobs, make_linear_regression
+from .objectives import Dataset, GradientUnavailableError, Objective, curvature, empirical_risk, optimum_oracle
+from .partition import PartitionSpec, partition, partition_with_holdout
+from .simulation import DivergenceError, SimConfig, run
+from .training import LrSchedule, run_local_epochs
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, performance_gap, upload_probability
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnealConfig",
-    "BoundInputs",
     "Dataset",
     "DivergenceError",
     "GateConfig",
@@ -54,8 +35,6 @@ __all__ = [
     "curvature",
     "decide_upload",
     "empirical_risk",
-    "fit_rate",
-    "global_estimate",
     "load_csv",
     "make_blobs",
     "make_linear_regression",
@@ -64,18 +43,12 @@ __all__ = [
     "optimum_oracle",
     "partition",
     "partition_with_holdout",
-    "per_sample_grads",
     "performance_gap",
-    "rate_class",
     "run",
     "run_local_epochs",
     "sample_mask",
-    "sample_sizes",
-    "save_csv",
     "selection_probability",
     "theorem1_bound",
-    "theorem3_bound",
-    "theorem3_constant",
     "upload_probability",
     "weights",
 ]

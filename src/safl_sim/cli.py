@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .experiments import ExperimentConfigError, compare, execute, load_experiment
-from .training import DivergenceError
+from .simulation import DivergenceError
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -149,10 +149,11 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 def _owned(where: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``.  The range checks belong to ``build``; a
-    ValueError from them becomes a config error naming ``where``."""
+    ValueError from them, or a MemoryError from sizes too large to
+    allocate, becomes a config error naming ``where``."""
     try:
         return build(*args, **kwargs)
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:
         raise ExperimentConfigError(f"{where}: {err}") from err
 
 

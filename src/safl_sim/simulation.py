@@ -16,8 +16,9 @@ One round, mirroring a synchronous implementation:
 5. every picked device folds the new global model into its parameters:
    plain averaging replaces them outright, the annealed variants blend per
    coordinate through a sampled mask;
-6. metrics are recorded against the pooled-data optimum; a non-finite one
-   is divergence.
+6. metrics are recorded against the pooled-data optimum.  A non-finite
+   trained row, fused model or metric is divergence, which ``run_round``'s
+   finite checks alone find (the kernel returns a diverged row as it is).
 
 Device state is held as arrays indexed by device id (``Devices``), and each
 step acts on the rows of the devices picked that round.  ``run`` calls an
@@ -45,10 +46,11 @@ gate and fuse one job at a time, since each fuses its own number of
 uploads.  Each batched product and sum is the one a job's arrays give
 alone, bitwise (see ``aggregate``, ``empirical_risk``), and the kernel
 computes each row on its own (see ``training``), so a job's bytes never
-depend on which jobs share its batch.  Divergence is reported as a loop running the jobs one after
-another would report it: that of the first job, in job order, to diverge;
-the jobs before it record the round and call their observers, and it and
-the jobs after it retire.
+depend on which jobs share its batch.  Divergence is reported as a loop
+running the jobs one after another would report it: that of the first job,
+in job order, to diverge.  The jobs before it record the round and call
+their observers; it and the jobs after it neither gate nor update their
+servers, and retire.  No row is trained twice.
 
 Every random draw comes from a stream dedicated to one (device, purpose)
 pair, spawned deterministically from the run seed, so trajectories are a pure
@@ -104,7 +106,7 @@ from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .objectives import Dataset, Objective, optimum_oracle
 from .partition import PartitionSpec, partition_with_holdout
-from .training import SAMPLE_ORDERS, DivergenceError, LrSchedule, Shards, run_local_epochs, sample_indices
+from .training import SAMPLE_ORDERS, LrSchedule, Shards, run_local_epochs, sample_indices
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies, performance_gap, upload_probability
 
 ALGORITHMS = ("fedavg", "safl", "safl_extended")
@@ -113,6 +115,15 @@ LOCAL_SOLVERS = ("sgd", "oracle")
 # the most entries (sample indices plus mask uniforms) drawn ahead by all the
 # run seeds in flight: a seed's block holds PLAN_ENTRIES // seeds, and at least one round
 PLAN_ENTRIES = 2**17
+
+
+class DivergenceError(FloatingPointError):
+    """A job's trained parameters, fused model or metrics left the finite
+    range in round ``round_index``."""
+
+    def __init__(self, message: str, round_index: int | None = None):
+        super().__init__(message)
+        self.round_index = round_index
 
 
 @dataclass(frozen=True)
@@ -540,11 +551,15 @@ def run_round(
     round's (J, s, P) new rows once, scatters them into ``params`` once, and
     the metrics read them as assembled.
 
-    The metrics are checked for finite values as whole arrays.  The records
-    of the jobs before the first that diverges are built in one pass over
-    the round's metric columns, then their observers are called in job
-    order.  Returns those records and that job's ``DivergenceError`` (None
-    if none does).
+    ``trained``, the fused models and the metrics are checked for finite
+    values as whole arrays; only a round whose ``trained`` fails looks for
+    the first job with a non-finite row, and that job and every job after it
+    neither gate nor update their servers.  The records of the jobs before
+    the first that diverges are built in one pass over the round's metric
+    columns, then their observers are called in job order.  Returns those
+    records and that job's ``DivergenceError`` (None if none does), which
+    names its lowest chosen device with a non-finite row if it diverged in
+    training.
     """
     jobs, chosen, rows = batch.jobs, batch.chosen, batch.rows
     config = jobs[0].config
@@ -557,8 +572,11 @@ def run_round(
     record_w = batch.record_w
     uploads = np.full(len(jobs), chosen.shape[1])
     gate_info: list[dict[int, dict]] = [{} for _ in jobs]
+    diverged = len(jobs)  # the first job whose training diverged
+    if not np.isfinite(trained).all():
+        diverged = int(np.isfinite(trained).all(axis=(1, 2)).argmin())
     # a nearly divergent run may overflow anywhere below; the finite checks
-    # at the end are the divergence authority, not numpy warnings
+    # are the divergence authority, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         gated = batch.gated
         if not gated.any():
@@ -567,7 +585,7 @@ def run_round(
             fused = np.empty((len(jobs), trained.shape[-1]))
             if not gated.all():
                 fused[~gated] = aggregate(trained[~gated], record_w[~gated])
-        for i in np.flatnonzero(gated).tolist():
+        for i in np.flatnonzero(gated[:diverged]).tolist():
             devices, ids = jobs[i].result.devices, chosen[i]
             eval_sets = Shards(evals.data, evals.starts[ids], evals.sizes[ids])
             h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj)
@@ -585,7 +603,7 @@ def run_round(
                 fused[i] = aggregate(trained[i, uploaded], weights(scheme, ids[uploaded], problem.sizes))
             else:  # an empty round leaves the global model as it was
                 fused[i] = servers[i].global_params
-        for server, model, uploaded in zip(servers, fused, uploads.tolist()):
+        for server, model, uploaded in zip(servers[:diverged], fused, uploads.tolist()):
             if uploaded:
                 server.global_params = model
 
@@ -613,6 +631,7 @@ def run_round(
 
     fused_ok = np.isfinite(fused).all(axis=-1)
     ok = fused_ok & np.isfinite(mse) & np.isfinite(device_mse)
+    ok[diverged:] = False  # they retire; a gated one among them did not gate or fuse
     ran = len(jobs) if ok.all() else int(ok.argmin())  # the jobs before the first to diverge
     columns = (mse[:ran].tolist(), accuracy[:ran].tolist(), uploads[:ran].tolist(), probs, device_mse[:ran].tolist())
     records = list(map(RoundRecord, repeat(round_index), *columns))
@@ -623,6 +642,12 @@ def run_round(
             job.observer(record, servers[i], job.result.devices, extras)
     if ran == len(jobs):
         return records, None
+    if ran == diverged:
+        device = chosen[ran, np.isfinite(trained[ran]).all(axis=-1).argmin()]
+        return records, DivergenceError(
+            f"device {device} diverged in round {round_index}: parameters diverged during local training",
+            round_index=round_index,
+        )
     if not fused_ok[ran]:
         return records, DivergenceError(f"aggregate diverged in round {round_index}", round_index=round_index)
     return records, DivergenceError(
@@ -694,51 +719,33 @@ def _train(
     round_draws: list[RoundDraws],
     params: np.ndarray,
     steps_done: np.ndarray,
-    problem: PreparedProblem,
-    round_index: int,
     optima: np.ndarray | None,
-) -> tuple[_Batch | None, np.ndarray, DivergenceError | None]:
-    """Train the chosen devices of one round of every job of ``batch``.
+) -> np.ndarray:
+    """The chosen devices of one round of every job of ``batch``, trained:
+    (J, s, P), in ``chosen`` order.
 
     ``params`` and ``steps_done`` are the stacked device state, indexed by
-    ``_Job.slot``.  Returns the batch of the jobs before the first whose
-    training diverges (all of them if none does, None if the first does),
-    their trained rows (J, s, P), in ``chosen`` order, and that job's
-    ``DivergenceError`` (None if none does).  By SGD, the rows of all the
-    jobs train in one ``run_local_epochs`` call, which reads each shard in
-    place in the pooled training set, and each job's ``steps_done``
-    advances; a row's result does not depend on its batch-mates (see
-    ``training``).  The oracle solver takes each shard's row of ``optima``.
+    ``_Job.slot``.  By SGD, the rows of all the jobs train in one
+    ``run_local_epochs`` call, which reads each shard in place in the pooled
+    training set, and each job's ``steps_done`` advances; a row's result
+    does not depend on its batch-mates (see ``training``), and a row that
+    diverged comes back non-finite for ``run_round`` to find.  The oracle
+    solver takes each shard's row of ``optima``.
     """
-    jobs, chosen, rows = batch.jobs, batch.chosen, batch.rows
-    config = jobs[0].config
+    config, chosen, rows = batch.jobs[0].config, batch.chosen, batch.rows
     if optima is not None:
-        return batch, optima[chosen], None
-    try:
-        trained, _ = run_local_epochs(
-            params.reshape(-1, params.shape[-1])[rows.ravel()],
-            batch.shards,
-            config.objective,
-            config.local_epochs,
-            config.lr,
-            np.concatenate([draws.indices for draws in round_draws]),
-            start_steps=steps_done.ravel()[rows.ravel()],
-        )
-    except DivergenceError as err:
-        first, column = divmod(err.device_index, chosen.shape[1])
-        error = DivergenceError(
-            f"device {chosen[first, column]} diverged in round {round_index}: {err}", round_index=round_index
-        )
-        error.__cause__ = err
-        # the rows of the jobs before it stayed finite, and a row does not
-        # depend on its batch-mates, so training them again gives them bitwise
-        if not first:
-            return None, np.empty((0, chosen.shape[1], params.shape[-1])), error
-        head = _batch(jobs[:first], chosen[:first], problem)
-        head, trained, _ = _train(head, round_draws[:first], params, steps_done, problem, round_index, None)
-        return head, trained, error
+        return optima[chosen]
+    trained, _ = run_local_epochs(
+        params.reshape(-1, params.shape[-1])[rows.ravel()],
+        batch.shards,
+        config.objective,
+        config.local_epochs,
+        config.lr,
+        np.concatenate([draws.indices for draws in round_draws]),
+        start_steps=steps_done.ravel()[rows.ravel()],
+    )
     steps_done.ravel()[rows] += batch.increments
-    return batch, trained.reshape(*chosen.shape, -1), None
+    return trained.reshape(*chosen.shape, -1)
 
 
 def run_jobs(
@@ -765,8 +772,10 @@ def run_jobs(
 
     Divergence is reported as if the jobs ran one after another: the
     ``DivergenceError`` raised is that of the first job, in ``configs``
-    order, that diverges.  A job that diverges retires with every job after
-    it, and the jobs before it run on, since one of them may diverge later.
+    order, that diverges, found by ``run_round``'s finite checks whether
+    the job diverged in training or after.  A job that diverges retires
+    with every job after it, and the jobs before it run on, since one of
+    them may diverge later.
     """
     if not configs:
         raise ValueError("need at least one job")
@@ -818,15 +827,11 @@ def run_jobs(
         if batch is None or batch.jobs != live or not np.array_equal(batch.chosen, chosen):
             batch = None  # the old batch goes before the new one is built
             batch = _batch(live, chosen, problem)
-        batch, trained, error = _train(batch, round_draws, params, steps_done, problem, r, optima)
-        ran = len(trained)
-        live, records, failed = live[:ran], [], None
-        if ran:
-            records, failed = run_round(batch, r, round_draws[:ran], trained, params, problem)
-        # run_round's jobs precede the one whose training diverged, and the
-        # live jobs precede any that failed before, so the newest error is
-        # that of the first job in order
-        failure = failed or error or failure
+        trained = _train(batch, round_draws, params, steps_done, optima)
+        records, failed = run_round(batch, r, round_draws, trained, params, problem)
+        # the live jobs precede any that failed before, so the newest error
+        # is that of the first job in order
+        failure = failed or failure
         live = live[: len(records)]
         for job, record in zip(live, records):
             job.result.records.append(record)

@@ -41,19 +41,6 @@ from .objectives import Dataset, GradientUnavailableError, Objective
 SAMPLE_ORDERS = ("iid_draw", "shuffle")
 
 
-class DivergenceError(FloatingPointError):
-    """Parameters or gradients left the finite range.
-
-    ``device_index`` is the position, in the batch passed to
-    ``run_local_epochs``, of the first device whose parameters diverged.
-    """
-
-    def __init__(self, message: str, round_index: int | None = None, device_index: int | None = None):
-        super().__init__(message)
-        self.round_index = round_index
-        self.device_index = device_index
-
-
 @dataclass(frozen=True)
 class LrSchedule:
     """Learning-rate schedule: ``constant`` alpha or ``inverse`` alpha0/(t+1)."""
@@ -213,9 +200,9 @@ def run_local_epochs(
     concatenated in input order (see ``sample_indices``).
 
     Returns the trained parameters, stacked as (K, param_dim) in input order,
-    and the total number of steps, ``epochs * sum(len(shard))``.  Raises
-    ``DivergenceError`` whose ``device_index`` names the first device, in
-    input order, whose parameters left the finite range.
+    and the total number of steps, ``epochs * sum(len(shard))``.  A device
+    whose parameters left the finite range comes back as a non-finite row;
+    the kernel raises nothing for divergence, which is its caller's to find.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -253,19 +240,13 @@ def run_local_epochs(
     if W.shape != (count, obj.param_dim):
         raise ValueError(f"parameters have shape {W.shape[1:]}, expected ({obj.param_dim},)")
 
-    # overflow is caught by the finite check below, not by numpy warnings; a
-    # non-finite entry spreads to its whole row and never becomes finite
-    # again, so one check at the end sees every divergence
+    # overflow shows in the rows, not as numpy warnings: a non-finite entry
+    # never becomes finite again, so a returned row shows every divergence
     with np.errstate(over="ignore", invalid="ignore"):
         _sgd_steps(W, X, y, active, obj, schedule, starts)
 
     trained = np.empty_like(W)
     trained[rank] = W
-    if not np.isfinite(W).all():
-        finite = np.isfinite(trained).all(axis=1)
-        raise DivergenceError(
-            "parameters diverged during local training", device_index=int(np.argmin(finite))
-        )
     return trained, int(layout.steps.sum())
 
 

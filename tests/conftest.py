@@ -57,6 +57,6 @@ def random_problem(kind: str, rng: np.random.Generator, m: int = 12, d: int = 4)
 
 
 def full_batch_grad(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndarray:
-    from safl_sim import per_sample_grads
+    from safl_sim.objectives import per_sample_grads
 
     return per_sample_grads(obj, w, dataset).mean(axis=0)

@@ -27,7 +27,6 @@ from safl_sim import (
     corollary1_constant,
     curvature,
     decide_upload,
-    fit_rate,
     make_blobs,
     make_linear_regression,
     measure_bound_inputs,
@@ -37,6 +36,7 @@ from safl_sim import (
     sample_mask,
     theorem1_bound,
 )
+from safl_sim.bounds import fit_rate
 from safl_sim.training import Shards
 
 

@@ -5,22 +5,18 @@ import pytest
 
 from safl_sim import (
     AnnealConfig,
-    BoundInputs,
     LrSchedule,
     Objective,
     PartitionSpec,
     SimConfig,
     corollary1_bound,
     corollary1_constant,
-    fit_rate,
     make_linear_regression,
     measure_bound_inputs,
-    rate_class,
     run,
     theorem1_bound,
-    theorem3_bound,
-    theorem3_constant,
 )
+from safl_sim.bounds import BoundInputs, fit_rate, rate_class, theorem3_bound, theorem3_constant
 from safl_sim.simulation import prepare
 
 

@@ -33,8 +33,7 @@ from safl_sim.experiments import (
     sim_config,
 )
 from safl_sim.partition import MAX_ROUND_STEPS
-from safl_sim.simulation import RoundRecord, prepare
-from safl_sim.training import DivergenceError
+from safl_sim.simulation import DivergenceError, RoundRecord, prepare
 
 
 def experiment_doc(**overrides):
@@ -492,6 +491,28 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "'E'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            (None, "n", 10**13, "partition"),
+            ("data", "samples", 10**13, "data"),
+            ("data", "dim", 10**13, "data"),
+            (None, "data", {"kind": "blobs", "samples": 40, "dim": 3, "classes": 10**13}, "data"),
+        ],
+    )
+    def test_sizes_too_large_to_allocate_exit_one_naming_the_section(self, tmp_path, capsys, section, key, value, named):
+        # each asks numpy for tens of TiB in one array, which fails at once:
+        # a config error naming the section, never a traceback
+        doc = experiment_doc(T=2, seeds=[1])
+        if section is None:
+            doc[key] = value
+        else:
+            doc[section][key] = value
+        code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}: Unable to allocate") and "Traceback" not in err
 
     def test_round_step_limit_counts_the_s_largest_training_shards(self, tmp_path):
         # 8 devices of 10 samples, 2 held out each: 8 to train on, so a

@@ -18,10 +18,9 @@ from safl_sim import (
     objectives,
     optimum_oracle,
     partition_with_holdout,
-    per_sample_grads,
 )
 from safl_sim.experiments import load_experiment
-from safl_sim.objectives import _first_max_class, log_softmax
+from safl_sim.objectives import _first_max_class, log_softmax, per_sample_grads
 from safl_sim.simulation import prepare
 from safl_sim.training import Shards
 from safl_sim.upload_gate import accuracy_proxy

@@ -12,9 +12,9 @@ from safl_sim import (
     make_linear_regression,
     partition,
     partition_with_holdout,
-    sample_sizes,
-    save_csv,
 )
+from safl_sim.datasets import save_csv
+from safl_sim.partition import sample_sizes
 
 PARTITION = importlib.import_module("safl_sim.partition")  # the package's `partition` is the function
 

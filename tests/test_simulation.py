@@ -18,7 +18,6 @@ from safl_sim import (
     PartitionSpec,
     SimConfig,
     WeightScheme,
-    global_estimate,
     make_blobs,
     make_linear_regression,
     partition_with_holdout,
@@ -27,7 +26,7 @@ from safl_sim import (
 )
 import safl_sim.training
 from safl_sim import simulation
-from safl_sim.simulation import block_rounds, build_state, prepare
+from safl_sim.simulation import block_rounds, build_state, global_estimate, prepare
 from safl_sim.training import sample_indices
 
 TOY_OBJ = Objective("lasso", 2, reg=1.0)
@@ -912,6 +911,41 @@ class TestLockstep:
             "device 4 diverged in round 8: parameters diverged during local training"
         )
         assert joint.value.round_index == 8
+
+    def test_a_gated_job_diverging_in_training_is_reported_as_alone(self):
+        # the shards and rate above, with seeds 4 and 2 gated: device 4
+        # overflows in round 3 and round 2 for them, and a gate that scored
+        # its non-finite row would draw a NaN upload probability.  Behind
+        # fedavg seed 3, the gated jobs retire in those rounds, unobserved,
+        # and the report names fedavg's round 8
+        obj = Objective("ridge", 2, reg=0.5)
+        sizes, scales = (4, 6, 5, 7, 80, 3), (0.1, 0.1, 0.1, 0.1, 1e4, 0.1)
+        shards = [Dataset(np.full((m, 2), x), np.zeros(m)) for m, x in zip(sizes, scales)]
+        cfg = base_config(
+            obj, PartitionSpec(n=6, mean_size=10.0, seed=1), selected_per_round=2, rounds=12,
+            lr=LrSchedule("constant", 1.0), algorithm="safl_extended", gate=GateConfig(0.5),
+            anneal=AnnealConfig(6.0, 0.4),
+        )
+        configs = [replace(cfg, algorithm="fedavg", seed=3), replace(cfg, seed=4), replace(cfg, seed=2)]
+        problem = prepare(cfg, shards=shards)
+        alone, errors = [[] for _ in configs], []
+        for config, log in zip(configs, alone):
+            with pytest.raises(DivergenceError) as err:
+                run(config, prepared=problem, observer=state_recorder(log))
+            errors.append(str(err.value))
+        assert errors == [
+            f"device 4 diverged in round {r}: parameters diverged during local training" for r in (8, 3, 2)
+        ]
+        assert [len(log) for log in alone] == [7, 2, 1]
+        together = [[] for _ in configs]
+        with pytest.raises(DivergenceError) as joint:
+            simulation.run_jobs(configs, problem, [state_recorder(log) for log in together])
+        assert str(joint.value) == errors[0] and joint.value.round_index == 8
+        assert [len(log) for log in together] == [7, 2, 1]
+        for own, seen in zip(alone, together):
+            for (record, params, steps), (record_j, params_j, steps_j) in zip(own, seen):
+                assert record_j == record
+                assert np.array_equal(params_j, params) and np.array_equal(steps_j, steps)
 
     def test_metrics_divergence_is_that_of_the_first_job_to_diverge(self):
         # the metrics overflow in round 18 for seed 1 and in round 16 for seed 2

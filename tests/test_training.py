@@ -166,10 +166,22 @@ class TestRunLocalEpochs:
             risks.append(empirical_risk(obj, w, data))
         assert all(b < a for a, b in zip(risks, risks[1:]))
 
-    def test_divergent_rate_raises(self):
+    def test_a_divergent_row_comes_back_non_finite_and_leaves_its_batch_mates_alone(self):
+        # the kernel raises nothing for divergence: the row whose shard
+        # overflows at this rate returns non-finite, and the rows trained
+        # beside it are bitwise those they give alone
         obj, shard = tiny_shard(8)
-        with pytest.raises(DivergenceError):
-            run_local_epochs([np.zeros(3)], [shard], obj, 50, LrSchedule("constant", 1e6), stream(shard, 50, 2))
+        _, wild = tiny_shard(6, seed=1)
+        wild = Dataset(1e4 * wild.X, wild.y)
+        sched = LrSchedule("constant", 0.1)
+        shards = [shard, wild, shard]
+        streams = [stream(s, 50, seed) for seed, s in enumerate(shards)]
+        starts = np.random.default_rng(5).standard_normal((3, 3))
+        trained, _ = run_local_epochs(starts, shards, obj, 50, sched, np.concatenate(streams))
+        assert not np.isfinite(trained[1]).all()
+        for k in (0, 2):
+            (alone,), _ = run_local_epochs(starts[k : k + 1], [shard], obj, 50, sched, streams[k])
+            assert np.isfinite(alone).all() and np.array_equal(trained[k], alone)
 
     def test_index_streams_must_fit_their_shards(self):
         obj, shard = tiny_shard(4)
