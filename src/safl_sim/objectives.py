@@ -17,8 +17,10 @@ trained by gradient steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,22 +35,38 @@ class ConvergenceError(RuntimeError):
     """Iterative solver exhausted its iteration budget."""
 
 
+class DistinctRows(NamedTuple):
+    """A dataset's distinct (x, y) rows, in order of first appearance
+    (``_distinct_rows``): their features class-major as a C-contiguous
+    (d, k) array ``XT``, their labels ``y`` (k,), and ``counts`` (k,), how
+    many rows of the dataset each stands for, as float64 summing to m."""
+
+    XT: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+
+
 class Dataset:
     """In-memory dataset: features ``X`` of shape (m, d) and targets ``y`` of shape (m,).
 
     ``n_classes`` is set for classification data (integer labels in
-    ``[0, n_classes)``) and ``None`` for regression targets.  Every feature
-    and target must be finite.
+    ``[0, n_classes)``) and ``None`` for regression targets.  Every target
+    must be finite, and so must the sum of the squared features, which
+    keeps every entry of ``X'X`` finite.
     """
 
-    __slots__ = ("X", "y", "n_classes")
+    __slots__ = ("X", "y", "n_classes", "_distinct")
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int | None = None):
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array of shape (m, d)")
-        if not np.isfinite(X).all():
-            raise ValueError("features must be finite")
+        with np.errstate(over="ignore"):  # an overflow reads as inf
+            square_sum = float(X.ravel() @ X.ravel())
+        if not math.isfinite(square_sum):
+            if not np.isfinite(X).all():
+                raise ValueError("features must be finite")
+            raise ValueError("features are too large: their sum of squares overflows")
         y = np.asarray(y)
         integral = y.dtype.kind in "iu"
         if not (integral or np.isfinite(y).all()):
@@ -68,6 +86,7 @@ class Dataset:
         self.X = X
         self.y = y
         self.n_classes = n_classes
+        self._distinct = None
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -86,7 +105,7 @@ class Dataset:
         invariant already (finite, contiguous, labels in range), so it skips
         the checks of ``__init__``."""
         data = object.__new__(cls)
-        data.X, data.y, data.n_classes = X, y, n_classes
+        data.X, data.y, data.n_classes, data._distinct = X, y, n_classes, None
         return data
 
     def subset(self, indices) -> "Dataset":
@@ -98,6 +117,22 @@ class Dataset:
         if not self.is_classification:
             raise ValueError("labels() requires classification data")
         return np.unique(self.y)
+
+    def distinct(self) -> DistinctRows:
+        """The table of this dataset's distinct (x, y) rows.
+
+        Built on the first call and kept when ``X`` and ``y`` are read-only,
+        as every pooled set is, so the pooled logistic solve and every
+        round's accuracy read one table; built afresh on each call while
+        either array is writable, since its rows could still change.
+        """
+        if self._distinct is not None:
+            return self._distinct
+        rows, counts = _distinct_rows(self.X, self.y)
+        table = DistinctRows(np.ascontiguousarray(self.X[rows].T), self.y[rows], counts)
+        if not (self.X.flags.writeable or self.y.flags.writeable):
+            self._distinct = table
+        return table
 
 
 @dataclass(frozen=True)
@@ -265,23 +300,6 @@ def _first_max_class(scores: np.ndarray) -> np.ndarray:
     return pred
 
 
-def predict_classes(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndarray:
-    """Argmax class predictions for a classification objective: (m,) for one
-    parameter vector, (J, m) for a stack of them.
-
-    The logits are class-major, (C, d) or (J, C, d) weights times a
-    contiguous copy of ``X.T`` made in the call, and each model's are the
-    product it gives alone.  Equivalence policy: a prediction can differ
-    from the row-major ``np.argmax(X @ W.T, axis=1)`` only where two of the
-    row's class scores lie within rounding of each other.
-    """
-    if not obj.is_classification:
-        raise ValueError("class prediction requires a classification objective")
-    w = _check_params(obj, w)
-    weights = w.reshape(*w.shape[:-1], obj.n_classes, obj.dim)
-    return _first_max_class(weights @ np.ascontiguousarray(dataset.X.T))
-
-
 def _check_smooth_data(obj: Objective, dataset: Dataset) -> None:
     if not obj.is_smooth:
         raise GradientUnavailableError("curvature is undefined for the lasso family")
@@ -379,6 +397,14 @@ def _lasso_coordinate_descent(dataset: Dataset, reg: float, tol: float = 1e-12, 
 LOGISTIC_TOL = 1e-10
 LOGISTIC_MAX_ITER = 200_000
 
+# The logistic solver skips the max shift of its logits while none can exceed
+# _UNSHIFTED_LIMIT in size, since exp(-700) and exp(700) are normal floats.
+# It lowers the limit to _LOG_MAX - log(max(C, largest count)) when that is
+# smaller, so that a class sum of C exps, and a count over that sum, stay
+# below the largest float, about exp(709.78).
+_UNSHIFTED_LIMIT = 700.0
+_LOG_MAX = 709.0
+
 
 def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
     """Arg-min of the empirical risk over ``dataset``.
@@ -386,8 +412,9 @@ def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
     Least squares and ridge use the closed form; multinomial logistic runs
     full-batch gradient descent with step 1 / lam, lam from the whole
     dataset, until the gradient norm drops below ``LOGISTIC_TOL``.  It
-    iterates on the distinct (x, y) rows, each weighted by how often it
-    appears (``_distinct_rows``), in the class-major layout of ``_logistic_gd``.
+    iterates on the dataset's table of distinct (x, y) rows, each weighted
+    by how often it appears (``Dataset.distinct``), in the class-major
+    layout of ``_logistic_gd``.
     Lasso minimises the summed cost ``sum_i (y_i - x_i'w)^2 + reg * ||w||_1``
     (the form whose coordinate-wise solution is an exact soft threshold, in
     rational arithmetic when every sample touches a single coordinate); for
@@ -410,8 +437,7 @@ def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
         if _lasso_is_separable(dataset):
             return _lasso_separable_optimum(dataset, obj.reg)
         return _lasso_coordinate_descent(dataset, obj.reg)
-    rows, counts = _distinct_rows(X, dataset.y)
-    return _logistic_gd(obj, X[rows], dataset.y[rows], counts, 1.0 / hessian_bounds(obj, dataset)[1])
+    return _logistic_gd(obj, dataset.distinct(), 1.0 / hessian_bounds(obj, dataset)[1])
 
 
 # odd multipliers of the row hash: the 64-bit golden-ratio constant times 1, 3, 5, ...
@@ -451,50 +477,59 @@ def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return rows, counts[rows]
 
 
-def _logistic_gd(obj: Objective, X: np.ndarray, y: np.ndarray, counts: np.ndarray, step: float) -> np.ndarray:
+def _logistic_gd(obj: Objective, rows: DistinctRows, step: float) -> np.ndarray:
     """Full-batch gradient descent with ``step``, 1 / lam, for multinomial
-    logistic over rows ``(X, y)`` that stand for ``counts`` rows each.
+    logistic over the distinct ``rows``, each standing for its count of rows.
 
     The risk and its gradient are means over all m = ``counts.sum()`` rows:
     each step weighs a row's term by its count and divides by m.  The
-    iterates are held class-major.  The logits ``W @ X.T`` form a (C, k)
-    array over the k given rows, written in place each step from one
-    contiguous copy of ``X.T`` made per solve (and freed with it).  The max
-    and the softmax sum over classes are then C whole-row operations
-    instead of reductions over a short last axis.  P is ``exp(S - max)``
-    divided by its class sum, one exp per step; the label term is one
-    subtraction of a precomputed 0/1 label mask, then ``P *= counts``, and
-    the gradient is ``P @ X``.
+    iterates are held class-major.  The logits ``W @ XT`` form a (C, k)
+    array over the k distinct rows, written in place each step from the
+    table's class-major features, so the softmax sum over classes is C - 1
+    whole-row additions instead of reductions over a short last axis.  P is
+    ``exp`` of the logits, one exp per step, times ``counts / total``, which
+    folds the counts into the softmax normaliser; the label term is then
+    one subtraction of the precomputed label counts, and the gradient is
+    ``P @ X``.  The logits are shifted by their row max first only when the
+    bound ``max_c ||W_c|| * max_i ||x_i||`` on their size reaches the limit
+    above which an exp, a class sum or ``counts / total`` could overflow or
+    lose precision (see ``_UNSHIFTED_LIMIT``).
 
     Equivalence policy: the step and stop rule are those of the row-major
     form over all m rows (logits ``X @ W.T``, ``exp(log_softmax)``,
     ``P.T @ X``), and ``w*`` agrees with it to within 1e-14 relative.  It
     is not bitwise: a repeated row's terms are one product by its count
-    rather than a sum, the division rounds differently from the exp of a
-    log-sum-exp, and BLAS may block ``P @ X`` differently from ``P.T @ X``.
+    rather than a sum, the normalisation rounds differently from the exp
+    of a log-sum-exp, and BLAS may block ``P @ X`` differently from
+    ``P.T @ X``.
     """
+    XT, y, counts = rows
     m = counts.sum()
-    k = X.shape[0]
+    k = XT.shape[1]
     C, d = obj.n_classes, obj.dim
+    X = XT.T
+    label_counts = (np.arange(C)[:, None] == y) * counts  # (C, k)
+    limit = min(_UNSHIFTED_LIMIT, _LOG_MAX - math.log(max(C, float(counts.max()))))
+    x_norm = math.sqrt(float((XT * XT).sum(axis=0).max()))
     w = np.zeros(obj.param_dim)
-    is_label = (np.arange(C)[:, None] == y).astype(np.float64)  # (C, k)
-    XT = np.ascontiguousarray(X.T)
     S = np.empty((C, k))  # the logits
     top = np.empty(k)
     total = np.empty(k)
     for _ in range(LOGISTIC_MAX_ITER):
-        np.matmul(w.reshape(C, d), XT, out=S)
-        np.maximum(S[0], S[1], out=top)
-        for c in range(2, C):
-            np.maximum(top, S[c], out=top)
-        S -= top
+        W = w.reshape(C, d)
+        np.matmul(W, XT, out=S)
+        if math.sqrt(float((W * W).sum(axis=1).max())) * x_norm >= limit:
+            np.maximum(S[0], S[1], out=top)
+            for c in range(2, C):
+                np.maximum(top, S[c], out=top)
+            S -= top
         P = np.exp(S, out=S)
         np.add(P[0], P[1], out=total)
         for c in range(2, C):
             total += P[c]
-        P /= total
-        P -= is_label
-        P *= counts
+        np.divide(counts, total, out=total)  # each row's count over its class sum
+        P *= total
+        P -= label_counts
         g = (P @ X).ravel() / m + obj.reg * w
         gnorm = float(np.linalg.norm(g))
         if gnorm <= LOGISTIC_TOL:

@@ -51,7 +51,8 @@ def _streams(spec: PartitionSpec):
 
 def _draw_sizes(spec: PartitionSpec, rng: np.random.Generator) -> list[int]:
     draws = rng.normal(spec.mean_size, np.sqrt(spec.size_var), size=spec.n)
-    return [max(int(np.floor(x)), 1) for x in draws]
+    # floored as floats, so a draw beyond int64 still becomes its exact Python int
+    return list(map(int, np.maximum(np.floor(draws), 1.0).tolist()))
 
 
 def sample_sizes(spec: PartitionSpec) -> list[int]:

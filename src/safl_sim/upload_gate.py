@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, Objective, _first_max_class, empirical_risk, predict_classes
+from .objectives import Dataset, Objective, _check_params, _first_max_class, empirical_risk
 from .training import Shards
 
 # keeps the gap defined when both scores are 0
@@ -49,16 +49,27 @@ def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective) -> floa
     float, or a stack of J jobs' models (J, param_dim), giving one score per
     row, each bitwise the float that row gives alone.
 
-    Equivalence policy.  The predictions are ``predict_classes``', from
-    class-major logits, so the accuracy equals that of the row-major
-    ``np.argmax(X @ W.T, axis=1)`` unless two of a row's class scores lie
-    within rounding of each other.
+    A classification set is scored on its table of distinct (x, y) rows
+    (``Dataset.distinct``), kept with a read-only set: each model's
+    class-major logits are its (C, d) weights times the table's features,
+    a row's prediction is its first class with the largest logit
+    (``_first_max_class``), and the accuracy is the hit count, each hit
+    weighted by its row's count, over m.  The count is an integer, so the
+    accuracy is bitwise the mean of the m rows' hits.
+
+    Equivalence policy.  A prediction can differ from the row-major
+    ``np.argmax(X @ W.T, axis=1)`` only where two of the row's class scores
+    lie within rounding of each other.
     """
-    if len(eval_set) == 0:
+    m = len(eval_set)
+    if m == 0:
         raise ValueError("accuracy proxy needs a nonempty evaluation set")
     if obj.is_classification:
-        hits = (predict_classes(obj, model, eval_set) == eval_set.y).mean(axis=-1)
-        return float(hits) if np.ndim(model) == 1 else hits
+        w = _check_params(obj, model)
+        XT, y, counts = eval_set.distinct()
+        hits = _first_max_class(w.reshape(*w.shape[:-1], obj.n_classes, obj.dim) @ XT) == y
+        accuracy = (hits @ counts) / m
+        return float(accuracy) if w.ndim == 1 else accuracy
     return 1.0 / (1.0 + empirical_risk(obj, model, eval_set))
 
 
@@ -79,7 +90,7 @@ def gate_proxies(
 
     Equivalence policy.  Accuracy equals ``accuracy_proxy``: the hit counts
     are integers, and a row's prediction, the first class with the largest
-    score as in ``predict_classes``, could differ only if two of its class
+    score as in ``accuracy_proxy``, could differ only if two of its class
     scores lay within rounding of each other.  Inverse risk agrees to
     within 1e-13 relative, since a device's losses are summed in another
     order.

@@ -468,6 +468,10 @@ class TestCli:
             ("data", "noise_std", -1, "noise_std"),
             (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "cluster_std": -1}, "cluster_std"),
             ("gate", "gap_scale", 1e-4, "gap_scale"),
+            # finite features whose squares overflow
+            ("data", "feature_scale", 1e160, "data: features are too large"),
+            (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "separation": 1e200}, "data: features are too large"),
+            (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "cluster_std": 1e300}, "data: features are too large"),
         ],
     )
     def test_malformed_document_exits_one_and_names_the_key(self, tmp_path, capsys, section, key, value, named):
@@ -562,10 +566,11 @@ class TestCli:
             ({"kind": "ridge", "reg": 1.0}, None, (5, 3), "nan"),
             ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 3), "1.5"),
             ({"kind": "ridge", "reg": 1.0}, None, (0, 0), "x0"),
+            ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 1), "1e200"),
         ],
         ids=[
             "nan-feature-least_squares", "nan-feature-logistic", "inf-feature-lasso", "inf-feature-ridge",
-            "nan-target", "fractional-label", "bad-header",
+            "nan-target", "fractional-label", "bad-header", "overflowing-square-logistic",
         ],
     )
     def test_malformed_dataset_csv_exits_one(self, tmp_path, capsys, objective, classes, cell, value):

@@ -19,7 +19,8 @@ from safl_sim import (
     optimum_oracle,
     partition_with_holdout,
 )
-from safl_sim.experiments import load_experiment
+from safl_sim import experiments, simulation
+from safl_sim.experiments import execute, load_experiment
 from safl_sim.objectives import _first_max_class, log_softmax, per_sample_grads
 from safl_sim.simulation import prepare
 from safl_sim.training import Shards
@@ -319,9 +320,9 @@ def _solved_rows(monkeypatch, obj: Objective, data: Dataset):
     seen = []
     solve = objectives._logistic_gd
 
-    def spy(obj, X, y, counts, step):
-        seen.append((X, y, counts))
-        return solve(obj, X, y, counts, step)
+    def spy(obj, rows, step):
+        seen.append((rows.XT.T, rows.y, rows.counts))
+        return solve(obj, rows, step)
 
     monkeypatch.setattr(objectives, "_logistic_gd", spy)
     optimum_oracle(obj, data)
@@ -426,6 +427,16 @@ class TestLogisticLayout:
             got = optimum_oracle(obj, data)
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), (C, m, d)
 
+    @pytest.mark.parametrize("C", [2, 3, 9])
+    def test_logits_shifted_at_every_step_agree_within_1e_14(self, monkeypatch, C):
+        # a limit of 0 makes every step take the max shift, which otherwise
+        # only logits that could overflow take
+        monkeypatch.setattr(objectives, "_UNSHIFTED_LIMIT", 0.0)
+        rng = np.random.default_rng(70 + C)
+        for _ in range(4):
+            obj, data = _drawn_with_replacement(rng, C)
+            assert _agrees_within_1e_14(obj, data), (len(data), obj.dim)
+
 
 class TestClassMajorPredictions:
     @pytest.mark.parametrize("C", [2, 3, 7, 8, 16])
@@ -467,3 +478,78 @@ class TestClassMajorPredictions:
         for score, w in zip(got.tolist(), models):
             row_major = np.argmax(pooled.X @ w.reshape(obj.n_classes, obj.dim).T, axis=1)
             assert score == float(np.mean(row_major == pooled.y))
+
+
+def _row_major_accuracy(obj: Objective, w: np.ndarray, data: Dataset) -> float:
+    return float(np.mean(np.argmax(data.X @ w.reshape(obj.n_classes, obj.dim).T, axis=1) == data.y))
+
+
+class TestDistinctTable:
+    """The pooled training set's table of distinct rows: built once, read by
+    the pooled solve and by every round's accuracy, and exact."""
+
+    @staticmethod
+    def _execute(tmp_path, doc: dict) -> None:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        execute(load_experiment(path), tmp_path / "out", quiet=True)
+
+    @pytest.mark.parametrize("source", ["stress", "configs/demo.json"])
+    def test_one_execute_builds_the_table_once_in_prepare(self, tmp_path, monkeypatch, source):
+        log = []
+        find, solve, run_round = objectives._distinct_rows, experiments.prepare, simulation.run_round
+
+        def prepare_spy(*args, **kwargs):
+            log.append("prepare")
+            problem = solve(*args, **kwargs)
+            log.append("prepared")
+            return problem
+
+        monkeypatch.setattr(objectives, "_distinct_rows", lambda *args: log.append("table") or find(*args))
+        monkeypatch.setattr(experiments, "prepare", prepare_spy)
+        monkeypatch.setattr(simulation, "run_round", lambda *args, **kwargs: log.append("round") or run_round(*args, **kwargs))
+        if source.endswith(".json"):
+            doc = json.loads((ROOT / source).read_text())
+        else:
+            doc = _workload_document(source, monkeypatch)
+        self._execute(tmp_path, doc)
+        rounds = log.count("round")
+        # the logistic set-up builds it for the pooled solve, and the rounds'
+        # accuracy reads it; the ridge document (demo) never asks for one
+        table = ["table"] if source == "stress" else []
+        assert rounds > 0 and log == ["prepare", *table, "prepared"] + ["round"] * rounds
+
+    def test_every_rounds_accuracy_is_the_row_major_mean_over_all_rows(self, tmp_path, monkeypatch):
+        scored = []
+        proxy = simulation.accuracy_proxy
+
+        def spy(model, eval_set, obj):
+            got = proxy(model, eval_set, obj)
+            scored.append((got, model.copy(), eval_set, obj))
+            return got
+
+        monkeypatch.setattr(simulation, "accuracy_proxy", spy)
+        self._execute(tmp_path, _workload_document("stress", monkeypatch))
+        assert len(scored) == 20
+        for got, models, pooled, obj in scored:
+            # the pooled set repeats rows, so the table is shorter than it
+            assert len(pooled.distinct().counts) < len(pooled)
+            assert got.tolist() == [_row_major_accuracy(obj, w, pooled) for w in models]
+
+    def test_writable_arrays_are_never_cached(self):
+        rng = np.random.default_rng(90)
+        obj, data = _drawn_with_replacement(rng, 3)
+        w = rng.standard_normal(obj.param_dim)
+        before = accuracy_proxy(w, data, obj)
+        assert before == _row_major_accuracy(obj, w, data)
+        optimum_oracle(obj, data)
+        data.X[:] = -data.X  # every score negated: the argmax becomes the argmin
+        after = accuracy_proxy(w, data, obj)
+        assert after == _row_major_accuracy(obj, w, data) != before
+        fresh = Dataset(data.X.copy(), data.y.copy(), n_classes=3)
+        assert np.array_equal(optimum_oracle(obj, data), optimum_oracle(obj, fresh))
+        # read-only features with writable labels are still built afresh
+        data.X.setflags(write=False)
+        assert data.distinct() is not data.distinct()
+        data.y.setflags(write=False)
+        assert data.distinct() is data.distinct()

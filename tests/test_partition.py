@@ -28,6 +28,18 @@ class TestSampleSizes:
         spec = PartitionSpec(n=25, mean_size=0.2, size_var=0.0, seed=1)
         assert sample_sizes(spec) == [1] * 25
 
+    @pytest.mark.parametrize(
+        "mean_size, size_var", [(20.0, 25.0), (0.7, 4.0), (1e19, 1e38), (8.0, 1e300)]
+    )  # the last two draw sizes far beyond 2**63
+    def test_sizes_are_the_floor_of_each_draw_clamped_to_one(self, mean_size, size_var):
+        spec = PartitionSpec(n=400, mean_size=mean_size, size_var=size_var, seed=3)
+        got = PARTITION._draw_sizes(spec, np.random.default_rng(9))
+        draws = np.random.default_rng(9).normal(mean_size, np.sqrt(size_var), size=400)
+        assert got == [max(int(np.floor(x)), 1) for x in draws]
+        assert all(type(size) is int for size in got)
+        if mean_size > 2**63:
+            assert max(got) > 2**63 and min(got) == 1
+
     def test_monte_carlo_mean_matches_floor_corrected_oracle(self):
         # floor shaves ~0.5 off the mean when the spread dwarfs the lattice,
         # so E[max(floor(x), 1)] ~ 599.5; allow 3 standard errors

@@ -96,9 +96,9 @@ DIGESTS = {
         "summary.json": "17d8841c74ba9653ed53ff3b12f253bdfa4f8346bc61bd74e1e3ea235516d1c4",
     },
     "logistic_partial": {
-        "safl.csv": "4a5e97644cc5d17854e4dd521ea57f4bdc631db449f8a50283f39d30cc782041",
-        "safl_extended.csv": "4ca1e075720f4b9fd5fc223cae4bddc63f75ebfb16d4ab3eb56a6d944cdba8ff",
-        "summary.json": "05d037d128c6cda0e42e7ca67289ff72e28cb83f15c0d2b9ab0e31d833053ad3",
+        "safl.csv": "8a39dab2d0dc14bebac0d4b8cbba8036631dece7692c98c72912c71c7be57e7e",
+        "safl_extended.csv": "4659e8e2c8713db5121f55cbdabe825df076553aeccf517c4f327d8a77cde652",
+        "summary.json": "e347ce97efcf866980cc27e4d7a4c7dbb344e7dbb3c95df03e2f15902ea8cc1c",
     },
     "oracle": {
         "fedavg.csv": "74dbceedba51e5bdd234f1917766eb44cc418dbd8332eb35df3da93ab55ec2d6",

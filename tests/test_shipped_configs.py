@@ -21,10 +21,10 @@ DIGESTS = {
         "summary.json": "42a4e5eb8ac07530889395b57a2e47482bbf34e2fe643a4326863e26d104498d",
     },
     "biased_devices": {
-        "fedavg.csv": "be610f5bedf0d62d2f149cc98ee64663beff123d5b10c1bd2e0f7d8fa9e8a6b5",
-        "safl.csv": "254a3f97d431687c50bd0428a25a9e56eadcc0c5dec944fa82a3c344e3303cb8",
-        "safl_extended.csv": "7371b3524ac7efe71c1cfcec47e0f7b1b1db919705bce4ce7ec2c654949dbab3",
-        "summary.json": "dbbe26f64c0a1540b464e4182c3b1d02b9c44b49614d3c793e9c35ec355ca16d",
+        "fedavg.csv": "25239902aaf4d7b8e6de823b8041bca40af5e421c85f1f91f38ffe5876d0105f",
+        "safl.csv": "36dbd5446ebc8ba40d88c2ee46e97fb5adc920da4d0ee1c83f9e1fd98335ec33",
+        "safl_extended.csv": "d00dfb8b50e4ed04da5a87befd8e144322baef4cb1aa36cf77c5dce9dd7bbe8a",
+        "summary.json": "dc48c470e5608bcac38098ee98ea100680c9b46beb501c6ec512dead1b1b510e",
     },
 }
 

@@ -7,7 +7,6 @@ from reference import Sample, sample, sgd_step
 import safl_sim.training
 from safl_sim import (
     Dataset,
-    DivergenceError,
     LrSchedule,
     Objective,
     curvature,
@@ -63,10 +62,15 @@ class TestSgdStep:
             assert np.linalg.norm(w_next - w_star) <= (1 - alpha * mu) * np.linalg.norm(w - w_star) + 1e-12
             w = w_next
 
-    def test_non_finite_gradient_aborts(self):
-        obj = Objective("least_squares", 1)
-        with pytest.raises(DivergenceError):
-            sgd_step(np.array([np.inf]), Sample(np.array([1.0]), 0.0), obj, 0.1)
+    def test_non_finite_gradient_returns_a_non_finite_row(self):
+        obj = Objective("least_squares", 2)
+        out = sgd_step(np.array([np.inf, 1.0]), Sample(np.array([1.0, 0.5]), 0.0), obj, 0.1)
+        assert not np.isfinite(out).any()
+        # a finite step that overflows comes back as the kernel's does
+        w0, shard = np.array([1e300, 2.0]), Dataset(np.array([[1e10, 0.0]]), np.zeros(1))
+        out = sgd_step(w0, sample(shard, 0), obj, 0.1)
+        (row,), _ = run_local_epochs([w0], [shard], obj, 1, LrSchedule("constant", 0.1), np.zeros(1, dtype=int))
+        assert not np.isfinite(out).any() and np.array_equal(out, row, equal_nan=True)
 
 
 def tiny_shard(m: int, d: int = 3, seed: int = 0) -> tuple[Objective, Dataset]:
@@ -182,6 +186,29 @@ class TestRunLocalEpochs:
         for k in (0, 2):
             (alone,), _ = run_local_epochs(starts[k : k + 1], [shard], obj, 50, sched, streams[k])
             assert np.isfinite(alone).all() and np.array_equal(trained[k], alone)
+
+    @pytest.mark.parametrize("kind", ["least_squares", "ridge"])
+    def test_a_diverging_row_matches_chained_sgd_steps_epoch_by_epoch(self, kind):
+        # the wild shard overflows at this rate within a few epochs: after
+        # every epoch count the kernel's row and the reference's are
+        # non-finite in the same places and agree where they are finite
+        obj, shard = tiny_shard(8)
+        obj = Objective(kind, 3, reg=obj.reg if kind == "ridge" else 0.0)
+        _, wild = tiny_shard(6, seed=1)
+        wild = Dataset(1e4 * wild.X, wild.y)
+        sched = LrSchedule("constant", 0.1)
+        start = np.random.default_rng(5).standard_normal(3)
+        states = set()
+        for epochs in range(1, 41):
+            (row,), _ = run_local_epochs([start], [wild], obj, epochs, sched, stream(wild, epochs, 3))
+            ref = replay_sgd(start, wild, obj, epochs, sched, np.random.default_rng(3), 0, "iid_draw")
+            finite = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(row), finite)
+            if finite.any():
+                scale = max(1.0, np.abs(ref[finite]).max())
+                assert np.abs(row[finite] - ref[finite]).max() <= 1e-13 * scale
+            states.add((finite.all(), finite.any()))
+        assert states == {(True, True), (False, False)}  # the row ran finite, then left the range
 
     def test_index_streams_must_fit_their_shards(self):
         obj, shard = tiny_shard(4)
