@@ -51,6 +51,14 @@ class ExperimentConfigError(ValueError):
     """The experiment document is malformed; the message names the key."""
 
 
+# Every job keeps one metrics row per round until its variant's CSV is
+# written, and a row costs about 0.9 KB of peak resident memory by then
+# (0.87 to 0.92 KB per row from T = 4000 to 32000 on the demo's 10 jobs), so
+# T times the job count is capped at this many rows, about 2 GB: a larger
+# document (T = 10**30 would run without end) is refused on load.
+MAX_RECORDS = 2**21
+
+
 class MetricsRow(typing.NamedTuple):
     """One row of a metrics CSV.  The fields, in order, are its columns, and
     each field's type is how the column is written and read: a float as
@@ -256,6 +264,12 @@ def load_experiment(path) -> ExperimentSpec:
     rounds = top("T", "int")
     if rounds < 1:  # SimConfig allows 0; the summary needs a final round
         raise ExperimentConfigError("experiment: 'T' must be >= 1")
+    jobs = len(variants) * len(seeds)
+    if rounds * jobs > MAX_RECORDS:
+        raise ExperimentConfigError(
+            f"experiment: 'T' = {rounds} gives {_rough(rounds * jobs)} metrics rows (T times {jobs} jobs, "
+            f"{len(variants)} variants times {len(seeds)} seeds), above the limit of {MAX_RECORDS}"
+        )
 
     settings = dict(
         objective=objective,
@@ -281,11 +295,16 @@ def load_experiment(path) -> ExperimentSpec:
         steps = config.local_epochs * config.selected_per_round * longest
         if steps > MAX_ROUND_STEPS:
             raise ExperimentConfigError(
-                f"experiment: 'E' = {config.local_epochs} gives a round a step table of {steps:.3g} entries "
+                f"experiment: 'E' = {config.local_epochs} gives a round a step table of {_rough(steps)} entries "
                 f"(E times s = {config.selected_per_round} times the longest training shard, {longest} samples), "
                 f"above the limit of {MAX_ROUND_STEPS}"
             )
     return ExperimentSpec(top("name", "str", Path(path).stem), dataset, config, variants, seeds)
+
+
+def _rough(count: int) -> str:
+    """``count`` to three significant figures, or in full beyond the float range."""
+    return f"{count:.3g}" if count < 1e308 else str(count)
 
 
 def sim_config(spec: ExperimentSpec, variant: str, seed: int) -> SimConfig:

@@ -55,7 +55,7 @@ class Dataset:
     keeps every entry of ``X'X`` finite.
     """
 
-    __slots__ = ("X", "y", "n_classes", "_distinct")
+    __slots__ = ("X", "y", "n_classes", "_distinct", "_norms")
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_classes: int | None = None):
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -86,7 +86,7 @@ class Dataset:
         self.X = X
         self.y = y
         self.n_classes = n_classes
-        self._distinct = None
+        self._distinct = self._norms = None
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -105,7 +105,8 @@ class Dataset:
         invariant already (finite, contiguous, labels in range), so it skips
         the checks of ``__init__``."""
         data = object.__new__(cls)
-        data.X, data.y, data.n_classes, data._distinct = X, y, n_classes, None
+        data.X, data.y, data.n_classes = X, y, n_classes
+        data._distinct = data._norms = None
         return data
 
     def subset(self, indices) -> "Dataset":
@@ -133,6 +134,21 @@ class Dataset:
         if not (self.X.flags.writeable or self.y.flags.writeable):
             self._distinct = table
         return table
+
+    def row_norms(self) -> np.ndarray:
+        """Each row's Euclidean norm, (m,).
+
+        Kept, read-only, when ``X`` is read-only, as ``distinct`` is, so the
+        SGD kernel's step layouts over a pooled set read one array; computed
+        afresh on each call while ``X`` is writable.
+        """
+        if self._norms is not None:
+            return self._norms
+        norms = np.sqrt(np.einsum("ij,ij->i", self.X, self.X))
+        if not self.X.flags.writeable:
+            norms.setflags(write=False)
+            self._norms = norms
+        return norms
 
 
 @dataclass(frozen=True)
@@ -397,13 +413,19 @@ def _lasso_coordinate_descent(dataset: Dataset, reg: float, tol: float = 1e-12, 
 LOGISTIC_TOL = 1e-10
 LOGISTIC_MAX_ITER = 200_000
 
-# The logistic solver skips the max shift of its logits while none can exceed
-# _UNSHIFTED_LIMIT in size, since exp(-700) and exp(700) are normal floats.
-# It lowers the limit to _LOG_MAX - log(max(C, largest count)) when that is
-# smaller, so that a class sum of C exps, and a count over that sum, stay
-# below the largest float, about exp(709.78).
+# The logistic solver and the SGD kernel skip the max shift of their logits
+# while none can exceed _UNSHIFTED_LIMIT in size, since exp(-700) and
+# exp(700) are normal floats.  The limit is lowered to _LOG_MAX - log(count)
+# when that is smaller (``_unshifted_limit``), so that a class sum of C exps,
+# and a count over that sum, stay below the largest float, about exp(709.78).
 _UNSHIFTED_LIMIT = 700.0
 _LOG_MAX = 709.0
+
+
+def _unshifted_limit(count: float) -> float:
+    """The size below which every logit may skip the max shift, when a
+    softmax sums C exps and divides ``count``, at least C, by that sum."""
+    return min(_UNSHIFTED_LIMIT, _LOG_MAX - math.log(count))
 
 
 def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
@@ -509,7 +531,7 @@ def _logistic_gd(obj: Objective, rows: DistinctRows, step: float) -> np.ndarray:
     C, d = obj.n_classes, obj.dim
     X = XT.T
     label_counts = (np.arange(C)[:, None] == y) * counts  # (C, k)
-    limit = min(_UNSHIFTED_LIMIT, _LOG_MAX - math.log(max(C, float(counts.max()))))
+    limit = _unshifted_limit(max(C, float(counts.max())))
     x_norm = math.sqrt(float((XT * XT).sum(axis=0).max()))
     w = np.zeros(obj.param_dim)
     S = np.empty((C, k))  # the logits

@@ -17,16 +17,22 @@ the per-sample reference step ``sgd_step`` (in the test suite's
 ``tests/reference.py``) over the same index stream and rates to within
 ``max|delta| <= 1e-13 * max(1, max|ref|)``, not bitwise: dot products are
 elementwise products summed along the last axis instead of BLAS dot calls.
-The elementwise order of the update is kept (``r * x + reg * w``, then
-``alpha * g``).  Every operation acts on each device's row alone, so a
-device's result is bitwise independent of which other devices share its
-batch, and of their order.  The step loops (``_sgd_steps``) are bitwise
-equal to loops that allocate every intermediate and give every row its own
-rate column, which ``tests/reference.py`` keeps (``sgd_steps``): they write
-into buffers allocated once per call, keep ``np.add.reduce`` for the feature
-and class sums (numpy's pairwise order from 8 terms on), take the class max
-as column ``np.maximum`` calls (exact in any order), and multiply by one
-float per step when every row shares its rate.
+A quadratic step keeps the reference's elementwise order (``r * x + reg *
+w``, then ``alpha * g``).  A logistic step rounds differently: it scales the
+softmax residual by the rate, applies the regulariser as one decay ``w *=
+1 - rate * reg`` and then subtracts the residual's outer product with the
+sample, and it shifts the logits by their class max only for a row whose
+logits could overflow (``_unshifted_rows``).  Every operation acts on each
+device's row alone, and a row that is not shifted in a call that shifts
+others subtracts +0.0, so a device's result is bitwise independent of which
+other devices share its batch, and of their order.  The step loops
+(``_sgd_steps``) are bitwise equal to loops that allocate every intermediate
+and give every row its own rate column, which ``tests/reference.py`` keeps
+(``sgd_steps``): they write into buffers allocated once per call, keep
+``np.add.reduce`` for the feature and class sums (numpy's pairwise order
+from 8 terms on), take the class max as column ``np.maximum`` calls (exact
+in any order), and multiply by one float per step when every row shares
+its rate.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import Dataset, GradientUnavailableError, Objective
+from .objectives import Dataset, GradientUnavailableError, Objective, _unshifted_limit
 
 SAMPLE_ORDERS = ("iid_draw", "shuffle")
 
@@ -97,7 +103,9 @@ class StepLayout:
     ``active[j]`` columns.  Entry ``i`` of the devices' concatenated index
     streams lands at flat ``positions[i]`` of the table.  A column's indices
     must lie below ``bounds``, its shard's size, and are offset by
-    ``offsets``, its shard's first row in the pooled data.
+    ``offsets``, its shard's first row in the pooled data.  ``norms`` is
+    the largest row norm of its shard, which bounds the logistic logits
+    (see ``_unshifted_rows``).
     """
 
     steps: np.ndarray
@@ -106,6 +114,7 @@ class StepLayout:
     positions: np.ndarray
     bounds: np.ndarray
     offsets: np.ndarray
+    norms: np.ndarray
 
 
 def step_layout(shards: Shards, epochs: int) -> StepLayout:
@@ -121,7 +130,12 @@ def step_layout(shards: Shards, epochs: int) -> StepLayout:
     first = np.cumsum(steps) - steps
     positions = (np.arange(int(steps.sum())) - np.repeat(first, steps)) * count
     positions += np.repeat(column, steps)
-    return StepLayout(steps, rank, active, positions, shards.sizes[rank].astype(np.uintp), shards.starts[rank])
+    # each shard's largest row norm, over its rows gathered shard by shard
+    sizes = shards.sizes
+    heads = np.cumsum(sizes) - sizes
+    rows = np.arange(int(sizes.sum())) + np.repeat(shards.starts - heads, sizes)
+    norms = np.maximum.reduceat(shards.data.row_norms()[rows], heads)
+    return StepLayout(steps, rank, active, positions, sizes[rank].astype(np.uintp), shards.starts[rank], norms[rank])
 
 
 @dataclass(frozen=True)
@@ -243,48 +257,84 @@ def run_local_epochs(
     # overflow shows in the rows, not as numpy warnings: a non-finite entry
     # never becomes finite again, so a returned row shows every divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        _sgd_steps(W, X, y, active, obj, schedule, starts)
+        _sgd_steps(W, X, y, layout, obj, schedule, starts)
 
     trained = np.empty_like(W)
     trained[rank] = W
     return trained, int(layout.steps.sum())
 
 
-def _step_rates(schedule: LrSchedule, starts: np.ndarray, active: list[int], trailing: int) -> list:
+def _step_rates(
+    schedule: LrSchedule, starts: np.ndarray, active: list[int], trailing: int, reg: float | None = None
+) -> list:
     """Each step's rates for the rows of ``starts``: one float when every row
     shares it, else the active rows' column, shaped to broadcast over
-    ``trailing`` axes.
+    ``trailing`` axes.  With ``reg``, each rate's weight decay
+    ``1 - rate * reg`` in its place.
 
     Every row shares its rate under a constant schedule and when all the
     start steps are equal.  Numpy multiplies a float as the float64 that a
     rate array would hold, so both forms give the same bits.
     """
-    if schedule.kind == "constant" or (starts == starts[0]).all():
-        return schedule.rates(int(starts[0]), len(active)).tolist()
-    alphas = schedule.rates(starts, len(active)).reshape(len(active), len(starts), *[1] * trailing)
+    shared = schedule.kind == "constant" or (starts == starts[0]).all()
+    alphas = schedule.rates(int(starts[0]) if shared else starts, len(active))
+    if reg is not None:
+        alphas = 1.0 - alphas * reg
+    if shared:
+        return alphas.tolist()
+    alphas = alphas.reshape(len(active), len(starts), *[1] * trailing)
     return [alphas[j, :a] for j, a in enumerate(active)]
+
+
+def _unshifted_rows(
+    W3: np.ndarray, layout: StepLayout, obj: Objective, schedule: LrSchedule, starts: np.ndarray
+) -> np.ndarray:
+    """Which rows of ``W3`` (K, C, d) may skip the class max shift at every
+    step of the call: bool (K,).
+
+    A step moves class row ``c`` of ``W`` by ``rate * (p_c - y_c) * x``,
+    at most ``rate * ||x||`` in norm, and scales it by the decay
+    ``1 - rate * reg``, at most 1 in size while ``0 <= rate * reg <= 2``.
+    So while that holds, no logit of row ``k`` exceeds
+    ``(max_c ||W_kc|| + xmax_k * steps_k * alpha_k) * xmax_k`` in size,
+    where ``xmax_k`` is its shard's largest row norm and ``alpha_k`` its
+    first rate, the largest of either schedule; below the limit
+    ``_unshifted_limit(C)`` no exp or class sum can overflow.  A row whose
+    parameters are not finite is never below it.
+    """
+    alphas = schedule.rates(starts, 1)[0]
+    reach = layout.norms * layout.steps[layout.rank] * alphas
+    bound = (np.sqrt((W3 * W3).sum(-1).max(-1)) + reach) * layout.norms
+    return (bound < _unshifted_limit(obj.n_classes)) & (alphas * obj.reg <= 2.0)
 
 
 def _sgd_steps(
     W: np.ndarray,
     X: np.ndarray,
     y: np.ndarray,
-    active: list[int],
+    layout: StepLayout,
     obj: Objective,
     schedule: LrSchedule,
     starts: np.ndarray,
 ) -> None:
     """Step ``W`` (K, param_dim) in place: at step ``j`` the leading
-    ``active[j]`` rows take one SGD step on the samples ``X[j]``, ``y[j]``,
-    row ``k`` at the rate of its schedule's step ``starts[k] + j``.
+    ``layout.active[j]`` rows take one SGD step on the samples ``X[j]``,
+    ``y[j]``, row ``k`` at the rate of its schedule's step ``starts[k] + j``.
 
     Every intermediate is written into a buffer allocated once for all the
     steps, and the views of the active rows are made once per active count.
     The reductions are direct ``np.add.reduce`` calls on the same layouts as
     allocating each step, and the class max is exact in any order, so the
     result is bitwise that of ``tests/reference.py``'s allocating loops.
+
+    A logistic step scales the softmax residual by the rate, decays ``w``
+    by ``1 - rate * reg`` and subtracts the residual's outer product with
+    the sample: 11 numpy calls.  It shifts the logits by their class max
+    only in a call where some row needs it (``_unshifted_rows``), and then
+    subtracts +0.0 from every row that does not, which leaves its logits
+    bitwise as they were: a row's bits never depend on its batch-mates.
     """
-    count, reg = len(W), obj.reg
+    count, reg, active = len(W), obj.reg, layout.active
     size = None
     if obj.kind in ("least_squares", "ridge"):
         prod = np.empty_like(W)
@@ -307,32 +357,37 @@ def _sgd_steps(
     # multinomial_logistic
     C = obj.n_classes
     W3 = W.reshape(count, C, obj.dim)
+    unshifted = _unshifted_rows(W3, layout, obj, schedule, starts)
+    shift = not unshifted.all()
     # the one-hot labels: subtracting a row takes 1 from the label's entry
     # and 0 from the rest, which leaves them bitwise as they were
     Y = np.eye(C)[y]  # (n_steps, K, C)
     samples = np.empty_like(W3)  # the step's samples, one copy per class
     prod = np.empty_like(W3)
-    penalty = np.empty_like(W3)
     scores = np.empty((count, C))
     top = np.empty((count, 1))
     total = np.empty((count, 1))
-    for a, x, labels, rate in zip(active, X[:, :, None, :], Y, _step_rates(schedule, starts, active, 2)):
+    rates = _step_rates(schedule, starts, active, 1)
+    decays = _step_rates(schedule, starts, active, 2, reg)
+    for a, x, labels, rate, decay in zip(active, X[:, :, None, :], Y, rates, decays):
         if a != size:
             size = a
-            w, xs, g, pen, s, m, z = W3[:a], samples[:a], prod[:a], penalty[:a], scores[:a], top[:a], total[:a]
+            w, xs, g, s, m, z = W3[:a], samples[:a], prod[:a], scores[:a], top[:a], total[:a]
             classes = [s[:, c : c + 1] for c in range(C)]
             p = s[:, :, None]
+            kept = unshifted[:a, None]
         if a < count:
             x, labels = x[:a], labels[:a]
         np.copyto(xs, x)
         np.add.reduce(np.multiply(w, xs, out=g), axis=-1, out=s)
-        np.maximum(classes[0], classes[1], out=m)
-        for column in classes[2:]:
-            np.maximum(m, column, out=m)
-        s -= m
+        if shift:
+            np.maximum(classes[0], classes[1], out=m)
+            for column in classes[2:]:
+                np.maximum(m, column, out=m)
+            s -= np.where(kept, 0.0, m)
         np.exp(s, out=s)
         s /= np.add.reduce(s, axis=-1, keepdims=True, out=z)
         s -= labels
-        np.multiply(p, xs, out=g)
-        g += np.multiply(reg, w, out=pen)
-        w -= np.multiply(rate, g, out=g)
+        s *= rate
+        w *= decay
+        w -= np.multiply(p, xs, out=g)

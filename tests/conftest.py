@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences, power iteration, random problems."""
+"""Shared test oracles: finite differences, power iteration, random
+problems, and a record of the SGD kernel's shift decisions."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 
 from reference import Sample, loss
 
+import safl_sim.training
 from safl_sim import Dataset, Objective
 
 
@@ -60,3 +62,16 @@ def full_batch_grad(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndarr
     from safl_sim.objectives import per_sample_grads
 
     return per_sample_grads(obj, w, dataset).mean(axis=0)
+
+
+def record_unshifted(monkeypatch) -> list:
+    """Each logistic kernel call's ``_unshifted_rows`` decision, in the kernel's row order."""
+    decisions = []
+    decide = safl_sim.training._unshifted_rows
+
+    def spy(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(safl_sim.training, "_unshifted_rows", spy)
+    return decisions

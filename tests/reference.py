@@ -1,6 +1,8 @@
 """The references that the batched code is tested against: one labelled
 example, its loss and gradient, and one SGD step on it; the batched SGD
-kernel's step loops with a fresh array for every intermediate; a
+kernel's step loops with a fresh array for every intermediate, in the
+kernel's order (a logistic step decays ``w`` by ``1 - rate * reg`` and
+shifts by the class max only the rows whose logit bound fails); a
 sample-index stream drawn one epoch at a time; and a block of rounds
 planned device by device."""
 
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from safl_sim import Dataset, GradientUnavailableError, LrSchedule, Objective
-from safl_sim.objectives import _check_param, log_softmax
+from safl_sim.objectives import _check_param, _unshifted_limit, log_softmax
 from safl_sim.simulation import Devices, PreparedProblem, RoundDraws, ServerState, SimConfig
+from safl_sim.training import StepLayout
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ def sgd_steps(
     W: np.ndarray,
     X: np.ndarray,
     y: np.ndarray,
-    active: list[int],
+    layout: StepLayout,
     obj: Objective,
     schedule: LrSchedule,
     starts: np.ndarray,
@@ -94,8 +97,13 @@ def sgd_steps(
     """The step loops of ``training.run_local_epochs`` allocating every
     intermediate afresh, with one rate per row at every step, as
     ``training._sgd_steps`` computes them into buffers: the reference it
-    must equal bitwise."""
-    count, reg = len(W), obj.reg
+    must equal bitwise.
+
+    A logistic row is shifted by its class max, at every step, when its
+    logit bound reaches the limit or its decay could grow it; every other
+    row subtracts +0.0 instead, which changes no bit.
+    """
+    count, reg, active = len(W), obj.reg, layout.active
     alphas = schedule.rates(starts, len(active))  # (n_steps, K)
     if obj.kind in ("least_squares", "ridge"):
         for j, a in enumerate(active):
@@ -105,16 +113,22 @@ def sgd_steps(
                 g += reg * w
             w -= alphas[j, :a, None] * g
     else:  # multinomial_logistic
-        W3 = W.reshape(count, obj.n_classes, obj.dim)
-        Y = np.eye(obj.n_classes)[y]  # (n_steps, K, C)
+        C = obj.n_classes
+        W3 = W.reshape(count, C, obj.dim)
+        Y = np.eye(C)[y]  # (n_steps, K, C)
+        steps = (np.array(active)[:, None] > np.arange(count)).sum(0)  # each row's step count
+        bound = (np.sqrt((W3 * W3).sum(-1).max(-1)) + layout.norms * steps * alphas[0]) * layout.norms
+        shifted = ~((bound < _unshifted_limit(C)) & (alphas[0] * reg <= 2.0))
         for j, a in enumerate(active):
             w, x = W3[:a], X[j, :a]
             scores = (w * x[:, None, :]).sum(-1)
-            scores -= scores.max(-1, keepdims=True)
+            scores -= np.where(shifted[:a, None], scores.max(-1, keepdims=True), 0.0)
             p = np.exp(scores)
             p /= p.sum(-1, keepdims=True)
             p -= Y[j, :a]
-            w -= alphas[j, :a, None, None] * (p[:, :, None] * x[:, None, :] + reg * w)
+            p *= alphas[j, :a, None]
+            w *= (1.0 - alphas[j, :a] * reg)[:, None, None]
+            w -= p[:, :, None] * x[:, None, :]
 
 
 def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) -> np.ndarray:

@@ -472,6 +472,10 @@ class TestCli:
             ("data", "feature_scale", 1e160, "data: features are too large"),
             (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "separation": 1e200}, "data: features are too large"),
             (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 3, "cluster_std": 1e300}, "data: features are too large"),
+            # more metrics rows than the cap, and counts beyond the float range
+            (None, "T", 10**30, "experiment: 'T' = 10"),
+            (None, "T", 10**400, "experiment: 'T' = 10"),
+            (None, "E", 10**400, "experiment: 'E' = 10"),
         ],
     )
     def test_malformed_document_exits_one_and_names_the_key(self, tmp_path, capsys, section, key, value, named):
@@ -528,6 +532,14 @@ class TestCli:
             load_experiment(write_doc(tmp_path, {**doc, "E": limit // 24 + 1}))
         oracle = {**doc, "E": limit, "local_solver": "oracle", "objective": {"kind": "lasso", "reg": 1.0}}
         load_experiment(write_doc(tmp_path, oracle))
+
+    def test_metrics_row_limit_counts_every_job(self, tmp_path):
+        # 2 variants times 3 seeds: 6 rows a round, refused on load above the cap
+        doc = experiment_doc(seeds=[1, 2, 3])
+        limit = safl_sim.experiments.MAX_RECORDS
+        load_experiment(write_doc(tmp_path, {**doc, "T": limit // 6}))
+        with pytest.raises(ExperimentConfigError, match=f"'T' = {limit // 6 + 1} gives 2.1e\\+06 metrics rows"):
+            load_experiment(write_doc(tmp_path, {**doc, "T": limit // 6 + 1}))
 
     def test_round_step_limit_counts_the_padded_step_table(self, tmp_path, monkeypatch, capsys):
         # a round draws 3.34e6 steps, under the limit, but the kernel pads

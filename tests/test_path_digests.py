@@ -96,9 +96,9 @@ DIGESTS = {
         "summary.json": "17d8841c74ba9653ed53ff3b12f253bdfa4f8346bc61bd74e1e3ea235516d1c4",
     },
     "logistic_partial": {
-        "safl.csv": "8a39dab2d0dc14bebac0d4b8cbba8036631dece7692c98c72912c71c7be57e7e",
-        "safl_extended.csv": "4659e8e2c8713db5121f55cbdabe825df076553aeccf517c4f327d8a77cde652",
-        "summary.json": "e347ce97efcf866980cc27e4d7a4c7dbb344e7dbb3c95df03e2f15902ea8cc1c",
+        "safl.csv": "057df8749fe92aa6de4feb3add0991b75b6b403f13134edba6229071496b9c60",
+        "safl_extended.csv": "baa943d72867953b96fe758b5e49e5b578e5072c629185825d3da149e0b1b64f",
+        "summary.json": "8c2b24d55205ed69904ff77cba04add73e25d3b331e0a22b29a2a9a3b528667d",
     },
     "oracle": {
         "fedavg.csv": "74dbceedba51e5bdd234f1917766eb44cc418dbd8332eb35df3da93ab55ec2d6",

@@ -1,4 +1,5 @@
-"""Both shipped configs, run end to end, write exactly these bytes.
+"""Both shipped configs, run end to end, write exactly these bytes, and no
+row of the logistic one's run takes the kernel's shifted softmax step.
 
 A refactor that keeps behaviour leaves every digest as it is.  A deliberate
 change to the output format or to the trajectories records the new digests
@@ -6,9 +7,11 @@ in the same commit.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
+from conftest import record_unshifted
 
 from safl_sim.cli import main as cli_main
 
@@ -21,10 +24,10 @@ DIGESTS = {
         "summary.json": "42a4e5eb8ac07530889395b57a2e47482bbf34e2fe643a4326863e26d104498d",
     },
     "biased_devices": {
-        "fedavg.csv": "25239902aaf4d7b8e6de823b8041bca40af5e421c85f1f91f38ffe5876d0105f",
-        "safl.csv": "36dbd5446ebc8ba40d88c2ee46e97fb5adc920da4d0ee1c83f9e1fd98335ec33",
-        "safl_extended.csv": "d00dfb8b50e4ed04da5a87befd8e144322baef4cb1aa36cf77c5dce9dd7bbe8a",
-        "summary.json": "dc48c470e5608bcac38098ee98ea100680c9b46beb501c6ec512dead1b1b510e",
+        "fedavg.csv": "dc46c1ae0377600f48e63fa266823ed00a30eae2c1829d5d260ab231be2226bc",
+        "safl.csv": "6e5ccb854574cf4219d2dfd1da258193b581ab77edbfdda29b3d47a465071192",
+        "safl_extended.csv": "d0024aebbce60968045e061d478690e0ce0c9c95176429bce8217ca4afe30dde",
+        "summary.json": "3cee9f695691b5398d96c9aa60b41e00c40d239417a179eba007b911432e3ba4",
     },
 }
 
@@ -35,3 +38,17 @@ def test_shipped_config_writes_the_recorded_bytes(tmp_path, name):
     assert cli_main(["run", "--config", str(CONFIGS / f"{name}.json"), "--out", str(out), "--quiet"]) == 0
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert written == DIGESTS[name]
+
+
+def test_no_row_of_the_biased_devices_run_shifts_its_logits(tmp_path, monkeypatch):
+    # The logit bound of every row of every round stays below the limit of
+    # 700 (at most 552 here), so no kernel call of this run takes the
+    # shifted step.  A bound on the pooled set's largest row norm instead
+    # of each shard's would fail 9% of these row-rounds.
+    unshifted = record_unshifted(monkeypatch)
+    path = CONFIGS / "biased_devices.json"
+    doc = json.loads(path.read_text())
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    jobs = len(doc["variants"]) * len(doc["seeds"])
+    assert sum(map(len, unshifted)) == doc["T"] * jobs * doc["s"]
+    assert all(rows.all() for rows in unshifted)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import full_batch_grad, random_problem
+from conftest import full_batch_grad, random_problem, record_unshifted
 import reference
 from reference import Sample, sample, sgd_step
 
@@ -391,3 +391,79 @@ class TestBatchedKernel:
         result = simulation.run_local_epochs(params, shards, obj, 3, LrSchedule("constant", 0.01), indices)
         assert type(result[1]) is int
         assert result[1] == sum(3 * len(s) for s in shards)
+
+
+def scaled_batch(classes: int, seed: int):
+    """Nine logistic devices over ``classes`` labels with shard sizes 1..9 in
+    shuffled order and schedule offsets of at least 10, the size-5 shard's
+    features scaled by 100: its logit bound fails, and the others' hold.
+    The kernel trains the longest stream first, so the scaled row is its
+    fifth, between four longer rows and four shorter ones."""
+    obj, shards, params, _ = class_batch(classes, 9, "equal", seed)
+    scaled = next(k for k, shard in enumerate(shards) if len(shard) == 5)
+    shards[scaled] = Dataset(100 * shards[scaled].X, shards[scaled].y, n_classes=classes)
+    starts = np.random.default_rng(seed).choice(np.arange(10, 1000), size=9, replace=False)
+    return obj, shards, params, starts, scaled
+
+
+class TestShiftedLogits:
+    """A logistic call in which one row's logit bound fails shifts that row
+    by its class max and subtracts +0.0 from the rest."""
+
+    @pytest.mark.parametrize("classes", [2, 3, 8, 9])
+    @pytest.mark.parametrize("sched", [LrSchedule("constant", 0.3), LrSchedule("inverse", 4.0)])
+    def test_every_row_trains_as_alone_and_as_chained_sgd_steps(self, monkeypatch, classes, sched):
+        obj, shards, params, starts, scaled = scaled_batch(classes, seed=classes)
+        streams = [stream(shard, 2, 300 + k) for k, shard in enumerate(shards)]
+        decisions = record_unshifted(monkeypatch)
+        Z, _ = run_local_epochs(params, shards, obj, 2, sched, np.concatenate(streams), start_steps=starts)
+        assert decisions[0].tolist() == [True] * 4 + [False] + [True] * 4
+        assert np.isfinite(Z).all()
+        for k in range(len(shards)):
+            (alone,), _ = run_local_epochs([params[k]], [shards[k]], obj, 2, sched, streams[k], start_steps=[starts[k]])
+            assert np.array_equal(alone, Z[k])
+            ref = replay_sgd(params[k], shards[k], obj, 2, sched, np.random.default_rng(300 + k), starts[k], "iid_draw")
+            assert np.abs(Z[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        # the rows trained alone took the unshifted path, the scaled one the shifted
+        assert [bool(d.all()) for d in decisions[1:]] == [k != scaled for k in range(len(shards))]
+        monkeypatch.setattr(safl_sim.training, "_sgd_steps", reference.sgd_steps)
+        Z_ref, _ = run_local_epochs(params, shards, obj, 2, sched, np.concatenate(streams), start_steps=starts)
+        assert np.array_equal(Z, Z_ref)
+
+    @pytest.mark.parametrize("classes", [2, 9])
+    def test_the_scaled_row_overflows_unshifted(self, monkeypatch, classes):
+        # the shift is needed: with every row declared safe, the scaled
+        # row's logits overflow, and the other rows keep their bits
+        obj, shards, params, starts, scaled = scaled_batch(classes, seed=classes)
+        indices = np.concatenate([stream(shard, 2, 300 + k) for k, shard in enumerate(shards)])
+        sched = LrSchedule("constant", 0.3)
+        Z, _ = run_local_epochs(params, shards, obj, 2, sched, indices, start_steps=starts)
+        monkeypatch.setattr(safl_sim.training, "_unshifted_rows", lambda W3, *args: np.ones(len(W3), dtype=bool))
+        unshifted, _ = run_local_epochs(params, shards, obj, 2, sched, indices, start_steps=starts)
+        assert not np.isfinite(unshifted[scaled]).all()
+        others = np.arange(len(shards)) != scaled
+        assert np.array_equal(unshifted[others], Z[others])
+
+    def test_a_decay_that_could_grow_the_parameters_shifts(self):
+        # rate * reg above 2 makes |1 - rate * reg| above 1, so the bound no
+        # longer holds, however small the data
+        obj, shards, params, _ = class_batch(3, 4, "equal", seed=1)
+        shards = Shards.pool(shards)
+        W3 = np.asarray(params)[shards.layout(1).rank].reshape(4, 3, -1)
+        for value, unshifted in ((2.0 / obj.reg, True), (2.0 / obj.reg * 1.01, False)):
+            sched = LrSchedule("constant", value)
+            small = Shards(Dataset._trusted(1e-9 * shards.data.X, shards.data.y, 3), shards.starts, shards.sizes)
+            got = safl_sim.training._unshifted_rows(W3, small.layout(1), obj, sched, np.zeros(4, dtype=int))
+            assert got.tolist() == [unshifted] * 4
+
+    def test_layout_norms_are_each_shards_largest_row_norm(self):
+        obj, shards, _, _ = class_batch(3, 12, "equal", seed=2)
+        pooled = Shards.pool(shards)
+        rows = np.random.default_rng(3).permutation(np.repeat(np.arange(12), 3))  # each shard thrice, in any order
+        layout = Shards(pooled.data, pooled.starts[rows], pooled.sizes[rows]).layout(2)
+        want = np.array([np.linalg.norm(shards[k].X, axis=1).max() for k in rows])
+        assert np.allclose(layout.norms, want[layout.rank], rtol=1e-15, atol=0)
+        # the pooled set is read-only, so its row norms are computed once and kept
+        assert pooled.data.row_norms() is pooled.data.row_norms()
+        assert not pooled.data.row_norms().flags.writeable
+        assert shards[0].row_norms() is not shards[0].row_norms()
