@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,8 +15,9 @@ class WeightScheme:
     """How the server weighs received updates.
 
     ``custom`` carries one fixed positive weight per device id (a zero could
-    leave a round whose received weights sum to zero); the weights of the
-    devices actually heard from are renormalised each round.
+    leave a round whose received weights sum to zero), with a finite sum;
+    the weights of the devices actually heard from are renormalised each
+    round.
     """
 
     kind: str = "uniform"
@@ -29,6 +31,8 @@ class WeightScheme:
                 raise ValueError("custom scheme requires per-device weights")
             if not all(c > 0 for c in self.custom):
                 raise ValueError("custom weights must be > 0")
+            if not math.isfinite(sum(self.custom)):  # a round's renormalising sum would overflow
+                raise ValueError("custom weights must have a finite sum")
         elif self.custom is not None:
             raise ValueError("custom weights only apply to the custom scheme")
 

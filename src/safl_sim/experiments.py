@@ -39,7 +39,7 @@ from .bounds import (
     theorem1_bound,
 )
 from .datasets import load_csv, make_blobs, make_linear_regression
-from .objectives import Dataset, Objective, curvature
+from .objectives import ConvergenceError, Dataset, Objective, curvature
 from .partition import MAX_ROUND_STEPS, PartitionSpec, check_fits, holdout_sizes
 from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run_jobs
 from .simulation import run  # noqa: F401  (perfbench/layers.py wraps experiments.run)
@@ -226,7 +226,9 @@ def load_experiment(path) -> ExperimentSpec:
     """Parse and validate an experiment document.
 
     Every check runs here, so a document that loads runs to completion or
-    stops on runtime divergence.  Types are checked as each key is read;
+    stops on runtime divergence, unless an optimum solve reaches its
+    iteration cap, which ``execute`` reports as a config error naming the
+    objective.  Types are checked as each key is read;
     ranges by the dataclass that owns the value; what needs the dataset or
     the variant list, here.
     """
@@ -423,7 +425,9 @@ def execute(
 ) -> dict[str, Path]:
     """Run every (variant, seed) pair and write per-variant CSVs plus a summary.
 
-    Returns the mapping from variant name to its metrics file.
+    Returns the mapping from variant name to its metrics file.  An optimum
+    that its solver cannot reach within its iteration cap (``ConvergenceError``)
+    is an ``ExperimentConfigError`` naming the objective.
     """
     variants = list(spec.variants)
     if variants_filter is not None:
@@ -441,10 +445,13 @@ def execute(
 
     # the jobs differ only in algorithm and run seed, so they share one
     # read-only problem and its bound inputs, and advance in lockstep
-    problem = prepare(spec.config, spec.dataset)
-    bounds = _shared_bounds(spec.config, problem)
     jobs = [(variant, seed) for variant in variants for seed in seeds]
-    results = run_jobs([sim_config(spec, *job) for job in jobs], problem)
+    try:  # each may solve optima: the pooled one, the bounds' and the oracle solver's
+        problem = prepare(spec.config, spec.dataset)
+        bounds = _shared_bounds(spec.config, problem)
+        results = run_jobs([sim_config(spec, *job) for job in jobs], problem)
+    except ConvergenceError as err:
+        raise ExperimentConfigError(f"objective: no optimum within the solver's iteration cap: {err}") from err
     by_job = {job: rows_for_run(spec, *job, result, bounds) for job, result in zip(jobs, results)}
 
     paths: dict[str, Path] = {}

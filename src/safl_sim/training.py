@@ -15,24 +15,29 @@ round to round builds it once.
 Equivalence policy.  A device's trained parameters match chained calls of
 the per-sample reference step ``sgd_step`` (in the test suite's
 ``tests/reference.py``) over the same index stream and rates to within
-``max|delta| <= 1e-13 * max(1, max|ref|)``, not bitwise: dot products are
-elementwise products summed along the last axis instead of BLAS dot calls.
-A quadratic step keeps the reference's elementwise order (``r * x + reg *
-w``, then ``alpha * g``).  A logistic step rounds differently: it scales the
-softmax residual by the rate, applies the regulariser as one decay ``w *=
-1 - rate * reg`` and then subtracts the residual's outer product with the
-sample, and it shifts the logits by their class max only for a row whose
-logits could overflow (``_unshifted_rows``).  Every operation acts on each
-device's row alone, and a row that is not shifted in a call that shifts
-others subtracts +0.0, so a device's result is bitwise independent of which
-other devices share its batch, and of their order.  The step loops
-(``_sgd_steps``) are bitwise equal to loops that allocate every intermediate
-and give every row its own rate column, which ``tests/reference.py`` keeps
-(``sgd_steps``): they write into buffers allocated once per call, keep
-``np.add.reduce`` for the feature and class sums (numpy's pairwise order
-from 8 terms on), take the class max as column ``np.maximum`` calls (exact
-in any order), and multiply by one float per step when every row shares
-its rate.
+``max|delta| <= 1e-13 * max(1, max|ref|)``, not bitwise.  Within a call the
+kernel holds row ``k`` as ``w = sigma * v``, where ``sigma`` is the product
+of the row's weight decays ``1 - rate * reg`` so far: a step reads its
+logits or residuals as one ``np.vecdot(v, sigma * x)`` per row and class,
+scales the softmax residual or the residual by ``rate / (sigma * sigma')``
+and subtracts its outer product with ``sigma * x`` from ``v``, and the row
+returns ``sigma * v`` (``_sgd_steps``).  A row with a decay of the call
+outside [1/2, 1], or whose product would fall below 2**-256, keeps ``sigma
+== 1`` and multiplies ``w`` by each decay instead (``_decay_scales``).  As
+``v`` is at most 2**256 times ``w``, a row within that factor of the top of
+the float range may come back non-finite where the reference's stays
+finite.  A logistic step shifts the logits by their class max only for a
+row whose logits could overflow (``_unshifted_rows``).  Every operation acts
+on each device's row alone, and in a call where other rows are shifted or
+decayed explicitly a row that is not subtracts +0.0 or multiplies by 1.0,
+so a device's result is bitwise independent of which other devices share
+its batch, and of their order.  The step loops (``_sgd_steps``) are bitwise
+equal to loops that allocate every intermediate and give every row its own
+rate column, which ``tests/reference.py`` keeps (``sgd_steps``): they write
+into buffers allocated once per call, keep ``np.add.reduce`` for the class
+sums (numpy's pairwise order from 8 terms on), take the class max as column
+``np.maximum`` calls (exact in any order), and multiply by one float per
+step when every row shares it.
 """
 
 from __future__ import annotations
@@ -264,26 +269,69 @@ def run_local_epochs(
     return trained, int(layout.steps.sum())
 
 
-def _step_rates(
-    schedule: LrSchedule, starts: np.ndarray, active: list[int], trailing: int, reg: float | None = None
-) -> list:
-    """Each step's rates for the rows of ``starts``: one float when every row
-    shares it, else the active rows' column, shaped to broadcast over
-    ``trailing`` axes.  With ``reg``, each rate's weight decay
-    ``1 - rate * reg`` in its place.
+def _step_rates(schedule: LrSchedule, starts: np.ndarray, n_steps: int) -> np.ndarray:
+    """Each step's rate for the rows of ``starts``: (n_steps, 1) when every
+    row shares it, else (n_steps, K).
 
     Every row shares its rate under a constant schedule and when all the
-    start steps are equal.  Numpy multiplies a float as the float64 that a
-    rate array would hold, so both forms give the same bits.
+    start steps are equal.
     """
-    shared = schedule.kind == "constant" or (starts == starts[0]).all()
-    alphas = schedule.rates(int(starts[0]) if shared else starts, len(active))
-    if reg is not None:
-        alphas = 1.0 - alphas * reg
-    if shared:
-        return alphas.tolist()
-    alphas = alphas.reshape(len(active), len(starts), *[1] * trailing)
-    return [alphas[j, :a] for j, a in enumerate(active)]
+    if schedule.kind == "constant" or (starts == starts[0]).all():
+        return schedule.rates(int(starts[0]), n_steps)[:, None]
+    return schedule.rates(starts, n_steps)
+
+
+def _per_step(table: np.ndarray, active: list[int], trailing: int) -> list:
+    """Row ``j`` of ``table`` (n_steps, 1 or K) for step ``j``: one float
+    when the table has one column, else the active rows' column, shaped to
+    broadcast over ``trailing`` axes.
+
+    Numpy multiplies a float as the float64 that a column would hold, so
+    both forms give the same bits.
+    """
+    if table.shape[1] == 1:
+        return table[:, 0].tolist()
+    table = table.reshape(*table.shape, *[1] * trailing)
+    return [table[j, :a] for j, a in enumerate(active)]
+
+
+# a row whose running decay would fall below this takes its decay explicitly
+_SCALE_FLOOR = 2.0**-256
+
+
+def _decay_scales(decays: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows take their weight decay explicitly, bool (K,), and the
+    running decays ``sigma`` of the others, (n_steps + 1, columns).
+
+    ``decays`` holds each step's ``1 - rate * reg``, one column per row
+    (n_steps, K) or one that every row shares (n_steps, 1); row ``k`` takes
+    ``steps[k]`` steps.  ``sigma[j]`` is the product of the first ``j``
+    decays, taken in order, while every decay so far lies in [1/2, 1] and
+    the product stays at or above ``_SCALE_FLOOR``, and constant from the
+    first step at which either fails.  A row is lazy when that holds for
+    all its own steps, so its ``sigma`` never reaches 0 and ``1 / sigma``
+    grows its parameters at most 2**256-fold; every other row is explicit.
+
+    A shared column, the common case, is multiplied out in Python floats,
+    which round as numpy's float64 products do: over a call's few dozen
+    steps that is quicker than a table's dozen array calls.
+    """
+    if decays.shape[1] == 1:
+        sigma = [1.0]
+        for decay in decays[:, 0].tolist():
+            product = sigma[-1] * decay
+            if not (0.5 <= decay <= 1.0 and product >= _SCALE_FLOOR):
+                break
+            sigma.append(product)
+        explicit = steps >= len(sigma)
+        sigma += sigma[-1:] * (len(decays) + 1 - len(sigma))
+        return explicit, np.array(sigma)[:, None]
+    kept = np.logical_and.accumulate((decays >= 0.5) & (decays <= 1.0))
+    sigma = np.ones((len(decays) + 1, decays.shape[1]))
+    np.cumprod(np.where(kept, decays, 1.0), axis=0, out=sigma[1:])
+    kept &= sigma[1:] >= _SCALE_FLOOR  # sigma falls, so once below it stays below
+    np.cumprod(np.where(kept, decays, 1.0), axis=0, out=sigma[1:])
+    return ~kept[steps - 1, np.arange(len(steps))], sigma
 
 
 def _unshifted_rows(
@@ -320,74 +368,98 @@ def _sgd_steps(
     """Step ``W`` (K, param_dim) in place: at step ``j`` the leading
     ``layout.active[j]`` rows take one SGD step on the samples ``X[j]``,
     ``y[j]``, row ``k`` at the rate of its schedule's step ``starts[k] + j``.
+    ``X`` is the call's own table, which it scales in place.
+
+    The weight decay ``1 - rate * reg`` is lazy: a row holds ``w = sigma *
+    v``, with ``sigma`` the product of its decays so far (``_decay_scales``),
+    so it reads its logits or residuals as ``vecdot(v, sigma * x)`` and
+    subtracts ``rate / (sigma * sigma') * resid * (sigma * x)`` from ``v``,
+    and no step touches ``w`` for the decay; the row returns ``sigma * v``
+    after its last step.  The sample table is scaled by ``sigma`` once, in
+    place.  A row that the scales do not suit keeps ``sigma == 1`` and
+    multiplies ``w`` by its decay each step; in a call with such a row,
+    every other row multiplies by exactly 1.0.  So a step takes 5 numpy
+    calls for a quadratic objective and 8 for a logistic one, 6 and 9 in a
+    call with an explicit row.
 
     Every intermediate is written into a buffer allocated once for all the
-    steps, and the views of the active rows are made once per active count.
-    The reductions are direct ``np.add.reduce`` calls on the same layouts as
-    allocating each step, and the class max is exact in any order, so the
-    result is bitwise that of ``tests/reference.py``'s allocating loops.
-
-    A logistic step scales the softmax residual by the rate, decays ``w``
-    by ``1 - rate * reg`` and subtracts the residual's outer product with
-    the sample: 11 numpy calls.  It shifts the logits by their class max
-    only in a call where some row needs it (``_unshifted_rows``), and then
-    subtracts +0.0 from every row that does not, which leaves its logits
-    bitwise as they were: a row's bits never depend on its batch-mates.
+    steps, and the views of the active rows are made once per active count,
+    so the result is bitwise that of ``tests/reference.py``'s allocating
+    loops.  A logistic step shifts the logits by their class max only in a
+    call where some row needs it (``_unshifted_rows``), and then subtracts
+    +0.0 from every row that does not, which leaves its logits bitwise as
+    they were: a row's bits never depend on its batch-mates.
     """
     count, reg, active = len(W), obj.reg, layout.active
+    steps = layout.steps[layout.rank]
+    rates = _step_rates(schedule, starts, len(active))
+    decays = final = None  # each step's explicit decays, and each row's final sigma
+    if reg:
+        decay = 1.0 - rates * reg
+        explicit, sigma = _decay_scales(decay, steps)
+        if explicit.all():
+            decays = decay
+        else:
+            if explicit.any():
+                sigma = np.where(explicit, 1.0, sigma)
+                decays = np.where(explicit, decay, 1.0)
+            rates = rates / (sigma[:-1] * sigma[1:])
+            X *= sigma[:-1, :, None]
+            final = sigma[steps, np.arange(count) if sigma.shape[1] > 1 else 0][:, None]
+    quadratic = obj.kind in ("least_squares", "ridge")
+    coefs = _per_step(rates, active, 0 if quadratic else 1)
+    decays = [None] * len(active) if decays is None else _per_step(decays, active, 1 if quadratic else 2)
     size = None
-    if obj.kind in ("least_squares", "ridge"):
+    if quadratic:
         prod = np.empty_like(W)
-        grad = np.empty_like(W)
         resid = np.empty(count)
-        for a, x, t, rate in zip(active, X, y, _step_rates(schedule, starts, active, 1)):
+        for a, x, t, coef, decay in zip(active, X, y, coefs, decays):
             if a != size:
                 size = a
-                w, p, g, r = W[:a], prod[:a], grad[:a], resid[:a]
+                w, g, r = W[:a], prod[:a], resid[:a]
                 column = r[:, None]
             if a < count:
                 x, t = x[:a], t[:a]
-            np.add.reduce(np.multiply(w, x, out=p), axis=-1, out=r)
+            np.vecdot(w, x, out=r)
             np.subtract(r, t, out=r)
-            np.multiply(column, x, out=g)
-            if reg:
-                g += np.multiply(reg, w, out=p)
-            w -= np.multiply(rate, g, out=g)
-        return
-    # multinomial_logistic
-    C = obj.n_classes
-    W3 = W.reshape(count, C, obj.dim)
-    unshifted = _unshifted_rows(W3, layout, obj, schedule, starts)
-    shift = not unshifted.all()
-    # the one-hot labels: subtracting a row takes 1 from the label's entry
-    # and 0 from the rest, which leaves them bitwise as they were
-    Y = np.eye(C)[y]  # (n_steps, K, C)
-    samples = np.empty_like(W3)  # the step's samples, one copy per class
-    prod = np.empty_like(W3)
-    scores = np.empty((count, C))
-    top = np.empty((count, 1))
-    total = np.empty((count, 1))
-    rates = _step_rates(schedule, starts, active, 1)
-    decays = _step_rates(schedule, starts, active, 2, reg)
-    for a, x, labels, rate, decay in zip(active, X[:, :, None, :], Y, rates, decays):
-        if a != size:
-            size = a
-            w, xs, g, s, m, z = W3[:a], samples[:a], prod[:a], scores[:a], top[:a], total[:a]
-            classes = [s[:, c : c + 1] for c in range(C)]
-            p = s[:, :, None]
-            kept = unshifted[:a, None]
-        if a < count:
-            x, labels = x[:a], labels[:a]
-        np.copyto(xs, x)
-        np.add.reduce(np.multiply(w, xs, out=g), axis=-1, out=s)
-        if shift:
-            np.maximum(classes[0], classes[1], out=m)
-            for column in classes[2:]:
-                np.maximum(m, column, out=m)
-            s -= np.where(kept, 0.0, m)
-        np.exp(s, out=s)
-        s /= np.add.reduce(s, axis=-1, keepdims=True, out=z)
-        s -= labels
-        s *= rate
-        w *= decay
-        w -= np.multiply(p, xs, out=g)
+            r *= coef
+            if decay is not None:
+                w *= decay
+            w -= np.multiply(column, x, out=g)
+    else:  # multinomial_logistic
+        C = obj.n_classes
+        W3 = W.reshape(count, C, obj.dim)
+        unshifted = _unshifted_rows(W3, layout, obj, schedule, starts)
+        shift = not unshifted.all()
+        # the one-hot labels: subtracting a row takes 1 from the label's entry
+        # and 0 from the rest, which leaves them bitwise as they were
+        Y = np.eye(C)[y]  # (n_steps, K, C)
+        prod = np.empty_like(W3)
+        scores = np.empty((count, C))
+        top = np.empty((count, 1))
+        total = np.empty((count, 1))
+        for a, x, labels, coef, decay in zip(active, X[:, :, None, :], Y, coefs, decays):
+            if a != size:
+                size = a
+                w, g, s, z = W3[:a], prod[:a], scores[:a], total[:a]
+                p = s[:, :, None]
+                if shift:
+                    m, kept = top[:a], unshifted[:a, None]
+                    classes = [s[:, c : c + 1] for c in range(C)]
+            if a < count:
+                x, labels = x[:a], labels[:a]
+            np.vecdot(w, x, out=s)
+            if shift:
+                np.maximum(classes[0], classes[1], out=m)
+                for column in classes[2:]:
+                    np.maximum(m, column, out=m)
+                s -= np.where(kept, 0.0, m)
+            np.exp(s, out=s)
+            s /= np.add.reduce(s, axis=-1, keepdims=True, out=z)
+            s -= labels
+            s *= coef
+            if decay is not None:
+                w *= decay
+            w -= np.multiply(p, x, out=g)
+    if final is not None:
+        W *= final

@@ -1,5 +1,5 @@
 """Shared test oracles: finite differences, power iteration, random
-problems, and a record of the SGD kernel's shift decisions."""
+problems, and records of the SGD kernel's shift and decay decisions."""
 
 from __future__ import annotations
 
@@ -74,4 +74,20 @@ def record_unshifted(monkeypatch) -> list:
         return decisions[-1]
 
     monkeypatch.setattr(safl_sim.training, "_unshifted_rows", spy)
+    return decisions
+
+
+def record_explicit_decay(monkeypatch) -> list:
+    """Each kernel call's explicit-decay rows, from ``_decay_scales``, in the
+    kernel's row order; a call with ``reg == 0`` decays nothing and records
+    nothing."""
+    decisions = []
+    decide = safl_sim.training._decay_scales
+
+    def spy(*args):
+        explicit, sigma = decide(*args)
+        decisions.append(explicit)
+        return explicit, sigma
+
+    monkeypatch.setattr(safl_sim.training, "_decay_scales", spy)
     return decisions

@@ -1,10 +1,11 @@
 """The references that the batched code is tested against: one labelled
 example, its loss and gradient, and one SGD step on it; the batched SGD
 kernel's step loops with a fresh array for every intermediate, in the
-kernel's order (a logistic step decays ``w`` by ``1 - rate * reg`` and
-shifts by the class max only the rows whose logit bound fails); a
-sample-index stream drawn one epoch at a time; and a block of rounds
-planned device by device."""
+kernel's order (a row is held as ``w = sigma * v`` with ``sigma`` its
+running weight decay, or decays ``w`` step by step where that does not
+suit, and a logistic step shifts by the class max only the rows whose logit
+bound fails); a sample-index stream drawn one epoch at a time; and a block
+of rounds planned device by device."""
 
 from __future__ import annotations
 
@@ -99,36 +100,60 @@ def sgd_steps(
     ``training._sgd_steps`` computes them into buffers: the reference it
     must equal bitwise.
 
-    A logistic row is shifted by its class max, at every step, when its
-    logit bound reaches the limit or its decay could grow it; every other
-    row subtracts +0.0 instead, which changes no bit.
+    Row ``k`` holds ``w = sigma * v``, where ``sigma`` is the product of its
+    decays ``1 - rate * reg`` so far, multiplied one step at a time, when
+    every decay of its steps lies in [1/2, 1] and the product never falls
+    below 2**-256; otherwise ``sigma`` is 1 for the whole call and the row
+    multiplies ``w`` by its decay at every step, where in the same call
+    every other row multiplies by 1.0.  A logistic row is shifted by its
+    class max, at every step, when its logit bound reaches the limit or its
+    decay could grow it; every other row subtracts +0.0 instead, which
+    changes no bit.
     """
     count, reg, active = len(W), obj.reg, layout.active
-    alphas = schedule.rates(starts, len(active))  # (n_steps, K)
-    if obj.kind in ("least_squares", "ridge"):
-        for j, a in enumerate(active):
-            w, x = W[:a], X[j, :a]
-            g = ((w * x).sum(-1) - y[j, :a])[:, None] * x
-            if reg:
-                g += reg * w
-            w -= alphas[j, :a, None] * g
-    else:  # multinomial_logistic
+    n_steps = len(active)
+    alphas = schedule.rates(starts, n_steps)  # (n_steps, K)
+    decays = 1.0 - alphas * reg
+    steps = (np.array(active)[:, None] > np.arange(count)).sum(0)  # each row's step count
+    explicit = np.zeros(count, dtype=bool)
+    sigma = np.ones((n_steps + 1, count))  # a row's padding repeats its last sigma
+    for k in range(count if reg else 0):
+        product = 1.0
+        for j in range(steps[k]):
+            decay = float(decays[j, k])
+            product *= decay
+            if not (0.5 <= decay <= 1.0 and product >= 2.0**-256):
+                explicit[k] = True
+                sigma[:, k] = 1.0
+                break
+            sigma[j + 1 :, k] = product
+    coefs = alphas / (sigma[:-1] * sigma[1:])
+    decays = np.where(explicit, decays, 1.0)
+    X = X * sigma[:-1, :, None]
+    if obj.kind == "multinomial_logistic":
         C = obj.n_classes
-        W3 = W.reshape(count, C, obj.dim)
+        W = W.reshape(count, C, obj.dim)
+        X = X[:, :, None, :]
         Y = np.eye(C)[y]  # (n_steps, K, C)
-        steps = (np.array(active)[:, None] > np.arange(count)).sum(0)  # each row's step count
-        bound = (np.sqrt((W3 * W3).sum(-1).max(-1)) + layout.norms * steps * alphas[0]) * layout.norms
+        bound = (np.sqrt((W * W).sum(-1).max(-1)) + layout.norms * steps * alphas[0]) * layout.norms
         shifted = ~((bound < _unshifted_limit(C)) & (alphas[0] * reg <= 2.0))
-        for j, a in enumerate(active):
-            w, x = W3[:a], X[j, :a]
-            scores = (w * x[:, None, :]).sum(-1)
+    for j, a in enumerate(active):
+        w, x = W[:a], X[j, :a]
+        if obj.kind in ("least_squares", "ridge"):
+            r = (np.vecdot(w, x) - y[j, :a]) * coefs[j, :a]
+            outer = r[:, None] * x
+        else:
+            scores = np.vecdot(w, x)
             scores -= np.where(shifted[:a, None], scores.max(-1, keepdims=True), 0.0)
             p = np.exp(scores)
             p /= p.sum(-1, keepdims=True)
             p -= Y[j, :a]
-            p *= alphas[j, :a, None]
-            w *= (1.0 - alphas[j, :a] * reg)[:, None, None]
-            w -= p[:, :, None] * x[:, None, :]
+            p *= coefs[j, :a, None]
+            outer = p[:, :, None] * x
+        if explicit.any():
+            w *= decays[j, :a].reshape(a, *[1] * (w.ndim - 1))
+        w -= outer
+    W *= sigma[-1].reshape(count, *[1] * (W.ndim - 1))
 
 
 def sample_indices(m: int, epochs: int, order: str, rng: np.random.Generator) -> np.ndarray:

@@ -463,6 +463,7 @@ class TestCli:
             (None, "weights", {"kind": "custom", "custom": [1, 2]}, "custom weights"),
             (None, "weights", {"kind": "custom", "custom": [1.0] * 9}, "custom weights"),
             (None, "weights", {"kind": "custom", "custom": [0] * 8}, "custom weights"),
+            (None, "weights", {"kind": "custom", "custom": [1e308] * 8}, "weights: custom weights must have a finite sum"),
             (None, "weights", "ida", "weights"),
             ("gate", "proxy", "holdout_accuracy", "gate: unknown key 'proxy'"),
             ("data", "noise_std", -1, "noise_std"),
@@ -499,6 +500,28 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "'E'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["multinomial_logistic", "lasso"])
+    def test_an_optimum_that_never_converges_exits_one_naming_the_objective(self, tmp_path, capsys, monkeypatch, kind):
+        # separable blobs with almost no regulariser: the pooled logistic
+        # solve creeps towards an optimum far out until its iteration cap;
+        # the caps are lowered here so that the test is quick
+        if kind == "lasso":
+            descend = safl_sim.objectives._lasso_coordinate_descent
+            monkeypatch.setattr(
+                safl_sim.objectives, "_lasso_coordinate_descent", lambda data, reg: descend(data, reg, max_sweeps=1)
+            )
+            doc = experiment_doc(objective={"kind": "lasso", "reg": 0.1}, local_solver="oracle", seeds=[1])
+            message = "lasso coordinate descent"
+        else:
+            monkeypatch.setattr(safl_sim.objectives, "LOGISTIC_MAX_ITER", 50)
+            blobs = {"kind": "blobs", "samples": 60, "dim": 2, "classes": 2, "separation": 5.0, "cluster_std": 0.05, "seed": 2}
+            doc = classification_doc(data=blobs, objective={"kind": kind, "reg": 1e-9}, seeds=[1])
+            message = "logistic solver"
+        code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: objective: " in err and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "section, key, value, named",

@@ -90,15 +90,15 @@ DOCS = {
 
 DIGESTS = {
     "partial_shuffle_scalar": {
-        "fedavg.csv": "c63ab494b8dab8c9db1427f85e8dc8a84d655a6f62feea4473611a38100c7d58",
-        "safl.csv": "dd31772ff6fa28feaa401b611da9f378d6b6874de1e68dad1773a0862a09a6db",
-        "safl_extended.csv": "f47d77ee9e2474d41472700d9c70c11ce55ede38fbb79dc18943445c3d9efd44",
-        "summary.json": "17d8841c74ba9653ed53ff3b12f253bdfa4f8346bc61bd74e1e3ea235516d1c4",
+        "fedavg.csv": "f032853d26887291248892ec7811ca0a40f2bfe107c03efbec43b9f85176387e",
+        "safl.csv": "f849a736bd68ca6c88e819c876db89387ae7f2cb26e393eff0943c51ffeac809",
+        "safl_extended.csv": "92d357115440937f23a7f076762269c02b544b8f25450603d57389cc452212f1",
+        "summary.json": "b14ec1a09bd2a74d70f2de98c67a81e0a64d072756b329520382c3d56376905f",
     },
     "logistic_partial": {
-        "safl.csv": "057df8749fe92aa6de4feb3add0991b75b6b403f13134edba6229071496b9c60",
-        "safl_extended.csv": "baa943d72867953b96fe758b5e49e5b578e5072c629185825d3da149e0b1b64f",
-        "summary.json": "8c2b24d55205ed69904ff77cba04add73e25d3b331e0a22b29a2a9a3b528667d",
+        "safl.csv": "17a709b9c51b4c4dfcb65f87003affa7c154b165e7122dc0daff880e6b7f2c6f",
+        "safl_extended.csv": "e14fb7284ac96bd7728524a937c9284071a017be6d6d076fca866d99eb5f17c2",
+        "summary.json": "83bcf259ad8eebf1defc907af87048b92444bcbb012c8ebfdec0ed3f9c262d46",
     },
     "oracle": {
         "fedavg.csv": "74dbceedba51e5bdd234f1917766eb44cc418dbd8332eb35df3da93ab55ec2d6",
@@ -106,27 +106,27 @@ DIGESTS = {
         "summary.json": "b897999a6cbfcd6a0a7a8962cb5b4cde83626befacdb6c85c849a6e3555e1ddb",
     },
     "early_stop": {
-        "fedavg.csv": "2b7371db328546c85e24abade098f54ef2b30e175068cc0da6caf01266cea316",
-        "safl.csv": "9fa3681fb84958bf526b981c9d71b9f1320a82b0ac33e70bae2687da101d3b05",
-        "summary.json": "d4ae76dc8b064eb55259fa03e31c0052a80f997eb0f4e1faf2f02f5a24f581c4",
+        "fedavg.csv": "0e66f629a8e68612a4a5eb517a529e3a0f31e3ca32a18a5cda5e8ab862d67d09",
+        "safl.csv": "80f59e74c957dca43811419662488db30bc5bb01a996a0b5e77f3a47d5520cc1",
+        "summary.json": "0ec55404e266f482c61caef2b2ee3cba872faf8e39f5e8e37eb32beb9ce7df04",
     },
     "long_seed": {
-        "fedavg.csv": "0c32f36f54ef171fcb83ff095f40df0e587fe069710324f0f219efa4cf4764dc",
-        "safl.csv": "c8372c9898b71244cf1553e7010eeecf95c8eb29d39c78ec90b47935d234a409",
-        "safl_extended.csv": "3a7412eb8c6529451a861a8fb59dc08eac9f395502bc7e5cc5d20a9bc7f8282d",
-        "summary.json": "3814a93b2b55001f32d896a6df4725dc36ba4f3f9ed70427ddaf4ab5a6dda372",
+        "fedavg.csv": "3077ccdc5a5b6e73d056084dd80179e5ff243364d620c0874da7d870157a31b1",
+        "safl.csv": "d93cd5e5d7f47c3dd8a7d2500b378f8aec48398870101eca34bd965e802a9bd6",
+        "safl_extended.csv": "ad102b08e61cb0b95ecb048975760a5d0b109f48fc7efe7a158a95f7a543c86e",
+        "summary.json": "0550e03592d063b42c547277f0c7239df9169dc6eb61a46c9ebc6de8012ce06b",
     },
     "full_shuffle": {
-        "fedavg.csv": "e877db1bab4888d755c23a0257ec5f7eda06d63e87ea98c65e12c644df792a6a",
-        "safl.csv": "cadf162ca3dbd7aaddf3a1e84ee7c2ecf00e5b3a1b49296663979567d72a0a4d",
-        "safl_extended.csv": "a799a2b7075ef9de16f4663ae3c9fc9745e4a49d3d29376d94f044cccd71ee17",
-        "summary.json": "e8cbf40f68ffa7dd952d3240edd00392ed00ef6890a590eef047faa260a860c8",
+        "fedavg.csv": "e6ebdfb2ffbf5a81c5252c9f0002188c1241435c1fe38348d843b3825c82424d",
+        "safl.csv": "c26e6fcb81bdc75062228c81ef14b21026998522bbb90b6cf00e1c083b82f795",
+        "safl_extended.csv": "cdcda6f7e7fc116c4b01d2abe465aab2f6f667f855c79fa7deb4d5ae4e18d944",
+        "summary.json": "5e289fbbb6d018ee64bedf78053d889f496cc1636b4a061155654588438ff906",
     },
     "mixed_holdout": {
-        "fedavg.csv": "72d7cdc84953bac33fae6d6ff52bd1c5dfdae62dc1d730b79a2a17aaa3499c83",
-        "safl.csv": "d92f42cb66742d39318f9327c2f42a42f3c38b6d9bf83a0b046834de8cc226c1",
-        "safl_extended.csv": "8c3bd06594a514ef1ad8d43ad942898e37186b60b1241fc3761d34e629d44d59",
-        "summary.json": "78f191ff2ee303dcd7ee95b8c9d67b8e9affc47ae9a430ea609d63d41cb1b898",
+        "fedavg.csv": "7cb2ea943396b0fb3d2a090c2e0c0546374cf11ee1ddf56cc09cab8d90f800b0",
+        "safl.csv": "c99002eb22eebcdc7dca6fba9a1361b9099f9accce3181b31339677251800ae4",
+        "safl_extended.csv": "222916ccae7210d21518bde548a2e2a2812499036b5daaaeadac03397640170d",
+        "summary.json": "28cffdbf7fe6a579fdaadce68805f055d74ed4e6d0baff9d95365fbd88275e95",
     },
 }
 

@@ -1,5 +1,6 @@
-"""Both shipped configs, run end to end, write exactly these bytes, and no
-row of the logistic one's run takes the kernel's shifted softmax step.
+"""Both shipped configs, run end to end, write exactly these bytes; no row
+of the logistic one's run takes the kernel's shifted softmax step, and only
+the demo's first round takes the kernel's explicit weight decay.
 
 A refactor that keeps behaviour leaves every digest as it is.  A deliberate
 change to the output format or to the trajectories records the new digests
@@ -11,7 +12,7 @@ import json
 from pathlib import Path
 
 import pytest
-from conftest import record_unshifted
+from conftest import record_explicit_decay, record_unshifted
 
 from safl_sim.cli import main as cli_main
 
@@ -19,15 +20,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DIGESTS = {
     "demo": {
-        "fedavg.csv": "26ab1442b1632912a47d7cc565953861f76b90ebe835b6d2f06d46686f53ca0f",
-        "safl.csv": "243f87006adad305fd1c5e9d12fcf24f091fae5478d19e282b2f219490e771fd",
-        "summary.json": "42a4e5eb8ac07530889395b57a2e47482bbf34e2fe643a4326863e26d104498d",
+        "fedavg.csv": "440bc5363be4ffbe725c32ba1ca5e1589aa1f8bb8121ef6a40588638e1feeb84",
+        "safl.csv": "a9400cdce1a5a819338824a1f40d33c237d21b94855d461c923d23f94d44d3fb",
+        "summary.json": "e8d31afa5eae7b686638c20867b11a194ba369049e36933c444e144b50bf4978",
     },
     "biased_devices": {
-        "fedavg.csv": "dc46c1ae0377600f48e63fa266823ed00a30eae2c1829d5d260ab231be2226bc",
-        "safl.csv": "6e5ccb854574cf4219d2dfd1da258193b581ab77edbfdda29b3d47a465071192",
-        "safl_extended.csv": "d0024aebbce60968045e061d478690e0ce0c9c95176429bce8217ca4afe30dde",
-        "summary.json": "3cee9f695691b5398d96c9aa60b41e00c40d239417a179eba007b911432e3ba4",
+        "fedavg.csv": "fd976ca4d6d6a4ef3617163bc531ec70a2b8a326a3677ce4b279dc0da6faca3b",
+        "safl.csv": "7167268ddefd80b71993b0f1e204f0478226504cf020238b769074dd734bfa58",
+        "safl_extended.csv": "1a555670b2d4b5b4ebc97f54b0d85372b895ff6d97b0d9673a72b07fff7ca497",
+        "summary.json": "bda188e87c691a8e99e836fcc6df1b5f9f355844b5748d68ff3e8d4ec140fbf1",
     },
 }
 
@@ -52,3 +53,21 @@ def test_no_row_of_the_biased_devices_run_shifts_its_logits(tmp_path, monkeypatc
     jobs = len(doc["variants"]) * len(doc["seeds"])
     assert sum(map(len, unshifted)) == doc["T"] * jobs * doc["s"]
     assert all(rows.all() for rows in unshifted)
+
+
+@pytest.mark.parametrize("name, explicit_calls", [("demo", 1), ("biased_devices", 0)])
+def test_only_the_demos_first_round_takes_the_explicit_decay(tmp_path, monkeypatch, name, explicit_calls):
+    # The demo's round 1 starts every row at step 0 of inverse 2.0 with
+    # reg 1, where its first decays 1 - rate * reg are -1, 0 and 1/3, so
+    # every row of that kernel call is explicit.  From round 2 on (step 12)
+    # every decay is at least 1 - 2/13 and a round's running product stays
+    # far above 2**-256, so every row is lazy.  biased_devices decays by
+    # 1 - 0.1 * 0.05 at every step, at most 84 steps a round: always lazy.
+    explicit = record_explicit_decay(monkeypatch)
+    path = CONFIGS / f"{name}.json"
+    doc = json.loads(path.read_text())
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    jobs = len(doc["variants"]) * len(doc["seeds"])
+    assert len(explicit) == doc["T"] and sum(map(len, explicit)) == doc["T"] * jobs * doc["s"]
+    assert [bool(rows.all()) for rows in explicit[:explicit_calls]] == [True] * explicit_calls
+    assert not any(rows.any() for rows in explicit[explicit_calls:])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import full_batch_grad, random_problem, record_unshifted
+from conftest import full_batch_grad, random_problem, record_explicit_decay, record_unshifted
 import reference
 from reference import Sample, sample, sgd_step
 
@@ -339,7 +339,8 @@ class TestBatchedKernel:
         starts = start_steps(6, offsets, np.random.default_rng(2))
         active = [6, 6, 4, 1]
         for sched in (LrSchedule("constant", 0.3), LrSchedule("inverse", 2.0)):
-            rates = safl_sim.training._step_rates(sched, starts, active, 1)
+            table = safl_sim.training._step_rates(sched, starts, len(active))
+            rates = safl_sim.training._per_step(table, active, 1)
             full = sched.rates(starts, len(active))
             if sched.kind == "constant" or offsets == "equal":
                 assert all(type(rate) is float for rate in rates)
@@ -467,3 +468,68 @@ class TestShiftedLogits:
         assert pooled.data.row_norms() is pooled.data.row_norms()
         assert not pooled.data.row_norms().flags.writeable
         assert shards[0].row_norms() is not shards[0].row_norms()
+
+
+def decay_batch(kind: str, classes: int | None, sched: LrSchedule):
+    """Nine devices of ``kind`` with reg 1 whose decays ``1 - rate * reg``
+    leave every row lazy but those marked in the returned mask.
+
+    Under ``constant`` 0.4 every decay is 0.6, so the size-400 shard's
+    running product falls below 2**-256 (at step 348) and the others' never
+    does.  Under ``inverse`` 256 the size-60 shard starts at step 300, where
+    its first decay is 1 - 256/301, below 1/2; the size-400 shard starts at
+    step 511, where it is 1/2, and its product then falls below 2**-256;
+    the rest start from step 2000 on.  The kernel trains the longest stream
+    first, so under ``inverse`` both explicit rows lie between lazy ones.
+    """
+    rng = np.random.default_rng(len(kind) + (classes or 0))
+    inverse = sched.kind == "inverse"
+    sizes = [300, 400, 120, 60, 1, 8, 200, 33, 500 if inverse else 250]
+    explicit = np.array([m == 400 or (inverse and m == 60) for m in sizes])
+    if kind == "multinomial_logistic":
+        obj = Objective(kind, 4, reg=1.0, n_classes=classes)
+        shards = [Dataset(0.3 * rng.standard_normal((m, 4)), rng.integers(0, classes, m), n_classes=classes) for m in sizes]
+    else:
+        obj = Objective(kind, 3, reg=1.0)
+        coef = rng.standard_normal(3)
+        shards = []
+        for m in sizes:
+            X = 0.3 * rng.standard_normal((m, 3))
+            shards.append(Dataset(X, X @ coef + 0.1 * rng.standard_normal(m)))
+    params = [rng.standard_normal(obj.param_dim) for _ in sizes]
+    starts = 2000 + rng.choice(1000, size=len(sizes), replace=False)
+    starts[sizes.index(60)], starts[sizes.index(400)] = 300, 511
+    return obj, shards, params, starts, explicit
+
+
+class TestExplicitDecay:
+    """Rows whose decays do not suit ``w = sigma * v`` keep ``sigma == 1``
+    and multiply ``w`` by their decay each step, beside lazy rows."""
+
+    @pytest.mark.parametrize("kind, classes", [("ridge", None)] + [("multinomial_logistic", c) for c in (2, 3, 8, 9)])
+    @pytest.mark.parametrize("sched", [LrSchedule("constant", 0.4), LrSchedule("inverse", 256.0)])
+    def test_every_row_trains_as_alone_and_as_chained_sgd_steps(self, monkeypatch, kind, classes, sched):
+        obj, shards, params, starts, explicit = decay_batch(kind, classes, sched)
+        streams = [stream(shard, 1, 400 + k) for k, shard in enumerate(shards)]
+        decisions = record_explicit_decay(monkeypatch)
+        Z, _ = run_local_epochs(params, shards, obj, 1, sched, np.concatenate(streams), start_steps=starts)
+        rank = np.argsort([-len(shard) for shard in shards], kind="stable")
+        assert decisions[0].tolist() == explicit[rank].tolist()
+        assert np.isfinite(Z).all()
+        for k in range(len(shards)):
+            (alone,), _ = run_local_epochs([params[k]], [shards[k]], obj, 1, sched, streams[k], start_steps=[starts[k]])
+            assert np.array_equal(alone, Z[k])
+            ref = replay_sgd(params[k], shards[k], obj, 1, sched, np.random.default_rng(400 + k), starts[k], "iid_draw")
+            assert np.abs(Z[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        # alone, each row makes the same decision
+        assert [bool(d[0]) for d in decisions[1:]] == explicit.tolist()
+        monkeypatch.setattr(safl_sim.training, "_sgd_steps", reference.sgd_steps)
+        Z_ref, _ = run_local_epochs(params, shards, obj, 1, sched, np.concatenate(streams), start_steps=starts)
+        assert np.array_equal(Z, Z_ref)
+
+    def test_a_call_without_a_regulariser_decays_nothing(self, monkeypatch):
+        obj, shards, params, starts = ragged_batch("least_squares", 12, seed=4)
+        decisions = record_explicit_decay(monkeypatch)
+        indices = np.concatenate([stream(shard, 2, k) for k, shard in enumerate(shards)])
+        run_local_epochs(params, shards, obj, 2, LrSchedule("inverse", 0.5), indices, start_steps=starts)
+        assert decisions == []
