@@ -294,12 +294,12 @@ def load_experiment(path) -> ExperimentSpec:
     config = configs[0]
     if config.local_solver == "sgd":
         longest = int((np.array(shard_sizes) - holdout_sizes(shard_sizes, config.holdout_fraction)).max())
-        steps = config.local_epochs * config.selected_per_round * longest
+        steps = config.local_epochs * config.selected_per_round * longest * jobs
         if steps > MAX_ROUND_STEPS:
             raise ExperimentConfigError(
                 f"experiment: 'E' = {config.local_epochs} gives a round a step table of {_rough(steps)} entries "
-                f"(E times s = {config.selected_per_round} times the longest training shard, {longest} samples), "
-                f"above the limit of {MAX_ROUND_STEPS}"
+                f"(E times s = {config.selected_per_round} times the longest training shard, {longest} samples, "
+                f"times the job count, {jobs}, as the jobs train in lockstep), above the limit of {MAX_ROUND_STEPS}"
             )
     return ExperimentSpec(top("name", "str", Path(path).stem), dataset, config, variants, seeds)
 
@@ -324,9 +324,7 @@ def _shared_bounds(config: SimConfig, problem: PreparedProblem) -> BoundColumns:
     The step-size preconditions need only the Hessian bounds, so they are
     checked before any shard's sigma_sq (for logistic, an iterative solve).
     """
-    if config.local_solver != "sgd" or not config.objective.is_smooth:
-        return {}
-    if config.selected_per_round != config.n:
+    if config.local_solver != "sgd" or config.selected_per_round != config.n:
         return {}
 
     obj = config.objective
@@ -365,8 +363,6 @@ def rows_for_run(
         bound_at = {column: at_spread(zeta) for column, at_spread in bounds.items()}
     except ValueError:  # a zeta beyond the float range
         bound_at = {}
-    if not result.records:
-        return []
     rounds, mse, accuracy, uploads, probs, _ = zip(*result.records)
     bound_columns = [
         [bound_at[column](t) for t in rounds] if column in bound_at else itertools.repeat(None)

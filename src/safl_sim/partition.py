@@ -66,11 +66,12 @@ def sample_sizes(spec: PartitionSpec) -> list[int]:
 # overflow (a size near 1e150 could not be allocated, let alone drawn).
 MAX_SHARD_FACTOR = 10
 
-# The kernel gathers one round's samples as a step table that pads every
-# selected shard's stream to the longest, so a job's round holds up to E
-# times s times the longest training shard entries, capped at this many:
-# above it the table alone takes gigabytes (E near 1e9 on the demo asks for
-# terabytes), and a document that reaches it is rejected on load.
+# The kernel gathers one round's samples of every job in lockstep as a step
+# table that pads every selected shard's stream to the longest, so a round
+# holds up to E times s times the longest training shard times the job count
+# entries, capped at this many: above it the table alone takes gigabytes (E
+# near 1e9 on the demo asks for terabytes), and a document that reaches it
+# is rejected on load.
 MAX_ROUND_STEPS = 2**24
 
 

@@ -546,10 +546,10 @@ def run_round(
     after local training, in ``batch.chosen`` order, and ``params`` the stack
     of every job's device parameters, indexed by ``_Job.slot`` (see
     ``run_jobs``).  Fusion, the fold and the metrics act on whole arrays
-    over the jobs; only the gated jobs score, decide and fuse one by one,
-    since each fuses its own number of uploads.  The fold assembles the
-    round's (J, s, P) new rows once, scatters them into ``params`` once, and
-    the metrics read them as assembled.
+    over the jobs; each gated job then scores, decides and fuses alone over
+    its row of the fusion, since each fuses its own number of uploads.  The
+    fold assembles the round's (J, s, P) new rows once, scatters them into
+    ``params`` once, and the metrics read them as assembled.
 
     ``trained``, the fused models and the metrics are checked for finite
     values as whole arrays; only a round whose ``trained`` fails looks for
@@ -578,14 +578,9 @@ def run_round(
     # a nearly divergent run may overflow anywhere below; the finite checks
     # are the divergence authority, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        gated = batch.gated
-        if not gated.any():
-            fused = aggregate(trained, record_w)
-        else:
-            fused = np.empty((len(jobs), trained.shape[-1]))
-            if not gated.all():
-                fused[~gated] = aggregate(trained[~gated], record_w[~gated])
-        for i in np.flatnonzero(gated[:diverged]).tolist():
+        # each row bitwise as alone; a gated job's is then its uploads' fusion
+        fused = aggregate(trained, record_w)
+        for i in np.flatnonzero(batch.gated[:diverged]).tolist():
             devices, ids = jobs[i].result.devices, chosen[i]
             eval_sets = Shards(evals.data, evals.starts[ids], evals.sizes[ids])
             h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj)

@@ -1,16 +1,16 @@
 """Local stochastic gradient descent for the devices selected in a round.
 
 ``run_local_epochs`` trains every selected device at once: the parameters
-are stacked as (K, param_dim), viewed as (K, C, d) for the logistic
-objective, and a single loop over the step index updates all devices whose
-index stream has not run out yet.  The kernel draws nothing: each device's
-sample-index stream comes from ``sample_indices`` on that device's own
-training generator, drawn ahead for a block of rounds by the simulation's
-planner, so stream ownership and determinism are those of a
-device-by-device loop.  Where each stream's entries go in the kernel's step
-table depends on the shard sizes alone (``StepLayout``); a ``Shards`` keeps
-the layout once built, so a simulation whose batch of shards repeats from
-round to round builds it once.
+are stacked as (K, param_dim), viewed as (K, C, d) with C = 1 for least
+squares and ridge, and for every smooth objective a single loop over the
+step index updates all devices whose index stream has not run out yet.
+The kernel draws nothing: each device's sample-index stream comes from
+``sample_indices`` on that device's own training generator, drawn ahead
+for a block of rounds by the simulation's planner, so stream ownership and
+determinism are those of a device-by-device loop.  Where each stream's
+entries go in the kernel's step table depends on the shard sizes alone
+(``StepLayout``); a ``Shards`` keeps the layout once built, so a simulation
+whose batch of shards repeats from round to round builds it once.
 
 Equivalence policy.  A device's trained parameters match chained calls of
 the per-sample reference step ``sgd_step`` (in the test suite's
@@ -31,13 +31,13 @@ row whose logits could overflow (``_unshifted_rows``).  Every operation acts
 on each device's row alone, and in a call where other rows are shifted or
 decayed explicitly a row that is not subtracts +0.0 or multiplies by 1.0,
 so a device's result is bitwise independent of which other devices share
-its batch, and of their order.  The step loops (``_sgd_steps``) are bitwise
+its batch, and of their order.  The step loop (``_sgd_steps``) is bitwise
 equal to loops that allocate every intermediate and give every row its own
-rate column, which ``tests/reference.py`` keeps (``sgd_steps``): they write
-into buffers allocated once per call, keep ``np.add.reduce`` for the class
-sums (numpy's pairwise order from 8 terms on), take the class max as column
-``np.maximum`` calls (exact in any order), and multiply by one float per
-step when every row shares it.
+rate column, which ``tests/reference.py`` keeps (``sgd_steps``): it writes
+into buffers allocated once per call, keeps ``np.add.reduce`` for the
+class sums (numpy's pairwise order from 8 terms on), takes the class max
+as column ``np.maximum`` calls (exact in any order), and multiplies by one
+float per step when every row shares it.
 """
 
 from __future__ import annotations
@@ -365,22 +365,27 @@ def _sgd_steps(
     schedule: LrSchedule,
     starts: np.ndarray,
 ) -> None:
-    """Step ``W`` (K, param_dim) in place: at step ``j`` the leading
+    """Step ``W`` (K, param_dim), viewed as (K, C, d) with ``C = 1`` for
+    least squares and ridge, in place: at step ``j`` the leading
     ``layout.active[j]`` rows take one SGD step on the samples ``X[j]``,
     ``y[j]``, row ``k`` at the rate of its schedule's step ``starts[k] + j``.
+    A step takes the scores ``vecdot(w, x)``, their softmax for the logistic
+    objective alone, subtracts the targets (one-hot labels or regression
+    targets), scales by the rate and subtracts the outer product with ``x``.
     ``X`` is the call's own table, which it scales in place.
 
     The weight decay ``1 - rate * reg`` is lazy: a row holds ``w = sigma *
     v``, with ``sigma`` the product of its decays so far (``_decay_scales``),
-    so it reads its logits or residuals as ``vecdot(v, sigma * x)`` and
-    subtracts ``rate / (sigma * sigma') * resid * (sigma * x)`` from ``v``,
-    and no step touches ``w`` for the decay; the row returns ``sigma * v``
-    after its last step.  The sample table is scaled by ``sigma`` once, in
-    place.  A row that the scales do not suit keeps ``sigma == 1`` and
-    multiplies ``w`` by its decay each step; in a call with such a row,
-    every other row multiplies by exactly 1.0.  So a step takes 5 numpy
-    calls for a quadratic objective and 8 for a logistic one, 6 and 9 in a
-    call with an explicit row.
+    so it reads its scores as ``vecdot(v, sigma * x)`` and subtracts
+    ``rate / (sigma * sigma') * resid * (sigma * x)`` from ``v``, and no step
+    touches ``w`` for the decay; the row returns ``sigma * v`` after its last
+    step.  The sample table is scaled by ``sigma`` once, in place.  A row
+    that the scales do not suit keeps ``sigma == 1`` and multiplies ``w`` by
+    its decay each step; in a call with such a row, every other row
+    multiplies by exactly 1.0, and a ``sigma`` of 1.0 divides the rates and
+    scales the table and the rows without changing a bit.  So a step takes
+    5 numpy calls for a quadratic objective and 8 for a logistic one, 6 and
+    9 in a call with an explicit row.
 
     Every intermediate is written into a buffer allocated once for all the
     steps, and the views of the active rows are made once per active count,
@@ -397,58 +402,41 @@ def _sgd_steps(
     if reg:
         decay = 1.0 - rates * reg
         explicit, sigma = _decay_scales(decay, steps)
-        if explicit.all():
-            decays = decay
-        else:
-            if explicit.any():
-                sigma = np.where(explicit, 1.0, sigma)
-                decays = np.where(explicit, decay, 1.0)
-            rates = rates / (sigma[:-1] * sigma[1:])
-            X *= sigma[:-1, :, None]
-            final = sigma[steps, np.arange(count) if sigma.shape[1] > 1 else 0][:, None]
-    quadratic = obj.kind in ("least_squares", "ridge")
-    coefs = _per_step(rates, active, 0 if quadratic else 1)
-    decays = [None] * len(active) if decays is None else _per_step(decays, active, 1 if quadratic else 2)
-    size = None
-    if quadratic:
-        prod = np.empty_like(W)
-        resid = np.empty(count)
-        for a, x, t, coef, decay in zip(active, X, y, coefs, decays):
-            if a != size:
-                size = a
-                w, g, r = W[:a], prod[:a], resid[:a]
-                column = r[:, None]
-            if a < count:
-                x, t = x[:a], t[:a]
-            np.vecdot(w, x, out=r)
-            np.subtract(r, t, out=r)
-            r *= coef
-            if decay is not None:
-                w *= decay
-            w -= np.multiply(column, x, out=g)
-    else:  # multinomial_logistic
-        C = obj.n_classes
-        W3 = W.reshape(count, C, obj.dim)
+        if explicit.any():
+            sigma = np.where(explicit, 1.0, sigma)
+            decays = np.where(explicit, decay, 1.0)
+        rates = rates / (sigma[:-1] * sigma[1:])
+        X *= sigma[:-1, :, None]
+        final = sigma[steps, np.arange(count) if sigma.shape[1] > 1 else 0][:, None]
+    coefs = _per_step(rates, active, 1)
+    decays = [None] * len(active) if decays is None else _per_step(decays, active, 2)
+    logistic, C = obj.is_classification, obj.n_classes or 1
+    W3 = W.reshape(count, C, obj.dim)
+    if logistic:
         unshifted = _unshifted_rows(W3, layout, obj, schedule, starts)
         shift = not unshifted.all()
         # the one-hot labels: subtracting a row takes 1 from the label's entry
         # and 0 from the rest, which leaves them bitwise as they were
-        Y = np.eye(C)[y]  # (n_steps, K, C)
-        prod = np.empty_like(W3)
-        scores = np.empty((count, C))
-        top = np.empty((count, 1))
-        total = np.empty((count, 1))
-        for a, x, labels, coef, decay in zip(active, X[:, :, None, :], Y, coefs, decays):
-            if a != size:
-                size = a
-                w, g, s, z = W3[:a], prod[:a], scores[:a], total[:a]
-                p = s[:, :, None]
-                if shift:
-                    m, kept = top[:a], unshifted[:a, None]
-                    classes = [s[:, c : c + 1] for c in range(C)]
-            if a < count:
-                x, labels = x[:a], labels[:a]
-            np.vecdot(w, x, out=s)
+        targets = np.eye(C)[y]  # (n_steps, K, C)
+    else:
+        shift = False
+        targets = y[:, :, None]  # (n_steps, K, 1)
+    prod = np.empty_like(W3)
+    scores = np.empty((count, C))
+    top, total = np.empty((2, count, 1))
+    size = None
+    for a, x, target, coef, decay in zip(active, X[:, :, None, :], targets, coefs, decays):
+        if a != size:
+            size = a
+            w, g, s, z = W3[:a], prod[:a], scores[:a], total[:a]
+            p = s[:, :, None]
+            if shift:
+                m, kept = top[:a], unshifted[:a, None]
+                classes = [s[:, c : c + 1] for c in range(C)]
+        if a < count:
+            x, target = x[:a], target[:a]
+        np.vecdot(w, x, out=s)
+        if logistic:
             if shift:
                 np.maximum(classes[0], classes[1], out=m)
                 for column in classes[2:]:
@@ -456,10 +444,10 @@ def _sgd_steps(
                 s -= np.where(kept, 0.0, m)
             np.exp(s, out=s)
             s /= np.add.reduce(s, axis=-1, keepdims=True, out=z)
-            s -= labels
-            s *= coef
-            if decay is not None:
-                w *= decay
-            w -= np.multiply(p, x, out=g)
+        s -= target
+        s *= coef
+        if decay is not None:
+            w *= decay
+        w -= np.multiply(p, x, out=g)
     if final is not None:
         W *= final

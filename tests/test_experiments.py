@@ -547,14 +547,26 @@ class TestCli:
 
     def test_round_step_limit_counts_the_s_largest_training_shards(self, tmp_path):
         # 8 devices of 10 samples, 2 held out each: 8 to train on, so a
-        # round of s = 3 takes 24 E steps; the oracle draws none
+        # round of s = 3 takes 24 E steps a job, and the 4 jobs train in one
+        # kernel call, 96 E steps; the oracle draws none
         limit = MAX_ROUND_STEPS
         doc = experiment_doc(partition={"mean_size": 10, "size_var": 0.0, "seed": 7}, s=3, holdout_fraction=0.2)
-        load_experiment(write_doc(tmp_path, {**doc, "E": limit // 24}))
+        load_experiment(write_doc(tmp_path, {**doc, "E": limit // 96}))
         with pytest.raises(ExperimentConfigError, match="'E'"):
-            load_experiment(write_doc(tmp_path, {**doc, "E": limit // 24 + 1}))
+            load_experiment(write_doc(tmp_path, {**doc, "E": limit // 96 + 1}))
         oracle = {**doc, "E": limit, "local_solver": "oracle", "objective": {"kind": "lasso", "reg": 1.0}}
         load_experiment(write_doc(tmp_path, oracle))
+
+    def test_round_step_limit_counts_every_job_in_lockstep(self, tmp_path, monkeypatch, capsys):
+        # one job's table, 24 E entries, is a quarter of the limit; the 4
+        # jobs' lockstep table is over it, refused on load before anything runs
+        doc = experiment_doc(partition={"mean_size": 10, "size_var": 0.0, "seed": 7}, s=3, holdout_fraction=0.2)
+        doc["E"] = MAX_ROUND_STEPS // 96 + 1
+        monkeypatch.setattr(safl_sim.cli, "execute", lambda *args, **kwargs: pytest.fail("the document ran"))
+        code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'E'" in err and "times the job count, 4," in err and "Traceback" not in err
 
     def test_metrics_row_limit_counts_every_job(self, tmp_path):
         # 2 variants times 3 seeds: 6 rows a round, refused on load above the cap

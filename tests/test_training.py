@@ -527,6 +527,28 @@ class TestExplicitDecay:
         Z_ref, _ = run_local_epochs(params, shards, obj, 1, sched, np.concatenate(streams), start_steps=starts)
         assert np.array_equal(Z, Z_ref)
 
+    @pytest.mark.parametrize("kind, classes", [("ridge", None)] + [("multinomial_logistic", c) for c in (2, 3, 8, 9)])
+    @pytest.mark.parametrize("sched", [LrSchedule("constant", 0.6), LrSchedule("inverse", 256.0)])
+    def test_a_call_whose_rows_all_decay_explicitly_trains_each_row_as_alone(self, monkeypatch, kind, classes, sched):
+        # rate * reg above 1/2 at each row's first step puts its first decay
+        # below 1/2: 0.6 under constant, and from 256/300 to 256/201 under
+        # inverse, where every row starts at a step from 200 to 299
+        obj, shards, params, _, _ = decay_batch(kind, classes, sched)
+        starts = 200 + np.random.default_rng(5).choice(100, size=len(shards), replace=False)
+        streams = [stream(shard, 1, 500 + k) for k, shard in enumerate(shards)]
+        decisions = record_explicit_decay(monkeypatch)
+        Z, _ = run_local_epochs(params, shards, obj, 1, sched, np.concatenate(streams), start_steps=starts)
+        assert decisions[0].tolist() == [True] * len(shards)
+        assert np.isfinite(Z).all()
+        for k in range(len(shards)):
+            (alone,), _ = run_local_epochs([params[k]], [shards[k]], obj, 1, sched, streams[k], start_steps=[starts[k]])
+            assert np.array_equal(alone, Z[k])
+            ref = replay_sgd(params[k], shards[k], obj, 1, sched, np.random.default_rng(500 + k), starts[k], "iid_draw")
+            assert np.abs(Z[k] - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+        monkeypatch.setattr(safl_sim.training, "_sgd_steps", reference.sgd_steps)
+        Z_ref, _ = run_local_epochs(params, shards, obj, 1, sched, np.concatenate(streams), start_steps=starts)
+        assert np.array_equal(Z, Z_ref)
+
     def test_a_call_without_a_regulariser_decays_nothing(self, monkeypatch):
         obj, shards, params, starts = ragged_batch("least_squares", 12, seed=4)
         decisions = record_explicit_decay(monkeypatch)
