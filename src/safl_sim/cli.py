@@ -39,15 +39,9 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         try:
-            spec = load_experiment(args.config)
             variants = None if args.variants is None else [v.strip() for v in args.variants.split(",") if v.strip()]
-            execute(
-                spec,
-                args.out,
-                seed_override=args.seed_override,
-                variants_filter=variants,
-                quiet=args.quiet,
-            )
+            spec = load_experiment(args.config, variants=variants, seed_override=args.seed_override)
+            execute(spec, args.out, quiet=args.quiet)
         except ExperimentConfigError as err:
             print(f"config error: {err}", file=sys.stderr)
             return 1

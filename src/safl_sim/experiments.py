@@ -97,8 +97,10 @@ _BOUND_COLUMNS = tuple(MetricsRow._field_defaults)
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A loaded document: the data, the settings every job shares, and the
-    (variant, seed) grid.  ``config`` carries ``variants[0]`` and ``seeds[0]``;
-    ``sim_config`` swaps in each job's own."""
+    (variant, seed) grid of the jobs that run, the document's own narrowed by
+    any ``variants`` and ``seed_override`` given to ``load_experiment``.
+    ``config`` carries ``variants[0]`` and ``seeds[0]``; ``sim_config`` swaps
+    in each job's own."""
 
     name: str
     dataset: Dataset
@@ -111,7 +113,10 @@ _REQUIRED = object()
 _KINDS = {"int": "an integer", "float": "a finite number", "str": "a string", "dict": "a JSON object", "list": "a nonempty list"}
 _JSON_TYPES = {"str": str, "dict": dict, "list": list}
 # SimConfig fields that the document names otherwise (s, T and E are the paper's symbols)
-_DOC_KEYS = {"selected_per_round": "s", "rounds": "T", "local_epochs": "E", "algorithm": "variants", "seed": "seeds"}
+_DOC_KEYS = {
+    "selected_per_round": "s", "rounds": "T", "local_epochs": "E",
+    "weight_scheme": "weights", "algorithm": "variants", "seed": "seeds",
+}
 
 
 def _typed(value, kind: str, name: str):
@@ -211,26 +216,27 @@ def _build_weights(doc: dict) -> WeightScheme:
     return _owned("weights", WeightScheme, _read(section, "weights", "kind", "str"), custom)
 
 
-TOP_KEYS = {
-    "name", "data", "objective", "partition", "n", "s", "T", "E", "lr", "anneal",
-    "gate", "weights", "sample_order", "local_solver", "holdout_fraction",
-    "init_scale", "early_stop_mse", "variants", "seeds",
-}
-# top-level keys named after the SimConfig field they set
-SIM_FIELDS = ("sample_order", "local_solver", "holdout_fraction", "init_scale", "early_stop_mse")
-# the document key of each SimConfig field that its errors may name
-_ERROR_KEYS = {**_DOC_KEYS, **{name: name for name in SIM_FIELDS}}
+# the document key of each SimConfig field, which its errors may name
+_ERROR_KEYS = {f.name: _DOC_KEYS.get(f.name, f.name) for f in fields(SimConfig)}
+TOP_KEYS = {"name", "data", "n", *_ERROR_KEYS.values()}  # n and the data fill the partition
+# top-level keys named after the SimConfig field they set, read by JSON type alone
+SIM_FIELDS = tuple(f.name for f in fields(SimConfig) if f.name not in _DOC_KEYS and f.type.removesuffix(" | None") in _KINDS)
 
 
-def load_experiment(path) -> ExperimentSpec:
-    """Parse and validate an experiment document.
+def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpec:
+    """Parse and validate an experiment document, and settle the jobs that run.
+
+    ``variants`` (a subset of the document's, kept in its order) and
+    ``seed_override`` (one seed for the document's list) narrow the grid
+    after the whole document is validated and before the limits on metrics
+    rows and round steps are checked against the jobs that will run.
 
     Every check runs here, so a document that loads runs to completion or
     stops on runtime divergence, unless an optimum solve reaches its
     iteration cap, which ``execute`` reports as a config error naming the
     objective.  Types are checked as each key is read;
     ranges by the dataclass that owns the value; what needs the dataset or
-    the variant list, here.
+    the job grid, here.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -258,20 +264,14 @@ def load_experiment(path) -> ExperimentSpec:
 
     gate = _call(GateConfig, top("gate", "dict"), "gate") if "gate" in doc else None
 
-    variants = _read_list(doc, "experiment", "variants", "str")
+    declared = _read_list(doc, "experiment", "variants", "str")
     seeds = _read_list(doc, "experiment", "seeds", "int")
-    for key, values in (("variants", variants), ("seeds", seeds)):
+    for key, values in (("variants", declared), ("seeds", seeds)):
         if len(set(values)) != len(values):  # a repeated job would write its rows twice
             raise ExperimentConfigError(f"experiment: '{key}' contains duplicates")
     rounds = top("T", "int")
     if rounds < 1:  # SimConfig allows 0; the summary needs a final round
         raise ExperimentConfigError("experiment: 'T' must be >= 1")
-    jobs = len(variants) * len(seeds)
-    if rounds * jobs > MAX_RECORDS:
-        raise ExperimentConfigError(
-            f"experiment: 'T' = {rounds} gives {_rough(rounds * jobs)} metrics rows (T times {jobs} jobs, "
-            f"{len(variants)} variants times {len(seeds)} seeds), above the limit of {MAX_RECORDS}"
-        )
 
     settings = dict(
         objective=objective,
@@ -284,14 +284,31 @@ def load_experiment(path) -> ExperimentSpec:
         weight_scheme=_build_weights(doc),
         lr=_call(LrSchedule, top("lr", "dict"), "lr"),
     )
-    kinds = {f.name: f.type for f in fields(SimConfig)}
-    settings.update({name: top(name, kinds[name]) for name in SIM_FIELDS if name in doc})
+    settings.update({f.name: top(f.name, f.type) for f in fields(SimConfig) if f.name in SIM_FIELDS and f.name in doc})
     try:
-        configs = [SimConfig(**settings, algorithm=v, seed=s) for v in variants for s in seeds]
+        for variant, seed in itertools.product(declared, seeds):  # every declared job, whatever the CLI narrows
+            SimConfig(**settings, algorithm=variant, seed=seed)
     except ValueError as err:
         message = re.sub(r"\b(" + "|".join(_ERROR_KEYS) + r")\b", lambda m: f"'{_ERROR_KEYS[m[1]]}'", str(err))
         raise ExperimentConfigError(f"experiment: {message}") from err
-    config = configs[0]
+
+    if variants is not None:
+        if not variants:
+            raise ExperimentConfigError("--variants names no variant")
+        unknown = [v for v in variants if v not in declared]
+        if unknown:
+            raise ExperimentConfigError(f"variant '{unknown[0]}' not declared in the experiment file")
+    variants = declared if variants is None else tuple(v for v in declared if v in variants)
+    if seed_override is not None:
+        seeds = (seed_override,)
+    # every declared job was built above, so only an overriding seed can fail here
+    config = _owned("--seed-override", SimConfig, **settings, algorithm=variants[0], seed=seeds[0])
+    jobs = len(variants) * len(seeds)
+    if rounds * jobs > MAX_RECORDS:
+        raise ExperimentConfigError(
+            f"experiment: 'T' = {rounds} gives {_rough(rounds * jobs)} metrics rows (T times {jobs} jobs, "
+            f"{len(variants)} variants times {len(seeds)} seeds), above the limit of {MAX_RECORDS}"
+        )
     if config.local_solver == "sgd":
         longest = int((np.array(shard_sizes) - holdout_sizes(shard_sizes, config.holdout_fraction)).max())
         steps = config.local_epochs * config.selected_per_round * longest * jobs
@@ -411,31 +428,15 @@ def parse_metrics_csv(path) -> list[MetricsRow]:
     return rows
 
 
-def execute(
-    spec: ExperimentSpec,
-    out_dir,
-    *,
-    seed_override: int | None = None,
-    variants_filter: list[str] | None = None,
-    quiet: bool = False,
-) -> dict[str, Path]:
-    """Run every (variant, seed) pair and write per-variant CSVs plus a summary.
+def execute(spec: ExperimentSpec, out_dir, *, quiet: bool = False) -> dict[str, Path]:
+    """Run every (variant, seed) job that ``spec`` holds and write per-variant
+    CSVs plus a summary.
 
     Returns the mapping from variant name to its metrics file.  An optimum
     that its solver cannot reach within its iteration cap (``ConvergenceError``)
     is an ``ExperimentConfigError`` naming the objective.
     """
-    variants = list(spec.variants)
-    if variants_filter is not None:
-        if not variants_filter:
-            raise ExperimentConfigError("--variants names no variant")
-        unknown = [v for v in variants_filter if v not in variants]
-        if unknown:
-            raise ExperimentConfigError(f"variant '{unknown[0]}' not declared in the experiment file")
-        variants = [v for v in variants if v in variants_filter]
-    if seed_override is not None:
-        _owned("--seed-override", replace, spec.config, seed=seed_override)
-    seeds = [seed_override] if seed_override is not None else list(spec.seeds)
+    variants, seeds = spec.variants, spec.seeds
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -467,7 +468,7 @@ def execute(
             "seeds": len(seeds),
             "final_round": max(r.round for r in finals),
             "final_mse_mean": statistics.fmean(mse_values),
-            "final_mse_stderr": (statistics.stdev(mse_values) / math.sqrt(len(mse_values)) if len(mse_values) > 1 else 0.0),
+            "final_mse_stderr": _stderr(mse_values),
             "final_accuracy_mean": statistics.fmean(acc_values),
             "uploads_total_mean": statistics.fmean([r.uploads_cumulative for r in finals]),
         }
@@ -479,6 +480,11 @@ def execute(
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths
+
+
+def _stderr(values: list[float]) -> float:
+    """The standard error of the mean of ``values``, 0 for a single value."""
+    return statistics.stdev(values) / math.sqrt(len(values)) if len(values) > 1 else 0.0
 
 
 def _series_by_variant(rows: list[MetricsRow]) -> dict[str, dict[int, list[MetricsRow]]]:
@@ -529,10 +535,7 @@ def compare(paths: list, mse_threshold: float | None = None, stream=None) -> Non
 
     def stats(rows):
         mses = [r.mse for r in rows]
-        accs = [r.accuracy_proxy for r in rows]
-        n = len(mses)
-        se = statistics.stdev(mses) / math.sqrt(n) if n > 1 else 0.0
-        return statistics.fmean(mses), se, statistics.fmean(accs)
+        return statistics.fmean(mses), _stderr(mses), statistics.fmean([r.accuracy_proxy for r in rows])
 
     base_name = tables[0][0]
     print(f"{'variant':<16}{'round':>8}{'mse':>14}{'stderr':>12}{'accuracy':>12}{'d_mse_vs_' + base_name:>20}", file=stream)
@@ -552,10 +555,9 @@ def compare(paths: list, mse_threshold: float | None = None, stream=None) -> Non
             print(f"{variant:<16}{last:>8}  paired vs {base_name}: no shared seed", file=stream)
             continue
         wins, losses = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
-        se = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 else 0.0
         print(
             f"{variant:<16}{last:>8}  paired vs {base_name} over {len(diffs)} seeds: wins {wins}, losses {losses},"
-            f" sign test p {_sign_test(wins, losses):.3g}, stderr {se:.3g}, d_mse {statistics.fmean(diffs):.6g}",
+            f" sign test p {_sign_test(wins, losses):.3g}, stderr {_stderr(diffs):.3g}, d_mse {statistics.fmean(diffs):.6g}",
             file=stream,
         )
 

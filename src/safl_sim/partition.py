@@ -139,18 +139,13 @@ def _shard_indices(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
         m_k = sizes[k]
         if label_values is None:
             pool = np.arange(len(dataset))
-        else:
-            pool = np.array([], dtype=np.intp)
-            while pool.size == 0:
-                if k < spec.pure_count:
-                    n_lab = 1
-                else:
-                    n_lab = int(labels_rng.integers(1, spec.max_labels_per_device + 1))
-                chosen = labels_rng.choice(label_values, size=n_lab, replace=False)
-                key = tuple(sorted(chosen.tolist()))
-                if key not in pools:
-                    pools[key] = _label_pool(dataset.y, chosen, dataset.n_classes)
-                pool = pools[key]
+        else:  # every label is present, so no pool is empty
+            n_lab = 1 if k < spec.pure_count else int(labels_rng.integers(1, spec.max_labels_per_device + 1))
+            chosen = labels_rng.choice(label_values, size=n_lab, replace=False)
+            key = tuple(sorted(chosen.tolist()))
+            if key not in pools:
+                pools[key] = _label_pool(dataset.y, chosen, dataset.n_classes)
+            pool = pools[key]
         shards.append(draw_rng.choice(pool, size=m_k, replace=pool.size < m_k))
     return shards
 

@@ -158,9 +158,9 @@ class TestExecute:
         assert rows and all(r.p == selection_probability(r.round, temperature) for r in rows)
 
     def test_seed_override_is_reproducible_bytewise(self, tmp_path):
-        spec = load_experiment(write_doc(tmp_path, experiment_doc()))
-        p1 = execute(spec, tmp_path / "o1", seed_override=7, quiet=True)
-        p2 = execute(spec, tmp_path / "o2", seed_override=7, quiet=True)
+        spec = load_experiment(write_doc(tmp_path, experiment_doc()), seed_override=7)
+        p1 = execute(spec, tmp_path / "o1", quiet=True)
+        p2 = execute(spec, tmp_path / "o2", quiet=True)
         for variant in ("fedavg", "safl"):
             assert p1[variant].read_bytes() == p2[variant].read_bytes()
 
@@ -223,9 +223,8 @@ class TestExecute:
         load_experiment(path)
 
     def test_unknown_variant_filter_rejected(self, tmp_path):
-        spec = load_experiment(write_doc(tmp_path, experiment_doc()))
         with pytest.raises(ExperimentConfigError, match="safl_extended"):
-            execute(spec, tmp_path / "out", variants_filter=["safl_extended"], quiet=True)
+            load_experiment(write_doc(tmp_path, experiment_doc()), variants=["safl_extended"])
 
     def test_bound_columns_emitted_when_preconditions_hold(self, tmp_path):
         spec = load_experiment(write_doc(tmp_path, experiment_doc()))
@@ -701,6 +700,43 @@ class TestCli:
         assert code == 1
         assert "--variants" in capsys.readouterr().err
         assert not out.exists()
+
+    NARROWINGS = [([], 1), (["--seed-override", "1"], 0), (["--variants", "safl"], 0)]
+
+    @pytest.mark.parametrize("flags, code", NARROWINGS, ids=["all-4-jobs", "seed-override", "variants"])
+    def test_round_step_limit_counts_the_jobs_that_run(self, tmp_path, monkeypatch, capsys, flags, code):
+        # a job trains 24 steps a round (s = 3 devices of 8 training samples):
+        # the document's 4 jobs are over a limit of 48, either narrowed 2 fit
+        doc = experiment_doc(partition={"mean_size": 10, "size_var": 0.0, "seed": 7}, s=3, holdout_fraction=0.2, T=3)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_ROUND_STEPS", 48)
+        argv = ["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet", *flags]
+        assert cli_main(argv) == code
+        assert ("'E'" in capsys.readouterr().err) == (code == 1)
+
+    @pytest.mark.parametrize("flags, code", NARROWINGS, ids=["all-4-jobs", "seed-override", "variants"])
+    def test_metrics_row_limit_counts_the_jobs_that_run(self, tmp_path, monkeypatch, capsys, flags, code):
+        # T = 12: the document's 4 jobs write 48 rows, over a limit of 30, either narrowed 2 write 24
+        monkeypatch.setattr(safl_sim.experiments, "MAX_RECORDS", 30)
+        argv = ["run", "--config", str(write_doc(tmp_path, experiment_doc())), "--out", str(tmp_path / "out"), "--quiet", *flags]
+        assert cli_main(argv) == code
+        assert ("'T' = 12 gives 48 metrics rows" in capsys.readouterr().err) == (code == 1)
+
+    def test_narrowing_still_validates_the_whole_document(self, tmp_path, capsys):
+        # the safl_extended variant that --variants leaves out still needs its gate
+        path = write_doc(tmp_path, experiment_doc(variants=["fedavg", "safl_extended"], T=2, seeds=[1]))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--variants", "fedavg", "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "gate" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_names_every_run_option(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("## CLI"):readme.index("## Experiment files")]
+        subcommands = next(a for a in safl_sim.cli._build_parser()._actions if a.choices)
+        options = {o for a in subcommands.choices["run"]._actions for o in a.option_strings if o.startswith("--")}
+        assert options >= {"--config", "--out", "--seed-override", "--variants", "--quiet", "--help"}
+        assert {o for o in options - {"--help"} if not re.search(re.escape(o) + r"(?![\w-])", section)} == set()
 
     @pytest.mark.parametrize("both_empty", [True, False])
     def test_compare_of_a_header_only_file_exits_one(self, tmp_path, capsys, both_empty):
