@@ -285,8 +285,12 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
         lr=_call(LrSchedule, top("lr", "dict"), "lr"),
     )
     settings.update({f.name: top(f.name, f.type) for f in fields(SimConfig) if f.name in SIM_FIELDS and f.name in doc})
+    # SimConfig reads a seed only through seed >= 0, so a variant's first
+    # seed and its first negative one raise the first error of its jobs in
+    # order; every declared variant is checked, whatever the CLI narrows
+    probes = dict.fromkeys((seeds[0], next((seed for seed in seeds if seed < 0), seeds[0])))
     try:
-        for variant, seed in itertools.product(declared, seeds):  # every declared job, whatever the CLI narrows
+        for variant, seed in itertools.product(declared, probes):
             SimConfig(**settings, algorithm=variant, seed=seed)
     except ValueError as err:
         message = re.sub(r"\b(" + "|".join(_ERROR_KEYS) + r")\b", lambda m: f"'{_ERROR_KEYS[m[1]]}'", str(err))
@@ -301,7 +305,7 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
     variants = declared if variants is None else tuple(v for v in declared if v in variants)
     if seed_override is not None:
         seeds = (seed_override,)
-    # every declared job was built above, so only an overriding seed can fail here
+    # every declared job's checks ran above, so only an overriding seed can fail here
     config = _owned("--seed-override", SimConfig, **settings, algorithm=variants[0], seed=seeds[0])
     jobs = len(variants) * len(seeds)
     if rounds * jobs > MAX_RECORDS:

@@ -436,7 +436,11 @@ def optimum_oracle(obj: Objective, dataset: Dataset) -> np.ndarray:
     dataset, until the gradient norm drops below ``LOGISTIC_TOL``.  It
     iterates on the dataset's table of distinct (x, y) rows, each weighted
     by how often it appears (``Dataset.distinct``), in the class-major
-    layout of ``_logistic_gd``.
+    layout of ``_logistic_gd``, whose step takes the logits relative to
+    class 0 and folds the label term, the 1 / m and the step into
+    constants.  Its ``w*`` is not bitwise that of the row-major form over
+    all m rows, but within 1e-14 relative of it, after the same number of
+    steps.
     Lasso minimises the summed cost ``sum_i (y_i - x_i'w)^2 + reg * ||w||_1``
     (the form whose coordinate-wise solution is an exact soft threshold, in
     rational arithmetic when every sample touches a single coordinate); for
@@ -505,24 +509,28 @@ def _logistic_gd(obj: Objective, rows: DistinctRows, step: float) -> np.ndarray:
 
     The risk and its gradient are means over all m = ``counts.sum()`` rows:
     each step weighs a row's term by its count and divides by m.  The
-    iterates are held class-major.  The logits ``W @ XT`` form a (C, k)
-    array over the k distinct rows, written in place each step from the
-    table's class-major features, so the softmax sum over classes is C - 1
-    whole-row additions instead of reductions over a short last axis.  P is
-    ``exp`` of the logits, one exp per step, times ``counts / total``, which
-    folds the counts into the softmax normaliser; the label term is then
-    one subtraction of the precomputed label counts, and the gradient is
-    ``P @ X``.  The logits are shifted by their row max first only when the
-    bound ``max_c ||W_c|| * max_i ||x_i||`` on their size reaches the limit
-    above which an exp, a class sum or ``counts / total`` could overflow or
-    lose precision (see ``_UNSHIFTED_LIMIT``).
+    iterates W are held class-major, (C, d).  A step writes the logits
+    relative to class 0, ``(W[1:] - W[0]) @ XT``, in place as a (C - 1, k)
+    array over the k distinct rows and takes their exp: C - 1 rows of exp,
+    with class 0's numerator 1.  Each row's count times step / m, over its
+    class sum, scales the numerators into P, and G, the step times the
+    gradient, is ``P @ X`` minus the label term plus ``step * reg * W``.
+    The label term ``sum_i count_i onehot(y_i) x_i'`` times step / m is a
+    (C, d) constant made before the loop.  The logits are shifted by
+    ``top = max(0, max_c`` relative logit``)``, and class 0's numerator is
+    ``exp(-top)``, only when the bound ``||W[1:] - W[0]|| * max_i ||x_i||``
+    on their size reaches the limit above which an exp, a class sum or a
+    count over it could overflow or lose precision (see
+    ``_UNSHIFTED_LIMIT``).
 
     Equivalence policy: the step and stop rule are those of the row-major
-    form over all m rows (logits ``X @ W.T``, ``exp(log_softmax)``,
-    ``P.T @ X``), and ``w*`` agrees with it to within 1e-14 relative.  It
-    is not bitwise: a repeated row's terms are one product by its count
-    rather than a sum, the normalisation rounds differently from the exp
-    of a log-sum-exp, and BLAS may block ``P @ X`` differently from
+    form over all m rows (logits ``X @ W.T``, ``exp(log_softmax)``, the
+    one-hot labels subtracted from P, ``P.T @ X``): ``w*`` agrees with it
+    to within 1e-14 relative, after the same number of steps.  It is not
+    bitwise: a repeated row's terms are one product by its count rather
+    than a sum, the softmax is normalised against class 0 rather than
+    through a log-sum-exp, the label term is subtracted after the product
+    rather than from P, and BLAS may block ``P @ X`` differently from
     ``P.T @ X``.
     """
     XT, y, counts = rows
@@ -530,31 +538,43 @@ def _logistic_gd(obj: Objective, rows: DistinctRows, step: float) -> np.ndarray:
     k = XT.shape[1]
     C, d = obj.n_classes, obj.dim
     X = XT.T
-    label_counts = (np.arange(C)[:, None] == y) * counts  # (C, k)
+    weights = counts * (step / m)  # each row's count, times step / m
+    labels = ((np.arange(C)[:, None] == y) * weights) @ X  # the label term of G
+    decay = step * obj.reg
     limit = _unshifted_limit(max(C, float(counts.max())))
     x_norm = math.sqrt(float((XT * XT).sum(axis=0).max()))
-    w = np.zeros(obj.param_dim)
-    S = np.empty((C, k))  # the logits
-    top = np.empty(k)
+    W = np.zeros((C, d))
+    D = np.empty((C - 1, d))  # each class's weights relative to class 0's
+    P = np.empty((C, k))
+    R = P[1:]  # the relative logits, then their exps, then their terms of P
     total = np.empty(k)
+    G = np.empty((C, d))  # step times the gradient
+    decayed = np.empty((C, d))
+    # the views a step reads, made once
+    W0, W1, P0, R0, rest = W[0], W[1:], P[0], R[0], list(R[1:])
     for _ in range(LOGISTIC_MAX_ITER):
-        W = w.reshape(C, d)
-        np.matmul(W, XT, out=S)
-        if math.sqrt(float((W * W).sum(axis=1).max())) * x_norm >= limit:
-            np.maximum(S[0], S[1], out=top)
-            for c in range(2, C):
-                np.maximum(top, S[c], out=top)
-            S -= top
-        P = np.exp(S, out=S)
-        np.add(P[0], P[1], out=total)
-        for c in range(2, C):
-            total += P[c]
-        np.divide(counts, total, out=total)  # each row's count over its class sum
-        P *= total
-        P -= label_counts
-        g = (P @ X).ravel() / m + obj.reg * w
-        gnorm = float(np.linalg.norm(g))
+        np.subtract(W1, W0, out=D)
+        np.matmul(D, XT, out=R)
+        shifted = math.sqrt(np.vdot(D, D)) * x_norm >= limit
+        first = 1.0  # class 0's numerator
+        if shifted:
+            top = np.maximum(R.max(axis=0), 0.0)
+            R -= top
+            first = np.exp(-top)
+        np.exp(R, out=R)
+        np.add(R0, first, out=total)
+        for row in rest:
+            total += row
+        np.divide(weights, total, out=P0)
+        R *= P0
+        if shifted:
+            P0 *= first
+        np.matmul(P, X, out=G)
+        G -= labels
+        np.multiply(W, decay, out=decayed)
+        G += decayed
+        gnorm = math.sqrt(np.vdot(G, G)) / step
         if gnorm <= LOGISTIC_TOL:
-            return w
-        w = w - step * g
+            return W.ravel()
+        W -= G
     raise ConvergenceError(f"logistic solver still has gradient norm {gnorm:.3e} after {LOGISTIC_MAX_ITER} iterations")

@@ -1,5 +1,6 @@
 """The references that the batched code is tested against: one labelled
-example, its loss and gradient, and one SGD step on it; the batched SGD
+example, its loss and gradient, and one SGD step on it; the pooled
+logistic solve in row-major layout; the batched SGD
 kernel's step loops with a fresh array for every intermediate, in the
 kernel's order (a row is held as ``w = sigma * v`` with ``sigma`` its
 running weight decay, or decays ``w`` step by step where that does not
@@ -84,6 +85,26 @@ def sgd_step(w: np.ndarray, sample, obj: Objective, alpha: float) -> np.ndarray:
         raise ValueError("alpha must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         return w - alpha * grad(obj, w, sample)
+
+
+def row_major_gd(obj: Objective, dataset: Dataset, tol: float = 1e-10, max_iter: int = 200_000) -> tuple[np.ndarray, int]:
+    """The logistic solve in row-major (m, C) layout, as it was written
+    before the class-major one: the reference that ``optimum_oracle`` is
+    tested against.  Returns the optimum and the number of gradient
+    evaluations, the last of which met ``tol``."""
+    X, m = dataset.X, len(dataset)
+    lam = 0.5 * float(np.linalg.eigvalsh(X.T @ X / m)[-1]) + obj.reg
+    step = 1.0 / lam
+    w = np.zeros(obj.param_dim)
+    rows = np.arange(m)
+    for steps in range(1, max_iter + 1):
+        P = np.exp(log_softmax(X @ w.reshape(obj.n_classes, obj.dim).T))
+        P[rows, dataset.y] -= 1.0
+        g = (P.T @ X).ravel() / m + obj.reg * w
+        if float(np.linalg.norm(g)) <= tol:
+            return w, steps
+        w = w - step * g
+    raise AssertionError("the reference did not converge")
 
 
 def sgd_steps(

@@ -575,6 +575,22 @@ class TestCli:
         with pytest.raises(ExperimentConfigError, match=f"'T' = {limit // 6 + 1} gives 2.1e\\+06 metrics rows"):
             load_experiment(write_doc(tmp_path, {**doc, "T": limit // 6 + 1}))
 
+    def test_a_long_seed_list_builds_a_few_configs_per_variant(self, tmp_path, monkeypatch, capsys):
+        # 2 variants times 200000 seeds at T = 12: 4.8e6 rows, refused on load
+        # after checking each variant at its first seed, not once per job
+        built = []
+        check = safl_sim.simulation.SimConfig.__post_init__
+        monkeypatch.setattr(safl_sim.simulation.SimConfig, "__post_init__", lambda config: built.append(config) or check(config))
+        path = write_doc(tmp_path, experiment_doc(seeds=list(range(200_000))))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert "'T' = 12 gives 4.8e+06 metrics rows" in capsys.readouterr().err
+        assert 0 < len(built) <= 2 * 2
+
+    @pytest.mark.parametrize("seeds", [[3, 4, -1, 2, -5], [-2, 1]])
+    def test_a_negative_seed_anywhere_in_the_list_is_refused(self, tmp_path, seeds):
+        with pytest.raises(ExperimentConfigError, match="experiment: 'seeds' must be >= 0"):
+            load_experiment(write_doc(tmp_path, experiment_doc(seeds=seeds)))
+
     def test_round_step_limit_counts_the_padded_step_table(self, tmp_path, monkeypatch, capsys):
         # a round draws 3.34e6 steps, under the limit, but the kernel pads
         # all 1000 streams to the longest training shard, 24784 samples: a

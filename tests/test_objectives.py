@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import finite_difference_grad, full_batch_grad, power_iteration_extremes, random_problem
-from reference import Sample, grad, loss, sample
+from reference import Sample, grad, loss, row_major_gd, sample
 
 from safl_sim import (
     Dataset,
@@ -283,24 +283,6 @@ class TestObjectiveValidation:
         assert obj.param_dim == 24
 
 
-def _row_major_gd(obj: Objective, dataset: Dataset, tol: float = 1e-10, max_iter: int = 200_000) -> np.ndarray:
-    """The logistic solve in row-major (m, C) layout, as it was written
-    before the class-major one: the reference."""
-    X, m = dataset.X, len(dataset)
-    lam = 0.5 * float(np.linalg.eigvalsh(X.T @ X / m)[-1]) + obj.reg
-    step = 1.0 / lam
-    w = np.zeros(obj.param_dim)
-    rows = np.arange(m)
-    for _ in range(max_iter):
-        P = np.exp(log_softmax(X @ w.reshape(obj.n_classes, obj.dim).T))
-        P[rows, dataset.y] -= 1.0
-        g = (P.T @ X).ravel() / m + obj.reg * w
-        if float(np.linalg.norm(g)) <= tol:
-            return w
-        w = w - step * g
-    raise AssertionError("the reference did not converge")
-
-
 def _workload_document(name: str, monkeypatch) -> dict:
     """perfbench's document of workload ``name`` at benchmark seed 0."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
@@ -311,7 +293,7 @@ def _workload_document(name: str, monkeypatch) -> dict:
 
 
 def _agrees_within_1e_14(obj: Objective, data: Dataset) -> bool:
-    got, ref = optimum_oracle(obj, data), _row_major_gd(obj, data)
+    got, (ref, _) = optimum_oracle(obj, data), row_major_gd(obj, data)
     return bool(np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(got))
 
 
@@ -329,6 +311,42 @@ def _solved_rows(monkeypatch, obj: Objective, data: Dataset):
     monkeypatch.setattr(objectives, "_logistic_gd", solve)
     (solved,) = seen
     return solved
+
+
+def _pooled_set(source: str, tmp_path, monkeypatch) -> tuple[Objective, Dataset]:
+    """The objective and pooled training set of a shipped config or of a
+    benchmark workload at seed 0."""
+    if source.endswith(".json"):
+        path = ROOT / source
+    else:
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(_workload_document(source, monkeypatch)))
+    spec = load_experiment(path)
+    config = spec.config
+    fits, _ = partition_with_holdout(spec.dataset, config.partition, config.holdout_fraction)
+    return config.objective, Shards.pool([spec.dataset.subset(rows) for rows in fits]).data
+
+
+def _random_problems():
+    """The 30 problems of ``test_random_problems_agree_within_1e_14``."""
+    rng = np.random.default_rng(7)
+    classes = [2, 16] + [int(c) for c in rng.integers(2, 17, size=28)]
+    for C in classes:
+        m, d = int(rng.integers(5, 3001)), int(rng.integers(1, 12))
+        X = rng.standard_normal((m, d)) * rng.uniform(0.2, 3.0)
+        data = Dataset(X, rng.integers(0, C, size=m), n_classes=C)
+        yield Objective("multinomial_logistic", d, reg=float(rng.uniform(0.05, 1.0)), n_classes=C), data
+
+
+def _stops_at_the_reference_step(monkeypatch, obj: Objective, data: Dataset) -> None:
+    """The solve converges within the reference's step count and raises
+    within one step fewer."""
+    _, steps = row_major_gd(obj, data)
+    monkeypatch.setattr(objectives, "LOGISTIC_MAX_ITER", steps)
+    optimum_oracle(obj, data)
+    monkeypatch.setattr(objectives, "LOGISTIC_MAX_ITER", steps - 1)
+    with pytest.raises(objectives.ConvergenceError):
+        optimum_oracle(obj, data)
 
 
 def _drawn_with_replacement(rng, C: int) -> tuple[Objective, Dataset]:
@@ -423,7 +441,7 @@ class TestLogisticLayout:
             X = rng.standard_normal((m, d)) * rng.uniform(0.2, 3.0)
             data = Dataset(X, rng.integers(0, C, size=m), n_classes=C)
             obj = Objective("multinomial_logistic", d, reg=float(rng.uniform(0.05, 1.0)), n_classes=C)
-            ref = _row_major_gd(obj, data)
+            ref, _ = row_major_gd(obj, data)
             got = optimum_oracle(obj, data)
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), (C, m, d)
 
@@ -436,6 +454,34 @@ class TestLogisticLayout:
         for _ in range(4):
             obj, data = _drawn_with_replacement(rng, C)
             assert _agrees_within_1e_14(obj, data), (len(data), obj.dim)
+
+    @pytest.mark.parametrize("source", ["configs/biased_devices.json", "biased", "stress"])
+    def test_pooled_solve_stops_at_the_reference_step(self, tmp_path, monkeypatch, source):
+        _stops_at_the_reference_step(monkeypatch, *_pooled_set(source, tmp_path, monkeypatch))
+
+    def test_random_problems_stop_at_the_reference_step(self, monkeypatch):
+        for obj, data in _random_problems():
+            _stops_at_the_reference_step(monkeypatch, obj, data)
+
+    @pytest.mark.parametrize("C", [2, 3, 9])
+    def test_logits_crossing_the_limit_midway_agree_within_1e_14(self, monkeypatch, C):
+        # the logit bound ||W[1:] - W[0]|| * max_i ||x_i|| is 0 at the first
+        # step and about its value at w* at the last, so a limit of half that
+        # leaves the first steps unshifted and shifts the last ones
+        rng = np.random.default_rng(90 + C)
+        obj, data = _drawn_with_replacement(rng, C)
+        ref, _ = row_major_gd(obj, data)
+        W = ref.reshape(C, obj.dim)
+        final = np.linalg.norm(W[1:] - W[0]) * np.sqrt((data.X * data.X).sum(axis=1)).max()
+        monkeypatch.setattr(objectives, "_UNSHIFTED_LIMIT", final / 2)
+        # a step takes one exp of its (C - 1, k) relative logits, after one
+        # of class 0's (k,) numerators when it shifts
+        exp, ranks = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: ranks.append(x.ndim) or exp(x, *args, **kwargs))
+        got = optimum_oracle(obj, data)
+        monkeypatch.setattr(np, "exp", exp)
+        assert ranks[0] == 2 and ranks[-2:] == [1, 2] and 0 < ranks.count(1) < ranks.count(2)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestClassMajorPredictions:

@@ -96,9 +96,9 @@ DIGESTS = {
         "summary.json": "b14ec1a09bd2a74d70f2de98c67a81e0a64d072756b329520382c3d56376905f",
     },
     "logistic_partial": {
-        "safl.csv": "17a709b9c51b4c4dfcb65f87003affa7c154b165e7122dc0daff880e6b7f2c6f",
-        "safl_extended.csv": "e14fb7284ac96bd7728524a937c9284071a017be6d6d076fca866d99eb5f17c2",
-        "summary.json": "83bcf259ad8eebf1defc907af87048b92444bcbb012c8ebfdec0ed3f9c262d46",
+        "safl.csv": "6a4b9db25ad7c4f4e61f51c96dd49d34598d03229c42f6511bff5ece65885122",
+        "safl_extended.csv": "14cdeab5e74669a7a27ab8ab181048a943c78a68dc684ed40e5e79e13a06c885",
+        "summary.json": "c1db3eac7e170c48cf270ffadcacd7180922355cf870a8e550f3f5d892f6bf69",
     },
     "oracle": {
         "fedavg.csv": "74dbceedba51e5bdd234f1917766eb44cc418dbd8332eb35df3da93ab55ec2d6",

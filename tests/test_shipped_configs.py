@@ -25,10 +25,10 @@ DIGESTS = {
         "summary.json": "e8d31afa5eae7b686638c20867b11a194ba369049e36933c444e144b50bf4978",
     },
     "biased_devices": {
-        "fedavg.csv": "fd976ca4d6d6a4ef3617163bc531ec70a2b8a326a3677ce4b279dc0da6faca3b",
-        "safl.csv": "7167268ddefd80b71993b0f1e204f0478226504cf020238b769074dd734bfa58",
-        "safl_extended.csv": "1a555670b2d4b5b4ebc97f54b0d85372b895ff6d97b0d9673a72b07fff7ca497",
-        "summary.json": "bda188e87c691a8e99e836fcc6df1b5f9f355844b5748d68ff3e8d4ec140fbf1",
+        "fedavg.csv": "f37d73e0de87287aa689753e84a6df7a2c36792823e908f4549f1c41d061672f",
+        "safl.csv": "cb07bd0c3ac37a010980739b945d64870c73814656090d5c9b56d17dc44133a1",
+        "safl_extended.csv": "3790b2c5bee486304690f72ab1e30c1c6454425f66f634283d39aec2746b495a",
+        "summary.json": "06d208c54e4f2294c48c89e9ddf67a362aadb4fd71b9c421fef13f53f8b82da8",
     },
 }
 
