@@ -117,7 +117,7 @@ class Dataset:
         """Distinct class labels present, sorted."""
         if not self.is_classification:
             raise ValueError("labels() requires classification data")
-        return np.unique(self.y)
+        return np.flatnonzero(np.bincount(self.y, minlength=self.n_classes))
 
     def distinct(self) -> DistinctRows:
         """The table of this dataset's distinct (x, y) rows.
@@ -554,7 +554,7 @@ def _logistic_gd(obj: Objective, rows: DistinctRows, step: float) -> np.ndarray:
     W0, W1, P0, R0, rest = W[0], W[1:], P[0], R[0], list(R[1:])
     for _ in range(LOGISTIC_MAX_ITER):
         np.subtract(W1, W0, out=D)
-        np.matmul(D, XT, out=R)
+        np.dot(D, XT, out=R)
         shifted = math.sqrt(np.vdot(D, D)) * x_norm >= limit
         first = 1.0  # class 0's numerator
         if shifted:
@@ -569,7 +569,7 @@ def _logistic_gd(obj: Objective, rows: DistinctRows, step: float) -> np.ndarray:
         R *= P0
         if shifted:
             P0 *= first
-        np.matmul(P, X, out=G)
+        np.dot(P, X, out=G)
         G -= labels
         np.multiply(W, decay, out=decayed)
         G += decayed

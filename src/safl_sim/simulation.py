@@ -321,6 +321,8 @@ def stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
     Every entry of ``keys`` must fit in one 32-bit word.  The rows share the
     hash's structure, so the hash runs once over whole columns in wrapping
     ``uint32`` arithmetic; the 4-word state is what a ``PCG64`` seeds from.
+    The seed's words are the same in every row, so they are mixed as Python
+    ints, masked to 32 bits, and only the key columns are arrays.
     """
     run, rest = [], seed
     while True:  # the seed's 32-bit words, least significant first
@@ -330,37 +332,44 @@ def stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
             break
     # a spawned sequence pads the run entropy with zeros to the pool size
     run += [0] * (_POOL_SIZE - len(run))
-    columns = [np.full(len(keys), word, dtype=np.uint32) for word in run] + list(np.asarray(keys, dtype=np.uint32).T)
-    shift = np.uint32(16)
+    columns = run + list(np.asarray(keys, dtype=np.uint32).T)
     const = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * _MULT_A) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> shift)
+    def times(factor: int, value):
+        """``factor * value`` modulo 2**32, an int for an int ``value``."""
+        if isinstance(value, int):
+            return (factor * value) & _MASK32
+        return np.uint32(factor) * value
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> shift)
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = times(const, value)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = times(_MIX_MULT_L, x) - times(_MIX_MULT_R, y)
+        if isinstance(result, int):
+            result &= _MASK32
+        return result ^ (result >> 16)
 
     pool = [hashmix(word) for word in columns[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):  # every pool word into every other
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in columns[_POOL_SIZE:]:  # the entropy beyond the pool
+    for word in columns[_POOL_SIZE:]:  # the entropy beyond the pool: the seed's, then the keys
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
 
     const = _INIT_B
     state = np.empty((len(keys), 8), dtype=np.uint32)
     for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        value = pool[i % _POOL_SIZE] ^ const
         const = (const * _MULT_B) & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> shift)
+        value = times(const, value)
+        state[:, i] = value ^ (value >> 16)
     # word pairs form each uint64 little-endian, whatever the host's order
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
@@ -417,8 +426,9 @@ def build_state(
         if collecting:
             gc.enable()
     params = np.empty((n, dim))
-    for k, init in enumerate(generators[:: len(purposes)]):
-        params[k] = config.init_scale * init.standard_normal(dim)
+    for row, init in zip(params, generators[:: len(purposes)]):
+        init.standard_normal(out=row)
+    params *= config.init_scale
     drawn = {purpose: generators[i :: len(purposes)] for i, purpose in enumerate(purposes)}
     devices = Devices(params, np.zeros(n, dtype=np.int64), *(drawn.get(purpose, []) for purpose in (1, 2, 3)))
     server_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))

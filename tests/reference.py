@@ -5,8 +5,9 @@ kernel's step loops with a fresh array for every intermediate, in the
 kernel's order (a row is held as ``w = sigma * v`` with ``sigma`` its
 running weight decay, or decays ``w`` step by step where that does not
 suit, and a logistic step shifts by the class max only the rows whose logit
-bound fails); a sample-index stream drawn one epoch at a time; and a block
-of rounds planned device by device."""
+bound fails); a sample-index stream drawn one epoch at a time; a block
+of rounds planned device by device; and a partition drawn device by
+device."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from safl_sim import Dataset, GradientUnavailableError, LrSchedule, Objective
 from safl_sim.objectives import _check_param, _unshifted_limit, log_softmax
+from safl_sim.partition import PartitionSpec, _check_sizes, _draw_sizes, _label_pool, _labels
 from safl_sim.simulation import Devices, PreparedProblem, RoundDraws, ServerState, SimConfig
 from safl_sim.training import StepLayout
 
@@ -229,3 +231,33 @@ def plan_block(
             rows[its] = devices.mask_rngs[k].random((len(its), rows.shape[1]))
         uniforms = rows.reshape(count, s, -1)
     return [RoundDraws(*draws) for draws in zip(chosen, indices, uniforms)]
+
+
+def shard_indices(dataset: Dataset, spec: PartitionSpec, streams) -> list[np.ndarray]:
+    """Each device's rows of ``dataset``, drawn from ``streams`` (the spec's
+    four) one device at a time: its label subset, then
+    ``choice(pool, m_k, replace=pool.size < m_k)``.
+
+    The reference that ``partition._shard_indices`` is tested against, in
+    values and in the generator states it leaves.
+    """
+    sizes_rng, labels_rng, draw_rng, _ = streams
+    sizes = _draw_sizes(spec, sizes_rng)
+    label_values = _labels(dataset, spec)
+    _check_sizes(dataset, spec, sizes)
+
+    pools: dict[tuple, np.ndarray] = {}
+    shards: list[np.ndarray] = []
+    for k in range(spec.n):
+        m_k = sizes[k]
+        if label_values is None:
+            pool = np.arange(len(dataset))
+        else:  # every label is present, so no pool is empty
+            n_lab = 1 if k < spec.pure_count else int(labels_rng.integers(1, spec.max_labels_per_device + 1))
+            chosen = labels_rng.choice(label_values, size=n_lab, replace=False)
+            key = tuple(sorted(chosen.tolist()))
+            if key not in pools:
+                pools[key] = _label_pool(dataset.y, chosen, dataset.n_classes)
+            pool = pools[key]
+        shards.append(draw_rng.choice(pool, size=m_k, replace=pool.size < m_k))
+    return shards

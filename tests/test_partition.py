@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reference
 from safl_sim import (
     Dataset,
     PartitionSpec,
@@ -47,6 +50,12 @@ class TestSampleSizes:
         sizes = np.array(sample_sizes(spec))
         stderr = np.sqrt(100.0 + 1.0 / 12.0) / np.sqrt(10_000)
         assert abs(sizes.mean() - 599.5) <= 3 * stderr
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 7])
+    def test_sizes_come_from_the_first_of_the_four_streams(self, seed):
+        spec = PartitionSpec(n=30, mean_size=20.0, size_var=25.0, seed=seed)
+        sizes_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
+        assert sample_sizes(spec) == PARTITION._draw_sizes(spec, sizes_rng)
 
 
 def _isin_pool(labels, chosen, n_classes):
@@ -243,3 +252,131 @@ class TestDatasetCsv:
         path.write_text("a,b,label\n1,2,3\n")
         with pytest.raises(ValueError, match="f0"):
             load_csv(path)
+
+
+def _labelled(counts: list[int]) -> Dataset:
+    """One feature, ``counts[c]`` rows of label c (possibly none), the labels shuffled."""
+    y = np.random.default_rng(0).permutation(np.repeat(np.arange(len(counts)), counts))
+    return Dataset(np.arange(y.size, dtype=float)[:, None], y, n_classes=len(counts))
+
+
+class _Recording:
+    """A generator that records the population, size and replace flag of each ``choice`` call."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls = rng, []
+
+    def choice(self, a, size, replace):
+        self.calls.append((np.size(a), size, replace))
+        return self.rng.choice(a, size=size, replace=replace)
+
+
+def _path(population: int, size: int, replace: bool) -> str:
+    """The branch numpy's ``Generator.choice`` takes for a call."""
+    if replace:
+        return "replace"
+    return "tail" if population > 10000 and size > population // 50 else "floyd"
+
+
+def _reference_paths(data: Dataset, spec: PartitionSpec) -> list[str]:
+    """Assert that the batched partition equals the per-device reference,
+    in shards and in the final state of every stream; the ``choice``
+    path each device's draw took in the reference."""
+    ours, theirs = PARTITION._streams(spec), PARTITION._streams(spec)
+    recording = _Recording(theirs[2])
+    got = PARTITION._shard_indices(data, spec, ours)
+    want = reference.shard_indices(data, spec, (theirs[0], theirs[1], recording, theirs[3]))
+    assert len(got) == len(want) == spec.n
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert [rng.bit_generator.state for rng in ours] == [rng.bit_generator.state for rng in theirs]
+    return [_path(*call) for call in recording.calls]
+
+
+class TestBatchedDraws:
+    """The partition's whole-array draws are the per-device ``choice`` calls, bitwise."""
+
+    @pytest.mark.parametrize(
+        "rows, mean_size, size_var, paths",
+        [
+            (10000, 200.0, 0.0, {"floyd"}),  # m = pop // 50
+            (10000, 201.0, 0.0, {"floyd"}),  # a pool of 10000 rows never takes the tail shuffle
+            (10001, 200.0, 0.0, {"floyd"}),
+            (10001, 201.0, 0.0, {"tail"}),  # m = pop // 50 + 1
+            (10001, 10001.0, 0.0, {"tail"}),
+            (10000, 10000.0, 0.0, {"floyd"}),
+            (10001, 201.0, 2.0, {"floyd", "tail"}),  # tail devices split the batched draws
+            (150, 160.0, 400.0, {"floyd", "replace"}),
+        ],
+    )
+    def test_each_choice_path_is_reproduced(self, rows, mean_size, size_var, paths):
+        data = make_linear_regression(rows, 1, seed=rows)
+        spec = PartitionSpec(n=24, mean_size=mean_size, size_var=size_var, seed=rows + int(mean_size))
+        assert set(_reference_paths(data, spec)) == paths
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.sampled_from([0, 1, 7, 150, 4999, 5001, 10000, 10001]), min_size=2, max_size=4),
+        regression=st.booleans(),
+        n=st.integers(1, 40),
+        mean_size=st.sampled_from([1.0, 3.0, 20.0, 200.0, 201.0, 401.0]),
+        size_var=st.sampled_from([0.0, 4.0, 400.0, 40000.0]),
+        cap=st.integers(1, 4),
+        pure=st.integers(0, 40),
+        seed=st.integers(0, 2**64),
+    )
+    def test_random_specs_draw_what_the_reference_draws(
+        self, counts, regression, n, mean_size, size_var, cap, pure, seed
+    ):
+        data = _labelled(counts if sum(counts) else [1] + counts[1:])
+        if regression:
+            data = Dataset(data.X, data.y.astype(float))
+        present = 1 if regression else data.labels().size
+        spec = PartitionSpec(
+            n=n, mean_size=mean_size, size_var=size_var, max_labels_per_device=min(cap, present),
+            pure_count=min(pure, n), seed=seed,
+        )
+        assume(max(sample_sizes(spec)) <= PARTITION.MAX_SHARD_FACTOR * len(data))
+        _reference_paths(data, spec)
+
+    def test_one_partition_reaches_every_path(self):
+        # label 0 alone is a pool of 10001 rows; label 2 alone one of 7
+        data = _labelled([10001, 150, 7])
+        spec = PartitionSpec(n=120, mean_size=200.0, size_var=900.0, max_labels_per_device=2, pure_count=60, seed=3)
+        assert set(_reference_paths(data, spec)) == {"floyd", "tail", "replace"}
+
+    def test_batches_of_devices_draw_as_their_choice_calls(self):
+        # pools near m make picks repeat, so Floyd's rule fires; pools below m draw with replacement
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            count = int(rng.integers(1, 30))
+            m = rng.integers(1, 60, size=count)
+            pop = np.maximum(m + rng.integers(-5, 3 * m + 1), 1)
+            ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = PARTITION._batched_choice(ours, pop, m)
+            want = [theirs.choice(p, k, replace=p < k) for p, k in zip(pop.tolist(), m.tolist())]
+            assert np.array_equal(got, np.concatenate(want))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_partition_with_holdout_derives_its_streams_once(self, monkeypatch):
+        derived, streams = [], PARTITION._streams
+
+        def counting(spec):
+            derived.append(spec)
+            return streams(spec)
+
+        monkeypatch.setattr(PARTITION, "_streams", counting)
+        partition_with_holdout(make_blobs(200, 2, 3, seed=1), PartitionSpec(n=5, mean_size=10.0, seed=2), 0.2)
+        assert len(derived) == 1
+
+
+class TestDatasetLabels:
+    def test_labels_are_the_sorted_distinct_labels_present(self):
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            classes = int(rng.integers(2, 12))
+            present = np.flatnonzero(rng.random(classes) < 0.5)  # often some classes absent, sometimes all
+            rows = 0 if present.size == 0 else int(rng.integers(1, 200))
+            y = rng.choice(present, size=rows) if rows else np.zeros(0, dtype=np.int64)
+            labels = Dataset(np.zeros((rows, 1)), y, n_classes=classes).labels()
+            assert labels.dtype == np.unique(y).dtype and np.array_equal(labels, np.unique(y))
