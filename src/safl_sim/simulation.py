@@ -6,7 +6,7 @@ One round, mirroring a synchronous implementation:
 2. each picked device runs ``E`` local epochs of per-sample SGD from its
    current parameters, producing a local update (the picked devices of
    every job in flight train together in one batched call, see below);
-3. (``safl_extended`` only) each picked device scores the last broadcast
+3. (a gating variant only) each picked device scores the last broadcast
    global model against its local update on its private holdout and uploads
    with probability ``exp(-gap / gap_scale)`` (a job's picked devices are
    scored in one batched call, see ``upload_gate.gate_proxies``, and their
@@ -14,7 +14,7 @@ One round, mirroring a synchronous implementation:
 4. the server fuses the received updates into the new global model (an empty
    round leaves it unchanged);
 5. every picked device folds the new global model into its parameters:
-   plain averaging replaces them outright, the annealed variants blend per
+   plain averaging replaces them outright, a mixing variant blends per
    coordinate through a sampled mask;
 6. metrics are recorded against the pooled-data optimum.  A non-finite
    trained row, fused model or metric is divergence, which ``run_round``'s
@@ -24,7 +24,7 @@ Device state is held as arrays indexed by device id (``Devices``), and each
 step acts on the rows of the devices picked that round.  ``run`` calls an
 optional ``observer(record, server, devices, extras)`` after every round with
 that ``Devices`` record; ``extras`` holds the picked ids (``"selected"``),
-their trained parameters by id (``"locals"``) and, for ``safl_extended``,
+their trained parameters by id (``"locals"``) and, for a gating variant,
 each one's gap, upload probability and decision by id (``"gate"``).
 
 ``run_jobs`` advances the jobs of one experiment, which differ only in
@@ -40,15 +40,15 @@ with a leading job axis: every job picks ``s`` devices, so the weights are
 jobs and their picks alone (the rows, the shards with the kernel's step
 layout, the record weights, the step increments) is one batch (``_Batch``),
 rebuilt only when the live jobs or any job's picks change: at full
-participation once per set of live jobs, otherwise once per round.  fedavg
-and the annealed variants differ only in the fold.  ``safl_extended`` jobs
-gate and fuse one job at a time, since each fuses its own number of
-uploads.  Each batched product and sum is the one a job's arrays give
-alone, bitwise (see ``aggregate``, ``empirical_risk``), and the kernel
-computes each row on its own (see ``training``), so a job's bytes never
-depend on which jobs share its batch.  Divergence is reported as a loop
-running the jobs one after another would report it: that of the first job,
-in job order, to diverge.  The jobs before it record the round and call
+participation once per set of live jobs, otherwise once per round.  A
+variant is FedAvg plus what its rule in ``RULES`` adds: a mixing job blends
+the global model in at the fold, and a gating job gates and fuses alone,
+since each fuses its own number of uploads.  Each batched product and sum
+is the one a job's arrays give alone, bitwise (see ``aggregate``,
+``empirical_risk``), and the kernel computes each row on its own (see
+``training``), so a job's bytes never depend on which jobs share its batch.
+Divergence is reported as a loop running the jobs one after another would
+report it: that of the first job, in job order, to diverge.  The jobs before it record the round and call
 their observers; it and the jobs after it neither gate nor update their
 servers, and retire.  No row is trained twice.
 
@@ -64,12 +64,13 @@ call, so a numpy whose hash changed raises instead of moving the streams.
 
 The stream keys leave out the variant, so the jobs of one run seed share
 their random numbers: the initialisation, the server selections, the sample
-indices and, for the annealed variants, the mask uniforms (common random
+indices and, for the mixing variants, the mask uniforms (common random
 numbers, which couple the variants' runs seed by seed).  ``run_jobs`` draws
-them once per seed: one ``build_state`` call, for the member whose variant
+them once per seed: one ``build_state`` call, for the member whose rule
 draws the most streams, and one plan.  Each job keeps its own parameters,
 step counts and global model, and its ``Devices`` holds the seed's
-generators for the streams its variant draws.
+generators for the streams its rule draws (mask if it mixes, gate if it
+gates).
 
 Each run seed draws ahead.  For each block of rounds, ``plan_rounds`` makes
 the block's server selections (one ``choice`` per round, in round order), then
@@ -109,7 +110,19 @@ from .partition import PartitionSpec, partition_with_holdout
 from .training import SAMPLE_ORDERS, LrSchedule, Shards, run_local_epochs, sample_indices
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies, performance_gap, upload_probability
 
-ALGORITHMS = ("fedavg", "safl", "safl_extended")
+
+class Rule(NamedTuple):
+    """What a variant adds to FedAvg: a fold that blends the global model in
+    through an annealed mask (``mixes``), and gap-gated uploads (``gates``)."""
+
+    mixes: bool
+    gates: bool
+
+
+# every variant by name, in the order the error messages list them; any two
+# rules are nested, one's streams containing the other's (see ``run_jobs``)
+RULES = {"fedavg": Rule(mixes=False, gates=False), "safl": Rule(True, False), "safl_extended": Rule(True, True)}
+
 LOCAL_SOLVERS = ("sgd", "oracle")
 
 # the most entries (sample indices plus mask uniforms) drawn ahead by all the
@@ -149,6 +162,10 @@ class SimConfig:
     def n(self) -> int:
         return self.partition.n
 
+    @property
+    def rule(self) -> Rule:
+        return RULES[self.algorithm]
+
     def __post_init__(self):
         if not (1 <= self.selected_per_round <= self.n):
             raise ValueError("selected_per_round must lie in [1, n]")
@@ -156,8 +173,8 @@ class SimConfig:
             raise ValueError("rounds must be >= 0")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {', '.join(ALGORITHMS)}, not {self.algorithm!r}")
+        if self.algorithm not in RULES:
+            raise ValueError(f"algorithm must be one of {', '.join(RULES)}, not {self.algorithm!r}")
         if self.local_solver not in LOCAL_SOLVERS:
             raise ValueError(f"unknown local_solver {self.local_solver!r}")
         if self.sample_order not in SAMPLE_ORDERS:
@@ -167,8 +184,8 @@ class SimConfig:
         custom = self.weight_scheme.custom
         if custom is not None and len(custom) != self.n:
             raise ValueError(f"custom weights need one entry per device: {len(custom)} for n = {self.n}")
-        if self.algorithm == "safl_extended" and self.gate is None:
-            raise ValueError("safl_extended requires a gate configuration")
+        if self.rule.gates and self.gate is None:
+            raise ValueError(f"{self.algorithm} requires a gate configuration")
         if self.local_solver == "sgd" and not self.objective.is_smooth:
             raise ValueError("non-smooth objectives cannot be trained by SGD; use local_solver='oracle'")
         if not (0.0 <= self.holdout_fraction < 1.0):
@@ -188,10 +205,10 @@ class Devices:
     (n,) how many local SGD steps each device has taken, which offsets its
     learning-rate schedule.  Each of ``train_rngs``, ``mask_rngs`` and
     ``gate_rngs`` holds one generator per device, so every random stream
-    belongs to one (device, purpose) pair.  A list whose purpose the variant
-    never draws from is empty: ``mask_rngs`` for fedavg, ``gate_rngs`` for
-    all but safl_extended.  A round updates the arrays in place, on the rows
-    of the devices it selected.  The jobs of one run seed share its generator
+    belongs to one (device, purpose) pair.  A list whose purpose the job's
+    rule never draws from is empty: ``mask_rngs`` unless it mixes,
+    ``gate_rngs`` unless it gates.  A round updates the arrays in place, on
+    the rows of the devices it selected.  The jobs of one run seed share its generator
     objects (see ``run_jobs``), each job holding its own arrays.
     """
 
@@ -210,8 +227,9 @@ class ServerState:
 
 class RoundRecord(NamedTuple):
     """One job's round: its metrics, its upload count, and its acceptance
-    probability (None for plain averaging).  A tuple, so that ``run_round``
-    builds a round's records in one pass over its metric columns."""
+    probability (None for a job whose rule does not mix).  A tuple, so that
+    ``run_round`` builds a round's records in one pass over its metric
+    columns."""
 
     round_index: int
     mse: float
@@ -301,9 +319,6 @@ def _problem(
         raise ValueError("pass a prepared problem or the data to prepare, not both")
     return prepared
 
-
-# the device streams each variant draws from, by child index (see build_state)
-_DRAWN = {"fedavg": (1,), "safl": (1, 2), "safl_extended": (1, 2, 3)}
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its pool size,
 # the constants of entropy mixing (A) and of state generation (B), and the mix
@@ -406,7 +421,8 @@ def build_state(
         raise ValueError(f"need exactly one shard per device: {len(prepared.train)} for n = {config.n}")
 
     n, dim = config.n, config.objective.param_dim
-    purposes = (0, *_DRAWN[config.algorithm])  # init, then what the variant draws
+    rule = config.rule  # init and train, then what the rule adds: mask, gate
+    purposes = (0, 1, *(2,) * rule.mixes, *(3,) * rule.gates)
     keys = np.empty((n, len(purposes), 2), dtype=np.int64)
     keys[..., 0] = np.arange(1, n + 1)[:, None]
     keys[..., 1] = purposes
@@ -444,9 +460,9 @@ class RoundDraws:
     holds each chosen device's sample-index stream for the round
     (``E * len(shard)`` entries), concatenated in ``chosen`` order, and is
     None for the oracle solver.  ``uniforms`` (s, ``AnnealConfig.mask_columns``)
-    holds each one's mask uniforms, and is None for fedavg.  The arrays are
-    views into the block's arrays, which the planner fills device-major and
-    moves to this slot order with one scatter per stream.
+    holds each one's mask uniforms, and is None unless the rule mixes.  The
+    arrays are views into the block's arrays, which the planner fills
+    device-major and moves to this slot order with one scatter per stream.
     """
 
     chosen: np.ndarray
@@ -465,7 +481,7 @@ def block_rounds(config: SimConfig, problem: PreparedProblem, entries: int | Non
     per_round = 0
     if config.local_solver == "sgd":
         per_round += config.local_epochs * int(np.sort(problem.train.sizes)[-s:].sum())
-    if config.algorithm != "fedavg":
+    if config.rule.mixes:
         per_round += s * config.anneal.mask_columns(config.objective.param_dim)
     return max(1, (PLAN_ENTRIES if entries is None else entries) // max(1, per_round))
 
@@ -517,7 +533,7 @@ def _plan_block(
         indices = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
     uniforms = [None] * count
-    if config.algorithm != "fedavg":
+    if config.rule.mixes:
         buffer = np.empty((len(slots), config.anneal.mask_columns(config.objective.param_dim)))
         ends = np.cumsum(uses)
         for k, a, b in zip(picked.tolist(), (ends - uses).tolist(), ends.tolist()):
@@ -556,9 +572,10 @@ def run_round(
     after local training, in ``batch.chosen`` order, and ``params`` the stack
     of every job's device parameters, indexed by ``_Job.slot`` (see
     ``run_jobs``).  Fusion, the fold and the metrics act on whole arrays
-    over the jobs; each gated job then scores, decides and fuses alone over
-    its row of the fusion, since each fuses its own number of uploads.  The
-    fold assembles the round's (J, s, P) new rows once, scatters them into
+    over the jobs; each job whose rule gates then scores, decides and fuses
+    alone over its row of the fusion, since each fuses its own number of
+    uploads, and each whose rule mixes blends at the fold.  The fold
+    assembles the round's (J, s, P) new rows once, scatters them into
     ``params`` once, and the metrics read them as assembled.
 
     ``trained``, the fused models and the metrics are checked for finite
@@ -590,7 +607,7 @@ def run_round(
     with np.errstate(over="ignore", invalid="ignore"):
         # each row bitwise as alone; a gated job's is then its uploads' fusion
         fused = aggregate(trained, record_w)
-        for i in np.flatnonzero(batch.gated[:diverged]).tolist():
+        for i in [i for i, job in enumerate(jobs[:diverged]) if job.config.rule.gates]:
             devices, ids = jobs[i].result.devices, chosen[i]
             eval_sets = Shards(evals.data, evals.starts[ids], evals.sizes[ids])
             h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj)
@@ -613,17 +630,16 @@ def run_round(
                 server.global_params = model
 
         # each job's new rows, (J, s, P): the global model, which the
-        # annealed jobs then blend with their local updates
+        # mixing jobs then blend with their local updates
         current = np.repeat(fused[:, None, :], chosen.shape[1], axis=1)
         probs = [None] * len(jobs)
-        mixed = batch.mixed
-        if len(mixed):
+        mixed = [i for i, job in enumerate(jobs) if job.config.rule.mixes]
+        if mixed:
             anneal = config.anneal
             p = selection_probability(round_index, anneal.temperature)
-            mixing = mixed.tolist()
-            for i in mixing:
+            for i in mixed:
                 probs[i] = p
-            uniforms = np.array([round_draws[i].uniforms for i in mixing])
+            uniforms = np.array([round_draws[i].uniforms for i in mixed])
             masks = sample_mask(uniforms, p, anneal.epsilon, obj.param_dim)
             current[mixed] = mix(masks, fused[mixed], trained[mixed])
         flat[rows] = current
@@ -684,10 +700,7 @@ class _Batch:
     - the chosen shards, in place in the pooled training set, on which the
       kernel keeps its step layout (see ``Shards.layout``);
     - each job's record weights (J, s), and the steps by which each chosen
-      device's ``steps_done`` advances (J, s);
-    - which jobs gate their uploads (``safl_extended``), and the indices
-      of those that blend the global model in instead of adopting it
-      outright (all but fedavg).
+      device's ``steps_done`` advances (J, s).
 
     ``run_jobs`` keeps a batch for as long as the live jobs and their chosen
     ids stay the same."""
@@ -698,15 +711,12 @@ class _Batch:
     shards: Shards
     record_w: np.ndarray
     increments: np.ndarray
-    gated: np.ndarray
-    mixed: np.ndarray
 
 
 def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _Batch:
     config, train = jobs[0].config, problem.train
     ids = chosen.ravel()
     slots = np.array([job.slot for job in jobs])
-    algorithms = np.array([job.config.algorithm for job in jobs])
     return _Batch(
         jobs,
         chosen,
@@ -714,8 +724,6 @@ def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _B
         Shards(train.data, train.starts[ids], train.sizes[ids]),
         weights(config.weight_scheme, chosen, problem.sizes),
         config.local_epochs * train.sizes[chosen],
-        algorithms == "safl_extended",
-        np.flatnonzero(algorithms != "fedavg"),
     )
 
 
@@ -762,15 +770,15 @@ def run_jobs(
     Every job's device parameters and step counts are views into one
     stacked array each, (J, n, P) and (J, n).  The jobs of one run seed
     share its streams: ``build_state`` runs once per seed, for the job whose
-    variant draws the most streams, and each job copies the seed's
+    rule draws the most streams, and each job copies the seed's
     initialisation into its own rows, keeps its own global model, and holds
-    the seed's generators for the streams its variant draws.  Every round,
+    the seed's generators for the streams its rule draws.  Every round,
     each seed with a live job takes one round from its one plan, which all
     its live jobs read, one ``run_local_epochs`` call trains every job's
     chosen rows, and one ``run_round`` call gates, fuses, mixes and records
-    the round of them all, calling ``observers[i]``, if any.  A job leaves
-    the loop when it stops early; its seed's plan runs on while a seed-mate
-    lives.  The plans share ``PLAN_ENTRIES``: each seed's blocks hold
+    the round of them all, each as its rule says, calling ``observers[i]``,
+    if any.  A job leaves the loop when it stops early; its seed's plan runs
+    on while a seed-mate lives.  The plans share ``PLAN_ENTRIES``: each seed's blocks hold
     ``PLAN_ENTRIES // seeds`` entries, so the draws held ahead do not grow
     with the job count.  A job repeated in ``configs`` counts as a seed of
     its own, since each gated job draws its own upload decisions.
@@ -789,13 +797,13 @@ def run_jobs(
         if replace(config, algorithm=first.algorithm, seed=first.seed) != first:
             raise ValueError("jobs run in lockstep must differ only in algorithm and seed")
     # a seed's jobs share its streams, so its state and plan are drawn once,
-    # for the member whose variant draws the most (``_DRAWN`` is nested); a
+    # for the member whose rule draws the most (any two rules are nested); a
     # repeated job draws its own gate decisions, so it keys a group of its own
     keys = [(config.seed, configs[:slot].count(config)) for slot, config in enumerate(configs)]
     entries = PLAN_ENTRIES // len(set(keys))
     seeds = {}
     for key in dict.fromkeys(keys):
-        lead = max((c for k, c in zip(keys, configs) if k == key), key=lambda c: len(_DRAWN[c.algorithm]))
+        lead = max((c for k, c in zip(keys, configs) if k == key), key=lambda c: sum(c.rule))
         devices, server, _, w_star = build_state(lead, prepared=problem)
         seeds[key] = devices, server, w_star, plan_rounds(lead, server, devices, problem, entries)
     params = np.empty((len(configs), first.n, first.objective.param_dim))
@@ -804,13 +812,12 @@ def run_jobs(
     for slot, (config, key, observer) in enumerate(zip(configs, keys, observers or [None] * len(configs), strict=True)):
         devices, server, w_star, plan = seeds[key]
         params[slot] = devices.params
-        streams = _DRAWN[config.algorithm]
         own = replace(
             devices,
             params=params[slot],
             steps_done=steps_done[slot],
-            mask_rngs=devices.mask_rngs if 2 in streams else [],
-            gate_rngs=devices.gate_rngs if 3 in streams else [],
+            mask_rngs=devices.mask_rngs if config.rule.mixes else [],
+            gate_rngs=devices.gate_rngs if config.rule.gates else [],
         )
         own_server = ServerState(server.global_params.copy(), server.rng)
         jobs.append(_Job(config, RunResult([], w_star, own, own_server, devices.params.copy()), plan, observer, slot))

@@ -199,7 +199,10 @@ def plan_block(
     stream, written to its slots by fancy indexing.
 
     The reference that ``simulation.plan_rounds`` is tested against; it
-    draws from the server stream even when every device is chosen.
+    draws from the server stream even when every device is chosen.  It
+    decides whether to draw mask uniforms from the variant's name, not from
+    ``simulation.RULES``, so that a wrong row in the table shows as a
+    mismatch instead of being read by both sides.
     """
     n, s = config.n, config.selected_per_round
     chosen = np.array([np.sort(server.rng.choice(n, size=s, replace=False)) for _ in range(count)])

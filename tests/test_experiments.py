@@ -108,13 +108,17 @@ class TestLoadExperiment:
 
     def test_unknown_variant_rejected(self, tmp_path):
         doc = experiment_doc(variants=["fedavg", "fedprox"])
-        with pytest.raises(ExperimentConfigError, match="fedprox"):
+        with pytest.raises(ExperimentConfigError, match="fedprox") as err:
             load_experiment(write_doc(tmp_path, doc))
+        # the known variants are the rule table's keys, in order
+        assert f"one of {', '.join(safl_sim.simulation.RULES)}, not" in str(err.value)
 
-    def test_extended_variant_requires_gate_section(self, tmp_path):
-        doc = experiment_doc(variants=["safl_extended"])
-        with pytest.raises(ExperimentConfigError, match="gate"):
-            load_experiment(write_doc(tmp_path, doc))
+    @pytest.mark.parametrize("variant", [v for v, rule in safl_sim.simulation.RULES.items() if rule.gates])
+    def test_extended_variant_requires_gate_section(self, tmp_path, capsys, variant):
+        path = write_doc(tmp_path, experiment_doc(variants=[variant]))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"{variant} requires a 'gate' configuration" in err and "Traceback" not in err
 
     def test_well_formed_document_loads(self, tmp_path):
         spec = load_experiment(write_doc(tmp_path, experiment_doc()))

@@ -662,7 +662,7 @@ class TestLockstep:
             gate=GateConfig(gap_scale=0.5),
             early_stop_mse=6e-4,
         )
-        return data, [replace(cfg, algorithm=a, seed=s) for a in simulation.ALGORITHMS for s in (11, 12)]
+        return data, [replace(cfg, algorithm=a, seed=s) for a in simulation.RULES for s in (11, 12)]
 
     @pytest.mark.parametrize("entries", [None, 200])
     def test_jobs_in_lockstep_equal_jobs_run_alone(self, monkeypatch, entries):
@@ -718,8 +718,33 @@ class TestLockstep:
                 assert other.server is not first.server and other.server.rng is first.server.rng
         for config, result in zip(configs, results):
             devices = result.devices
-            assert len(devices.mask_rngs) == (0 if config.algorithm == "fedavg" else config.n)
-            assert len(devices.gate_rngs) == (config.n if config.algorithm == "safl_extended" else 0)
+            assert len(devices.mask_rngs) == config.rule.mixes * config.n
+            assert len(devices.gate_rngs) == config.rule.gates * config.n
+
+    @pytest.mark.parametrize("variant", simulation.RULES)
+    def test_a_job_draws_folds_and_gates_as_its_rule_says(self, variant):
+        rule = simulation.RULES[variant]
+        # a seed's state is built for the mate whose rule draws the most, so
+        # its streams hold every mate's only if any two rules are nested
+        for other in simulation.RULES.values():
+            assert all(a <= b for a, b in zip(rule, other)) or all(a >= b for a, b in zip(rule, other))
+        data, configs = self.configs()
+        configs = [config for config in configs if config.seed == 11]  # every variant, one seed
+        problem = prepare(configs[0], data)
+        slot = list(simulation.RULES).index(variant)
+        config, gated = configs[slot], []
+        observers = [None] * len(configs)
+        observers[slot] = lambda record, server, devices, extras: gated.append(bool(extras["gate"]))
+        result = simulation.run_jobs(configs, problem, observers)[slot]
+        devices = result.devices
+        assert len(devices.train_rngs) == config.n
+        assert len(devices.mask_rngs) == rule.mixes * config.n
+        assert len(devices.gate_rngs) == rule.gates * config.n
+        assert result.records and {record.selection_prob is None for record in result.records} == {not rule.mixes}
+        assert set(gated) == {rule.gates}
+        devices, server, _, _ = build_state(config, prepared=problem)
+        _, draws = next(simulation.plan_rounds(config, server, devices, problem, simulation.PLAN_ENTRIES))
+        assert (draws.uniforms is None) == (not rule.mixes)
 
     def test_the_blocks_of_a_seed_are_read_only(self):
         data, configs = self.configs()
