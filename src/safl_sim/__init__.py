@@ -10,7 +10,7 @@ from .annealing import AnnealConfig, mix, sample_mask, selection_probability
 from .bounds import corollary1_bound, corollary1_constant, measure_bound_inputs, theorem1_bound
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import Dataset, GradientUnavailableError, Objective, curvature, empirical_risk, optimum_oracle
-from .partition import PartitionSpec, partition, partition_with_holdout
+from .partition import PartitionSpec, partition_with_holdout
 from .simulation import DivergenceError, SimConfig, run
 from .training import LrSchedule, run_local_epochs
 from .upload_gate import GateConfig, accuracy_proxy, decide_upload, performance_gap, upload_probability
@@ -41,7 +41,6 @@ __all__ = [
     "measure_bound_inputs",
     "mix",
     "optimum_oracle",
-    "partition",
     "partition_with_holdout",
     "performance_gap",
     "run",

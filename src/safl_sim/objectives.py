@@ -52,7 +52,11 @@ class Dataset:
     ``n_classes`` is set for classification data (integer labels in
     ``[0, n_classes)``) and ``None`` for regression targets.  Every target
     must be finite, and so must the sum of the squared features, which
-    keeps every entry of ``X'X`` finite.
+    keeps every entry of ``X'X`` finite.  Every construction runs these
+    checks.  Arrays already C-contiguous in the stored dtype (``float64``
+    features; ``int64`` labels or ``float64`` targets) are kept as given,
+    not copied, so a shard cut from a read-only pooled set is a view of it
+    and stays read-only.
     """
 
     __slots__ = ("X", "y", "n_classes", "_distinct", "_norms")
@@ -99,19 +103,9 @@ class Dataset:
     def is_classification(self) -> bool:
         return self.n_classes is not None
 
-    @classmethod
-    def _trusted(cls, X: np.ndarray, y: np.ndarray, n_classes: int | None) -> "Dataset":
-        """A dataset of arrays cut from checked ones, which hold every
-        invariant already (finite, contiguous, labels in range), so it skips
-        the checks of ``__init__``."""
-        data = object.__new__(cls)
-        data.X, data.y, data.n_classes = X, y, n_classes
-        data._distinct = data._norms = None
-        return data
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset._trusted(self.X[idx], self.y[idx], self.n_classes)
+        return Dataset(self.X[idx], self.y[idx], self.n_classes)
 
     def labels(self) -> np.ndarray:
         """Distinct class labels present, sorted."""

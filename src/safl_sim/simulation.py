@@ -55,9 +55,10 @@ servers, and retire.  No row is trained twice.
 Every random draw comes from a stream dedicated to one (device, purpose)
 pair, spawned deterministically from the run seed, so trajectories are a pure
 function of the configuration and independent of scheduling.  The device
-streams are derived in one pass: ``stream_states`` computes numpy's
-SeedSequence hash over every (device, purpose) key of a job as whole
-``uint32`` arrays, and each generator is a ``PCG64`` seeded from its row.
+streams are derived in one pass: ``stream_states`` starts every row from
+numpy's own pool for the run seed, ``SeedSequence(seed).pool``, hashes in
+only the (device, purpose) key words of a job as whole ``uint32`` arrays,
+and each generator is a ``PCG64`` seeded from its row.
 The table is bitwise what ``SeedSequence(seed).spawn`` gives (tested), and
 ``build_state`` checks one row against numpy's ``SeedSequence`` on every
 call, so a numpy whose hash changed raises instead of moving the streams.
@@ -320,71 +321,45 @@ def _problem(
     return prepared
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its pool size,
-# the constants of entropy mixing (A) and of state generation (B), and the mix
-_POOL_SIZE = 4
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
+# of entropy mixing (A) and of state generation (B), and the mix
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
 
 
 def stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` for
     every row ``key`` of ``keys`` (m, w), w >= 1, as one (m, 4) table.
 
-    Every entry of ``keys`` must fit in one 32-bit word.  The rows share the
-    hash's structure, so the hash runs once over whole columns in wrapping
-    ``uint32`` arithmetic; the 4-word state is what a ``PCG64`` seeds from.
-    The seed's words are the same in every row, so they are mixed as Python
-    ints, masked to 32 bits, and only the key columns are arrays.
+    Every entry of ``keys`` must fit in one 32-bit word.  A spawned
+    sequence hashes the seed's words first, padded with zeros to the pool's 4,
+    then the key's, so its pool before the key words is numpy's own
+    ``SeedSequence(seed).pool``.  Only the key columns are hashed here, as
+    whole columns in wrapping ``uint32`` arithmetic; the 4-word state is
+    what a ``PCG64`` seeds from.
     """
-    run, rest = [], seed
-    while True:  # the seed's 32-bit words, least significant first
-        run.append(rest & _MASK32)
-        rest >>= 32
-        if not rest:
-            break
-    # a spawned sequence pads the run entropy with zeros to the pool size
-    run += [0] * (_POOL_SIZE - len(run))
-    columns = run + list(np.asarray(keys, dtype=np.uint32).T)
-    const = _INIT_A
+    seed = int(seed)
+    words = (seed.bit_length() + 31) // 32  # the seed's 32-bit words
+    pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(keys), axis=1)
+    # numpy has taken one hash step per pool word, per cross-mix of two pool
+    # words (12) and per pool word for each seed word beyond the pool
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) % 2**32
 
-    def times(factor: int, value):
-        """``factor * value`` modulo 2**32, an int for an int ``value``."""
-        if isinstance(value, int):
-            return (factor * value) & _MASK32
-        return np.uint32(factor) * value
-
-    def hashmix(value):
+    def hashed(value: np.ndarray, mult: int) -> np.ndarray:
+        """One hash step of ``value``; the constant advances by ``mult``."""
         nonlocal const
-        value = value ^ const
-        const = (const * _MULT_A) & _MASK32
-        value = times(const, value)
+        value = value ^ np.uint32(const)
+        const = const * mult % 2**32
+        value = value * np.uint32(const)
         return value ^ (value >> 16)
 
-    def mix(x, y):
-        result = times(_MIX_MULT_L, x) - times(_MIX_MULT_R, y)
-        if isinstance(result, int):
-            result &= _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in columns[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):  # every pool word into every other
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in columns[_POOL_SIZE:]:  # the entropy beyond the pool: the seed's, then the keys
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
+    for word in np.asarray(keys, dtype=np.uint32).T:  # each key word into every pool word
+        for row in pool:
+            mixed = np.uint32(_MIX_MULT_L) * row - np.uint32(_MIX_MULT_R) * hashed(word, _MULT_A)
+            row[:] = mixed ^ (mixed >> 16)
     const = _INIT_B
-    state = np.empty((len(keys), 8), dtype=np.uint32)
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ const
-        const = (const * _MULT_B) & _MASK32
-        value = times(const, value)
-        state[:, i] = value ^ (value >> 16)
+    state = np.stack([hashed(pool[i % len(pool)], _MULT_B) for i in range(8)], axis=1)
     # word pairs form each uint64 little-endian, whatever the host's order
     return state.astype("<u4").view("<u8").astype(np.uint64)
 

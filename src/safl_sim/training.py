@@ -181,7 +181,7 @@ class Shards:
         starts = np.cumsum(sizes) - sizes
         for array in (X, y, starts, sizes):
             array.setflags(write=False)
-        return cls(Dataset._trusted(X, y, n_classes), starts, sizes)
+        return cls(Dataset(X, y, n_classes), starts, sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -190,7 +190,7 @@ class Shards:
         """Shard ``k`` as a view of its rows of ``data``, which copies nothing."""
         start = int(self.starts[k])
         rows = slice(start, start + int(self.sizes[k]))
-        return Dataset._trusted(self.data.X[rows], self.data.y[rows], self.data.n_classes)
+        return Dataset(self.data.X[rows], self.data.y[rows], self.data.n_classes)
 
     def layout(self, epochs: int) -> StepLayout:
         """The step layout of ``epochs`` passes over these shards (``step_layout``), kept once built."""

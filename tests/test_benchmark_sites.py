@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from safl_sim import cli
-from safl_sim.experiments import load_experiment, parse_metrics_csv
-from safl_sim.simulation import prepare
+from safl_sim.experiments import load_experiment, parse_metrics_csv, sim_config
+from safl_sim.simulation import build_state, prepare
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,6 +21,33 @@ def test_every_benchmark_wrap_site_resolves(monkeypatch):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     assert layers.missing_sites() == []
+
+
+def test_the_set_up_call_returns_the_pooled_set_and_its_optimum(tmp_path):
+    # perfbench/run.py times set-up as this keyword call, and perfbench/layers.py
+    # reads element 2 of its result as the pooled set that run_round scores
+    doc = {
+        "data": {"kind": "blobs", "samples": 120, "dim": 3, "classes": 3, "seed": 2},
+        "objective": {"kind": "multinomial_logistic", "reg": 0.5},
+        "partition": {"mean_size": 10, "size_var": 4.0, "max_labels_per_device": 2, "pure_count": 2, "seed": 7},
+        "n": 6, "s": 3, "T": 2, "E": 1,
+        "lr": {"kind": "constant", "value": 0.05},
+        "holdout_fraction": 0.2,
+        "variants": ["safl"],
+        "seeds": [3],
+    }
+    config = tmp_path / "setup.json"
+    config.write_text(json.dumps(doc))
+    spec = load_experiment(config)
+    cfg = sim_config(spec, "safl", 3)
+    state = build_state(cfg, dataset=spec.dataset)
+    problem = prepare(cfg, spec.dataset)
+    pooled = state[2]
+    assert pooled.n_classes == problem.train.data.n_classes == 3
+    for field in ("X", "y"):
+        got, want = getattr(pooled, field), getattr(problem.train.data, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert state[3].tobytes() == problem.w_star.tobytes()
 
 
 def _load_perfbench(monkeypatch, name: str):

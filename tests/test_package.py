@@ -34,7 +34,6 @@ def test_the_public_surface_is_pinned():
         "measure_bound_inputs",
         "mix",
         "optimum_oracle",
-        "partition",
         "partition_with_holdout",
         "performance_gap",
         "run",

@@ -1,4 +1,3 @@
-import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,13 +12,11 @@ from safl_sim import (
     load_csv,
     make_blobs,
     make_linear_regression,
-    partition,
     partition_with_holdout,
 )
+from safl_sim import partition as PARTITION
 from safl_sim.datasets import save_csv
-from safl_sim.partition import sample_sizes
-
-PARTITION = importlib.import_module("safl_sim.partition")  # the package's `partition` is the function
+from safl_sim.partition import partition, sample_sizes
 
 
 class TestSampleSizes:

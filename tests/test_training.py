@@ -453,7 +453,7 @@ class TestShiftedLogits:
         W3 = np.asarray(params)[shards.layout(1).rank].reshape(4, 3, -1)
         for value, unshifted in ((2.0 / obj.reg, True), (2.0 / obj.reg * 1.01, False)):
             sched = LrSchedule("constant", value)
-            small = Shards(Dataset._trusted(1e-9 * shards.data.X, shards.data.y, 3), shards.starts, shards.sizes)
+            small = Shards(Dataset(1e-9 * shards.data.X, shards.data.y, 3), shards.starts, shards.sizes)
             got = safl_sim.training._unshifted_rows(W3, small.layout(1), obj, sched, np.zeros(4, dtype=int))
             assert got.tolist() == [unshifted] * 4
 
