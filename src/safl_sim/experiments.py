@@ -58,6 +58,12 @@ class ExperimentConfigError(ValueError):
 # document (T = 10**30 would run without end) is refused on load.
 MAX_RECORDS = 2**21
 
+# Each round the kernel gathers its step table's samples, and set-up gathers
+# the pooled training and eval sets, as float64 arrays of rows times dim
+# features; a document that would need more than this many floats (1 GiB)
+# for the one or the other is refused on load, before anything is allocated.
+MAX_FLOATS = 2**27
+
 
 class MetricsRow(typing.NamedTuple):
     """One row of a metrics CSV.  The fields, in order, are its columns, and
@@ -313,15 +319,26 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
             f"experiment: 'T' = {rounds} gives {_rough(rounds * jobs)} metrics rows (T times {jobs} jobs, "
             f"{len(variants)} variants times {len(seeds)} seeds), above the limit of {MAX_RECORDS}"
         )
+    sizes, dim = np.array(shard_sizes), dataset.dim
+    holds = holdout_sizes(sizes, config.holdout_fraction)
     if config.local_solver == "sgd":
-        longest = int((np.array(shard_sizes) - holdout_sizes(shard_sizes, config.holdout_fraction)).max())
+        longest = int((sizes - holds).max())
         steps = config.local_epochs * config.selected_per_round * longest * jobs
-        if steps > MAX_ROUND_STEPS:
+        if steps > MAX_ROUND_STEPS or steps * dim > MAX_FLOATS:
             raise ExperimentConfigError(
                 f"experiment: 'E' = {config.local_epochs} gives a round a step table of {_rough(steps)} entries "
                 f"(E times s = {config.selected_per_round} times the longest training shard, {longest} samples, "
-                f"times the job count, {jobs}, as the jobs train in lockstep), above the limit of {MAX_ROUND_STEPS}"
+                f"times the job count, {jobs}, as the jobs train in lockstep) of dim {dim} features each, "
+                f"{_rough(steps * dim)} floats, above the limit of {MAX_ROUND_STEPS} entries or {MAX_FLOATS} floats"
             )
+    # every drawn row once; unless no device holds out, the eval set holds
+    # again the training rows of each device with an empty holdout
+    rows = int(sizes.sum()) + (int(sizes[holds == 0].sum()) if holds.any() else 0)
+    if rows * dim > MAX_FLOATS:
+        raise ExperimentConfigError(
+            f"partition: the pooled training and eval sets hold {_rough(rows)} rows of dim {dim} features, "
+            f"{_rough(rows * dim)} floats, above the limit of {MAX_FLOATS}"
+        )
     return ExperimentSpec(top("name", "str", Path(path).stem), dataset, config, variants, seeds)
 
 

@@ -1,4 +1,4 @@
-"""Convex learning objectives: risks, per-sample gradients, curvature and solvable optima.
+"""Convex learning objectives: risks, model scores, per-sample gradients, curvature and solvable optima.
 
 Four loss families are supported:
 
@@ -7,6 +7,14 @@ Four loss families are supported:
 * ``lasso``           (y - x'w)^2 + reg * ||w||_1  (non-smooth, oracle-only)
 * ``multinomial_logistic``  cross-entropy over C classes plus 0.5 * reg * ||w||^2,
   parameters stored as a flat vector of length C * d
+
+Every score of a model is owned here.  A model's scores over a set's rows
+(``_scores``) and each family's two risk terms, the scale of its mean
+squared residual (1/2, or 1 for the lasso) and its regulariser
+(``_square_scale`` and ``_penalty``), are read by ``empirical_risk`` and by
+the upload gate's batched scorer alike; the round metric's and the gate's
+score of a model on a set is ``accuracy_proxy``: accuracy for
+classification, ``1 / (1 + risk)`` otherwise.
 
 The smooth families carry Hessian eigenvalue bounds (strong convexity mu,
 smoothness lam) and a per-device stochastic-gradient variance estimate, which
@@ -230,6 +238,21 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _square_scale(obj: Objective) -> float:
+    """The factor of a quadratic family's mean squared residual: 1/2, or 1
+    for the lasso, whose cost sums whole squares."""
+    return 1.0 if obj.kind == "lasso" else 0.5
+
+
+def _penalty(obj: Objective, w: np.ndarray) -> float | np.ndarray:
+    """The family's regulariser at ``w``, one per row of a stack: ``reg *
+    ||w||_1`` for the lasso, ``reg / 2 * ||w||^2`` (by ``_dots``) otherwise,
+    and 0 for least squares, which has none."""
+    if obj.kind == "lasso":
+        return obj.reg * np.abs(w).sum(-1)
+    return 0.5 * obj.reg * _dots(w, w) if obj.reg else 0.0
+
+
 def _scores(obj: Objective, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``X @ w`` for the quadratic families, or the (m, C) logits: (m,)/(m, C)
     for one model, (J, m)/(J, m, C) for a stack, each model's the product
@@ -258,19 +281,14 @@ def empirical_risk(obj: Objective, w: np.ndarray, dataset: Dataset) -> float | n
     if dataset.dim != obj.dim:
         raise ValueError("dataset dimension does not match the objective")
     X, y = dataset.X, dataset.y
-    if obj.kind in ("least_squares", "ridge"):
-        r = _scores(obj, w, X) - y
-        risk = 0.5 * _dots(r, r) / m
-        if obj.reg:
-            risk = risk + 0.5 * obj.reg * _dots(w, w)
-    elif obj.kind == "lasso":
-        r = y - _scores(obj, w, X)
-        risk = _dots(r, r) / m + obj.reg * np.abs(w).sum(-1)
-    else:
+    if obj.is_classification:
         logp = log_softmax(_scores(obj, w, X))
         # copied so that each row sums along a contiguous axis, as it does alone
-        ce = -np.ascontiguousarray(logp[..., np.arange(m), y]).sum(-1) / m
-        risk = ce + 0.5 * obj.reg * _dots(w, w)
+        loss = -np.ascontiguousarray(logp[..., np.arange(m), y]).sum(-1) / m
+    else:
+        r = _scores(obj, w, X) - y
+        loss = _square_scale(obj) * _dots(r, r) / m
+    risk = loss + _penalty(obj, w)
     return float(risk) if w.ndim == 1 else risk
 
 
@@ -280,16 +298,15 @@ def per_sample_grads(obj: Objective, w: np.ndarray, dataset: Dataset) -> np.ndar
     if not obj.is_smooth:
         raise GradientUnavailableError("lasso is non-smooth")
     X, y = dataset.X, dataset.y
-    if obj.kind in ("least_squares", "ridge"):
+    if obj.is_classification:
+        m = len(dataset)
+        P = np.exp(log_softmax(X @ w.reshape(obj.n_classes, obj.dim).T))
+        P[np.arange(m), y] -= 1.0
+        G = np.einsum("mc,md->mcd", P, X).reshape(m, obj.param_dim)
+    else:
         G = (X @ w - y)[:, None] * X
-        if obj.reg:
-            G = G + obj.reg * w
-        return G
-    m = len(dataset)
-    P = np.exp(log_softmax(X @ w.reshape(obj.n_classes, obj.dim).T))
-    P[np.arange(m), y] -= 1.0
-    G = np.einsum("mc,md->mcd", P, X).reshape(m, obj.param_dim)
-    return G + obj.reg * w
+    # the regulariser's gradient: least squares has none
+    return G + obj.reg * w if obj.reg else G
 
 
 def _first_max_class(scores: np.ndarray) -> np.ndarray:
@@ -308,6 +325,39 @@ def _first_max_class(scores: np.ndarray) -> np.ndarray:
         np.putmask(pred, better, c)
         np.maximum(best, row, out=best)
     return pred
+
+
+def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective) -> float | np.ndarray:
+    """Nonnegative model-quality score on ``eval_set``.
+
+    For a classification objective, the fraction of correct argmax
+    predictions; otherwise 1/(1 + risk), a bounded stand-in for tasks
+    without a native accuracy.  ``model`` is one parameter vector, giving a
+    float, or a stack of J jobs' models (J, param_dim), giving one score per
+    row, each bitwise the float that row gives alone.
+
+    A classification set is scored on its table of distinct (x, y) rows
+    (``Dataset.distinct``), kept with a read-only set: each model's
+    class-major logits are its (C, d) weights times the table's features,
+    a row's prediction is its first class with the largest logit
+    (``_first_max_class``), and the accuracy is the hit count, each hit
+    weighted by its row's count, over m.  The count is an integer, so the
+    accuracy is bitwise the mean of the m rows' hits.
+
+    Equivalence policy.  A prediction can differ from the row-major
+    ``np.argmax(X @ W.T, axis=1)`` only where two of the row's class scores
+    lie within rounding of each other.
+    """
+    m = len(eval_set)
+    if m == 0:
+        raise ValueError("accuracy proxy needs a nonempty evaluation set")
+    if obj.is_classification:
+        w = _check_params(obj, model)
+        XT, y, counts = eval_set.distinct()
+        hits = _first_max_class(w.reshape(*w.shape[:-1], obj.n_classes, obj.dim) @ XT) == y
+        accuracy = (hits @ counts) / m
+        return float(accuracy) if w.ndim == 1 else accuracy
+    return 1.0 / (1.0 + empirical_risk(obj, model, eval_set))
 
 
 def _check_smooth_data(obj: Objective, dataset: Dataset) -> None:

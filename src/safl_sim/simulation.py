@@ -38,7 +38,8 @@ reading each shard in place in the pooled training set; and one
 with a leading job axis: every job picks ``s`` devices, so the weights are
 (J, s) and the trained rows (J, s, P).  What these derive from the live
 jobs and their picks alone (the rows, the shards with the kernel's step
-layout, the record weights, the step increments) is one batch (``_Batch``),
+layout, each gating job's eval shards with the gate's row map, the record
+weights, the step increments) is one batch (``_Batch``),
 rebuilt only when the live jobs or any job's picks change: at full
 participation once per set of live jobs, otherwise once per round.  A
 variant is FedAvg plus what its rule in ``RULES`` adds: a mixing job blends
@@ -106,10 +107,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .aggregation import WeightScheme, aggregate, weights
 from .annealing import AnnealConfig, mix, sample_mask, selection_probability
-from .objectives import Dataset, Objective, optimum_oracle
+from .objectives import Dataset, Objective, accuracy_proxy, optimum_oracle
 from .partition import PartitionSpec, partition_with_holdout
 from .training import SAMPLE_ORDERS, LrSchedule, Shards, run_local_epochs, sample_indices
-from .upload_gate import GateConfig, accuracy_proxy, decide_upload, gate_proxies, performance_gap, upload_probability
+from .upload_gate import GateConfig, decide_upload, gate_proxies, performance_gap, upload_probability
 
 
 class Rule(NamedTuple):
@@ -565,7 +566,7 @@ def run_round(
     """
     jobs, chosen, rows = batch.jobs, batch.chosen, batch.rows
     config = jobs[0].config
-    obj, scheme, evals = config.objective, config.weight_scheme, problem.evals
+    obj, scheme = config.objective, config.weight_scheme
     servers = [job.result.server for job in jobs]
     flat = params.reshape(-1, params.shape[-1])  # a row per (slot, device)
 
@@ -584,8 +585,7 @@ def run_round(
         fused = aggregate(trained, record_w)
         for i in [i for i, job in enumerate(jobs[:diverged]) if job.config.rule.gates]:
             devices, ids = jobs[i].result.devices, chosen[i]
-            eval_sets = Shards(evals.data, evals.starts[ids], evals.sizes[ids])
-            h_global, h_local = gate_proxies(servers[i].global_params, trained[i], eval_sets, obj)
+            h_global, h_local = gate_proxies(servers[i].global_params, trained[i], batch.evals[i], obj)
             gaps = performance_gap(h_global, h_local)
             qs = upload_probability(gaps, config.gate.gap_scale).tolist()
             decisions = [decide_upload(q, devices.gate_rngs[k]) for k, q in zip(ids.tolist(), qs)]
@@ -674,6 +674,9 @@ class _Batch:
       state seen as one (slots * n, P) array (J, s);
     - the chosen shards, in place in the pooled training set, on which the
       kernel keeps its step layout (see ``Shards.layout``);
+    - each gating job's chosen eval shards, in place in the pooled eval set,
+      on which the upload gate keeps its row map (see ``Shards.row_map``),
+      and None for a job that does not gate;
     - each job's record weights (J, s), and the steps by which each chosen
       device's ``steps_done`` advances (J, s).
 
@@ -684,12 +687,13 @@ class _Batch:
     chosen: np.ndarray
     rows: np.ndarray
     shards: Shards
+    evals: list[Shards | None]
     record_w: np.ndarray
     increments: np.ndarray
 
 
 def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _Batch:
-    config, train = jobs[0].config, problem.train
+    config, train, evals = jobs[0].config, problem.train, problem.evals
     ids = chosen.ravel()
     slots = np.array([job.slot for job in jobs])
     return _Batch(
@@ -697,6 +701,8 @@ def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _B
         chosen,
         slots[:, None] * config.n + chosen,
         Shards(train.data, train.starts[ids], train.sizes[ids]),
+        [Shards(evals.data, evals.starts[picks], evals.sizes[picks]) if job.config.rule.gates else None
+         for job, picks in zip(jobs, chosen)],
         weights(config.weight_scheme, chosen, problem.sizes),
         config.local_epochs * train.sizes[chosen],
     )

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,9 +138,7 @@ def step_layout(shards: Shards, epochs: int) -> StepLayout:
     positions += np.repeat(column, steps)
     # each shard's largest row norm, over its rows gathered shard by shard
     sizes = shards.sizes
-    heads = np.cumsum(sizes) - sizes
-    rows = np.arange(int(sizes.sum())) + np.repeat(shards.starts - heads, sizes)
-    norms = np.maximum.reduceat(shards.data.row_norms()[rows], heads)
+    norms = np.maximum.reduceat(shards.data.row_norms()[shards.row_map[0]], np.cumsum(sizes) - sizes)
     return StepLayout(steps, rank, active, positions, sizes[rank].astype(np.uintp), shards.starts[rank], norms[rank])
 
 
@@ -148,9 +147,12 @@ class Shards:
     """Devices' data as row ranges of one dataset: shard ``k`` is rows
     ``starts[k]`` to ``starts[k] + sizes[k]`` of ``data``.
 
-    The kernel's step layout for a number of epochs is built on first use
-    and kept (``layout``), so a batch that trains the same shards again
-    reuses it.
+    Two things derived from the ranges alone are built on first use and
+    kept, so a batch that reads the same shards again reuses them: the
+    kernel's step layout for a number of epochs (``layout``), and the flat
+    row map (``row_map``), each shard's rows of ``data`` in shard order
+    with each row's shard, which the step layout's row norms and the upload
+    gate's holdout gather both read.
     """
 
     data: Dataset
@@ -191,6 +193,16 @@ class Shards:
         start = int(self.starts[k])
         rows = slice(start, start + int(self.sizes[k]))
         return Dataset(self.data.X[rows], self.data.y[rows], self.data.n_classes)
+
+    @cached_property
+    def row_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, owner)``, read-only, both (sum(sizes),): every shard's rows
+        of ``data`` in order, shard after shard, and the shard of each."""
+        owner = np.repeat(np.arange(len(self)), self.sizes)
+        rows = np.arange(owner.size) + (self.starts - np.cumsum(self.sizes) + self.sizes)[owner]
+        rows.setflags(write=False)
+        owner.setflags(write=False)
+        return rows, owner
 
     def layout(self, epochs: int) -> StepLayout:
         """The step layout of ``epochs`` passes over these shards (``step_layout``), kept once built."""

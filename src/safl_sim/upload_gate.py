@@ -9,8 +9,14 @@ split.  The relative gap
 feeds an exponentially decaying upload probability ``exp(-gap / gap_scale)``:
 a device whose local model behaves very differently from the global one is
 probably overfitting a biased shard, and mostly keeps its update to itself.
-The objective picks the score: holdout accuracy for classification, and
-``1 / (1 + risk)`` otherwise.
+
+This module keeps the gate's policy alone: the gap, the probability and the
+draw.  The score is ``objectives.accuracy_proxy``, which the objective
+picks: holdout accuracy for classification, and ``1 / (1 + risk)``
+otherwise.  ``gate_proxies`` scores a round's devices in one batch; it takes
+each family's loss terms from ``objectives`` (the squared-residual scale and
+the regulariser, which ``empirical_risk`` reads too) and each device's rows
+of the pooled eval set from ``Shards.row_map``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import Dataset, Objective, _check_params, _first_max_class, empirical_risk
+from .objectives import Objective, _first_max_class, _penalty, _scores, _square_scale
 from .training import Shards
 
 # keeps the gap defined when both scores are 0
@@ -40,39 +46,6 @@ class GateConfig:
             raise ValueError(f"gap_scale {self.gap_scale!r} is too small: exp(-1 / gap_scale) underflows to 0")
 
 
-def accuracy_proxy(model: np.ndarray, eval_set: Dataset, obj: Objective) -> float | np.ndarray:
-    """Nonnegative model-quality score on ``eval_set``.
-
-    For a classification objective, the fraction of correct argmax
-    predictions; otherwise 1/(1 + risk), a bounded stand-in for tasks
-    without a native accuracy.  ``model`` is one parameter vector, giving a
-    float, or a stack of J jobs' models (J, param_dim), giving one score per
-    row, each bitwise the float that row gives alone.
-
-    A classification set is scored on its table of distinct (x, y) rows
-    (``Dataset.distinct``), kept with a read-only set: each model's
-    class-major logits are its (C, d) weights times the table's features,
-    a row's prediction is its first class with the largest logit
-    (``_first_max_class``), and the accuracy is the hit count, each hit
-    weighted by its row's count, over m.  The count is an integer, so the
-    accuracy is bitwise the mean of the m rows' hits.
-
-    Equivalence policy.  A prediction can differ from the row-major
-    ``np.argmax(X @ W.T, axis=1)`` only where two of the row's class scores
-    lie within rounding of each other.
-    """
-    m = len(eval_set)
-    if m == 0:
-        raise ValueError("accuracy proxy needs a nonempty evaluation set")
-    if obj.is_classification:
-        w = _check_params(obj, model)
-        XT, y, counts = eval_set.distinct()
-        hits = _first_max_class(w.reshape(*w.shape[:-1], obj.n_classes, obj.dim) @ XT) == y
-        accuracy = (hits @ counts) / m
-        return float(accuracy) if w.ndim == 1 else accuracy
-    return 1.0 / (1.0 + empirical_risk(obj, model, eval_set))
-
-
 def gate_proxies(
     global_model: np.ndarray,
     local_models: np.ndarray,
@@ -83,10 +56,14 @@ def gate_proxies(
     every device of a round at once.
 
     Device ``i`` scores ``global_model`` and ``local_models[i]`` on shard
-    ``i`` of ``eval_sets``.  The shards' rows are gathered in one take: the
-    global model is scored over every row in one product, each local model
-    over its own rows, and the per-device sums are ``np.bincount`` over row
-    owners.  Returns ``(h_global, h_local)``, each of shape (k,).
+    ``i`` of ``eval_sets``.  The shards' rows are gathered in one take by
+    their row map (``Shards.row_map``): the global model is scored over
+    every row in one product (``objectives._scores``, as ``empirical_risk``
+    scores a model), each local model over its own rows, and the per-device
+    sums are ``np.bincount`` over row owners.  Inverse risk takes each
+    family's squared-residual scale and regulariser from ``objectives``, as
+    ``empirical_risk`` does.  Returns ``(h_global, h_local)``, each of
+    shape (k,).
 
     Equivalence policy.  Accuracy equals ``accuracy_proxy``: the hit counts
     are integers, and a row's prediction, the first class with the largest
@@ -98,29 +75,19 @@ def gate_proxies(
     sizes = eval_sets.sizes
     if not sizes.all():
         raise ValueError("accuracy proxy needs a nonempty evaluation set")
-    owner = np.repeat(np.arange(sizes.size), sizes)
-    rows = np.arange(owner.size) + (eval_sets.starts - np.cumsum(sizes) + sizes)[owner]  # each shard's own rows
+    rows, owner = eval_sets.row_map
     X, y = eval_sets.data.X[rows], eval_sets.data.y[rows]
-    local_models = np.asarray(local_models, dtype=np.float64)
+    global_scores = _scores(obj, global_model, X)
     if obj.is_classification:
-        shape = (obj.n_classes, obj.dim)
-        global_scores = X @ global_model.reshape(shape).T
-        local_scores = (local_models.reshape(-1, *shape)[owner] * X[:, None, :]).sum(-1)
+        local_scores = (local_models.reshape(-1, obj.n_classes, obj.dim)[owner] * X[:, None, :]).sum(-1)
     else:
-        global_scores = X @ global_model
         local_scores = (local_models[owner] * X).sum(-1)
 
     def per_device(scores: np.ndarray, models: np.ndarray) -> np.ndarray:
         if obj.is_classification:
-            hits = _first_max_class(scores.T) == y
-            return np.bincount(owner[hits], minlength=sizes.size) / sizes
-        scale = 0.5 if obj.kind in ("least_squares", "ridge") else 1.0  # lasso sums whole squares
-        risk = scale * np.bincount(owner, weights=(scores - y) ** 2, minlength=sizes.size) / sizes
-        if obj.kind == "lasso":
-            risk += obj.reg * np.abs(models).sum(axis=1)
-        elif obj.reg:
-            risk += 0.5 * obj.reg * (models * models).sum(axis=1)
-        return 1.0 / (1.0 + risk)
+            return np.bincount(owner, weights=_first_max_class(scores.T) == y, minlength=sizes.size) / sizes
+        squares = np.bincount(owner, weights=(scores - y) ** 2, minlength=sizes.size)
+        return 1.0 / (1.0 + (_square_scale(obj) * squares / sizes + _penalty(obj, models)))
 
     return per_device(global_scores, global_model[None, :]), per_device(local_scores, local_models)
 

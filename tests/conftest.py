@@ -1,14 +1,49 @@
 """Shared test oracles: finite differences, power iteration, random
-problems, and records of the SGD kernel's shift and decay decisions."""
+problems, records of the SGD kernel's shift and decay decisions, and the
+outputs of the experiment documents that several tests read."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from reference import Sample, loss
 
 import safl_sim.training
 from safl_sim import Dataset, Objective
+from safl_sim.cli import main as cli_main
+
+
+def run_document(folder: Path, name: str, source: Path | dict) -> Path:
+    """The directory of files that ``safl-sim run`` writes under ``folder``
+    for the experiment document ``source``: a JSON file, or a dict that is
+    written to ``<name>.json`` first, so that its name is ``name``."""
+    config = source
+    if isinstance(source, dict):
+        config = folder / f"{name}.json"
+        config.write_text(json.dumps(source))
+    out = folder / f"{name}_out"
+    if cli_main(["run", "--config", str(config), "--out", str(out), "--quiet"]) != 0:
+        raise RuntimeError(f"safl-sim run failed on {name}")
+    return out
+
+
+@pytest.fixture(scope="session")
+def document_outputs(tmp_path_factory):
+    """``outputs(name, source)``: ``run_document``'s directory for a
+    document, run once a session per name, so the digest tests and the
+    numerical anchor read one run."""
+    written: dict[str, Path] = {}
+
+    def outputs(name: str, source: Path | dict) -> Path:
+        if name not in written:
+            written[name] = run_document(tmp_path_factory.mktemp(name), name, source)
+        return written[name]
+
+    return outputs
 
 
 def finite_difference_grad(obj: Objective, w: np.ndarray, sample: Sample, step: float = 1e-6) -> np.ndarray:

@@ -129,3 +129,23 @@ def test_traced_gate_counts_one_decision_per_selected_device(tmp_path, monkeypat
     assert figures["upload_gate.decisions"] == len(doc["seeds"]) * doc["T"] * doc["s"]
     assert figures["upload_gate.uploads"] == final_uploads
     assert 0 < final_uploads < figures["upload_gate.decisions"]
+
+
+def test_every_workload_passes_the_benchmarks_output_check(tmp_path, monkeypatch):
+    # perfbench/check.py holds each workload's final round at benchmark seed
+    # 0 to perfbench/reference.json within RTOL 1e-9: a change that moves an
+    # optimum or a trajectory past it would be refused after the fact, so it
+    # fails here first
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    check = _load_perfbench(monkeypatch, "check")
+    root = PERFBENCH.parent
+    names = [workload["name"] for workload in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    recorded = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]
+    for name in names:
+        doc = workloads.document(root, name, 0)
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        expect = check.Expect(tuple(doc["variants"]), tuple(doc["seeds"]), doc["T"], doc["s"], recorded[name]["0"])
+        assert check.check_run(out, expect) == {job: [] for job in expect.jobs}, name

@@ -614,6 +614,74 @@ class TestCli:
         err = capsys.readouterr().err
         assert "'E'" in err and "24784 samples" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc, message, floats",
+        [
+            # 10 jobs train 200 devices of 20 samples for E = 40 epochs: a step
+            # table of 1.6e6 entries, under MAX_ROUND_STEPS, but of 1000 features
+            # each, 1.6e9 floats (11.9 GiB)
+            (
+                experiment_doc(
+                    data={"kind": "linear", "samples": 400, "dim": 1000, "seed": 3},
+                    partition={"mean_size": 20, "size_var": 0.0, "seed": 7},
+                    n=200, s=200, T=1, E=40, seeds=[1, 2, 3, 4, 5],
+                ),
+                "config error: experiment: 'E' = 40 gives a round a step table of 1.6e+06 entries",
+                "of dim 1000 features each, 1.6e+09 floats",
+            ),
+            # 1000 devices of 20 samples drawn from a 1.6 MB dataset: a pooled
+            # training set of 20000 rows of 1e5 features, 2e9 floats (14.9 GiB)
+            (
+                experiment_doc(
+                    data={"kind": "linear", "samples": 2, "dim": 100_000, "seed": 3},
+                    partition={"mean_size": 20, "size_var": 0.0, "seed": 7},
+                    n=1000, s=10, T=1, variants=["fedavg"], seeds=[1],
+                ),
+                "config error: partition: the pooled training and eval sets hold 2e+04 rows",
+                "of dim 100000 features, 2e+09 floats",
+            ),
+        ],
+        ids=["step-table", "pooled-sets"],
+    )
+    def test_a_gather_beyond_memory_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys, doc, message, floats):
+        # refused on load, before anything but the small dataset is allocated
+        monkeypatch.setattr(safl_sim.cli, "execute", lambda *args, **kwargs: pytest.fail("the document ran"))
+        code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and floats in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
+    def test_float_limit_counts_the_pooled_sets_that_set_up_gathers(self, tmp_path, monkeypatch, holdout_fraction):
+        # at 0.2 the holdouts are [0, 1, 0, 1, 1, 1, 0, 1, 0]: the eval set
+        # holds the five holdouts and the four other devices' training sets,
+        # more rows than the partition draws; at 0 it is the training set
+        doc = experiment_doc(
+            partition={"mean_size": 6, "size_var": 16.0, "seed": 4}, n=9, s=1, holdout_fraction=holdout_fraction,
+            variants=["fedavg"], seeds=[1],
+        )
+        spec = load_experiment(write_doc(tmp_path, doc))
+        problem = prepare(spec.config, spec.dataset)
+        floats = problem.train.data.X.size
+        if problem.evals is not problem.train:
+            floats += problem.evals.data.X.size
+            assert floats > int(problem.sizes.sum()) * spec.dataset.dim
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", floats)
+        load_experiment(write_doc(tmp_path, doc))
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", floats - 1)
+        with pytest.raises(ExperimentConfigError, match=f"partition: .* {floats} floats"):
+            load_experiment(write_doc(tmp_path, doc))
+
+    def test_float_limit_counts_the_step_table_of_every_job(self, tmp_path, monkeypatch):
+        # 4 jobs train 8 devices of 8 training samples for E = 3 epochs: a
+        # table of 768 entries of 5 features; the pooled sets hold 640 floats
+        doc = experiment_doc(partition={"mean_size": 10, "size_var": 0.0, "seed": 7}, holdout_fraction=0.2, E=3)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 3840)
+        load_experiment(write_doc(tmp_path, doc))
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 3839)
+        with pytest.raises(ExperimentConfigError, match="'E' = 3 .* 768 entries .* of dim 5 features each, 3.84e\\+03 floats"):
+            load_experiment(write_doc(tmp_path, doc))
+
     def test_label_cap_above_the_labels_present_exits_one(self, tmp_path, capsys):
         doc = experiment_doc(data={"kind": "blobs", "samples": 60, "dim": 3, "classes": 3}, T=2, seeds=[1])
         doc["partition"]["max_labels_per_device"] = 5

@@ -21,10 +21,9 @@ from safl_sim import (
 )
 from safl_sim import experiments, simulation
 from safl_sim.experiments import execute, load_experiment
-from safl_sim.objectives import _first_max_class, log_softmax, per_sample_grads
+from safl_sim.objectives import _first_max_class, accuracy_proxy, log_softmax, per_sample_grads
 from safl_sim.simulation import prepare
 from safl_sim.training import Shards
-from safl_sim.upload_gate import accuracy_proxy
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -16,6 +16,7 @@ it is.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -131,18 +132,23 @@ DIGESTS = {
 }
 
 
+def digests(out: Path) -> dict[str, str]:
+    """sha256 of every file in ``out``."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+
+
 def run_digests(tmp_path, name: str) -> dict[str, str]:
     """sha256 of every file that ``safl-sim run`` writes for ``DOCS[name]``."""
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(DOCS[name]))
     out = tmp_path / name
     assert cli_main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    return digests(out)
 
 
 @pytest.mark.parametrize("name", sorted(DOCS))
-def test_document_writes_the_recorded_bytes(tmp_path, name):
-    assert run_digests(tmp_path, name) == DIGESTS[name]
+def test_document_writes_the_recorded_bytes(document_outputs, name):
+    assert digests(document_outputs(name, DOCS[name])) == DIGESTS[name]
 
 
 def test_mixed_holdout_document_has_both_kinds_of_holdout(tmp_path):

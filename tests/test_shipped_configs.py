@@ -34,9 +34,8 @@ DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_shipped_config_writes_the_recorded_bytes(tmp_path, name):
-    out = tmp_path / name
-    assert cli_main(["run", "--config", str(CONFIGS / f"{name}.json"), "--out", str(out), "--quiet"]) == 0
+def test_shipped_config_writes_the_recorded_bytes(document_outputs, name):
+    out = document_outputs(name, CONFIGS / f"{name}.json")
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
     assert written == DIGESTS[name]
 

@@ -27,7 +27,8 @@ from safl_sim import (
 import safl_sim.training
 from safl_sim import simulation
 from safl_sim.simulation import block_rounds, build_state, global_estimate, prepare
-from safl_sim.training import sample_indices
+from safl_sim.training import Shards, sample_indices
+from safl_sim.upload_gate import gate_proxies
 
 TOY_OBJ = Objective("lasso", 2, reg=1.0)
 TOY_SHARDS = [
@@ -897,6 +898,33 @@ class TestLockstep:
         with pytest.raises(DivergenceError):
             simulation.run_jobs(configs, problem)
         assert len(builds) == 2
+
+    @pytest.mark.parametrize("selected, batches", [(6, 1), (4, 12)])
+    def test_the_batch_alone_builds_shards_once_per_batch(self, monkeypatch, selected, batches):
+        # each batch builds the training shards and each gating job's eval
+        # shards, on which the gate keeps its row map; the rounds build none,
+        # so at full participation the 12 rounds share one batch
+        data, obj, part = regression_setup()
+        cfg = base_config(obj, part, selected_per_round=selected, gate=GateConfig(gap_scale=0.5), holdout_fraction=0.25)
+        configs = [replace(cfg, algorithm=a, seed=s) for a, s in (("safl_extended", 11), ("fedavg", 11), ("safl_extended", 12))]
+        problem = prepare(cfg, data)
+        built, scored = [], []
+
+        class Counted(Shards):
+            def __init__(self, data, starts, sizes):
+                built.append(len(sizes))
+                super().__init__(data, starts, sizes)
+
+        def spy(global_model, local_models, eval_sets, obj):
+            scored.append(eval_sets)
+            return gate_proxies(global_model, local_models, eval_sets, obj)
+
+        monkeypatch.setattr(simulation, "Shards", Counted)
+        monkeypatch.setattr(simulation, "gate_proxies", spy)
+        simulation.run_jobs(configs, problem)
+        assert built == [3 * selected, selected, selected] * batches
+        assert len(scored) == 2 * cfg.rounds and len({id(sets) for sets in scored}) == 2 * batches
+        assert all("row_map" in vars(sets) for sets in scored)
 
     def test_the_layout_is_built_once_per_round_at_partial_participation(self, monkeypatch):
         data, configs = self.configs()
