@@ -40,7 +40,7 @@ from .bounds import (
 )
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import ConvergenceError, Dataset, Objective, curvature
-from .partition import MAX_ROUND_STEPS, PartitionSpec, check_fits, holdout_sizes
+from .partition import PartitionSpec, check_fits, holdout_sizes
 from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run_jobs
 from .simulation import run  # noqa: F401  (perfbench/layers.py wraps experiments.run)
 from .training import LrSchedule
@@ -58,10 +58,19 @@ class ExperimentConfigError(ValueError):
 # document (T = 10**30 would run without end) is refused on load.
 MAX_RECORDS = 2**21
 
-# Each round the kernel gathers its step table's samples, and set-up gathers
-# the pooled training and eval sets, as float64 arrays of rows times dim
-# features; a document that would need more than this many floats (1 GiB)
-# for the one or the other is refused on load, before anything is allocated.
+# The kernel gathers one round's samples of every job in lockstep as a step
+# table that pads every selected shard's stream to the longest, so a round
+# holds up to E times s times the longest training shard times the job count
+# entries, capped at this many: above it the table alone takes gigabytes (E
+# near 1e9 on the demo asks for terabytes), and a document that reaches it
+# is rejected on load.
+MAX_ROUND_STEPS = 2**24
+
+# Each round the kernel gathers its step table's samples, set-up gathers the
+# pooled training and eval sets, as float64 arrays of rows times dim
+# features, and the pooled solve and the step-size bounds form X'X, dim times
+# dim; a document that would need more than this many floats (1 GiB) for any
+# one of them is refused on load, before anything is allocated.
 MAX_FLOATS = 2**27
 
 
@@ -338,6 +347,14 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
         raise ExperimentConfigError(
             f"partition: the pooled training and eval sets hold {_rough(rows)} rows of dim {dim} features, "
             f"{_rough(rows * dim)} floats, above the limit of {MAX_FLOATS}"
+        )
+    # ridge's pooled solve and the logistic step size always form X'X, and
+    # least squares does for the bound columns, which assemble under SGD at s = n
+    bounded = config.local_solver == "sgd" and config.selected_per_round == config.n
+    if dim * dim > MAX_FLOATS and (objective.kind in ("ridge", "multinomial_logistic") or bounded):
+        raise ExperimentConfigError(
+            f"data: dim {dim} gives {objective.kind}'s set-up a {dim} x {dim} matrix (X'X), "
+            f"{_rough(dim * dim)} floats, above the limit of {MAX_FLOATS}"
         )
     return ExperimentSpec(top("name", "str", Path(path).stem), dataset, config, variants, seeds)
 

@@ -8,7 +8,10 @@ scenario).  Regression datasets have no labels to skew and are treated as a
 single label class.
 
 All randomness derives from ``PartitionSpec.seed`` alone, so a spec identifies
-one partition regardless of caller threading.
+one partition regardless of caller threading.  ``partition_with_holdout`` is
+the one entry point: it derives the spec's four streams once (sizes, labels,
+draws, split), draws each device's rows (``_shard_indices``), then splits
+them into training and holdout rows, as index arrays into the dataset.
 
 Device k's rows are those of ``choice(pool, m_k, replace=pool.size < m_k)``
 on the draw stream, in device order, with numpy's ``Generator.choice`` as
@@ -71,14 +74,6 @@ def sample_sizes(spec: PartitionSpec) -> list[int]:
 # not beyond this many times the dataset's size: a larger draw is a typo or an
 # overflow (a size near 1e150 could not be allocated, let alone drawn).
 MAX_SHARD_FACTOR = 10
-
-# The kernel gathers one round's samples of every job in lockstep as a step
-# table that pads every selected shard's stream to the longest, so a round
-# holds up to E times s times the longest training shard times the job count
-# entries, capped at this many: above it the table alone takes gigabytes (E
-# near 1e9 on the demo asks for terabytes), and a document that reaches it
-# is rejected on load.
-MAX_ROUND_STEPS = 2**24
 
 
 def _check_sizes(dataset: Dataset, spec: PartitionSpec, sizes: list[int]) -> None:
@@ -234,9 +229,9 @@ def _batched_choice(rng: np.random.Generator, pop: np.ndarray, m: np.ndarray) ->
     return values
 
 
-def _shard_indices(dataset: Dataset, spec: PartitionSpec, streams=None) -> list[np.ndarray]:
+def _shard_indices(dataset: Dataset, spec: PartitionSpec, streams) -> list[np.ndarray]:
     """Each device's rows of ``dataset``, ``len == m_k`` exactly, drawn from
-    ``streams`` (the spec's four, ``_streams``; fresh ones by default).
+    ``streams``, the spec's four (``_streams``).
 
     Samples are drawn without replacement from the label-restricted pool when
     it is large enough, with replacement otherwise: device k's draws are
@@ -249,7 +244,7 @@ def _shard_indices(dataset: Dataset, spec: PartitionSpec, streams=None) -> list[
     and the devices between two of them draw together.  The rows are
     gathered once from the pools concatenated.
     """
-    sizes_rng, labels_rng, draw_rng, _ = _streams(spec) if streams is None else streams
+    sizes_rng, labels_rng, draw_rng, _ = streams
     sizes = _draw_sizes(spec, sizes_rng)
     label_values = _labels(dataset, spec)
     _check_sizes(dataset, spec, sizes)
@@ -270,11 +265,6 @@ def _shard_indices(dataset: Dataset, spec: PartitionSpec, streams=None) -> list[
     offsets = np.cumsum(pool_sizes) - pool_sizes
     rows = np.concatenate(pools)[local + np.repeat(offsets[pool_of], m)]
     return [rows[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-
-
-def partition(dataset: Dataset, spec: PartitionSpec) -> list[Dataset]:
-    """Build the n label-restricted shards; ``|shard_k| == m_k`` exactly."""
-    return [dataset.subset(idx) for idx in _shard_indices(dataset, spec)]
 
 
 def partition_with_holdout(

@@ -39,15 +39,15 @@ with a leading job axis: every job picks ``s`` devices, so the weights are
 (J, s) and the trained rows (J, s, P).  What these derive from the live
 jobs and their picks alone (the rows, the shards with the kernel's step
 layout, each gating job's eval shards with the gate's row map, the record
-weights, the step increments) is one batch (``_Batch``),
-rebuilt only when the live jobs or any job's picks change: at full
-participation once per set of live jobs, otherwise once per round.  A
-variant is FedAvg plus what its rule in ``RULES`` adds: a mixing job blends
-the global model in at the fold, and a gating job gates and fuses alone,
-since each fuses its own number of uploads.  Each batched product and sum
-is the one a job's arrays give alone, bitwise (see ``aggregate``,
-``empirical_risk``), and the kernel computes each row on its own (see
-``training``), so a job's bytes never depend on which jobs share its batch.
+weights) is one batch (``_Batch``), rebuilt only when the live jobs or any
+job's picks change: at full participation once per set of live jobs,
+otherwise once per round.  A variant is FedAvg plus what its rule in
+``RULES`` adds: a mixing job blends the global model in at the fold, and a
+gating job gates and fuses alone, since each fuses its own number of
+uploads.  Each batched product and sum is the one a job's arrays give
+alone, bitwise (see ``aggregate``, ``empirical_risk``), and the kernel
+computes each row on its own (see ``training``), so a job's bytes never
+depend on which jobs share its batch.
 Divergence is reported as a loop running the jobs one after another would
 report it: that of the first job, in job order, to diverge.  The jobs before it record the round and call
 their observers; it and the jobs after it neither gate nor update their
@@ -289,6 +289,8 @@ def prepare(
     ``shards`` bypasses the partitioner for tests that need exact shard
     contents: each is a device's training set, with no holdout, so
     ``holdout_fraction`` must be 0.  The caller's arrays stay writable.
+    This is the one entry point for explicit shards: ``build_state`` and
+    ``run`` take the problem it returns.
     """
     if shards is None:
         if dataset is None:
@@ -309,15 +311,10 @@ def prepare(
     return PreparedProblem(train, evals, sizes, w_star)
 
 
-def _problem(
-    config: SimConfig,
-    dataset: Dataset | None,
-    shards: list[Dataset] | None,
-    prepared: PreparedProblem | None,
-) -> PreparedProblem:
+def _problem(config: SimConfig, dataset: Dataset | None, prepared: PreparedProblem | None) -> PreparedProblem:
     if prepared is None:
-        return prepare(config, dataset, shards)
-    if dataset is not None or shards is not None:
+        return prepare(config, dataset)
+    if dataset is not None:
         raise ValueError("pass a prepared problem or the data to prepare, not both")
     return prepared
 
@@ -378,13 +375,12 @@ class _StateRow(ISeedSequence):
 def build_state(
     config: SimConfig,
     dataset: Dataset | None = None,
-    shards: list[Dataset] | None = None,
     prepared: PreparedProblem | None = None,
 ) -> tuple[Devices, ServerState, Dataset, np.ndarray]:
     """Materialise devices, server, pooled training data, and its optimum.
 
-    ``prepared`` is a problem shared with other jobs; without one, the
-    problem is prepared here from ``dataset`` or ``shards`` (see ``prepare``).
+    ``prepared`` is a problem from ``prepare``, shared with other jobs;
+    without one, the problem is prepared here from ``dataset``.
 
     Every generator is that of ``SeedSequence(config.seed).spawn``'s child
     at its key: the server is child 0 of the root, and device k's init,
@@ -392,7 +388,7 @@ def build_state(
     device streams' states come from one ``stream_states`` table, and one
     row of it is checked against numpy's own ``SeedSequence``.
     """
-    prepared = _problem(config, dataset, shards, prepared)
+    prepared = _problem(config, dataset, prepared)
     if len(prepared.train) != config.n:
         raise ValueError(f"need exactly one shard per device: {len(prepared.train)} for n = {config.n}")
 
@@ -677,8 +673,7 @@ class _Batch:
     - each gating job's chosen eval shards, in place in the pooled eval set,
       on which the upload gate keeps its row map (see ``Shards.row_map``),
       and None for a job that does not gate;
-    - each job's record weights (J, s), and the steps by which each chosen
-      device's ``steps_done`` advances (J, s).
+    - each job's record weights (J, s).
 
     ``run_jobs`` keeps a batch for as long as the live jobs and their chosen
     ids stay the same."""
@@ -689,7 +684,6 @@ class _Batch:
     shards: Shards
     evals: list[Shards | None]
     record_w: np.ndarray
-    increments: np.ndarray
 
 
 def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _Batch:
@@ -704,7 +698,6 @@ def _batch(jobs: list[_Job], chosen: np.ndarray, problem: PreparedProblem) -> _B
         [Shards(evals.data, evals.starts[picks], evals.sizes[picks]) if job.config.rule.gates else None
          for job, picks in zip(jobs, chosen)],
         weights(config.weight_scheme, chosen, problem.sizes),
-        config.local_epochs * train.sizes[chosen],
     )
 
 
@@ -738,7 +731,8 @@ def _train(
         np.concatenate([draws.indices for draws in round_draws]),
         start_steps=steps_done.ravel()[rows.ravel()],
     )
-    steps_done.ravel()[rows] += batch.increments
+    # each chosen device advances by its steps of the call, E times its shard's size
+    steps_done.ravel()[rows] += batch.shards.layout(config.local_epochs).steps.reshape(chosen.shape)
     return trained.reshape(*chosen.shape, -1)
 
 
@@ -748,21 +742,22 @@ def run_jobs(
     """Run jobs that differ only in algorithm and seed, in lockstep; one
     ``RunResult`` per config, each the result of running that job alone.
 
-    Every job's device parameters and step counts are views into one
-    stacked array each, (J, n, P) and (J, n).  The jobs of one run seed
-    share its streams: ``build_state`` runs once per seed, for the job whose
-    rule draws the most streams, and each job copies the seed's
-    initialisation into its own rows, keeps its own global model, and holds
-    the seed's generators for the streams its rule draws.  Every round,
-    each seed with a live job takes one round from its one plan, which all
-    its live jobs read, one ``run_local_epochs`` call trains every job's
-    chosen rows, and one ``run_round`` call gates, fuses, mixes and records
-    the round of them all, each as its rule says, calling ``observers[i]``,
-    if any.  A job leaves the loop when it stops early; its seed's plan runs
-    on while a seed-mate lives.  The plans share ``PLAN_ENTRIES``: each seed's blocks hold
-    ``PLAN_ENTRIES // seeds`` entries, so the draws held ahead do not grow
-    with the job count.  A job repeated in ``configs`` counts as a seed of
-    its own, since each gated job draws its own upload decisions.
+    Each (algorithm, seed) job appears once: a repeated one raises
+    ``ValueError``.  Every job's device parameters and step counts are views
+    into one stacked array each, (J, n, P) and (J, n).  The jobs are grouped
+    by seed in one pass, and the jobs of one run seed share its streams:
+    ``build_state`` runs once per seed, for the job of its group whose rule
+    draws the most streams, and each job copies the seed's initialisation
+    into its own rows, keeps its own global model, and holds the seed's
+    generators for the streams its rule draws.  Every round, each seed with
+    a live job takes one round from its one plan, which all its live jobs
+    read, one ``run_local_epochs`` call trains every job's chosen rows, and
+    one ``run_round`` call gates, fuses, mixes and records the round of them
+    all, each as its rule says, calling ``observers[i]``, if any.  A job
+    leaves the loop when it stops early; its seed's plan runs on while a
+    seed-mate lives.  The plans share ``PLAN_ENTRIES``: each seed's blocks
+    hold ``PLAN_ENTRIES // seeds`` entries, so the draws held ahead do not
+    grow with the job count.
 
     Divergence is reported as if the jobs ran one after another: the
     ``DivergenceError`` raised is that of the first job, in ``configs``
@@ -777,21 +772,24 @@ def run_jobs(
     for config in configs[1:]:
         if replace(config, algorithm=first.algorithm, seed=first.seed) != first:
             raise ValueError("jobs run in lockstep must differ only in algorithm and seed")
+    if len({(config.algorithm, config.seed) for config in configs}) != len(configs):
+        raise ValueError("each (algorithm, seed) job may appear only once")
     # a seed's jobs share its streams, so its state and plan are drawn once,
-    # for the member whose rule draws the most (any two rules are nested); a
-    # repeated job draws its own gate decisions, so it keys a group of its own
-    keys = [(config.seed, configs[:slot].count(config)) for slot, config in enumerate(configs)]
-    entries = PLAN_ENTRIES // len(set(keys))
+    # for the member whose rule draws the most (any two rules are nested)
+    groups: dict[int, list[SimConfig]] = {}
+    for config in configs:
+        groups.setdefault(config.seed, []).append(config)
+    entries = PLAN_ENTRIES // len(groups)
     seeds = {}
-    for key in dict.fromkeys(keys):
-        lead = max((c for k, c in zip(keys, configs) if k == key), key=lambda c: sum(c.rule))
+    for seed, group in groups.items():
+        lead = max(group, key=lambda c: sum(c.rule))
         devices, server, _, w_star = build_state(lead, prepared=problem)
-        seeds[key] = devices, server, w_star, plan_rounds(lead, server, devices, problem, entries)
+        seeds[seed] = devices, server, w_star, plan_rounds(lead, server, devices, problem, entries)
     params = np.empty((len(configs), first.n, first.objective.param_dim))
     steps_done = np.zeros((len(configs), first.n), dtype=np.int64)
     jobs = []
-    for slot, (config, key, observer) in enumerate(zip(configs, keys, observers or [None] * len(configs), strict=True)):
-        devices, server, w_star, plan = seeds[key]
+    for slot, (config, observer) in enumerate(zip(configs, observers or [None] * len(configs), strict=True)):
+        devices, server, w_star, plan = seeds[config.seed]
         params[slot] = devices.params
         own = replace(
             devices,
@@ -840,10 +838,10 @@ def run_jobs(
 def run(
     config: SimConfig,
     dataset: Dataset | None = None,
-    shards: list[Dataset] | None = None,
     observer=None,
     prepared: PreparedProblem | None = None,
 ) -> RunResult:
-    """Run the configured number of rounds; a fixed config yields one trajectory."""
-    (result,) = run_jobs([config], _problem(config, dataset, shards, prepared), [observer])
+    """Run the configured number of rounds on ``dataset`` or a ``prepared``
+    problem; a fixed config yields one trajectory."""
+    (result,) = run_jobs([config], _problem(config, dataset, prepared), [observer])
     return result

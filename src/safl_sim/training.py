@@ -55,7 +55,8 @@ SAMPLE_ORDERS = ("iid_draw", "shuffle")
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Learning-rate schedule: ``constant`` alpha or ``inverse`` alpha0/(t+1)."""
+    """Learning-rate schedule: ``constant`` alpha or ``inverse`` alpha0/(t+1),
+    read as the rates of a run of steps (``rates``)."""
 
     kind: str
     value: float
@@ -65,11 +66,6 @@ class LrSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (self.value > 0):
             raise ValueError("learning rate value must be > 0")
-
-    def rate(self, step: int) -> float:
-        if self.kind == "constant":
-            return self.value
-        return self.value / (step + 1)
 
     def rates(self, start_step: int | np.ndarray, count: int) -> np.ndarray:
         """Rates of steps ``start_step .. start_step + count - 1``, shape (count,).

@@ -37,6 +37,7 @@ from safl_sim import (
     theorem1_bound,
 )
 from safl_sim.bounds import fit_rate
+from safl_sim.simulation import prepare
 from safl_sim.training import Shards
 
 
@@ -146,7 +147,7 @@ def test_criterion_1_toy_goldens():
         seed=3,
         holdout_fraction=0.0,
     )
-    res = run(cfg, shards=[shard_a, shard_b])
+    res = run(cfg, prepared=prepare(cfg, shards=[shard_a, shard_b]))
     gap = abs(float(np.linalg.norm(res.w_star - res.server.global_params)) - 2.0 / 9.0)
     assert gap < 1e-12
     elapsed = time.perf_counter() - started

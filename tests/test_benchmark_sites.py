@@ -10,6 +10,7 @@ from pathlib import Path
 from safl_sim import cli
 from safl_sim.experiments import load_experiment, parse_metrics_csv, sim_config
 from safl_sim.simulation import build_state, prepare
+from test_path_digests import DOCS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -21,6 +22,33 @@ def test_every_benchmark_wrap_site_resolves(monkeypatch):
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     assert layers.missing_sites() == []
+
+
+def test_every_wrap_site_but_the_dead_ones_records_a_span(tmp_path, monkeypatch):
+    # A site that still resolves but is no longer called reads zero in its
+    # layer.  Over the three workloads at benchmark seed 0 and the document
+    # that fills bound_theorem1, exactly two span names stay unrecorded:
+    # experiments.run, a re-export that execute no longer calls, and the
+    # upload gate's branch of the accuracy proxy, which the batched gate
+    # (gate_proxies) no longer reaches.
+    spans = _load_perfbench(monkeypatch, "spans")
+    layers = _load_perfbench(monkeypatch, "layers")
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    root = PERFBENCH.parent
+    names = [workload["name"] for workload in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    docs = {name: workloads.document(root, name, 0) for name in names}
+    docs["constant_step"] = DOCS["constant_step"]
+    tracer = spans.Tracer()
+    with layers.traced(tracer):
+        for name, doc in docs.items():
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(doc))
+            assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / name), "--quiet"]) == 0
+    sites = {name for _, _, name, *_ in layers.SITES if isinstance(name, str)}
+    sites |= {"simulation.metrics_proxy", "upload_gate.accuracy_proxy"}  # the two that _proxy_name chooses
+    recorded = {span.name for span in tracer.spans}
+    assert recorded <= sites
+    assert sites - recorded == {"simulation.run", "upload_gate.accuracy_proxy"}
 
 
 def test_the_set_up_call_returns_the_pooled_set_and_its_optimum(tmp_path):

@@ -22,6 +22,7 @@ import safl_sim.simulation
 from safl_sim import AnnealConfig, GateConfig, LrSchedule, Objective, PartitionSpec, run, selection_probability
 from safl_sim.cli import main as cli_main
 from safl_sim.experiments import (
+    MAX_ROUND_STEPS,
     METRICS_COLUMNS,
     ExperimentConfigError,
     MetricsRow,
@@ -32,7 +33,6 @@ from safl_sim.experiments import (
     parse_metrics_csv,
     sim_config,
 )
-from safl_sim.partition import MAX_ROUND_STEPS
 from safl_sim.simulation import DivergenceError, RoundRecord, prepare
 
 
@@ -640,8 +640,20 @@ class TestCli:
                 "config error: partition: the pooled training and eval sets hold 2e+04 rows",
                 "of dim 100000 features, 2e+09 floats",
             ),
+            # 2 samples of 1e5 features: the pooled ridge solve would form
+            # X'X, 1e10 floats (74.5 GiB)
+            (
+                experiment_doc(
+                    data={"kind": "linear", "samples": 2, "dim": 100_000, "seed": 3},
+                    objective={"kind": "ridge", "reg": 0.1},
+                    partition={"mean_size": 1, "size_var": 0.0, "seed": 7},
+                    n=2, s=2, T=1, variants=["fedavg"], seeds=[1],
+                ),
+                "config error: data: dim 100000 gives ridge's set-up a 100000 x 100000 matrix",
+                "(X'X), 1e+10 floats",
+            ),
         ],
-        ids=["step-table", "pooled-sets"],
+        ids=["step-table", "pooled-sets", "dim-squared"],
     )
     def test_a_gather_beyond_memory_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys, doc, message, floats):
         # refused on load, before anything but the small dataset is allocated
@@ -650,6 +662,38 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and floats in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data, objective, solver, s, counted",
+        [
+            (None, {"kind": "ridge", "reg": 1.0}, "oracle", 4, True),  # the pooled solve
+            ({"kind": "blobs", "samples": 100, "dim": 50, "classes": 3, "seed": 2},
+             {"kind": "multinomial_logistic", "reg": 0.5}, "sgd", 4, True),  # the pooled step size
+            (None, {"kind": "least_squares"}, "sgd", 8, True),  # the bound columns, at s = n
+            (None, {"kind": "least_squares"}, "sgd", 4, False),
+            (None, {"kind": "least_squares"}, "oracle", 8, False),
+            (None, {"kind": "lasso", "reg": 1.0}, "oracle", 8, False),
+        ],
+        ids=["ridge", "logistic", "least-squares-bounds", "least-squares-partial", "least-squares-oracle", "lasso"],
+    )
+    def test_float_limit_counts_dim_squared_where_set_up_forms_it(
+        self, tmp_path, monkeypatch, data, objective, solver, s, counted
+    ):
+        # 8 devices of 2 samples of 50 features: the pooled sets hold 800
+        # floats and the 2 jobs' step table at most 1600, below X'X's 2500
+        doc = experiment_doc(
+            data=data or {"kind": "linear", "samples": 100, "dim": 50, "seed": 3},
+            objective=objective, local_solver=solver, s=s, seeds=[1],
+            partition={"mean_size": 2, "size_var": 0.0, "max_labels_per_device": 1, "seed": 7},
+        )
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 2500)
+        load_experiment(write_doc(tmp_path, doc))
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 2499)
+        if not counted:
+            load_experiment(write_doc(tmp_path, doc))
+            return
+        with pytest.raises(ExperimentConfigError, match=r"^data: dim 50 gives .* 50 x 50 matrix \(X'X\), 2.5e\+03 floats"):
+            load_experiment(write_doc(tmp_path, doc))
 
     @pytest.mark.parametrize("holdout_fraction", [0.0, 0.2])
     def test_float_limit_counts_the_pooled_sets_that_set_up_gathers(self, tmp_path, monkeypatch, holdout_fraction):

@@ -16,7 +16,18 @@ from safl_sim import (
 )
 from safl_sim import partition as PARTITION
 from safl_sim.datasets import save_csv
-from safl_sim.partition import partition, sample_sizes
+from safl_sim.partition import sample_sizes
+
+
+def draws(data: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
+    """Each device's rows in the order the partition draws them, before the
+    holdout split permutes them."""
+    return PARTITION._shard_indices(data, spec, PARTITION._streams(spec))
+
+
+def shards(data: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
+    """Each device's training rows with no holdout: its drawn rows, permuted."""
+    return partition_with_holdout(data, spec, 0.0)[0]
 
 
 class TestSampleSizes:
@@ -56,7 +67,7 @@ class TestSampleSizes:
 
 
 def _isin_pool(labels, chosen, n_classes):
-    """The label pool as ``partition`` built it with ``np.isin``: the reference."""
+    """The label pool as the partition built it with ``np.isin``: the reference."""
     return np.nonzero(np.isin(labels, chosen))[0]
 
 
@@ -77,13 +88,13 @@ class TestLabelPool:
                 pure_count=int(rng.integers(1, n + 1)),
                 seed=trial,
             )
-            shipped = partition(data, spec)
+            shipped = draws(data, spec)
             with monkeypatch.context() as patch:
                 patch.setattr(PARTITION, "_label_pool", _isin_pool)
-                reference = partition(data, spec)
+                reference = draws(data, spec)
             assert len(shipped) == len(reference) == n
             for a, b in zip(shipped, reference):
-                assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+                assert np.array_equal(a, b)
 
 
     def test_each_label_subset_is_scanned_once(self, monkeypatch):
@@ -95,7 +106,7 @@ class TestLabelPool:
 
         monkeypatch.setattr(PARTITION, "_label_pool", counting_pool)
         data = make_blobs(300, 3, 3, seed=4)
-        partition(data, PartitionSpec(n=200, mean_size=5.0, max_labels_per_device=3, pure_count=20, seed=3))
+        shards(data, PartitionSpec(n=200, mean_size=5.0, max_labels_per_device=3, pure_count=20, seed=3))
         assert len(scanned) == len(set(scanned)) == 7  # every nonempty subset of 3 labels
 
 
@@ -103,63 +114,57 @@ class TestPartition:
     def test_shard_sizes_match_draws_exactly(self):
         data = make_blobs(400, 4, 5, seed=3)
         spec = PartitionSpec(n=12, mean_size=20.0, size_var=30.0, max_labels_per_device=3, seed=8)
-        shards = partition(data, spec)
-        assert [len(s) for s in shards] == sample_sizes(spec)
+        assert [len(rows) for rows in shards(data, spec)] == sample_sizes(spec)
 
     def test_label_subsets_respect_the_cap(self):
         data = make_blobs(500, 4, 6, seed=3)
         spec = PartitionSpec(n=20, mean_size=15.0, max_labels_per_device=3, seed=9)
-        for shard in partition(data, spec):
-            assert len(np.unique(shard.y)) <= 3
+        for rows in shards(data, spec):
+            assert len(np.unique(data.y[rows])) <= 3
 
     def test_single_label_cap_gives_pure_shards(self):
         data = make_blobs(500, 4, 6, seed=3)
         spec = PartitionSpec(n=15, mean_size=12.0, max_labels_per_device=1, seed=2)
-        for shard in partition(data, spec):
-            assert len(np.unique(shard.y)) == 1
+        for rows in shards(data, spec):
+            assert len(np.unique(data.y[rows])) == 1
 
     def test_pure_count_forces_leading_devices_to_one_label(self):
         data = make_blobs(600, 4, 5, seed=3)
         spec = PartitionSpec(n=10, mean_size=25.0, max_labels_per_device=4, seed=6, pure_count=4)
-        shards = partition(data, spec)
-        for shard in shards[:4]:
-            assert len(np.unique(shard.y)) == 1
+        for rows in shards(data, spec)[:4]:
+            assert len(np.unique(data.y[rows])) == 1
 
     def test_deterministic_for_fixed_seed(self):
         data = make_blobs(300, 3, 4, seed=1)
         spec = PartitionSpec(n=8, mean_size=30.0, size_var=16.0, max_labels_per_device=2, seed=14)
-        a = partition(data, spec)
-        b = partition(data, spec)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.X, sb.X) and np.array_equal(sa.y, sb.y)
+        for a, b in zip(shards(data, spec), shards(data, spec)):
+            assert np.array_equal(a, b)
 
     def test_oversized_shards_draw_with_replacement(self):
         # 40 samples of one class, shard sizes of 120 force replacement
         data = make_blobs(40, 3, 2, seed=1)
         spec = PartitionSpec(n=3, mean_size=120.0, max_labels_per_device=1, seed=4)
-        shards = partition(data, spec)
-        assert all(len(s) == 120 for s in shards)
+        assert all(len(rows) == 120 for rows in shards(data, spec))
 
     def test_regression_data_partitions_without_labels(self):
         data = make_linear_regression(200, 5, seed=2)
         spec = PartitionSpec(n=10, mean_size=15.0, max_labels_per_device=1, seed=3)
-        shards = partition(data, spec)
-        assert all(len(s) == 15 for s in shards)
+        assert all(len(rows) == 15 for rows in shards(data, spec))
 
     def test_label_cap_above_label_count_rejected(self):
         data = make_blobs(100, 3, 2, seed=1)
         spec = PartitionSpec(n=4, mean_size=10.0, max_labels_per_device=5, seed=4)
         with pytest.raises(ValueError, match="max_labels_per_device"):
-            partition(data, spec)
+            shards(data, spec)
 
     def test_shards_above_the_size_limit_rejected_naming_the_keys(self):
         data = make_blobs(40, 3, 2, seed=1)
         limit = PARTITION.MAX_SHARD_FACTOR * len(data)
         at_limit = PartitionSpec(n=2, mean_size=float(limit), seed=4)
         PARTITION.check_fits(data, at_limit)
-        assert [len(s) for s in partition(data, at_limit)] == [limit, limit]
+        assert [len(rows) for rows in shards(data, at_limit)] == [limit, limit]
         for spec in (replace(at_limit, mean_size=limit + 1.0), replace(at_limit, size_var=1e300)):
-            for reject in (PARTITION.check_fits, partition):
+            for reject in (PARTITION.check_fits, shards):
                 with pytest.raises(ValueError, match="mean_size .* size_var"):
                     reject(data, spec)
 
@@ -183,7 +188,7 @@ class TestHoldoutSplit:
             assert len(hold) == int(np.floor(0.2 * m))
             assert len(train) >= 1
         # together, a device's pieces are its shard's rows (a draw may repeat a row)
-        for rows, train, hold in zip(PARTITION._shard_indices(data, spec), fits, holds):
+        for rows, train, hold in zip(draws(data, spec), fits, holds):
             assert np.array_equal(np.sort(np.concatenate([train, hold])), np.sort(rows))
 
     def test_singleton_shards_keep_their_only_sample_for_training(self):
@@ -194,12 +199,12 @@ class TestHoldoutSplit:
 
     def test_pieces_are_the_shards_split_by_the_split_stream(self):
         # the pieces are rows of the dataset, not of the shard: the same
-        # rows as splitting each shard of ``partition``
+        # rows as splitting each device's drawn rows
         data = make_blobs(300, 3, 3, seed=9)
         spec = PartitionSpec(n=9, mean_size=12.0, size_var=20.0, max_labels_per_device=2, seed=21)
         split_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(4)[3])
-        for shard, train_rows, hold_rows in zip(partition(data, spec), *partition_with_holdout(data, spec, 0.3)):
-            train, hold = data.subset(train_rows), data.subset(hold_rows)
+        for rows, train_rows, hold_rows in zip(draws(data, spec), *partition_with_holdout(data, spec, 0.3)):
+            shard, train, hold = data.subset(rows), data.subset(train_rows), data.subset(hold_rows)
             perm = split_rng.permutation(len(shard))
             n_hold = len(hold)
             assert n_hold == min(int(np.floor(len(shard) * 0.3)), len(shard) - 1)

@@ -10,8 +10,9 @@ partial participation with ragged shards, a run seed longer than the
 seed hash's pool of four 32-bit words, shuffled epochs at full
 participation, where the server draws nothing, and a partition where some
 devices hold out samples and others, with none to spare, are scored on
-their training set.  A refactor that keeps behaviour leaves every digest as
-it is.
+their training set.  One more, at a constant step that meets Theorem 1's
+preconditions, is the one document that fills ``bound_theorem1``.  A
+refactor that keeps behaviour leaves every digest as it is.
 """
 
 import hashlib
@@ -87,6 +88,14 @@ DOCS = {
         "anneal": {"temperature": 5.0, "epsilon": 0.4}, "gate": {"gap_scale": 0.05}, "holdout_fraction": 0.2,
         "variants": ["fedavg", "safl", "safl_extended"], "seeds": [5],
     },
+    # a constant step within Theorem 1's preconditions: every row fills bound_theorem1
+    "constant_step": {
+        "data": RIDGE_DATA, "objective": RIDGE,
+        "partition": {"mean_size": 11, "size_var": 9.0, "max_labels_per_device": 1, "seed": 3},
+        "n": 6, "s": 6, "T": 8, "E": 2, "lr": {"kind": "constant", "value": 0.05},
+        "anneal": {"temperature": 5.0, "epsilon": 0.4}, "gate": {"gap_scale": 0.05}, "holdout_fraction": 0.25,
+        "variants": ["fedavg", "safl", "safl_extended"], "seeds": [2],
+    },
 }
 
 DIGESTS = {
@@ -128,6 +137,12 @@ DIGESTS = {
         "safl.csv": "c99002eb22eebcdc7dca6fba9a1361b9099f9accce3181b31339677251800ae4",
         "safl_extended.csv": "222916ccae7210d21518bde548a2e2a2812499036b5daaaeadac03397640170d",
         "summary.json": "28cffdbf7fe6a579fdaadce68805f055d74ed4e6d0baff9d95365fbd88275e95",
+    },
+    "constant_step": {
+        "fedavg.csv": "67544777bfdf1da3819d515eb0bca08c0692b90407df28f08a3f165ac5f4e93e",
+        "safl.csv": "9933ac946c69d202dfe805617e1e117cb478d2c665c228c2f23b1b71f27e708f",
+        "safl_extended.csv": "51d93b181db10d97c33f8ad43b36f6c446c50a4af663312358126b794d4e4ac3",
+        "summary.json": "a13622d9e291c590b24bf719d84ca12288c22474f16406225f568bbf63b101e1",
     },
 }
 
@@ -175,6 +190,7 @@ BLOCKS = {
     "long_seed": (200, [5, 3, 3]),
     "full_shuffle": (500, [4, 3, 3]),
     "mixed_holdout": (400, [5, 3, 3]),
+    "constant_step": (500, [4, 3, 3]),
 }
 
 

@@ -78,7 +78,7 @@ class TestToyScenario:
             seed=7,
             holdout_fraction=0.0,
         )
-        res = run(cfg, shards=TOY_SHARDS)
+        res = run(cfg, prepared=prepare(cfg, shards=TOY_SHARDS))
         z_bar = res.server.global_params
         assert np.allclose(z_bar, [0.0, 2.0 / 9.0], atol=0)
         # the averaged model sits 2/9 away from the optimum even though one
@@ -305,7 +305,7 @@ class TestDeterminismAndAccounting:
         part = PartitionSpec(n=4, mean_size=10.0, seed=1)
         cfg = base_config(obj, part, lr=LrSchedule("constant", 1.0), rounds=3)
         with pytest.raises(DivergenceError) as err:
-            run(cfg, shards=shards)
+            run(cfg, prepared=prepare(cfg, shards=shards))
         assert str(err.value).startswith("device 1 diverged in round 1: ")
         assert err.value.round_index == 1
 
@@ -493,7 +493,7 @@ class TestConfigValidation:
         part = PartitionSpec(n=2, mean_size=1.0, seed=1)
         cfg = base_config(TOY_OBJ, part, local_solver="oracle", holdout_fraction=0.2)
         with pytest.raises(ValueError, match="holdout_fraction"):
-            run(cfg, shards=TOY_SHARDS)
+            prepare(cfg, shards=TOY_SHARDS)
 
     def test_global_estimate_needs_matched_weights(self):
         data, obj, part = regression_setup()
@@ -782,18 +782,34 @@ class TestLockstep:
             assert np.array_equal(joint.devices.params, own.devices.params)
             assert np.array_equal(joint.devices.steps_done, own.devices.steps_done)
 
-    def test_a_repeated_job_draws_its_own_gate_decisions(self, monkeypatch):
-        # a repeated gated job must not share its gate streams with its twin,
-        # so it plans apart and equals its alone run
+    def test_a_repeated_job_is_refused(self):
+        # a job is its (algorithm, seed): its rows and its streams; a repeated
+        # one is refused, as load_experiment refuses repeated variants and seeds
         data, configs = self.configs()
         problem = prepare(configs[0], data)
         gated = [config for config in configs if config.algorithm == "safl_extended" and config.seed == 11]
-        alone = run(gated[0], prepared=problem)
-        twins = simulation.run_jobs(gated * 2, problem)
-        assert twins[0].devices.gate_rngs[0] is not twins[1].devices.gate_rngs[0]
-        for result in twins:
-            assert result.records == alone.records
-            assert np.array_equal(result.devices.params, alone.devices.params)
+        for repeated in (gated * 2, [*configs, configs[-1]]):
+            with pytest.raises(ValueError, match="appear only once"):
+                simulation.run_jobs(repeated, problem)
+
+    def test_a_hundred_seeds_in_lockstep_equal_each_seed_run_alone(self):
+        # variant-major, as execute orders them: a seed's two jobs lie 100
+        # apart, and its lead, the gated job, comes second; each job's
+        # trajectory is that of its seed run alone
+        data, obj, part = regression_setup()
+        cfg = base_config(
+            obj, part, selected_per_round=4, rounds=3, anneal=AnnealConfig(temperature=6.0, epsilon=0.4),
+            gate=GateConfig(gap_scale=0.5),
+        )
+        configs = [replace(cfg, algorithm=a, seed=s) for a in ("fedavg", "safl_extended") for s in range(100)]
+        problem = prepare(cfg, data)
+        together = simulation.run_jobs(configs, problem)
+        for config, joint in zip(configs, together):
+            own = run(config, prepared=problem)
+            assert joint.records == own.records
+            assert np.array_equal(joint.devices.params, own.devices.params)
+            assert np.array_equal(joint.devices.steps_done, own.devices.steps_done)
+            assert np.array_equal(joint.init_params, own.init_params)
 
     def test_observers_see_what_they_see_alone(self):
         # the round's steps run for every job before any observer is called,
@@ -963,7 +979,7 @@ class TestLockstep:
         )
         configs = [replace(cfg, seed=3), replace(cfg, algorithm="safl", seed=4), replace(cfg, seed=2)]
         with pytest.raises(DivergenceError) as alone:
-            run(configs[0], shards=shards)
+            run(configs[0], prepared=prepare(cfg, shards=shards))
         with pytest.raises(DivergenceError) as joint:
             simulation.run_jobs(configs, prepare(cfg, shards=shards))
         assert str(joint.value) == str(alone.value) == (

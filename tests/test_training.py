@@ -20,12 +20,12 @@ from safl_sim.training import Shards, sample_indices
 class TestLrSchedule:
     def test_constant_rate_ignores_step(self):
         sched = LrSchedule("constant", 0.3)
-        assert sched.rate(0) == sched.rate(999) == 0.3
+        assert (sched.rates(0, 1000) == 0.3).all()
 
     def test_inverse_rate_decays_like_one_over_t(self):
         sched = LrSchedule("inverse", 2.0)
-        assert sched.rate(0) == 2.0
-        assert sched.rate(3) == pytest.approx(0.5)
+        assert sched.rates(0, 4)[0] == 2.0
+        assert sched.rates(0, 4)[3] == pytest.approx(0.5)
         assert np.allclose(sched.rates(2, 3), [2.0 / 3, 2.0 / 4, 2.0 / 5])
         assert np.array_equal(sched.rates(np.array([2, 7]), 3), np.stack([sched.rates(2, 3), sched.rates(7, 3)], axis=1))
 
@@ -235,8 +235,8 @@ def replay_sgd(w, shard, obj, epochs, sched, rng, start_step, order):
         idx = rng.integers(0, m, size=epochs * m)
     else:
         idx = np.concatenate([rng.permutation(m) for _ in range(epochs)])
-    for t, i in enumerate(idx):
-        w = sgd_step(w, sample(shard, int(i)), obj, sched.rate(start_step + t))
+    for i, rate in zip(idx, sched.rates(start_step, len(idx)).tolist()):
+        w = sgd_step(w, sample(shard, int(i)), obj, rate)
     return w
 
 
