@@ -41,7 +41,7 @@ from .bounds import (
 from .datasets import load_csv, make_blobs, make_linear_regression
 from .objectives import ConvergenceError, Dataset, Objective, curvature
 from .partition import PartitionSpec, check_fits, holdout_sizes
-from .simulation import PreparedProblem, RunResult, SimConfig, prepare, run_jobs
+from .simulation import RULES, PreparedProblem, RunResult, SimConfig, prepare, run_jobs
 from .simulation import run  # noqa: F401  (perfbench/layers.py wraps experiments.run)
 from .training import LrSchedule
 from .upload_gate import GateConfig
@@ -66,12 +66,18 @@ MAX_RECORDS = 2**21
 # is rejected on load.
 MAX_ROUND_STEPS = 2**24
 
-# Each round the kernel gathers its step table's samples, set-up gathers the
-# pooled training and eval sets, as float64 arrays of rows times dim
-# features, and the pooled solve and the step-size bounds form X'X, dim times
-# dim; a document that would need more than this many floats (1 GiB) for any
-# one of them is refused on load, before anything is allocated.
-MAX_FLOATS = 2**27
+# Each round the kernel gathers its step table's samples, as float64 arrays
+# of entries times dim features, and a logistic step's one-hot targets, of
+# entries times classes; set-up gathers the pooled training and eval sets,
+# rows times dim, stacks every job's device parameters, jobs times n times
+# the parameter count, and the pooled solve and the step-size bounds form
+# X'X, dim times dim.  A document that would need more than MAX_BYTES
+# (1 GiB) for any one of them, or for the random generators that set-up
+# builds before round 1 (GENERATOR_BYTES each, measured with tracemalloc
+# under numpy 2.4), is refused on load, before anything is allocated.
+MAX_BYTES = 2**30
+MAX_FLOATS = MAX_BYTES // 8
+GENERATOR_BYTES = 745
 
 
 class MetricsRow(typing.NamedTuple):
@@ -333,12 +339,14 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
     if config.local_solver == "sgd":
         longest = int((sizes - holds).max())
         steps = config.local_epochs * config.selected_per_round * longest * jobs
-        if steps > MAX_ROUND_STEPS or steps * dim > MAX_FLOATS:
+        classes = objective.n_classes or 0
+        width, what = (dim, f"dim {dim} features") if dim >= classes else (classes, f"{classes} one-hot targets")
+        if steps > MAX_ROUND_STEPS or steps * width > MAX_FLOATS:
             raise ExperimentConfigError(
                 f"experiment: 'E' = {config.local_epochs} gives a round a step table of {_rough(steps)} entries "
                 f"(E times s = {config.selected_per_round} times the longest training shard, {longest} samples, "
-                f"times the job count, {jobs}, as the jobs train in lockstep) of dim {dim} features each, "
-                f"{_rough(steps * dim)} floats, above the limit of {MAX_ROUND_STEPS} entries or {MAX_FLOATS} floats"
+                f"times the job count, {jobs}, as the jobs train in lockstep) of {what} each, "
+                f"{_rough(steps * width)} floats, above the limit of {MAX_ROUND_STEPS} entries or {MAX_FLOATS} floats"
             )
     # every drawn row once; unless no device holds out, the eval set holds
     # again the training rows of each device with an empty holdout
@@ -355,6 +363,22 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
         raise ExperimentConfigError(
             f"data: dim {dim} gives {objective.kind}'s set-up a {dim} x {dim} matrix (X'X), "
             f"{_rough(dim * dim)} floats, above the limit of {MAX_FLOATS}"
+        )
+    stack = jobs * config.n * objective.param_dim
+    if stack > MAX_FLOATS:
+        raise ExperimentConfigError(
+            f"experiment: 'seeds' = {len(seeds)} gives a parameter stack of {_rough(stack)} floats ({jobs} jobs, "
+            f"{len(variants)} variants times {len(seeds)} seeds, times n = {config.n} devices times "
+            f"{objective.param_dim} parameters), above the limit of {MAX_FLOATS}"
+        )
+    # each seed builds one generator per device per stream its lead draws
+    streams = 2 + max(sum(RULES[variant]) for variant in variants)
+    generators = len(seeds) * config.n * streams
+    if generators * GENERATOR_BYTES > MAX_BYTES:
+        raise ExperimentConfigError(
+            f"experiment: 'seeds' = {len(seeds)} gives {_rough(generators)} random generators before round 1 "
+            f"({len(seeds)} seeds times n = {config.n} devices times {streams} streams), "
+            f"{_rough(generators * GENERATOR_BYTES)} bytes at {GENERATOR_BYTES} each, above the limit of {MAX_BYTES}"
         )
     return ExperimentSpec(top("name", "str", Path(path).stem), dataset, config, variants, seeds)
 

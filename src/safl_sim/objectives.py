@@ -111,10 +111,6 @@ class Dataset:
     def is_classification(self) -> bool:
         return self.n_classes is not None
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.X[idx], self.y[idx], self.n_classes)
-
     def labels(self) -> np.ndarray:
         """Distinct class labels present, sorted."""
         if not self.is_classification:

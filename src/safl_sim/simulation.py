@@ -251,7 +251,7 @@ class RunResult:
     w_star: np.ndarray
     devices: Devices
     server: ServerState
-    init_params: np.ndarray  # (n, param_dim) snapshot of the device initialisations
+    init_params: np.ndarray  # (n, param_dim) device initialisations, read-only, shared by the seed's jobs
 
 
 # the metrics' model estimate is the same weighted row sum as the server's
@@ -281,31 +281,24 @@ class PreparedProblem:
 
 def prepare(
     config: SimConfig,
-    dataset: Dataset | None = None,
-    shards: list[Dataset] | None = None,
+    dataset: Dataset,
+    rows: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> PreparedProblem:
-    """Partition and split ``dataset`` per the config, gather each pooled set once, then solve its optimum.
+    """Gather each device's rows of ``dataset`` into the pooled sets once, then solve the training set's optimum.
 
-    ``shards`` bypasses the partitioner for tests that need exact shard
-    contents: each is a device's training set, with no holdout, so
-    ``holdout_fraction`` must be 0.  The caller's arrays stay writable.
-    This is the one entry point for explicit shards: ``build_state`` and
-    ``run`` take the problem it returns.
+    ``rows`` is ``(fits, holds)``: each device's training rows and holdout
+    rows of ``dataset``, as ``partition_with_holdout`` returns them.  Without
+    it, ``dataset`` is partitioned and split per the config; given rows
+    replace the partition and its split, so a caller can set each device's
+    data exactly.  Device data enters the simulation only in this form.
+    ``dataset``'s own arrays are never frozen.
     """
-    if shards is None:
-        if dataset is None:
-            raise ValueError("either a dataset or explicit shards are required")
-        fits, holds = partition_with_holdout(dataset, config.partition, config.holdout_fraction)
-        train = evals = Shards.take(dataset, fits)
-        if any(len(rows) for rows in holds):
-            evals = Shards.take(dataset, [hold if len(hold) else fit for fit, hold in zip(fits, holds)])
-        sizes = train.sizes + [len(rows) for rows in holds]
-        sizes.setflags(write=False)
-    else:
-        if config.holdout_fraction > 0:
-            raise ValueError("explicit shards take no holdout; holdout_fraction must be 0")
-        train = evals = Shards.pool(shards)
-        sizes = train.sizes
+    fits, holds = partition_with_holdout(dataset, config.partition, config.holdout_fraction) if rows is None else rows
+    train = evals = Shards.take(dataset, fits)
+    if any(len(hold) for hold in holds):
+        evals = Shards.take(dataset, [hold if len(hold) else fit for fit, hold in zip(fits, holds)])
+    sizes = train.sizes + [len(hold) for hold in holds]
+    sizes.setflags(write=False)
     w_star = optimum_oracle(config.objective, train.data)
     w_star.setflags(write=False)
     return PreparedProblem(train, evals, sizes, w_star)
@@ -313,6 +306,8 @@ def prepare(
 
 def _problem(config: SimConfig, dataset: Dataset | None, prepared: PreparedProblem | None) -> PreparedProblem:
     if prepared is None:
+        if dataset is None:
+            raise ValueError("need a dataset or a prepared problem")
         return prepare(config, dataset)
     if dataset is not None:
         raise ValueError("pass a prepared problem or the data to prepare, not both")
@@ -748,7 +743,8 @@ def run_jobs(
     by seed in one pass, and the jobs of one run seed share its streams:
     ``build_state`` runs once per seed, for the job of its group whose rule
     draws the most streams, and each job copies the seed's initialisation
-    into its own rows, keeps its own global model, and holds the seed's
+    into its own rows, reports it as its ``init_params`` (the seed's one
+    read-only array), keeps its own global model, and holds the seed's
     generators for the streams its rule draws.  Every round, each seed with
     a live job takes one round from its one plan, which all its live jobs
     read, one ``run_local_epochs`` call trains every job's chosen rows, and
@@ -784,6 +780,7 @@ def run_jobs(
     for seed, group in groups.items():
         lead = max(group, key=lambda c: sum(c.rule))
         devices, server, _, w_star = build_state(lead, prepared=problem)
+        devices.params.setflags(write=False)  # the seed's initialisation, which its jobs share
         seeds[seed] = devices, server, w_star, plan_rounds(lead, server, devices, problem, entries)
     params = np.empty((len(configs), first.n, first.objective.param_dim))
     steps_done = np.zeros((len(configs), first.n), dtype=np.int64)
@@ -799,7 +796,7 @@ def run_jobs(
             gate_rngs=devices.gate_rngs if config.rule.gates else [],
         )
         own_server = ServerState(server.global_params.copy(), server.rng)
-        jobs.append(_Job(config, RunResult([], w_star, own, own_server, devices.params.copy()), plan, observer, slot))
+        jobs.append(_Job(config, RunResult([], w_star, own, own_server, devices.params), plan, observer, slot))
     optima = None  # the oracle trains every job's device to its shard's optimum, solved once
     if first.local_solver == "oracle":
         optima = np.array([optimum_oracle(first.objective, problem.train.dataset(k)) for k in range(first.n)])

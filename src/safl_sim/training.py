@@ -141,7 +141,9 @@ def step_layout(shards: Shards, epochs: int) -> StepLayout:
 @dataclass(frozen=True)
 class Shards:
     """Devices' data as row ranges of one dataset: shard ``k`` is rows
-    ``starts[k]`` to ``starts[k] + sizes[k]`` of ``data``.
+    ``starts[k]`` to ``starts[k] + sizes[k]`` of ``data``.  ``take`` gathers
+    a pooled set from each device's rows of a dataset; a batch's shards are
+    views of one, built directly from its ``starts`` and ``sizes``.
 
     Two things derived from the ranges alone are built on first use and
     kept, so a batch that reads the same shards again reuses them: the
@@ -157,29 +159,17 @@ class Shards:
     _layouts: dict[int, StepLayout] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def pool(cls, shards: Sequence[Dataset]) -> "Shards":
-        """Separate shards, concatenated in order into fresh read-only arrays."""
-        n_classes = {shard.n_classes for shard in shards}
-        if len(n_classes) != 1:
-            raise ValueError("need at least one shard, and shards that agree on n_classes")
-        X = np.concatenate([shard.X for shard in shards])
-        y = np.concatenate([shard.y for shard in shards])
-        return cls._frozen(X, y, *n_classes, shards)
-
-    @classmethod
     def take(cls, dataset: Dataset, rows: Sequence[np.ndarray]) -> "Shards":
-        """Shard ``k`` as rows ``rows[k]`` of ``dataset``, gathered in order into fresh read-only arrays."""
+        """Shard ``k`` as rows ``rows[k]`` of ``dataset``, gathered in order
+        with one ``np.take`` of ``X`` and one of ``y`` into fresh read-only
+        arrays; this is how every pooled set is built."""
         flat = np.concatenate(rows)
-        return cls._frozen(np.take(dataset.X, flat, axis=0), np.take(dataset.y, flat), dataset.n_classes, rows)
-
-    @classmethod
-    def _frozen(cls, X: np.ndarray, y: np.ndarray, n_classes: int | None, shards: Sequence) -> "Shards":
-        """``X`` and ``y`` cut into runs of ``len(shards[k])`` rows, every array read-only."""
-        sizes = np.array([len(shard) for shard in shards], dtype=np.intp)
+        X, y = np.take(dataset.X, flat, axis=0), np.take(dataset.y, flat)
+        sizes = np.array([len(shard_rows) for shard_rows in rows], dtype=np.intp)
         starts = np.cumsum(sizes) - sizes
         for array in (X, y, starts, sizes):
             array.setflags(write=False)
-        return cls(Dataset(X, y, n_classes), starts, sizes)
+        return cls(Dataset(X, y, dataset.n_classes), starts, sizes)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -209,7 +199,7 @@ class Shards:
 
 def run_local_epochs(
     params: Sequence[np.ndarray],
-    shards: Sequence[Dataset] | Shards,
+    shards: Shards,
     obj: Objective,
     epochs: int,
     schedule: LrSchedule,
@@ -219,15 +209,15 @@ def run_local_epochs(
 ) -> tuple[np.ndarray, int]:
     """Run ``epochs`` passes of per-sample SGD on each device's shard.
 
-    Device ``k`` starts from ``params[k]`` and trains on ``shards[k]``;
-    ``start_steps[k]`` (default 0) offsets its schedule.  The shards are
-    separate datasets, or row ranges of one (``Shards``), which the kernel
-    reads in place.  ``indices`` holds every device's sample-index stream,
-    ``epochs * len(shards[k])`` indices into ``shards[k]`` for device ``k``,
-    concatenated in input order (see ``sample_indices``).
+    Device ``k`` starts from ``params[k]`` and trains on shard ``k`` of
+    ``shards``, a row range of one dataset that the kernel reads in place;
+    ``start_steps[k]`` (default 0) offsets its schedule.  ``indices`` holds
+    every device's sample-index stream, ``epochs * shards.sizes[k]``
+    indices into shard ``k`` for device ``k``, concatenated in input order
+    (see ``sample_indices``).
 
     Returns the trained parameters, stacked as (K, param_dim) in input order,
-    and the total number of steps, ``epochs * sum(len(shard))``.  A device
+    and the total number of steps, ``epochs * sum(shards.sizes)``.  A device
     whose parameters left the finite range comes back as a non-finite row;
     the kernel raises nothing for divergence, which is its caller's to find.
     """
@@ -238,8 +228,6 @@ def run_local_epochs(
     count = len(shards)
     if count == 0 or len(params) != count:
         raise ValueError("need one parameter vector and shard per device, and at least one device")
-    if not isinstance(shards, Shards):
-        shards = Shards.pool(shards)
     if not shards.sizes.all():
         raise ValueError("cannot train on an empty shard")
     layout = shards.layout(epochs)
@@ -424,8 +412,9 @@ def _sgd_steps(
         unshifted = _unshifted_rows(W3, layout, obj, schedule, starts)
         shift = not unshifted.all()
         # the one-hot labels: subtracting a row takes 1 from the label's entry
-        # and 0 from the rest, which leaves them bitwise as they were
-        targets = np.eye(C)[y]  # (n_steps, K, C)
+        # and 0 from the rest, which leaves them bitwise as they were; built
+        # by comparison, as a C x C identity table would hold C**2 floats
+        targets = (y[:, :, None] == np.arange(C)).astype(np.float64)  # (n_steps, K, C)
     else:
         shift = False
         targets = y[:, :, None]  # (n_steps, K, 1)

@@ -6,11 +6,12 @@ kernel's order (a row is held as ``w = sigma * v`` with ``sigma`` its
 running weight decay, or decays ``w`` step by step where that does not
 suit, and a logistic step shifts by the class max only the rows whose logit
 bound fails); a sample-index stream drawn one epoch at a time; a block
-of rounds planned device by device; and a partition drawn device by
-device."""
+of rounds planned device by device; a partition drawn device by device;
+and separate shards pooled into one dataset with each shard's rows of it."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from safl_sim import Dataset, GradientUnavailableError, LrSchedule, Objective
 from safl_sim.objectives import _check_param, _unshifted_limit, log_softmax
 from safl_sim.partition import PartitionSpec, _check_sizes, _draw_sizes, _label_pool, _labels
 from safl_sim.simulation import Devices, PreparedProblem, RoundDraws, ServerState, SimConfig
-from safl_sim.training import StepLayout
+from safl_sim.training import Shards, StepLayout
 
 
 @dataclass(frozen=True)
@@ -264,3 +265,29 @@ def shard_indices(dataset: Dataset, spec: PartitionSpec, streams) -> list[np.nda
             pool = pools[key]
         shards.append(draw_rng.choice(pool, size=m_k, replace=pool.size < m_k))
     return shards
+
+
+def pooled(shards: Sequence[Dataset]) -> tuple[Dataset, tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Separate shards as one dataset, their concatenation in order, and
+    ``prepare``'s ``rows`` for it: shard ``k``'s rows as device ``k``'s
+    training rows, and every holdout empty.
+
+    Device data enters the package only as rows of one dataset, so a test
+    that sets each device's data exactly builds its shards apart and pools
+    them here.
+    """
+    n_classes = {shard.n_classes for shard in shards}
+    if len(n_classes) != 1:
+        raise ValueError("need at least one shard, and shards that agree on n_classes")
+    X = np.concatenate([shard.X for shard in shards])
+    y = np.concatenate([shard.y for shard in shards])
+    ends = np.cumsum([len(shard) for shard in shards])
+    fits = [np.arange(end - len(shard), end) for shard, end in zip(shards, ends)]
+    return Dataset(X, y, *n_classes), (fits, [np.arange(0)] * len(shards))
+
+
+def pooled_shards(shards: Sequence[Dataset]) -> Shards:
+    """Separate shards as a simulation holds them: ``pooled``'s rows,
+    gathered once from its dataset (``Shards.take``)."""
+    dataset, (fits, _) = pooled(shards)
+    return Shards.take(dataset, fits)

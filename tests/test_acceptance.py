@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import pooled, pooled_shards
 
 from safl_sim import (
     AnnealConfig,
@@ -64,12 +65,18 @@ def regression_pool():
 
 @pytest.fixture(scope="module")
 def regression_curvature(regression_pool):
-    shards = [regression_pool.subset(tr) for tr in partition_with_holdout(regression_pool, REG_PART, 0.0)[0]]
+    shards = training_shards(regression_pool, REG_PART)
     bounds = [curvature(REG_OBJ, sh) for sh in shards]
     mu = min(b.mu for b in bounds)
     lam = max(b.lam for b in bounds)
     sigma_sq_max = max(b.sigma_sq for b in bounds)
     return shards, mu, lam, sigma_sq_max
+
+
+def training_shards(data, part):
+    """Each device's training set under ``part``, with no holdout, as views of one pooled set."""
+    shards = Shards.take(data, partition_with_holdout(data, part, 0.0)[0])
+    return [shards.dataset(k) for k in range(len(shards))]
 
 
 def run_regression(data, part, schedule, seed, rounds=REG_ROUNDS):
@@ -131,7 +138,7 @@ def test_criterion_1_toy_goldens():
 
     w_a = optimum_oracle(toy, shard_a)
     w_b = optimum_oracle(toy, shard_b)
-    w_star = optimum_oracle(toy, Shards.pool([shard_a, shard_b]).data)
+    w_star = optimum_oracle(toy, pooled_shards([shard_a, shard_b]).data)
     assert w_a.tolist() == [0.0, 0.0]
     assert w_b.tolist() == [0.0, 4.0 / 9.0]
     assert w_star.tolist() == [0.0, 4.0 / 9.0]
@@ -147,7 +154,7 @@ def test_criterion_1_toy_goldens():
         seed=3,
         holdout_fraction=0.0,
     )
-    res = run(cfg, prepared=prepare(cfg, shards=[shard_a, shard_b]))
+    res = run(cfg, prepared=prepare(cfg, *pooled([shard_a, shard_b])))
     gap = abs(float(np.linalg.norm(res.w_star - res.server.global_params)) - 2.0 / 9.0)
     assert gap < 1e-12
     elapsed = time.perf_counter() - started
@@ -274,7 +281,7 @@ def test_criterion_5_constant_step_bound_and_network_size(regression_pool, regre
     floors = {}
     for n in (5, 20, 80):
         part_n = PartitionSpec(n=n, mean_size=12.0, size_var=0.0, max_labels_per_device=1, seed=202)
-        shards_n = [pool.subset(tr) for tr in partition_with_holdout(pool, part_n, 0.0)[0]]
+        shards_n = training_shards(pool, part_n)
         bounds_n = [curvature(REG_OBJ, sh) for sh in shards_n]
         alpha_n = 0.5 / (2 * max(b.lam for b in bounds_n) - min(b.mu for b in bounds_n))
         tails = []

@@ -652,8 +652,41 @@ class TestCli:
                 "config error: data: dim 100000 gives ridge's set-up a 100000 x 100000 matrix",
                 "(X'X), 1e+10 floats",
             ),
+            # the demo with 20000 classes: 13 epochs fit, at 14 a logistic
+            # round's one-hot targets take 6720 steps times 20000 classes
+            (
+                {
+                    **json.loads((Path(__file__).resolve().parent.parent / "configs" / "demo.json").read_text()),
+                    "data": {"kind": "blobs", "samples": 40, "dim": 2, "classes": 20000, "seed": 42},
+                    "objective": {"kind": "multinomial_logistic", "reg": 0.1},
+                    "lr": {"kind": "constant", "value": 0.1}, "T": 3, "E": 14, "seeds": [1],
+                },
+                "config error: experiment: 'E' = 14 gives a round a step table of 6.72e+03 entries",
+                "of 20000 one-hot targets each, 1.34e+08 floats",
+            ),
+            # 200 jobs hold 10000 devices' 100 parameters each: 2e8 floats
+            (
+                experiment_doc(
+                    data={"kind": "linear", "samples": 1000, "dim": 100, "seed": 3},
+                    partition={"mean_size": 1, "size_var": 0.0, "seed": 7},
+                    n=10_000, s=1, T=1, seeds=list(range(100)),
+                ),
+                "config error: experiment: 'seeds' = 100 gives a parameter stack of 2e+08 floats (200 jobs,",
+                "times n = 10000 devices times 100 parameters), above the limit of 134217728",
+            ),
+            # the stack of 2e7 floats fits, but 2000 seeds build 3 generators
+            # for each of 10000 devices: about 45 GB before round 1
+            (
+                experiment_doc(
+                    data={"kind": "linear", "samples": 1000, "dim": 1, "seed": 3},
+                    partition={"mean_size": 1, "size_var": 0.0, "seed": 7},
+                    n=10_000, s=1, T=1, variants=["safl"], seeds=list(range(2000)),
+                ),
+                "config error: experiment: 'seeds' = 2000 gives 6e+07 random generators before round 1",
+                "(2000 seeds times n = 10000 devices times 3 streams), 4.47e+10 bytes at 745 each",
+            ),
         ],
-        ids=["step-table", "pooled-sets", "dim-squared"],
+        ids=["step-table", "pooled-sets", "dim-squared", "one-hot-targets", "parameter-stack", "generators"],
     )
     def test_a_gather_beyond_memory_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys, doc, message, floats):
         # refused on load, before anything but the small dataset is allocated
@@ -725,6 +758,28 @@ class TestCli:
         monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 3839)
         with pytest.raises(ExperimentConfigError, match="'E' = 3 .* 768 entries .* of dim 5 features each, 3.84e\\+03 floats"):
             load_experiment(write_doc(tmp_path, doc))
+
+    def test_limits_count_the_parameter_stack_and_the_generators(self, tmp_path, monkeypatch):
+        # 4 jobs of 8 logistic devices over 3 classes of 1 feature, one
+        # sample each: a stack of 96 floats, above every other array; each
+        # of the 2 seeds builds 3 generators per device (safl draws init,
+        # train and mask streams), 48 in all
+        doc = experiment_doc(
+            data={"kind": "blobs", "samples": 60, "dim": 1, "classes": 3, "seed": 2},
+            objective={"kind": "multinomial_logistic", "reg": 0.5}, s=1,
+            partition={"mean_size": 1, "size_var": 0.0, "max_labels_per_device": 1, "seed": 7},
+        )
+        path = write_doc(tmp_path, doc)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 96)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_BYTES", 48 * 745)
+        load_experiment(path)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 95)
+        with pytest.raises(ExperimentConfigError, match=r"^experiment: 'seeds' = 2 gives a parameter stack of 96 floats"):
+            load_experiment(path)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 96)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_BYTES", 48 * 745 - 1)
+        with pytest.raises(ExperimentConfigError, match=r"^experiment: 'seeds' = 2 gives 48 random generators"):
+            load_experiment(path)
 
     def test_label_cap_above_the_labels_present_exits_one(self, tmp_path, capsys):
         doc = experiment_doc(data={"kind": "blobs", "samples": 60, "dim": 3, "classes": 3}, T=2, seeds=[1])

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import finite_difference_grad, full_batch_grad, power_iteration_extremes, random_problem
-from reference import Sample, grad, loss, row_major_gd, sample
+from reference import Sample, grad, loss, pooled_shards, row_major_gd, sample
 
 from safl_sim import (
     Dataset,
@@ -35,7 +35,7 @@ TOY_D2 = Dataset(np.array([[0.0, 1.5]]), np.array([1.0]))
 
 
 def toy_union() -> Dataset:
-    return Shards.pool([TOY_D1, TOY_D2]).data
+    return pooled_shards([TOY_D1, TOY_D2]).data
 
 
 class TestLoss:
@@ -323,7 +323,7 @@ def _pooled_set(source: str, tmp_path, monkeypatch) -> tuple[Objective, Dataset]
     spec = load_experiment(path)
     config = spec.config
     fits, _ = partition_with_holdout(spec.dataset, config.partition, config.holdout_fraction)
-    return config.objective, Shards.pool([spec.dataset.subset(rows) for rows in fits]).data
+    return config.objective, Shards.take(spec.dataset, fits).data
 
 
 def _random_problems():
@@ -351,7 +351,8 @@ def _stops_at_the_reference_step(monkeypatch, obj: Objective, data: Dataset) -> 
 def _drawn_with_replacement(rng, C: int) -> tuple[Objective, Dataset]:
     k, d = int(rng.integers(2, 200)), int(rng.integers(1, 10))
     base = Dataset(rng.standard_normal((k, d)) * rng.uniform(0.2, 3.0), rng.integers(0, C, size=k), n_classes=C)
-    data = base.subset(rng.integers(0, k, size=int(rng.integers(k, 5 * k))))
+    rows = rng.integers(0, k, size=int(rng.integers(k, 5 * k)))
+    data = Dataset(base.X[rows], base.y[rows], n_classes=C)
     return Objective("multinomial_logistic", d, reg=float(rng.uniform(0.05, 1.0)), n_classes=C), data
 
 
@@ -368,7 +369,7 @@ class TestLogisticLayout:
         spec = load_experiment(path)
         config = spec.config
         fits, _ = partition_with_holdout(spec.dataset, config.partition, config.holdout_fraction)
-        pooled = Shards.pool([spec.dataset.subset(rows) for rows in fits]).data
+        pooled = Shards.take(spec.dataset, fits).data
         assert _agrees_within_1e_14(config.objective, pooled)
 
     @pytest.mark.parametrize("C", [2, 3, 9])
@@ -425,7 +426,8 @@ class TestLogisticLayout:
         monkeypatch.setattr(objectives, "_HASH_STEP", np.uint64(0))
         rng = np.random.default_rng(80)
         obj, data = _drawn_with_replacement(rng, 3)
-        data = data.subset(np.repeat(np.arange(len(data)), rng.integers(1, 4, size=len(data))))
+        rows = np.repeat(np.arange(len(data)), rng.integers(1, 4, size=len(data)))
+        data = Dataset(data.X[rows], data.y[rows], n_classes=3)
         X, _, counts = _solved_rows(monkeypatch, obj, data)
         runs = 1 + int(((data.X[1:] != data.X[:-1]).any(axis=1) | (data.y[1:] != data.y[:-1])).sum())
         assert len(X) == runs > len(np.unique(np.column_stack([data.X, data.y]), axis=0))

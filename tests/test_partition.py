@@ -78,7 +78,8 @@ class TestLabelPool:
             classes = int(rng.integers(2, 8))
             data = make_blobs(int(rng.integers(60, 400)), 3, classes, seed=trial)
             if classes >= 4 and trial % 2:  # some labels absent from the data
-                data = data.subset(np.flatnonzero(data.y % 2 == 0))
+                even = data.y % 2 == 0
+                data = Dataset(data.X[even], data.y[even], data.n_classes)
             n = int(rng.integers(2, 30))
             spec = PartitionSpec(
                 n=n,
@@ -195,7 +196,7 @@ class TestHoldoutSplit:
         data = make_linear_regression(50, 3, seed=2)
         spec = PartitionSpec(n=5, mean_size=0.5, seed=3)
         for train, hold in zip(*partition_with_holdout(data, spec, 0.5)):
-            assert len(data.subset(train)) == 1 and len(data.subset(hold)) == 0
+            assert len(train) == 1 and len(hold) == 0
 
     def test_pieces_are_the_shards_split_by_the_split_stream(self):
         # the pieces are rows of the dataset, not of the shard: the same
@@ -204,12 +205,10 @@ class TestHoldoutSplit:
         spec = PartitionSpec(n=9, mean_size=12.0, size_var=20.0, max_labels_per_device=2, seed=21)
         split_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(4)[3])
         for rows, train_rows, hold_rows in zip(draws(data, spec), *partition_with_holdout(data, spec, 0.3)):
-            shard, train, hold = data.subset(rows), data.subset(train_rows), data.subset(hold_rows)
-            perm = split_rng.permutation(len(shard))
-            n_hold = len(hold)
-            assert n_hold == min(int(np.floor(len(shard) * 0.3)), len(shard) - 1)
-            assert np.array_equal(train.X, shard.X[perm[n_hold:]]) and np.array_equal(train.y, shard.y[perm[n_hold:]])
-            assert np.array_equal(hold.X, shard.X[perm[:n_hold]]) and np.array_equal(hold.y, shard.y[perm[:n_hold]])
+            perm = split_rng.permutation(len(rows))
+            n_hold = len(hold_rows)
+            assert n_hold == min(int(np.floor(len(rows) * 0.3)), len(rows) - 1)
+            assert np.array_equal(train_rows, rows[perm[n_hold:]]) and np.array_equal(hold_rows, rows[perm[:n_hold]])
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.9])
     def test_holdout_sizes_are_those_of_the_split(self, fraction):
@@ -218,7 +217,7 @@ class TestHoldoutSplit:
         sizes = PARTITION.check_fits(data, spec)
         assert sizes == sample_sizes(spec)
         _, holds = partition_with_holdout(data, spec, fraction)
-        assert [len(data.subset(hold)) for hold in holds] == PARTITION.holdout_sizes(sizes, fraction).tolist()
+        assert [len(hold) for hold in holds] == PARTITION.holdout_sizes(sizes, fraction).tolist()
 
     def test_split_is_deterministic(self):
         data = make_blobs(200, 3, 3, seed=9)
@@ -226,8 +225,7 @@ class TestHoldoutSplit:
         a = partition_with_holdout(data, spec, 0.25)
         b = partition_with_holdout(data, spec, 0.25)
         for ta, ha, tb, hb in zip(*a, *b):
-            assert np.array_equal(data.subset(ta).X, data.subset(tb).X)
-            assert np.array_equal(data.subset(ha).X, data.subset(hb).X)
+            assert np.array_equal(ta, tb) and np.array_equal(ha, hb)
 
 
 class TestDatasetCsv:

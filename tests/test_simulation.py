@@ -78,7 +78,7 @@ class TestToyScenario:
             seed=7,
             holdout_fraction=0.0,
         )
-        res = run(cfg, prepared=prepare(cfg, shards=TOY_SHARDS))
+        res = run(cfg, prepared=prepare(cfg, *reference.pooled(TOY_SHARDS)))
         z_bar = res.server.global_params
         assert np.allclose(z_bar, [0.0, 2.0 / 9.0], atol=0)
         # the averaged model sits 2/9 away from the optimum even though one
@@ -150,12 +150,12 @@ class TestSingleDevice:
         _, dev_ss = root.spawn(2)
         init_ss, train_ss, _, _ = dev_ss.spawn(4)
         w = 0.1 * np.random.default_rng(init_ss).standard_normal(obj.param_dim)
-        shard = data.subset(partition_with_holdout(data, part, 0.0)[0][0])
+        shard = Shards.take(data, partition_with_holdout(data, part, 0.0)[0])
         rng = np.random.default_rng(train_ss)
         steps = 0
         for _ in range(8):
-            indices = sample_indices(len(shard), 1, "iid_draw", rng)
-            (w,), took = run_local_epochs([w], [shard], obj, 1, cfg.lr, indices, start_steps=[steps])
+            indices = sample_indices(int(shard.sizes[0]), 1, "iid_draw", rng)
+            (w,), took = run_local_epochs([w], shard, obj, 1, cfg.lr, indices, start_steps=[steps])
             steps += took
         assert np.array_equal(res.devices.params[0], w)
 
@@ -191,13 +191,16 @@ class TestPreparedProblem:
         cfg = base_config(obj, part)
         with pytest.raises(ValueError, match="not both"):
             build_state(cfg, data, prepared=prepare(cfg, data))
+        with pytest.raises(ValueError, match="need a dataset or a prepared problem"):
+            run(cfg)
 
-    def test_explicit_shards_are_not_frozen_in_place(self):
+    def test_the_callers_dataset_is_not_frozen_in_place(self):
         cfg = base_config(TOY_OBJ, PartitionSpec(n=2, mean_size=1.0, seed=1), local_solver="oracle", rounds=1)
-        shards = [Dataset(s.X.copy(), s.y.copy()) for s in TOY_SHARDS]
-        problem = prepare(cfg, shards=shards)
+        data, rows = reference.pooled(TOY_SHARDS)
+        problem = prepare(cfg, data, rows)
         assert not problem.train.data.X.flags.writeable and problem.evals is problem.train
-        shards[0].X[0, 0] = 0.5  # the caller's arrays stay writable
+        data.X[0, 0] = 0.5  # the caller's arrays stay writable
+        assert problem.train.data.X[0, 0] == 0.25
 
     @staticmethod
     def ragged(holdout_fraction=0.15):
@@ -210,7 +213,11 @@ class TestPreparedProblem:
     def ragged_problem(cls, holdout_fraction=0.15):
         cfg, data = cls.ragged(holdout_fraction)
         fits, holds = partition_with_holdout(data, cfg.partition, holdout_fraction)
-        return prepare(cfg, data), [(data.subset(fit), data.subset(hold)) for fit, hold in zip(fits, holds)]
+
+        def gather(rows):
+            return Dataset(data.X[rows], data.y[rows])
+
+        return prepare(cfg, data), [(gather(fit), gather(hold)) for fit, hold in zip(fits, holds)]
 
     def test_each_eval_set_is_the_holdout_or_else_the_training_set(self, monkeypatch):
         problem, pairs = self.ragged_problem()
@@ -232,14 +239,61 @@ class TestPreparedProblem:
 
         # prepare builds one Dataset per pooled set, and none per device
         built = []
-        init, subset = Dataset.__init__, Dataset.subset
+        init = Dataset.__init__
         monkeypatch.setattr(Dataset, "__init__", lambda self, *args, **kw: built.append("Dataset") or init(self, *args, **kw))
-        monkeypatch.setattr(Dataset, "subset", lambda self, rows: built.append("subset") or subset(self, rows))
         for fraction, pooled_sets in ((0.15, 2), (0.0, 1)):
             cfg, data = self.ragged(fraction)
             built.clear()
             prepare(cfg, data)
             assert built == ["Dataset"] * pooled_sets
+
+    @staticmethod
+    def arrays(problem):
+        return [problem.sizes, problem.w_star] + [
+            array for shards in (problem.train, problem.evals)
+            for array in (shards.data.X, shards.data.y, shards.starts, shards.sizes)
+        ]
+
+    @pytest.mark.parametrize("holdout_fraction", [0.0, 0.15])
+    def test_the_partitions_rows_given_prepare_its_problem_bitwise(self, holdout_fraction):
+        cfg, data = self.ragged(holdout_fraction)
+        given = prepare(cfg, data, partition_with_holdout(data, cfg.partition, holdout_fraction))
+        own = prepare(cfg, data)
+        assert (given.evals is given.train) == (own.evals is own.train) == (holdout_fraction == 0)
+        for got, want in zip(self.arrays(given), self.arrays(own), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_gated_run_on_given_rows_scores_exactly_their_holdouts(self, monkeypatch):
+        # twelve devices of 3 to 8 training rows and 1 to 3 holdout rows,
+        # taken apart from one permutation of the dataset
+        cfg, data = self.ragged(0.0)
+        cfg = replace(cfg, algorithm="safl_extended", selected_per_round=4, gate=GateConfig(gap_scale=0.5),
+                      anneal=AnnealConfig(temperature=6.0, epsilon=0.4))
+        rng = np.random.default_rng(8)
+        cuts = np.cumsum(rng.integers([3, 1], [9, 4], size=(12, 2)).ravel())
+        pieces = np.split(rng.permutation(len(data)), cuts)
+        fits, holds = pieces[:-1:2], pieces[1:-1:2]
+        problem = prepare(cfg, data, (fits, holds))
+        assert problem.sizes.tolist() == [len(fit) + len(hold) for fit, hold in zip(fits, holds)]
+        for k, (fit, hold) in enumerate(zip(fits, holds)):
+            for shard, rows in ((problem.train.dataset(k), fit), (problem.evals.dataset(k), hold)):
+                assert np.array_equal(shard.X, data.X[rows]) and np.array_equal(shard.y, data.y[rows])
+
+        scored, seen = [], []
+
+        def spy(global_model, local_models, eval_sets, obj):
+            scored.append(eval_sets)
+            return gate_proxies(global_model, local_models, eval_sets, obj)
+
+        monkeypatch.setattr(simulation, "gate_proxies", spy)
+        run(cfg, prepared=problem, observer=lambda record, server, devices, extras: seen.append(extras))
+        assert len(scored) == len(seen) == cfg.rounds
+        for eval_sets, extras in zip(scored, seen):
+            assert eval_sets.data is problem.evals.data
+            assert sorted(extras["gate"]) == extras["selected"]
+            for i, k in enumerate(extras["selected"]):
+                assert np.array_equal(eval_sets.dataset(i).X, data.X[holds[k]])
+                assert np.array_equal(eval_sets.dataset(i).y, data.y[holds[k]])
 
     def test_every_array_is_read_only_and_every_view_shares_the_pool(self):
         problem, _ = self.ragged_problem()
@@ -305,7 +359,7 @@ class TestDeterminismAndAccounting:
         part = PartitionSpec(n=4, mean_size=10.0, seed=1)
         cfg = base_config(obj, part, lr=LrSchedule("constant", 1.0), rounds=3)
         with pytest.raises(DivergenceError) as err:
-            run(cfg, prepared=prepare(cfg, shards=shards))
+            run(cfg, prepared=prepare(cfg, *reference.pooled(shards)))
         assert str(err.value).startswith("device 1 diverged in round 1: ")
         assert err.value.round_index == 1
 
@@ -488,12 +542,6 @@ class TestConfigValidation:
         data, obj, part = regression_setup()
         with pytest.raises(ValueError, match="gate"):
             base_config(obj, part, algorithm="safl_extended")
-
-    def test_explicit_shards_take_no_holdout(self):
-        part = PartitionSpec(n=2, mean_size=1.0, seed=1)
-        cfg = base_config(TOY_OBJ, part, local_solver="oracle", holdout_fraction=0.2)
-        with pytest.raises(ValueError, match="holdout_fraction"):
-            prepare(cfg, shards=TOY_SHARDS)
 
     def test_global_estimate_needs_matched_weights(self):
         data, obj, part = regression_setup()
@@ -811,6 +859,15 @@ class TestLockstep:
             assert np.array_equal(joint.devices.steps_done, own.devices.steps_done)
             assert np.array_equal(joint.init_params, own.init_params)
 
+    def test_a_seeds_jobs_share_its_one_read_only_initialisation(self):
+        data, configs = self.configs()
+        results = simulation.run_jobs(configs, prepare(configs[0], data))
+        for seed in (11, 12):
+            inits = [result.init_params for config, result in zip(configs, results) if config.seed == seed]
+            assert len(inits) == 3 and all(init is inits[0] for init in inits)
+            assert not inits[0].flags.writeable
+        assert not np.array_equal(results[0].init_params, results[1].init_params)
+
     def test_observers_see_what_they_see_alone(self):
         # the round's steps run for every job before any observer is called,
         # so each observer must still see only its own job's state, as alone
@@ -865,7 +922,7 @@ class TestLockstep:
         shards[4].X[0] = [1e150, 0.0]
         cfg = base_config(obj, PartitionSpec(n=6, mean_size=10.0, seed=1), rounds=4, lr=LrSchedule("constant", 0.1))
         configs = [replace(cfg, seed=47), replace(cfg, seed=104), replace(cfg, algorithm="safl", seed=52)]
-        return prepare(cfg, shards=shards), configs
+        return prepare(cfg, *reference.pooled(shards)), configs
 
     def test_jobs_retiring_at_full_participation_equal_jobs_run_alone(self):
         data, configs = self.full_participation()
@@ -979,9 +1036,9 @@ class TestLockstep:
         )
         configs = [replace(cfg, seed=3), replace(cfg, algorithm="safl", seed=4), replace(cfg, seed=2)]
         with pytest.raises(DivergenceError) as alone:
-            run(configs[0], prepared=prepare(cfg, shards=shards))
+            run(configs[0], prepared=prepare(cfg, *reference.pooled(shards)))
         with pytest.raises(DivergenceError) as joint:
-            simulation.run_jobs(configs, prepare(cfg, shards=shards))
+            simulation.run_jobs(configs, prepare(cfg, *reference.pooled(shards)))
         assert str(joint.value) == str(alone.value) == (
             "device 4 diverged in round 8: parameters diverged during local training"
         )
@@ -1002,7 +1059,7 @@ class TestLockstep:
             anneal=AnnealConfig(6.0, 0.4),
         )
         configs = [replace(cfg, algorithm="fedavg", seed=3), replace(cfg, seed=4), replace(cfg, seed=2)]
-        problem = prepare(cfg, shards=shards)
+        problem = prepare(cfg, *reference.pooled(shards))
         alone, errors = [[] for _ in configs], []
         for config, log in zip(configs, alone):
             with pytest.raises(DivergenceError) as err:

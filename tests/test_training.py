@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import full_batch_grad, random_problem, record_explicit_decay, record_unshifted
@@ -12,9 +14,16 @@ from safl_sim import (
     curvature,
     empirical_risk,
     optimum_oracle,
-    run_local_epochs,
 )
 from safl_sim.training import Shards, sample_indices
+
+
+def run_local_epochs(params, shards, *args, **kwargs):
+    """The kernel on ``shards``: a ``Shards``, or separate shards, which are
+    pooled first as a simulation holds them (``reference.pooled_shards``)."""
+    if not isinstance(shards, Shards):
+        shards = reference.pooled_shards(shards)
+    return safl_sim.training.run_local_epochs(params, shards, *args, **kwargs)
 
 
 class TestLrSchedule:
@@ -157,6 +166,25 @@ class TestRunLocalEpochs:
         for i in idx:
             w = sgd_step(w, sample(shard, int(i)), obj, 0.1)
         assert np.allclose(z, w, atol=1e-12)
+
+    def test_many_classes_build_no_class_by_class_table(self):
+        # the one-hot targets take one float per step and class: a C x C
+        # identity table would take 200 MB on its own at C = 5000
+        C = 5000
+        obj = Objective("multinomial_logistic", 2, reg=0.1, n_classes=C)
+        shards = reference.pooled_shards([Dataset(np.array([[1.0, 0.5], [-0.5, 1.0]]), np.array([3, C - 1]), C)])
+        sched, indices = LrSchedule("constant", 0.1), np.array([0, 1, 1, 0])
+        tracemalloc.start()
+        try:
+            (z,), steps = run_local_epochs([np.zeros(obj.param_dim)], shards, obj, 2, sched, indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == 4 and peak < C * C * 8 // 20
+        w = np.zeros(obj.param_dim)
+        for i in indices.tolist():
+            w = sgd_step(w, sample(shards.data, i), obj, 0.1)
+        assert np.abs(z - w).max() <= 1e-13 * max(1.0, np.abs(w).max())
 
     def test_full_batch_descent_decreases_risk_each_epoch(self):
         # deterministic descent on noiseless data with alpha < 1/lam
@@ -376,7 +404,7 @@ class TestBatchedKernel:
             params, [shards[k] for k in rows], obj, 2, sched, np.concatenate(streams), start_steps=starts
         )
         # the same rows read in place from the shards pooled once, as a simulation reads them
-        pooled = Shards.pool(shards)
+        pooled = reference.pooled_shards(shards)
         in_place = Shards(pooled.data, pooled.starts[rows], pooled.sizes[rows])
         Z_pooled, _ = run_local_epochs(params, in_place, obj, 2, sched, np.concatenate(streams), start_steps=starts)
         assert np.array_equal(Z_pooled, Z)
@@ -389,7 +417,8 @@ class TestBatchedKernel:
 
         obj, shards, params, _ = ragged_batch("ridge", 5, seed=8)
         indices = np.concatenate([stream(shards[k], 3, k) for k in range(5)])
-        result = simulation.run_local_epochs(params, shards, obj, 3, LrSchedule("constant", 0.01), indices)
+        pooled = reference.pooled_shards(shards)
+        result = simulation.run_local_epochs(params, pooled, obj, 3, LrSchedule("constant", 0.01), indices)
         assert type(result[1]) is int
         assert result[1] == sum(3 * len(s) for s in shards)
 
@@ -449,7 +478,7 @@ class TestShiftedLogits:
         # rate * reg above 2 makes |1 - rate * reg| above 1, so the bound no
         # longer holds, however small the data
         obj, shards, params, _ = class_batch(3, 4, "equal", seed=1)
-        shards = Shards.pool(shards)
+        shards = reference.pooled_shards(shards)
         W3 = np.asarray(params)[shards.layout(1).rank].reshape(4, 3, -1)
         for value, unshifted in ((2.0 / obj.reg, True), (2.0 / obj.reg * 1.01, False)):
             sched = LrSchedule("constant", value)
@@ -459,7 +488,7 @@ class TestShiftedLogits:
 
     def test_layout_norms_are_each_shards_largest_row_norm(self):
         obj, shards, _, _ = class_batch(3, 12, "equal", seed=2)
-        pooled = Shards.pool(shards)
+        pooled = reference.pooled_shards(shards)
         rows = np.random.default_rng(3).permutation(np.repeat(np.arange(12), 3))  # each shard thrice, in any order
         layout = Shards(pooled.data, pooled.starts[rows], pooled.sizes[rows]).layout(2)
         want = np.array([np.linalg.norm(shards[k].X, axis=1).max() for k in rows])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import pooled_shards
 
 import safl_sim.simulation
 from safl_sim import (
@@ -239,7 +240,7 @@ def _random_round(kind: str, rng: np.random.Generator):
         else:
             eval_sets.append(Dataset(X, rng.standard_normal(m)))
     scale = rng.uniform(0.1, 5.0)
-    return obj, scale * rng.standard_normal(obj.param_dim), scale * rng.standard_normal((k, obj.param_dim)), Shards.pool(eval_sets)
+    return obj, scale * rng.standard_normal(obj.param_dim), scale * rng.standard_normal((k, obj.param_dim)), pooled_shards(eval_sets)
 
 
 class TestGateProxies:
@@ -275,14 +276,14 @@ class TestGateProxies:
             obj, w_global, w_local, pooled = _random_round(kind, rng)
             picks = rng.permutation(len(pooled))[: max(1, len(pooled) // 2)]
             chosen = Shards(pooled.data, pooled.starts[picks], pooled.sizes[picks])
-            apart = Shards.pool([pooled.dataset(k) for k in picks])
+            apart = pooled_shards([pooled.dataset(k) for k in picks])
             got = gate_proxies(w_global, w_local[picks], chosen, obj)
             want = gate_proxies(w_global, w_local[picks], apart, obj)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_empty_eval_set_rejected(self):
         obj = Objective("ridge", 2, reg=0.1)
-        sets = Shards.pool([Dataset(np.ones((2, 2)), np.zeros(2)), Dataset(np.zeros((0, 2)), np.zeros(0))])
+        sets = pooled_shards([Dataset(np.ones((2, 2)), np.zeros(2)), Dataset(np.zeros((0, 2)), np.zeros(0))])
         with pytest.raises(ValueError, match="nonempty"):
             gate_proxies(np.zeros(2), np.zeros((2, 2)), sets, obj)
 
