@@ -407,6 +407,100 @@ class TestCompare:
         with pytest.raises(ValueError, match="round grid"):
             compare([pa["safl"], pb["safl"]])
 
+    # each file's seeds: fedavg's seed 3 stopped after round 20, safl shares
+    # seeds 2 to 4 with it, safl_extended none, and the twin is fedavg's file
+    OFFSETS = {1: 0.05, 2: 0.2, 3: 0.1, 4: 0.025, 5: 0.55, 6: 0.15, 20: 0.3, 21: 0.0}
+    SCALES = {"fedavg": lambda seed: 1.0, "safl": lambda seed: 0.6 + seed % 2 * 0.7, "safl_extended": lambda seed: 0.5}
+    PINNED_TABLE = """\
+variant            round           mse      stderr    accuracy     d_mse_vs_fedavg
+fedavg                 1       2.09375      0.0387      0.4950                   0
+fedavg                 3       0.47865      0.0387      0.5350                   0
+fedavg                 5      0.272635      0.0387      0.5750                   0
+fedavg                 7       0.20174      0.0387      0.6150                   0
+fedavg                 9      0.167824      0.0387      0.6550                   0
+fedavg                11       0.14857      0.0387      0.6950                   0
+fedavg                13      0.136419      0.0387      0.7350                   0
+fedavg                15      0.128177      0.0387      0.7750                   0
+fedavg                17      0.122284      0.0387      0.8150                   0
+fedavg                19      0.117899      0.0387      0.8550                   0
+fedavg                20      0.116111      0.0387      0.8750                   0
+safl                   1         1.965       0.399      0.4800            -0.12875
+safl                   3      0.543712       0.138      0.5200            0.065062
+safl                   5      0.362419       0.111      0.5600           0.0897837
+safl                   7      0.300031       0.102      0.6000           0.0982912
+safl                   9      0.270185      0.0984      0.6400            0.102361
+safl                  11      0.253242      0.0964      0.6800            0.104672
+safl                  13      0.242549      0.0951      0.7200             0.10613
+safl                  15      0.235295      0.0943      0.7600            0.107119
+safl                  17       0.23011      0.0937      0.8000            0.107826
+safl                  19      0.226251      0.0933      0.8400            0.108352
+safl                  20      0.224677      0.0931      0.8600            0.108567
+safl_extended          1          1.15        0.15      0.3150            -0.94375
+safl_extended          3       0.34245        0.15      0.3550             -0.1362
+safl_extended          5      0.239443        0.15      0.3950          -0.0331927
+safl_extended          7      0.203995        0.15      0.4350          0.00225508
+safl_extended          9      0.187037        0.15      0.4750            0.019213
+safl_extended         11       0.17741        0.15      0.5150           0.0288399
+safl_extended         13      0.171335        0.15      0.5550           0.0349154
+safl_extended         15      0.167213        0.15      0.5950           0.0390367
+safl_extended         17      0.164267        0.15      0.6350           0.0419832
+safl_extended         19      0.162075        0.15      0.6750           0.0441755
+safl_extended         20       0.16118        0.15      0.6950           0.0450697
+fedavg                 1       2.09375      0.0387      0.4950                   0
+fedavg                 3       0.47865      0.0387      0.5350                   0
+fedavg                 5      0.272635      0.0387      0.5750                   0
+fedavg                 7       0.20174      0.0387      0.6150                   0
+fedavg                 9      0.167824      0.0387      0.6550                   0
+fedavg                11       0.14857      0.0387      0.6950                   0
+fedavg                13      0.136419      0.0387      0.7350                   0
+fedavg                15      0.128177      0.0387      0.7750                   0
+fedavg                17      0.122284      0.0387      0.8150                   0
+fedavg                19      0.117899      0.0387      0.8550                   0
+fedavg                20      0.116111      0.0387      0.8750                   0
+safl                  20  paired vs fedavg over 3 seeds: wins 2, losses 1, sign test p 1, stderr 0.00522, d_mse -0.00372678
+safl_extended         20  paired vs fedavg: no shared seed
+fedavg                20  paired vs fedavg over 4 seeds: wins 0, losses 0, sign test p 1, stderr 0, d_mse 0
+"""
+    PINNED_THRESHOLDS = {
+        None: "",
+        0.5: """
+rounds to mse <= 0.5:
+  fedavg: median 3 (min 3, max 4, unreached 0)
+  safl: median 3 (min 2, max 4, unreached 1)
+  safl_extended: median 2.5 (min 2, max 3, unreached 0)
+  fedavg: median 3 (min 3, max 4, unreached 0)
+""",
+        1e-9: """
+rounds to mse <= 1e-09:
+  fedavg: never reached
+  safl: never reached
+  safl_extended: never reached
+  fedavg: never reached
+""",
+    }
+
+    @pytest.mark.parametrize("threshold", [None, 0.5, 1e-9])
+    def test_the_whole_output_is_pinned(self, tmp_path, threshold):
+        def write(variant, last_round_by_seed):
+            rows = [
+                MetricsRow(
+                    variant, seed, r, self.SCALES[variant](seed) * 2 / r**1.5 + self.OFFSETS[seed],
+                    0.5 + r / 50 - seed / 100, 2 * r + seed, None if variant == "fedavg" else 0.9**r, None, None,
+                )
+                for seed, last in last_round_by_seed.items()
+                for r in range(1, last + 1)
+            ]
+            emit_metrics_csv(rows, tmp_path / f"{variant}.csv")
+            return tmp_path / f"{variant}.csv"
+
+        base = write("fedavg", {1: 22, 2: 22, 3: 20, 4: 22})
+        twin = tmp_path / "twin.csv"
+        twin.write_bytes(base.read_bytes())
+        files = [base, write("safl", {seed: 22 for seed in range(2, 7)}), write("safl_extended", {20: 22, 21: 22}), twin]
+        out = io.StringIO()
+        compare(files, mse_threshold=threshold, stream=out)
+        assert out.getvalue() == self.PINNED_TABLE + self.PINNED_THRESHOLDS[threshold]
+
 
 class TestCli:
     def test_missing_required_key_exits_one_and_names_it(self, tmp_path, capsys):
