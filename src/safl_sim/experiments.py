@@ -103,14 +103,12 @@ class MetricsRow(typing.NamedTuple):
 METRICS_COLUMNS = MetricsRow._fields
 
 
-def _column_type(hint) -> tuple[str, bool]:
-    """A column's type name and whether it is optional, from its annotation."""
-    types = typing.get_args(hint) or (hint,)  # an optional column's are (type, NoneType)
-    return types[0].__name__, type(None) in types
-
-
-# (name, type, optional) of each column
-_COLUMN_TYPES = tuple((name, *_column_type(hint)) for name, hint in typing.get_type_hints(MetricsRow).items())
+# (type, optional) of each column, from its annotation: an optional column's
+# arguments are (type, NoneType)
+_COLUMN_TYPES = tuple(
+    ((typing.get_args(hint) or (hint,))[0], type(None) in typing.get_args(hint))
+    for hint in typing.get_type_hints(MetricsRow).values()
+)
 # the columns that a row leaves None unless their bound applies
 _BOUND_COLUMNS = tuple(MetricsRow._field_defaults)
 
@@ -451,23 +449,9 @@ def rows_for_run(
     return list(map(MetricsRow, itertools.repeat(variant), itertools.repeat(seed), *columns))
 
 
-def _format_column(values: list, kind: str) -> list[str]:
-    if kind == "float":
-        if None not in values:
-            return list(map(format, values, itertools.repeat(".17g")))
-        return ["" if v is None else f"{v:.17g}" for v in values]
-    return ["" if v is None else str(v) for v in values]
-
-
-_PARSERS = {"str": str, "int": int, "float": float}
-
-
-def _parse(text: str, kind: str, optional: bool):
-    return None if optional and not text else _PARSERS[kind](text)
-
-
 def emit_metrics_csv(rows: list[MetricsRow], path) -> None:
-    columns = [_format_column(values, kind) for values, (_, kind, _) in zip(zip(*rows), _COLUMN_TYPES)]
+    specs = [".17g" if kind is float else "" for kind, _ in _COLUMN_TYPES]
+    columns = [["" if v is None else format(v, spec) for v in values] for values, spec in zip(zip(*rows), specs)]
     lines = [",".join(METRICS_COLUMNS), *map(",".join, zip(*columns))]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -486,7 +470,8 @@ def parse_metrics_csv(path) -> list[MetricsRow]:
             parts = line.split(",")
             if len(parts) != len(METRICS_COLUMNS):
                 raise ValueError(f"{path}: malformed metrics row")
-            rows.append(MetricsRow(*(_parse(text, kind, optional) for text, (_, kind, optional) in zip(parts, _COLUMN_TYPES))))
+            cells = zip(parts, _COLUMN_TYPES)
+            rows.append(MetricsRow(*(None if optional and not text else kind(text) for text, (kind, optional) in cells)))
     return rows
 
 
@@ -524,14 +509,13 @@ def execute(spec: ExperimentSpec, out_dir, *, quiet: bool = False) -> dict[str, 
         paths[variant] = path
 
         finals = [by_job[(variant, seed)][-1] for seed in seeds]
-        mse_values = [r.mse for r in finals]
-        acc_values = [r.accuracy_proxy for r in finals]
+        mse_mean, mse_stderr, accuracy_mean = _row_stats(finals)
         summary["variants"][variant] = {
             "seeds": len(seeds),
             "final_round": max(r.round for r in finals),
-            "final_mse_mean": statistics.fmean(mse_values),
-            "final_mse_stderr": _stderr(mse_values),
-            "final_accuracy_mean": statistics.fmean(acc_values),
+            "final_mse_mean": mse_mean,
+            "final_mse_stderr": mse_stderr,
+            "final_accuracy_mean": accuracy_mean,
             "uploads_total_mean": statistics.fmean([r.uploads_cumulative for r in finals]),
         }
         if not quiet:
@@ -549,11 +533,10 @@ def _stderr(values: list[float]) -> float:
     return statistics.stdev(values) / math.sqrt(len(values)) if len(values) > 1 else 0.0
 
 
-def _series_by_variant(rows: list[MetricsRow]) -> dict[str, dict[int, list[MetricsRow]]]:
-    grouped: dict[str, dict[int, list[MetricsRow]]] = {}
-    for r in rows:
-        grouped.setdefault(r.variant, {}).setdefault(r.round, []).append(r)
-    return grouped
+def _row_stats(rows: list[MetricsRow]) -> tuple[float, float, float]:
+    """The mse mean, the mse standard error and the mean accuracy of ``rows``."""
+    mses = [r.mse for r in rows]
+    return statistics.fmean(mses), _stderr(mses), statistics.fmean([r.accuracy_proxy for r in rows])
 
 
 def _sign_test(wins: int, losses: int) -> float:
@@ -568,7 +551,10 @@ def compare(paths: list, mse_threshold: float | None = None, stream=None) -> Non
     the difference against the first file, then each file's final-round
     difference paired by seed against the first (its mean, paired stderr,
     wins and losses, where a win is a lower mse, and sign test), and
-    rounds-to-threshold stats."""
+    rounds-to-threshold stats.
+
+    Each variant of each file is read as its seeds' trajectories, seed ->
+    round -> row."""
     import sys
 
     stream = stream or sys.stdout
@@ -579,40 +565,36 @@ def compare(paths: list, mse_threshold: float | None = None, stream=None) -> Non
         rows = parse_metrics_csv(path)
         if not rows:
             raise ValueError(f"{path}: no metrics rows")
-        tables.extend(_series_by_variant(rows).items())
-    base_rounds = sorted(tables[0][1])
-    for variant, by_round in tables[1:]:
-        if sorted(by_round) != base_rounds:
+        by_variant: dict[str, dict[int, dict[int, MetricsRow]]] = {}
+        for r in rows:
+            by_variant.setdefault(r.variant, {}).setdefault(r.seed, {})[r.round] = r
+        tables.extend(by_variant.items())
+    trajectories = [t for _, seeds in tables for t in seeds.values()]
+    grid = set().union(*tables[0][1].values())
+    for variant, seeds in tables[1:]:
+        if set().union(*seeds.values()) != grid:
             raise ValueError(f"variant '{variant}' has an incompatible round grid")
 
     # a round that some seed of some file stopped before (early_stop_mse)
     # would average over the survivors only, so the table leaves it out
-    seed_counts = [len({row.seed for rows in by_round.values() for row in rows}) for _, by_round in tables]
-    rounds = [r for r in base_rounds if all(len(t[r]) == k for (_, t), k in zip(tables, seed_counts))]
+    rounds = sorted(set(trajectories[0]).intersection(*trajectories))
     if not rounds:
         raise ValueError("no round was reached by every seed")
     sample = rounds[:: max(len(rounds) // 10, 1)]
     if rounds[-1] not in sample:
         sample.append(rounds[-1])
 
-    def stats(rows):
-        mses = [r.mse for r in rows]
-        return statistics.fmean(mses), _stderr(mses), statistics.fmean([r.accuracy_proxy for r in rows])
-
-    base_name = tables[0][0]
+    base_name, base = tables[0]
     print(f"{'variant':<16}{'round':>8}{'mse':>14}{'stderr':>12}{'accuracy':>12}{'d_mse_vs_' + base_name:>20}", file=stream)
-    base_means = {r: stats(tables[0][1][r])[0] for r in sample}
-    for variant, by_round in tables:
-        for r in sample:
-            mean, se, acc = stats(by_round[r])
-            delta = mean - base_means[r]
-            print(f"{variant:<16}{r:>8}{mean:>14.6g}{se:>12.3g}{acc:>12.4f}{delta:>20.6g}", file=stream)
+    stats = [[_row_stats([t[r] for t in seeds.values()]) for r in sample] for _, seeds in tables]
+    for (variant, _), table in zip(tables, stats):
+        for r, (mean, se, acc), (base_mean, _, _) in zip(sample, table, stats[0]):
+            print(f"{variant:<16}{r:>8}{mean:>14.6g}{se:>12.3g}{acc:>12.4f}{mean - base_mean:>20.6g}", file=stream)
     # variants share each seed's random numbers, so a seed's difference
     # against the first file is far less noisy than the difference of means
     last = rounds[-1]
-    base_mse = {row.seed: row.mse for row in tables[0][1][last]}
-    for variant, by_round in tables[1:]:
-        diffs = [row.mse - base_mse[row.seed] for row in by_round[last] if row.seed in base_mse]
+    for variant, seeds in tables[1:]:
+        diffs = [t[last].mse - base[seed][last].mse for seed, t in seeds.items() if seed in base]
         if not diffs:
             print(f"{variant:<16}{last:>8}  paired vs {base_name}: no shared seed", file=stream)
             continue
@@ -625,14 +607,10 @@ def compare(paths: list, mse_threshold: float | None = None, stream=None) -> Non
 
     if mse_threshold is not None:
         print(f"\nrounds to mse <= {mse_threshold:g}:", file=stream)
-        for variant, by_round in tables:
-            per_seed: dict[int, int | None] = {}
-            for r in sorted(by_round):
-                for row in by_round[r]:
-                    if row.seed not in per_seed and row.mse <= mse_threshold:
-                        per_seed[row.seed] = r
-            seeds = {row.seed for rows in by_round.values() for row in rows}
-            reached = sorted(v for v in per_seed.values() if v is not None)
+        for variant, seeds in tables:
+            # each seed's first round at or below the threshold
+            hits = ([r for r, row in t.items() if row.mse <= mse_threshold] for t in seeds.values())
+            reached = sorted(min(h) for h in hits if h)
             missing = len(seeds) - len(reached)
             if reached:
                 med = statistics.median(reached)
