@@ -71,7 +71,8 @@ MAX_ROUND_STEPS = 2**24
 # entries times classes; set-up gathers the pooled training and eval sets,
 # rows times dim, stacks every job's device parameters, jobs times n times
 # the parameter count, and the pooled solve and the step-size bounds form
-# X'X, dim times dim.  A document that would need more than MAX_BYTES
+# X'X, dim times dim; a logistic round's metric forms jobs times classes
+# logits over the distinct pooled training rows.  A document that would need more than MAX_BYTES
 # (1 GiB) for any one of them, or for the random generators that set-up
 # builds before round 1 (GENERATOR_BYTES each, measured with tracemalloc
 # under numpy 2.4), is refused on load, before anything is allocated.
@@ -369,6 +370,18 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
             f"{len(variants)} variants times {len(seeds)} seeds, times n = {config.n} devices times "
             f"{objective.param_dim} parameters), above the limit of {MAX_FLOATS}"
         )
+    if objective.kind == "multinomial_logistic":
+        # each round's accuracy proxy scores every job's estimate over the
+        # distinct pooled training rows, of which there are at most as many
+        # as either pooled training rows or dataset rows
+        distinct = min(int((sizes - holds).sum()), len(dataset))
+        logits = jobs * objective.n_classes * distinct
+        if logits > MAX_FLOATS:
+            raise ExperimentConfigError(
+                f"experiment: 'seeds' = {len(seeds)} gives the round metric a logit table of {_rough(logits)} floats "
+                f"({jobs} jobs, {len(variants)} variants times {len(seeds)} seeds, times {objective.n_classes} classes "
+                f"times {distinct} distinct training rows at most), above the limit of {MAX_FLOATS}"
+            )
     # each seed builds one generator per device per stream its lead draws
     streams = 2 + max(sum(RULES[variant]) for variant in variants)
     generators = len(seeds) * config.n * streams

@@ -334,27 +334,29 @@ def stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
     """
     seed = int(seed)
     words = (seed.bit_length() + 31) // 32  # the seed's 32-bit words
+    keys = np.asarray(keys, dtype=np.uint32)
     pool = np.repeat(np.random.SeedSequence(seed).pool[:, None], len(keys), axis=1)
     # numpy has taken one hash step per pool word, per cross-mix of two pool
-    # words (12) and per pool word for each seed word beyond the pool
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) % 2**32
-
-    def hashed(value: np.ndarray, mult: int) -> np.ndarray:
-        """One hash step of ``value``; the constant advances by ``mult``."""
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult % 2**32
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
-
-    for word in np.asarray(keys, dtype=np.uint32).T:  # each key word into every pool word
-        for row in pool:
-            mixed = np.uint32(_MIX_MULT_L) * row - np.uint32(_MIX_MULT_R) * hashed(word, _MULT_A)
-            row[:] = mixed ^ (mixed >> 16)
-    const = _INIT_B
-    state = np.stack([hashed(pool[i % len(pool)], _MULT_B) for i in range(8)], axis=1)
+    # words (12) and per pool word for each seed word beyond the pool; each
+    # later step xors the value with one constant and multiplies it by the next
+    start = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) % 2**32
+    consts_a = _hash_constants(start, _MULT_A, 4 * keys.shape[1])
+    for j, word in enumerate(keys.T):  # each key word into every pool word at once
+        hashed = (word ^ consts_a[4 * j : 4 * j + 4]) * consts_a[4 * j + 1 : 4 * j + 5]
+        mixed = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * (hashed ^ (hashed >> 16))
+        pool = mixed ^ (mixed >> 16)
+    consts_b = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = (pool[np.arange(8) % len(pool)] ^ consts_b[:-1]) * consts_b[1:]
+    state ^= state >> 16
     # word pairs form each uint64 little-endian, whatever the host's order
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _hash_constants(start: int, mult: int, steps: int) -> np.ndarray:
+    """The constants of ``steps`` hash steps from ``start``, as a
+    (steps + 1, 1) ``uint32`` column: step i reads rows i and i + 1."""
+    consts = [start * pow(mult, i, 2**32) % 2**32 for i in range(steps + 1)]
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
 class _StateRow(ISeedSequence):

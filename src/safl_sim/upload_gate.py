@@ -79,7 +79,9 @@ def gate_proxies(
     X, y = eval_sets.data.X[rows], eval_sets.data.y[rows]
     global_scores = _scores(obj, global_model, X)
     if obj.is_classification:
-        local_scores = (local_models.reshape(-1, obj.n_classes, obj.dim)[owner] * X[:, None, :]).sum(-1)
+        # class by class, so that no (rows, classes, dim) copy of the models forms
+        models = local_models.reshape(-1, obj.n_classes, obj.dim)
+        local_scores = np.stack([(models[owner, c] * X).sum(-1) for c in range(obj.n_classes)], axis=-1)
     else:
         local_scores = (local_models[owner] * X).sum(-1)
 

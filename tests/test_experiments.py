@@ -503,6 +503,17 @@ rounds to mse <= 1e-09:
 
 
 class TestCli:
+    def test_an_aggregate_beyond_the_float_range_exits_two(self, tmp_path, monkeypatch, capsys):
+        # 7 devices all selected come back at the largest float; fused, they overflow
+        def at_the_float_max(params, *args, **kwargs):
+            return np.full_like(params, np.finfo(float).max), None
+
+        monkeypatch.setattr(safl_sim.simulation, "run_local_epochs", at_the_float_max)
+        path = write_doc(tmp_path, experiment_doc(n=7, s=7, variants=["fedavg"], seeds=[1]))
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == "runtime divergence: aggregate diverged in round 1\n"
+
     def test_missing_required_key_exits_one_and_names_it(self, tmp_path, capsys):
         doc = experiment_doc()
         del doc["n"]
@@ -779,8 +790,21 @@ class TestCli:
                 "config error: experiment: 'seeds' = 2000 gives 6e+07 random generators before round 1",
                 "(2000 seeds times n = 10000 devices times 3 streams), 4.47e+10 bytes at 745 each",
             ),
+            # 20 jobs score 1000 classes over 8000 pooled training rows
+            # (100 devices of 80 training rows each) every round
+            (
+                experiment_doc(
+                    data={"kind": "blobs", "samples": 20_000, "dim": 2, "classes": 1000, "seed": 2},
+                    objective={"kind": "multinomial_logistic", "reg": 0.5},
+                    partition={"mean_size": 100, "size_var": 0.0, "max_labels_per_device": 1000, "seed": 7},
+                    n=100, s=1, T=1, holdout_fraction=0.2, lr={"kind": "constant", "value": 0.1},
+                    seeds=list(range(10)),
+                ),
+                "config error: experiment: 'seeds' = 10 gives the round metric a logit table of 1.6e+08 floats",
+                "(20 jobs, 2 variants times 10 seeds, times 1000 classes times 8000 distinct training rows at most)",
+            ),
         ],
-        ids=["step-table", "pooled-sets", "dim-squared", "one-hot-targets", "parameter-stack", "generators"],
+        ids=["step-table", "pooled-sets", "dim-squared", "one-hot-targets", "parameter-stack", "generators", "logit-table"],
     )
     def test_a_gather_beyond_memory_exits_one_naming_the_key(self, tmp_path, monkeypatch, capsys, doc, message, floats):
         # refused on load, before anything but the small dataset is allocated
@@ -873,6 +897,26 @@ class TestCli:
         monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 96)
         monkeypatch.setattr(safl_sim.experiments, "MAX_BYTES", 48 * 745 - 1)
         with pytest.raises(ExperimentConfigError, match=r"^experiment: 'seeds' = 2 gives 48 random generators"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize("samples, distinct", [(60, 24), (12, 12)])
+    def test_limits_count_the_round_metrics_logit_table(self, tmp_path, monkeypatch, samples, distinct):
+        # 4 jobs score 3 classes over at most the 24 pooled training rows of
+        # 8 logistic devices, and at most the dataset's rows: above the
+        # stack of 96 floats and every other array
+        doc = experiment_doc(
+            data={"kind": "blobs", "samples": samples, "dim": 1, "classes": 3, "seed": 2},
+            objective={"kind": "multinomial_logistic", "reg": 0.5}, s=1,
+            partition={"mean_size": 3, "size_var": 0.0, "max_labels_per_device": 1, "seed": 7},
+        )
+        path = write_doc(tmp_path, doc)
+        logits = 4 * 3 * distinct
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", logits)
+        load_experiment(path)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", logits - 1)
+        with pytest.raises(
+            ExperimentConfigError, match=rf"^experiment: 'seeds' = 2 gives the round metric a logit table of {logits} floats"
+        ):
             load_experiment(path)
 
     def test_label_cap_above_the_labels_present_exits_one(self, tmp_path, capsys):

@@ -60,13 +60,20 @@ def test_the_public_surface_is_pinned():
 
 
 def test_every_definition_is_read_in_the_package():
-    # a function, method or class is dead code unless some name or attribute
-    # in the package reads it, the package exports it (__all__), or Python's
-    # data model calls it (a dunder); ast, not tokens, as an f-string's
-    # fields hide their names from the tokenizer
+    # a function, method, class or name bound at module top level is dead
+    # code unless some name or attribute in the package reads it, the
+    # package exports it (__all__), or Python's data model calls it (a
+    # dunder); ast, not tokens, as an f-string's fields hide their names
+    # from the tokenizer
     defined, read = {}, set(safl_sim.__all__)
     for path in sorted(Path(safl_sim.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for statement in tree.body:
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                for node in (name for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)):
+                    defined.setdefault(node.id, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

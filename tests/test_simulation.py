@@ -363,6 +363,19 @@ class TestDeterminismAndAccounting:
         assert str(err.value).startswith("device 1 diverged in round 1: ")
         assert err.value.round_index == 1
 
+    def test_an_aggregate_beyond_the_float_range_is_divergence(self, monkeypatch):
+        # 7 finite rows at the largest float, fused under uniform weights,
+        # sum past it: the aggregate diverged, not a device
+        data, obj, part = regression_setup(n=7)
+
+        def at_the_float_max(params, *args, **kwargs):
+            return np.full_like(params, np.finfo(float).max), None
+
+        monkeypatch.setattr(simulation, "run_local_epochs", at_the_float_max)
+        with pytest.raises(DivergenceError, match=r"^aggregate diverged in round 1$") as err:
+            run(base_config(obj, part), dataset=data)
+        assert err.value.round_index == 1
+
 
 # run seeds of 1, 2, 3-4 and 5-8 32-bit words: a seed shorter than the
 # hash's pool of 4 is padded to it, and the words of a longer one past the

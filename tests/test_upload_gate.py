@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,24 @@ class TestGateProxies:
         sets = pooled_shards([Dataset(np.ones((2, 2)), np.zeros(2)), Dataset(np.zeros((0, 2)), np.zeros(0))])
         with pytest.raises(ValueError, match="nonempty"):
             gate_proxies(np.zeros(2), np.zeros((2, 2)), sets, obj)
+
+    def test_local_scores_gather_no_copy_of_the_models_per_row(self):
+        # 500 eval rows of 40 features under 100-class models: a (rows,
+        # classes, dim) gather of the models and its product take 2 * 16 MB
+        rows, C, d, k = 500, 100, 40, 5
+        rng = np.random.default_rng(14)
+        obj = Objective("multinomial_logistic", d, reg=0.1, n_classes=C)
+        data = Dataset(rng.standard_normal((rows, d)), rng.integers(0, C, size=rows), n_classes=C)
+        eval_sets = Shards.take(data, np.array_split(np.arange(rows), k))
+        w_global, w_local = rng.standard_normal(obj.param_dim), rng.standard_normal((k, obj.param_dim))
+        gate_proxies(w_global, w_local, eval_sets, obj)  # builds the row map, cached on first use
+        tracemalloc.start()
+        try:
+            gate_proxies(w_global, w_local, eval_sets, obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * C * d * 8 / 4
 
 
 class TestBatchedGateInTheRound:
