@@ -72,10 +72,11 @@ MAX_ROUND_STEPS = 2**24
 # rows times dim, stacks every job's device parameters, jobs times n times
 # the parameter count, and the pooled solve and the step-size bounds form
 # X'X, dim times dim; a logistic round's metric forms jobs times classes
-# logits over the distinct pooled training rows.  A document that would need more than MAX_BYTES
-# (1 GiB) for any one of them, or for the random generators that set-up
-# builds before round 1 (GENERATOR_BYTES each, measured with tracemalloc
-# under numpy 2.4), is refused on load, before anything is allocated.
+# logits over the distinct pooled training rows.  A document that would
+# need more than MAX_BYTES (1 GiB) for any one of them, or for the random
+# generators that set-up builds before round 1 (GENERATOR_BYTES each,
+# measured with tracemalloc under numpy 2.4), is refused on load, before
+# anything is allocated.
 MAX_BYTES = 2**30
 MAX_FLOATS = MAX_BYTES // 8
 GENERATOR_BYTES = 745
