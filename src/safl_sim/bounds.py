@@ -1,5 +1,5 @@
-"""Convergence-rate bounds for the annealed federated SGD loop, plus an
-empirical rate fitter.
+"""Convergence-rate bounds for the annealed federated SGD loop and the
+assembly of their measured inputs.
 
 With strong convexity ``mu``, smoothness ``lam``, constant step ``alpha``
 below ``1/(2*lam - mu)``, per-device gradient-variance bounds ``sigma_k^2``,
@@ -149,11 +149,6 @@ def theorem3_constant(alpha0: float, mu: float, sigma_sqs, etas, zeta_weighted: 
     return max(noise, zeta_weighted)
 
 
-def theorem3_bound(c: float, t: int) -> float:
-    """Decaying-step eta-weighted per-device error bound c/(t+1)."""
-    return corollary1_bound(c, t)
-
-
 def hessian_range(obj: Objective, shards: list[Dataset]) -> tuple[float, float]:
     """The smallest per-shard mu and the largest per-shard lam."""
     bounds = [hessian_bounds(obj, s) for s in shards]
@@ -202,42 +197,3 @@ def measure_bound_inputs(
         local_iterations=local_iterations,
         zeta=initial_spread(init_stacks, w_star),
     )
-
-
-def fit_rate(mse_series, *, subtract_floor: bool = False) -> tuple[float, float]:
-    """Fit the tail decay exponent of an error series.
-
-    Regresses ``log(mse - floor)`` on ``log(t+1)`` over the tail half of the
-    series.  ``subtract_floor`` should be set for constant-step runs, whose
-    error plateaus at a noise floor (estimated by the series minimum); decaying
-    step runs use floor 0.  Returns (exponent, floor).  Entries at or below the
-    floor are dropped from the fit; geometric decay therefore comes out as a
-    large negative exponent rather than an error.
-    """
-    series = np.asarray(mse_series, dtype=np.float64)
-    if series.ndim != 1 or series.size < 20:
-        raise ValueError("rate fitting needs a 1-d series of at least 20 entries")
-    if np.any(series <= 0):
-        raise ValueError("rate fitting needs strictly positive entries")
-    if np.allclose(series, series[0], rtol=1e-12, atol=0.0):
-        raise ValueError("series is constant; no rate to fit")
-    floor = float(series.min()) if subtract_floor else 0.0
-    start = series.size // 2
-    t = np.arange(series.size, dtype=np.float64) + 1.0
-    resid = series[start:] - floor
-    tt = t[start:]
-    keep = resid > 0
-    if keep.sum() < 5:
-        raise ValueError("too few points above the floor to fit a rate")
-    slope, _ = np.polyfit(np.log(tt[keep]), np.log(resid[keep]), 1)
-    return float(slope), floor
-
-
-# fitted exponents below this are geometric decay
-LINEAR_CUTOFF = -3.0
-
-
-def rate_class(exponent: float) -> str:
-    """Coarse label for a fitted exponent: geometric decay fits poorly on a
-    log-log axis and shows up far below any polynomial rate."""
-    return "linear" if exponent < LINEAR_CUTOFF else "sublinear"

@@ -1,4 +1,4 @@
-"""Synthetic task generators and the CSV dataset interchange format.
+"""Synthetic task generators and the reader of the CSV dataset format.
 
 The CSV form is one row per sample with header ``f0,...,f{d-1},label``.  The
 label column holds integer class indices for classification data and float
@@ -71,19 +71,6 @@ def make_blobs(
     rng.shuffle(y)
     X = centers[y] + cluster_std * rng.standard_normal((samples, dim))
     return Dataset(X, y, n_classes=classes)
-
-
-def save_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(dataset.dim)] + ["label"])
-        for i in range(len(dataset)):
-            row = [f"{v:.17g}" for v in dataset.X[i]]
-            if dataset.is_classification:
-                row.append(str(int(dataset.y[i])))
-            else:
-                row.append(f"{dataset.y[i]:.17g}")
-            writer.writerow(row)
 
 
 def load_csv(path, *, n_classes: int | None = None) -> Dataset:

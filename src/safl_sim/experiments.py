@@ -476,7 +476,7 @@ def parse_metrics_csv(path) -> list[MetricsRow]:
         header = fh.readline().rstrip("\n")
         if header.split(",") != list(METRICS_COLUMNS):
             raise ValueError(f"{path}: unexpected metrics header")
-        rows = []
+        rows, keys = [], set()
         for line in fh:
             line = line.rstrip("\n")
             if not line:
@@ -485,7 +485,11 @@ def parse_metrics_csv(path) -> list[MetricsRow]:
             if len(parts) != len(METRICS_COLUMNS):
                 raise ValueError(f"{path}: malformed metrics row")
             cells = zip(parts, _COLUMN_TYPES)
-            rows.append(MetricsRow(*(None if optional and not text else kind(text) for text, (kind, optional) in cells)))
+            row = MetricsRow(*(None if optional and not text else kind(text) for text, (kind, optional) in cells))
+            if row[:3] in keys:
+                raise ValueError(f"{path}: repeated metrics row for (variant, seed, round) = {row[:3]}")
+            keys.add(row[:3])
+            rows.append(row)
     return rows
 
 

@@ -37,7 +37,6 @@ from safl_sim import (
     sample_mask,
     theorem1_bound,
 )
-from safl_sim.bounds import fit_rate
 from safl_sim.simulation import prepare
 from safl_sim.training import Shards
 
@@ -238,7 +237,8 @@ def test_criterion_4_decaying_step_rate(regression_pool, regression_curvature):
     bound = c / (rounds + 1.0)
     dominated = bool(np.all(mean - 3 * stderr <= bound))
 
-    exponent, _ = fit_rate(mean)
+    half = REG_ROUNDS // 2
+    exponent = np.polyfit(np.log(rounds[half:]), np.log(mean[half:]), 1)[0]
     in_band = -1.4 <= exponent <= -0.7
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0

@@ -16,7 +16,7 @@ from safl_sim import (
     run,
     theorem1_bound,
 )
-from safl_sim.bounds import BoundInputs, fit_rate, rate_class, theorem3_bound, theorem3_constant
+from safl_sim.bounds import BoundInputs, theorem3_constant
 from safl_sim.simulation import prepare
 
 
@@ -107,9 +107,6 @@ class TestDecayingStepBounds:
         with pytest.raises(ValueError, match="alpha0"):
             theorem3_constant(1.0, 1.0, np.array([1.0]), np.array([1.0]), 0.0)
 
-    def test_theorem3_bound_shares_the_hyperbolic_form(self):
-        assert theorem3_bound(8.0, 3) == 2.0
-
 
 class TestMeasuredInputs:
     def test_zeta_is_max_over_devices_of_mean_over_runs(self):
@@ -146,36 +143,6 @@ class TestMeasuredInputs:
         )
         assert inp.mu == pytest.approx(min(curvature(obj, s).mu for s in shards))
         assert inp.lam == pytest.approx(max(curvature(obj, s).lam for s in shards))
-
-
-class TestFitRate:
-    def test_exact_hyperbolic_series_fits_slope_minus_one(self):
-        t = np.arange(400)
-        exponent, floor = fit_rate(3.0 / (t + 1.0))
-        assert exponent == pytest.approx(-1.0, abs=0.01)
-        assert floor == 0.0
-
-    def test_geometric_series_classified_as_linear(self):
-        series = 0.9 ** np.arange(200)
-        exponent, _ = fit_rate(series)
-        assert exponent < -3.0
-        assert rate_class(exponent) == "linear"
-        assert rate_class(-1.0) == "sublinear"
-
-    def test_floor_subtraction_reports_the_series_minimum(self):
-        t = np.arange(300)
-        series = 2.0 / (t + 1.0) + 0.25
-        exponent, floor = fit_rate(series, subtract_floor=True)
-        assert floor == pytest.approx(series.min())
-        assert exponent < -0.5
-
-    def test_degenerate_series_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            fit_rate(np.full(50, 3.0))
-        with pytest.raises(ValueError, match="20"):
-            fit_rate(np.ones(10))
-        with pytest.raises(ValueError, match="positive"):
-            fit_rate(np.linspace(1, -1, 50))
 
 
 class TestBoundDominanceSmall:

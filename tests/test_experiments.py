@@ -559,6 +559,9 @@ class TestCli:
             ("partition", "size_var", 1e300, "size_var"),
             ("partition", "max_labels_per_device", 1.5, "'max_labels_per_device'"),
             ("data", "samples", "80", "'samples'"),
+            ("data", "kind", "bogus", "data: unknown kind 'bogus'"),
+            ("objective", "kind", "multinomial_logistic", "objective: 'multinomial_logistic' needs classification data"),
+            ("objective", "reg", 10**400, "objective: 'reg' must be a finite number"),
             ("data", "samples", 0, "samples"),
             (None, "data", {"kind": "blobs", "samples": 60, "dim": 3, "classes": 1}, "classes"),
             (None, "seeds", [-1], "'seeds'"),
@@ -597,6 +600,22 @@ class TestCli:
         code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
         assert named in capsys.readouterr().err
+
+    def test_a_document_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        path = write_doc(tmp_path, [experiment_doc()])
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == "config error: experiment document must be a JSON object\n"
+
+    @pytest.mark.parametrize("init_scale, round_1_bound", [(1e150, pytest.approx(9.53e300, rel=1e-3)), (1e154, None)])
+    def test_a_spread_beyond_the_float_range_leaves_the_bound_column_empty(self, tmp_path, init_scale, round_1_bound):
+        # at 1e154 the squared initial distances overflow while every mse stays finite
+        doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "demo.json").read_text())
+        doc.update(T=3, seeds=[1], variants=["fedavg"], init_scale=init_scale)
+        path = write_doc(tmp_path, doc)
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        bounds = [r.bound_corollary1 for r in parse_metrics_csv(tmp_path / "out" / "fedavg.csv")]
+        assert bounds[0] == round_1_bound
+        assert [b is None for b in bounds] == [round_1_bound is None] * 3
 
     def test_epochs_beyond_a_rounds_step_limit_exit_one_naming_e(self, tmp_path, capsys):
         # E = 1e9 on the demo asks for 2.4e11 sample indices in one round:
@@ -1076,6 +1095,38 @@ class TestCli:
         assert code == 1
         expected = other if both_empty else empty
         assert capsys.readouterr().err == f"compare error: {expected}: no metrics rows\n"
+
+    HEADER = ",".join(METRICS_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("variant,seed,round\n", "unexpected metrics header"),
+            (HEADER + "fedavg,1,1,0.5\n", "malformed metrics row"),
+            # seed 1's round 1 twice, mse 1.0 and then 3.0
+            (
+                HEADER + "fedavg,1,1,1.0,0.5,20,,,\nfedavg,1,1,3.0,0.5,20,,,\n",
+                "repeated metrics row for (variant, seed, round) = ('fedavg', 1, 1)",
+            ),
+        ],
+        ids=["header", "field-count", "repeated-row"],
+    )
+    def test_compare_of_a_malformed_file_exits_one_and_names_it(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "fedavg.csv"
+        bad.write_text(text)
+        other = tmp_path / "safl.csv"
+        emit_metrics_csv([MetricsRow("safl", 1, 1, 2.0, 0.5, 20, 0.5)], other)
+        assert cli_main(["compare", str(bad), str(other)]) == 1
+        assert capsys.readouterr().err == f"compare error: {bad}: {message}\n"
+
+    def test_compare_of_seeds_that_share_no_round_exits_one(self, tmp_path, capsys):
+        # both files' round grids are {1, 2}, but seed 1 reports round 1 only and seed 2 round 2 only
+        rows = [MetricsRow("fedavg", 1, 1, 1.0, 0.5, 20, None), MetricsRow("fedavg", 2, 2, 1.0, 0.5, 40, None)]
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            emit_metrics_csv(rows, path)
+        assert cli_main(["compare", *map(str, paths)]) == 1
+        assert capsys.readouterr().err == "compare error: no round was reached by every seed\n"
 
     def test_compare_single_file_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

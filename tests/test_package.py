@@ -6,11 +6,7 @@ import safl_sim
 
 # the package's definitions that nothing in it reads, each kept for a reason
 UNREAD_KEPT = {
-    "save_csv": "the inverse of load_csv, with which the tests write dataset files",
     "theorem3_constant": "the quasi-convex bound that ROADMAP item 8 emits as a column, unit-tested until then",
-    "theorem3_bound": "the quasi-convex bound that ROADMAP item 8 emits as a column, unit-tested until then",
-    "fit_rate": "the error-rate fit that acceptance criterion 4 reads",
-    "rate_class": "with fit_rate, acceptance criterion 4's rate fit: it names a fitted exponent's class",
 }
 
 

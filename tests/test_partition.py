@@ -15,7 +15,6 @@ from safl_sim import (
     partition_with_holdout,
 )
 from safl_sim import partition as PARTITION
-from safl_sim.datasets import save_csv
 from safl_sim.partition import sample_sizes
 
 
@@ -229,10 +228,16 @@ class TestHoldoutSplit:
 
 
 class TestDatasetCsv:
+    @staticmethod
+    def save(data: Dataset, path) -> None:
+        """Write ``data`` in the dataset CSV format that ``load_csv`` reads."""
+        header = ",".join([*(f"f{j}" for j in range(data.dim)), "label"])
+        np.savetxt(path, np.column_stack([data.X, data.y]), fmt="%.17g", delimiter=",", comments="", header=header)
+
     def test_round_trip_classification(self, tmp_path):
         data = make_blobs(60, 3, 4, seed=5)
         path = tmp_path / "data.csv"
-        save_csv(data, path)
+        self.save(data, path)
         loaded = load_csv(path, n_classes=4)
         assert np.array_equal(loaded.X, data.X)
         assert np.array_equal(loaded.y, data.y)
@@ -241,7 +246,7 @@ class TestDatasetCsv:
     def test_round_trip_regression(self, tmp_path):
         data = make_linear_regression(40, 5, noise_std=0.3, seed=6)
         path = tmp_path / "data.csv"
-        save_csv(data, path)
+        self.save(data, path)
         loaded = load_csv(path)
         assert np.array_equal(loaded.X, data.X)
         assert np.array_equal(loaded.y, data.y)
