@@ -66,17 +66,18 @@ MAX_RECORDS = 2**21
 # is rejected on load.
 MAX_ROUND_STEPS = 2**24
 
-# Each round the kernel gathers its step table's samples, as float64 arrays
-# of entries times dim features, and a logistic step's one-hot targets, of
-# entries times classes; set-up gathers the pooled training and eval sets,
-# rows times dim, stacks every job's device parameters, jobs times n times
-# the parameter count, and the pooled solve and the step-size bounds form
-# X'X, dim times dim; a logistic round's metric forms jobs times classes
-# logits over the distinct pooled training rows.  A document that would
-# need more than MAX_BYTES (1 GiB) for any one of them, or for the random
-# generators that set-up builds before round 1 (GENERATOR_BYTES each,
-# measured with tracemalloc under numpy 2.4), is refused on load, before
-# anything is allocated.
+# A generated dataset holds samples times dim features (blobs also draws
+# classes times dim centres).  Each round the kernel gathers its step table's
+# samples, as float64 arrays of entries times dim features, and a logistic
+# step's one-hot targets, of entries times classes; set-up gathers the pooled
+# training and eval sets, rows times dim, stacks every job's device
+# parameters, jobs times n times the parameter count, and the pooled solve
+# and the step-size bounds form X'X, dim times dim; a logistic round's metric
+# forms jobs times classes logits over the distinct pooled training rows.  A
+# document that would need more than MAX_BYTES (1 GiB) for any one of them,
+# or for the random generators that set-up builds before round 1
+# (GENERATOR_BYTES each, measured with tracemalloc under numpy 2.4), is
+# refused on load, before anything is allocated.
 MAX_BYTES = 2**30
 MAX_FLOATS = MAX_BYTES // 8
 GENERATOR_BYTES = 745
@@ -219,7 +220,20 @@ def _build_dataset(section: dict) -> Dataset:
     kind = _read(section, "data", "kind", "str")
     params = {k: v for k, v in section.items() if k != "kind"}
     if kind in DATA_GENERATORS:
-        return _call(DATA_GENERATORS[kind], params, "data")
+        generate = DATA_GENERATORS[kind]
+        _check_keys(params, set(_parameters(generate)), "data")
+        # the generated arrays are counted before the generator draws them
+        samples, dim = _read(params, "data", "samples", "int"), _read(params, "data", "dim", "int")
+        counts = [("samples", samples, "rows")]
+        if "classes" in _parameters(generate):
+            counts.append(("classes", _read(params, "data", "classes", "int"), "class centres"))
+        for key, count, what in counts:
+            if min(count, dim) > 0 and count * dim > MAX_FLOATS:  # a count below 1 is the generator's to refuse
+                raise ExperimentConfigError(
+                    f"data: '{key}' = {count} gives {_rough(count)} {what} of dim {dim} features, "
+                    f"{_rough(count * dim)} floats, above the limit of {MAX_FLOATS}"
+                )
+        return _call(generate, params, "data")
     if kind != "csv":
         raise ExperimentConfigError(f"data: unknown kind '{kind}'")
     _check_keys(params, {"path", "classes"}, "data")
@@ -250,7 +264,9 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
     ``variants`` (a subset of the document's, kept in its order) and
     ``seed_override`` (one seed for the document's list) narrow the grid
     after the whole document is validated and before the limits on metrics
-    rows and round steps are checked against the jobs that will run.
+    rows and round steps are checked against the jobs that will run.  The
+    limits that need no shard size run first; only then are the sizes
+    drawn (``check_fits``) for the limits that read them.
 
     Every check runs here, so a document that loads runs to completion or
     stops on runtime divergence, unless an optimum solve reaches its
@@ -281,7 +297,6 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
     objective = _call(Objective, section, "objective", {"dim": dataset.dim, "n_classes": n_classes})
 
     part = _call(PartitionSpec, top("partition", "dict"), "partition", {"n": top("n", "int")})
-    shard_sizes = _owned("partition", check_fits, dataset, part)
 
     gate = _call(GateConfig, top("gate", "dict"), "gate") if "gate" in doc else None
 
@@ -334,7 +349,25 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
             f"experiment: 'T' = {rounds} gives {_rough(rounds * jobs)} metrics rows (T times {jobs} jobs, "
             f"{len(variants)} variants times {len(seeds)} seeds), above the limit of {MAX_RECORDS}"
         )
-    sizes, dim = np.array(shard_sizes), dataset.dim
+    stack = jobs * config.n * objective.param_dim
+    if stack > MAX_FLOATS:
+        raise ExperimentConfigError(
+            f"experiment: 'seeds' = {len(seeds)} gives a parameter stack of {_rough(stack)} floats ({jobs} jobs, "
+            f"{len(variants)} variants times {len(seeds)} seeds, times n = {config.n} devices times "
+            f"{objective.param_dim} parameters), above the limit of {MAX_FLOATS}"
+        )
+    # each seed builds one generator per device per stream its lead draws
+    streams = 2 + max(sum(RULES[variant]) for variant in variants)
+    generators = len(seeds) * config.n * streams
+    if generators * GENERATOR_BYTES > MAX_BYTES:
+        raise ExperimentConfigError(
+            f"experiment: 'seeds' = {len(seeds)} gives {_rough(generators)} random generators before round 1 "
+            f"({len(seeds)} seeds times n = {config.n} devices times {streams} streams), "
+            f"{_rough(generators * GENERATOR_BYTES)} bytes at {GENERATOR_BYTES} each, above the limit of {MAX_BYTES}"
+        )
+    # every limit above reads only the job grid and n; the shard sizes are
+    # drawn once those hold, for the limits that read them
+    sizes, dim = _owned("partition", check_fits, dataset, part), dataset.dim
     holds = holdout_sizes(sizes, config.holdout_fraction)
     if config.local_solver == "sgd":
         longest = int((sizes - holds).max())
@@ -364,13 +397,6 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
             f"data: dim {dim} gives {objective.kind}'s set-up a {dim} x {dim} matrix (X'X), "
             f"{_rough(dim * dim)} floats, above the limit of {MAX_FLOATS}"
         )
-    stack = jobs * config.n * objective.param_dim
-    if stack > MAX_FLOATS:
-        raise ExperimentConfigError(
-            f"experiment: 'seeds' = {len(seeds)} gives a parameter stack of {_rough(stack)} floats ({jobs} jobs, "
-            f"{len(variants)} variants times {len(seeds)} seeds, times n = {config.n} devices times "
-            f"{objective.param_dim} parameters), above the limit of {MAX_FLOATS}"
-        )
     if objective.kind == "multinomial_logistic":
         # each round's accuracy proxy scores every job's estimate over the
         # distinct pooled training rows, of which there are at most as many
@@ -383,15 +409,6 @@ def load_experiment(path, *, variants=None, seed_override=None) -> ExperimentSpe
                 f"({jobs} jobs, {len(variants)} variants times {len(seeds)} seeds, times {objective.n_classes} classes "
                 f"times {distinct} distinct training rows at most), above the limit of {MAX_FLOATS}"
             )
-    # each seed builds one generator per device per stream its lead draws
-    streams = 2 + max(sum(RULES[variant]) for variant in variants)
-    generators = len(seeds) * config.n * streams
-    if generators * GENERATOR_BYTES > MAX_BYTES:
-        raise ExperimentConfigError(
-            f"experiment: 'seeds' = {len(seeds)} gives {_rough(generators)} random generators before round 1 "
-            f"({len(seeds)} seeds times n = {config.n} devices times {streams} streams), "
-            f"{_rough(generators * GENERATOR_BYTES)} bytes at {GENERATOR_BYTES} each, above the limit of {MAX_BYTES}"
-        )
     return ExperimentSpec(top("name", "str", Path(path).stem), dataset, config, variants, seeds)
 
 

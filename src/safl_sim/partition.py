@@ -8,10 +8,12 @@ scenario).  Regression datasets have no labels to skew and are treated as a
 single label class.
 
 All randomness derives from ``PartitionSpec.seed`` alone, so a spec identifies
-one partition regardless of caller threading.  ``partition_with_holdout`` is
-the one entry point: it derives the spec's four streams once (sizes, labels,
-draws, split), draws each device's rows (``_shard_indices``), then splits
-them into training and holdout rows, as index arrays into the dataset.
+one partition regardless of caller threading.  ``check_fits`` draws and
+checks the shard sizes, from the first of the spec's four streams (sizes,
+labels, draws, split).  ``partition_with_holdout``, the one entry point,
+draws each device's rows from the next two (``_shard_indices``), then splits
+them into training and holdout rows with the last, as index arrays into the
+dataset.
 
 Device k's rows are those of ``choice(pool, m_k, replace=pool.size < m_k)``
 on the draw stream, in device order, with numpy's ``Generator.choice`` as
@@ -58,33 +60,10 @@ def _streams(spec: PartitionSpec):
     return tuple(np.random.default_rng(k) for k in kids)
 
 
-def _draw_sizes(spec: PartitionSpec, rng: np.random.Generator) -> list[int]:
-    draws = rng.normal(spec.mean_size, np.sqrt(spec.size_var), size=spec.n)
-    # floored as floats, so a draw beyond int64 still becomes its exact Python int
-    return list(map(int, np.maximum(np.floor(draws), 1.0).tolist()))
-
-
-def sample_sizes(spec: PartitionSpec) -> list[int]:
-    """Shard sizes m_k = max(floor(x_k), 1), x_k ~ Normal(mean_size, size_var)."""
-    # child 0 alone: children are keyed by their index, so spawn(1)[0] is spawn(4)[0]
-    return _draw_sizes(spec, np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0]))
-
-
 # A shard may be drawn with replacement from a pool smaller than itself, but
 # not beyond this many times the dataset's size: a larger draw is a typo or an
 # overflow (a size near 1e150 could not be allocated, let alone drawn).
 MAX_SHARD_FACTOR = 10
-
-
-def _check_sizes(dataset: Dataset, spec: PartitionSpec, sizes: list[int]) -> None:
-    limit = MAX_SHARD_FACTOR * len(dataset)
-    biggest = max(sizes)
-    if biggest > limit:
-        raise ValueError(
-            f"a shard size drawn from mean_size {spec.mean_size:g} and size_var {spec.size_var:g} "
-            f"is {biggest:.3g}, above the limit of {limit} ({MAX_SHARD_FACTOR} times the "
-            f"{len(dataset)} samples of the dataset)"
-        )
 
 
 def holdout_sizes(sizes, holdout_fraction: float) -> np.ndarray:
@@ -105,14 +84,26 @@ def _labels(dataset: Dataset, spec: PartitionSpec) -> np.ndarray | None:
     return labels
 
 
-def check_fits(dataset: Dataset, spec: PartitionSpec) -> list[int]:
-    """The shard sizes ``spec`` draws (``sample_sizes``).  Raises ValueError
-    when ``spec`` caps label subsets above the labels ``dataset`` holds, or
-    draws a shard above ``MAX_SHARD_FACTOR`` times its size."""
+def check_fits(dataset: Dataset, spec: PartitionSpec) -> np.ndarray:
+    """The shard sizes ``spec`` draws, m_k = max(floor(x_k), 1) with x_k ~
+    Normal(mean_size, size_var) from the first of its four streams, as int64.
+    Raises ValueError when ``spec`` caps label subsets above the labels
+    ``dataset`` holds, or draws a shard above ``MAX_SHARD_FACTOR`` times its
+    size."""
     _labels(dataset, spec)
-    sizes = sample_sizes(spec)
-    _check_sizes(dataset, spec, sizes)
-    return sizes
+    # child 0 alone: children are keyed by their index, so spawn(1)[0] is spawn(4)[0]
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
+    # floored and refused as floats, so a draw beyond int64 is never converted
+    sizes = np.maximum(np.floor(rng.normal(spec.mean_size, np.sqrt(spec.size_var), size=spec.n)), 1.0)
+    limit = MAX_SHARD_FACTOR * len(dataset)
+    biggest = sizes.max()
+    if biggest > limit:
+        raise ValueError(
+            f"a shard size drawn from mean_size {spec.mean_size:g} and size_var {spec.size_var:g} "
+            f"is {biggest:.3g}, above the limit of {limit} ({MAX_SHARD_FACTOR} times the "
+            f"{len(dataset)} samples of the dataset)"
+        )
+    return sizes.astype(np.int64)
 
 
 def _label_pool(labels: np.ndarray, chosen: np.ndarray, n_classes: int) -> np.ndarray:
@@ -230,8 +221,9 @@ def _batched_choice(rng: np.random.Generator, pop: np.ndarray, m: np.ndarray) ->
 
 
 def _shard_indices(dataset: Dataset, spec: PartitionSpec, streams) -> list[np.ndarray]:
-    """Each device's rows of ``dataset``, ``len == m_k`` exactly, drawn from
-    ``streams``, the spec's four (``_streams``).
+    """Each device's rows of ``dataset``, ``len == m_k`` exactly for the
+    sizes of ``check_fits``, drawn from ``streams``, the spec's four
+    (``_streams``), of which the first, the sizes', is left unused.
 
     Samples are drawn without replacement from the label-restricted pool when
     it is large enough, with replacement otherwise: device k's draws are
@@ -244,14 +236,12 @@ def _shard_indices(dataset: Dataset, spec: PartitionSpec, streams) -> list[np.nd
     and the devices between two of them draw together.  The rows are
     gathered once from the pools concatenated.
     """
-    sizes_rng, labels_rng, draw_rng, _ = streams
-    sizes = _draw_sizes(spec, sizes_rng)
-    label_values = _labels(dataset, spec)
-    _check_sizes(dataset, spec, sizes)
-    pools, pool_of = _device_pools(dataset, spec, label_values, labels_rng)
+    _, labels_rng, draw_rng, _ = streams
+    m = check_fits(dataset, spec)
+    pools, pool_of = _device_pools(dataset, spec, _labels(dataset, spec), labels_rng)
 
     pool_sizes = np.array([pool.size for pool in pools])
-    pop, m = pool_sizes[pool_of], np.array(sizes)
+    pop = pool_sizes[pool_of]
     ends = np.cumsum(m)
     starts = ends - m
     local = np.empty(ends[-1], dtype=np.int64)  # each device's draws into its pool
@@ -260,7 +250,7 @@ def _shard_indices(dataset: Dataset, spec: PartitionSpec, streams) -> list[np.nd
         if begin < tail:
             local[starts[begin] : ends[tail - 1]] = _batched_choice(draw_rng, pop[begin:tail], m[begin:tail])
         if tail < spec.n:
-            local[starts[tail] : ends[tail]] = draw_rng.choice(int(pop[tail]), sizes[tail], replace=False)
+            local[starts[tail] : ends[tail]] = draw_rng.choice(int(pop[tail]), int(m[tail]), replace=False)
         begin = tail + 1
     offsets = np.cumsum(pool_sizes) - pool_sizes
     rows = np.concatenate(pools)[local + np.repeat(offsets[pool_of], m)]

@@ -18,7 +18,7 @@ import numpy as np
 
 from safl_sim import Dataset, GradientUnavailableError, LrSchedule, Objective
 from safl_sim.objectives import _check_param, _unshifted_limit, log_softmax
-from safl_sim.partition import PartitionSpec, _check_sizes, _draw_sizes, _label_pool, _labels
+from safl_sim.partition import PartitionSpec, _label_pool, _labels, check_fits
 from safl_sim.simulation import Devices, PreparedProblem, RoundDraws, ServerState, SimConfig
 from safl_sim.training import Shards, StepLayout
 
@@ -238,17 +238,17 @@ def plan_block(
 
 
 def shard_indices(dataset: Dataset, spec: PartitionSpec, streams) -> list[np.ndarray]:
-    """Each device's rows of ``dataset``, drawn from ``streams`` (the spec's
-    four) one device at a time: its label subset, then
+    """Each device's rows of ``dataset``, for the sizes of ``check_fits``,
+    drawn from ``streams`` (the spec's four, the first left unused) one
+    device at a time: its label subset, then
     ``choice(pool, m_k, replace=pool.size < m_k)``.
 
     The reference that ``partition._shard_indices`` is tested against, in
     values and in the generator states it leaves.
     """
-    sizes_rng, labels_rng, draw_rng, _ = streams
-    sizes = _draw_sizes(spec, sizes_rng)
+    _, labels_rng, draw_rng, _ = streams
+    sizes = check_fits(dataset, spec).tolist()
     label_values = _labels(dataset, spec)
-    _check_sizes(dataset, spec, sizes)
 
     pools: dict[tuple, np.ndarray] = {}
     shards: list[np.ndarray] = []

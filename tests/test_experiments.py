@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import inspect
 import io
 import json
@@ -22,6 +23,7 @@ import safl_sim.simulation
 from safl_sim import AnnealConfig, GateConfig, LrSchedule, Objective, PartitionSpec, run, selection_probability
 from safl_sim.cli import main as cli_main
 from safl_sim.experiments import (
+    DATA_GENERATORS,
     MAX_ROUND_STEPS,
     METRICS_COLUMNS,
     ExperimentConfigError,
@@ -651,17 +653,21 @@ class TestCli:
         assert "config error: objective: " in err and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "section, key, value, named",
+        "section, key, value, message",
         [
-            (None, "n", 10**13, "partition"),
-            ("data", "samples", 10**13, "data"),
-            ("data", "dim", 10**13, "data"),
-            (None, "data", {"kind": "blobs", "samples": 40, "dim": 3, "classes": 10**13}, "data"),
+            (None, "n", 10**13, "experiment: 'seeds' = 1 gives a parameter stack of 1e+14 floats"),
+            ("data", "samples", 10**13, "data: 'samples' = 10000000000000 gives 1e+13 rows of dim 5 features, 5e+13 floats"),
+            ("data", "dim", 10**13, "data: 'samples' = 100 gives 100 rows of dim 10000000000000 features, 1e+15 floats"),
+            (
+                None, "data", {"kind": "blobs", "samples": 40, "dim": 3, "classes": 10**13},
+                "data: 'classes' = 10000000000000 gives 1e+13 class centres of dim 3 features, 3e+13 floats",
+            ),
         ],
+        ids=["n", "samples", "dim", "classes"],
     )
-    def test_sizes_too_large_to_allocate_exit_one_naming_the_section(self, tmp_path, capsys, section, key, value, named):
-        # each asks numpy for tens of TiB in one array, which fails at once:
-        # a config error naming the section, never a traceback
+    def test_sizes_too_large_to_allocate_exit_one_naming_the_section(self, tmp_path, capsys, section, key, value, message):
+        # each would ask numpy for tens of TiB in one array: refused on load
+        # by the limit that counts that array, before anything is drawn
         doc = experiment_doc(T=2, seeds=[1])
         if section is None:
             doc[key] = value
@@ -670,7 +676,7 @@ class TestCli:
         code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {named}: Unable to allocate") and "Traceback" not in err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
 
     def test_round_step_limit_counts_the_s_largest_training_shards(self, tmp_path):
         # 8 devices of 10 samples, 2 held out each: 8 to train on, so a
@@ -837,7 +843,7 @@ class TestCli:
         "data, objective, solver, s, counted",
         [
             (None, {"kind": "ridge", "reg": 1.0}, "oracle", 4, True),  # the pooled solve
-            ({"kind": "blobs", "samples": 100, "dim": 50, "classes": 3, "seed": 2},
+            ({"kind": "blobs", "samples": 40, "dim": 50, "classes": 3, "seed": 2},
              {"kind": "multinomial_logistic", "reg": 0.5}, "sgd", 4, True),  # the pooled step size
             (None, {"kind": "least_squares"}, "sgd", 8, True),  # the bound columns, at s = n
             (None, {"kind": "least_squares"}, "sgd", 4, False),
@@ -849,10 +855,11 @@ class TestCli:
     def test_float_limit_counts_dim_squared_where_set_up_forms_it(
         self, tmp_path, monkeypatch, data, objective, solver, s, counted
     ):
-        # 8 devices of 2 samples of 50 features: the pooled sets hold 800
-        # floats and the 2 jobs' step table at most 1600, below X'X's 2500
+        # 8 devices of 2 samples of 50 features: the dataset holds 2000
+        # floats, the pooled sets 800 and the 2 jobs' step table at most
+        # 1600, below X'X's 2500
         doc = experiment_doc(
-            data=data or {"kind": "linear", "samples": 100, "dim": 50, "seed": 3},
+            data=data or {"kind": "linear", "samples": 40, "dim": 50, "seed": 3},
             objective=objective, local_solver=solver, s=s, seeds=[1],
             partition={"mean_size": 2, "size_var": 0.0, "max_labels_per_device": 1, "seed": 7},
         )
@@ -869,11 +876,13 @@ class TestCli:
     def test_float_limit_counts_the_pooled_sets_that_set_up_gathers(self, tmp_path, monkeypatch, holdout_fraction):
         # at 0.2 the holdouts are [0, 1, 0, 1, 1, 1, 0, 1, 0]: the eval set
         # holds the five holdouts and the four other devices' training sets,
-        # more rows than the partition draws; at 0 it is the training set
+        # more rows than the partition draws; at 0 it is the training set.
+        # The dataset's 30 samples are 150 floats, below either.
         doc = experiment_doc(
             partition={"mean_size": 6, "size_var": 16.0, "seed": 4}, n=9, s=1, holdout_fraction=holdout_fraction,
             variants=["fedavg"], seeds=[1],
         )
+        doc["data"]["samples"] = 30
         spec = load_experiment(write_doc(tmp_path, doc))
         problem = prepare(spec.config, spec.dataset)
         floats = problem.train.data.X.size
@@ -938,6 +947,42 @@ class TestCli:
         ):
             load_experiment(path)
 
+    def test_limits_that_need_no_shard_size_run_before_the_sizes_are_drawn(self, tmp_path, monkeypatch, capsys):
+        # the 2 seeds' 48 generators are over the limit: refused naming
+        # 'seeds' before check_fits draws the n shard sizes
+        monkeypatch.setattr(safl_sim.experiments, "MAX_BYTES", 48 * 745 - 1)
+        monkeypatch.setattr(safl_sim.experiments, "check_fits", lambda *args: pytest.fail("the sizes were drawn"))
+        code = cli_main(["run", "--config", str(write_doc(tmp_path, experiment_doc())), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: experiment: 'seeds' = 2 gives 48 random generators")
+
+    @pytest.mark.parametrize(
+        "data, floats, message",
+        [
+            ({"kind": "linear", "samples": 100, "dim": 5, "seed": 3}, 500, "'samples' = 100 gives 100 rows of dim 5 features"),
+            (
+                {"kind": "blobs", "samples": 10, "dim": 5, "classes": 30, "seed": 2}, 150,
+                "'classes' = 30 gives 30 class centres of dim 5 features",
+            ),
+        ],
+        ids=["linear-features", "blobs-centres"],
+    )
+    def test_float_limit_counts_a_generated_dataset_before_drawing_it(self, tmp_path, monkeypatch, data, floats, message):
+        # at the limit the generator is called, and it fails here; one float
+        # below, the document is refused without calling it
+        @functools.wraps(DATA_GENERATORS[data["kind"]])
+        def generate(*args, **kwargs):
+            raise ValueError("drawn")
+
+        monkeypatch.setitem(DATA_GENERATORS, data["kind"], generate)
+        path = write_doc(tmp_path, experiment_doc(data=data))
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", floats)
+        with pytest.raises(ExperimentConfigError, match="^data: drawn$"):
+            load_experiment(path)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", floats - 1)
+        with pytest.raises(ExperimentConfigError, match=re.escape(f"data: {message}, {floats} floats, above the limit of {floats - 1}")):
+            load_experiment(path)
+
     def test_label_cap_above_the_labels_present_exits_one(self, tmp_path, capsys):
         doc = experiment_doc(data={"kind": "blobs", "samples": 60, "dim": 3, "classes": 3}, T=2, seeds=[1])
         doc["partition"]["max_labels_per_device"] = 5
@@ -947,23 +992,29 @@ class TestCli:
         assert "max_labels_per_device" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "objective, classes, cell, value",
+        "objective, classes, cell, value, message",
         [
-            ({"kind": "least_squares"}, None, (5, 0), "nan"),
-            ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 1), "nan"),
-            ({"kind": "lasso", "reg": 0.5}, None, (5, 0), "inf"),
-            ({"kind": "ridge", "reg": 1.0}, None, (5, 1), "-inf"),
-            ({"kind": "ridge", "reg": 1.0}, None, (5, 3), "nan"),
-            ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 3), "1.5"),
-            ({"kind": "ridge", "reg": 1.0}, None, (0, 0), "x0"),
-            ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 1), "1e200"),
+            ({"kind": "least_squares"}, None, (5, 0), "nan", "features must be finite"),
+            ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 1), "nan", "features must be finite"),
+            ({"kind": "lasso", "reg": 0.5}, None, (5, 0), "inf", "features must be finite"),
+            ({"kind": "ridge", "reg": 1.0}, None, (5, 1), "-inf", "features must be finite"),
+            ({"kind": "ridge", "reg": 1.0}, None, (5, 3), "nan", "targets must be finite"),
+            ({"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 3), "1.5", "class labels must be integers"),
+            ({"kind": "ridge", "reg": 1.0}, None, (0, 0), "x0", "dataset CSV feature columns must be named f0..f{d-1}"),
+            (
+                {"kind": "multinomial_logistic", "reg": 0.5}, 3, (5, 1), "1e200",
+                "features are too large: their sum of squares overflows",
+            ),
+            ({"kind": "ridge", "reg": 1.0}, None, (0, 3), "target", "dataset CSV must have header f0,...,f{d-1},label"),
+            ({"kind": "ridge", "reg": 1.0}, None, (5, 3), "0,1", "dataset CSV row has 5 fields, expected 4"),
         ],
         ids=[
             "nan-feature-least_squares", "nan-feature-logistic", "inf-feature-lasso", "inf-feature-ridge",
-            "nan-target", "fractional-label", "bad-header", "overflowing-square-logistic",
+            "nan-target", "fractional-label", "bad-header", "overflowing-square-logistic", "no-label-column",
+            "field-count",
         ],
     )
-    def test_malformed_dataset_csv_exits_one(self, tmp_path, capsys, objective, classes, cell, value):
+    def test_malformed_dataset_csv_exits_one(self, tmp_path, capsys, objective, classes, cell, value, message):
         # past loading, a non-finite value ends in a solver traceback, a
         # divergence or NaN metrics, and a fractional label is truncated
         lines = ["f0,f1,f2,label"] + [f"{0.1 * i},{0.3 - 0.01 * i},{(-1) ** i},{i % 3}" for i in range(60)]
@@ -979,7 +1030,20 @@ class TestCli:
             doc["local_solver"] = "oracle"  # lasso is not trained by SGD
         code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
-        assert "data: 'path'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: data: 'path' ({data}): {message}\n"
+
+    def test_a_blank_dataset_csv_row_is_skipped(self, tmp_path):
+        # the file with a blank row writes the bytes of the file without it
+        lines = ["f0,f1,label"] + [f"{0.1 * i},{(-1) ** i},{0.2 * i}" for i in range(40)]
+        digests = []
+        for name, rows in (("plain", lines), ("blank", [*lines[:20], "", *lines[20:]])):
+            data = tmp_path / f"{name}.csv"
+            data.write_text("\n".join(rows) + "\n")
+            doc = experiment_doc(data={"kind": "csv", "path": str(data)}, n=4, s=4, T=3, seeds=[1], variants=["fedavg"])
+            out = tmp_path / name
+            assert cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(out), "--quiet"]) == 0
+            digests.append((out / "fedavg.csv").read_bytes())
+        assert digests[0] == digests[1]
 
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -1132,6 +1196,29 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["compare", str(tmp_path / "a.csv")])
         assert exc.value.code == 2
+
+    def test_compare_of_two_files_exits_zero_and_prints_the_table(self, tmp_path, capsys):
+        paths = [tmp_path / "fedavg.csv", tmp_path / "safl.csv"]
+        for path, mse in zip(paths, (1.0, 0.75)):
+            emit_metrics_csv([MetricsRow(path.stem, 1, 1, mse, 0.5, 20, None)], path)
+        assert cli_main(["compare", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["variant", "round", "mse", "stderr", "accuracy", "d_mse_vs_fedavg"]
+        assert lines[2].split() == ["safl", "1", "0.75", "0", "0.5000", "-0.25"]
+
+    def test_a_blank_metrics_line_is_skipped(self, tmp_path):
+        rows = [MetricsRow("fedavg", 1, 1, 0.5, 0.5, 4, None), MetricsRow("fedavg", 1, 2, 0.25, 0.5, 8, None)]
+        path = tmp_path / "fedavg.csv"
+        emit_metrics_csv(rows, path)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, lines[0], "\n", *lines[1:], "\n"]))
+        assert parse_metrics_csv(path) == rows
+
+    def test_run_prints_each_variants_summary_line_unless_quiet(self, tmp_path, capsys):
+        path = write_doc(tmp_path, experiment_doc(T=2, seeds=[1], variants=["fedavg"]))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"fedavg: final mse 0.00271226 over 1 seed(s) -> {out / 'fedavg.csv'}\n"
 
 
 def tiny_doc(kind):

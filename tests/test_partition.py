@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from safl_sim import (
     partition_with_holdout,
 )
 from safl_sim import partition as PARTITION
-from safl_sim.partition import sample_sizes
 
 
 def draws(data: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
@@ -29,40 +29,49 @@ def shards(data: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
     return partition_with_holdout(data, spec, 0.0)[0]
 
 
+# a dataset with room for shards of up to MAX_SHARD_FACTOR * 1000 samples
+ROOMY = make_linear_regression(1000, 1, seed=0)
+
+
+def size_draws(spec: PartitionSpec) -> np.ndarray:
+    """The draws x_k ~ Normal(mean_size, size_var) on the first of the spec's four streams."""
+    sizes_rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(4)[0])
+    return sizes_rng.normal(spec.mean_size, np.sqrt(spec.size_var), size=spec.n)
+
+
 class TestSampleSizes:
     def test_degenerate_variance_gives_mean_exactly(self):
         spec = PartitionSpec(n=50, mean_size=600.0, size_var=0.0, seed=1)
-        assert sample_sizes(spec) == [600] * 50
+        assert PARTITION.check_fits(ROOMY, spec).tolist() == [600] * 50
 
     def test_small_mean_clamps_to_one(self):
         spec = PartitionSpec(n=25, mean_size=0.2, size_var=0.0, seed=1)
-        assert sample_sizes(spec) == [1] * 25
+        assert PARTITION.check_fits(ROOMY, spec).tolist() == [1] * 25
 
-    @pytest.mark.parametrize(
-        "mean_size, size_var", [(20.0, 25.0), (0.7, 4.0), (1e19, 1e38), (8.0, 1e300)]
-    )  # the last two draw sizes far beyond 2**63
-    def test_sizes_are_the_floor_of_each_draw_clamped_to_one(self, mean_size, size_var):
+    @pytest.mark.parametrize("seed", [0, 3, 7, 2**64 + 7])
+    @pytest.mark.parametrize("mean_size, size_var", [(20.0, 25.0), (0.7, 4.0)])
+    def test_sizes_are_the_floor_of_each_draw_clamped_to_one(self, mean_size, size_var, seed):
+        spec = PartitionSpec(n=400, mean_size=mean_size, size_var=size_var, seed=seed)
+        got = PARTITION.check_fits(ROOMY, spec)
+        assert got.dtype == np.int64
+        assert got.tolist() == [max(int(np.floor(x)), 1) for x in size_draws(spec)]
+
+    @pytest.mark.parametrize("mean_size, size_var", [(1e19, 1e38), (8.0, 1e300)])
+    def test_sizes_beyond_int64_are_refused_as_drawn(self, mean_size, size_var):
+        # floored and compared as floats, never converted to an integer
         spec = PartitionSpec(n=400, mean_size=mean_size, size_var=size_var, seed=3)
-        got = PARTITION._draw_sizes(spec, np.random.default_rng(9))
-        draws = np.random.default_rng(9).normal(mean_size, np.sqrt(size_var), size=400)
-        assert got == [max(int(np.floor(x)), 1) for x in draws]
-        assert all(type(size) is int for size in got)
-        if mean_size > 2**63:
-            assert max(got) > 2**63 and min(got) == 1
+        biggest = np.floor(size_draws(spec)).max()
+        assert biggest > 2**63
+        with pytest.raises(ValueError, match=re.escape(f"is {biggest:.3g}, above the limit of 10000 (10 times")):
+            PARTITION.check_fits(ROOMY, spec)
 
     def test_monte_carlo_mean_matches_floor_corrected_oracle(self):
         # floor shaves ~0.5 off the mean when the spread dwarfs the lattice,
         # so E[max(floor(x), 1)] ~ 599.5; allow 3 standard errors
         spec = PartitionSpec(n=10_000, mean_size=600.0, size_var=100.0, seed=5)
-        sizes = np.array(sample_sizes(spec))
+        sizes = PARTITION.check_fits(ROOMY, spec)
         stderr = np.sqrt(100.0 + 1.0 / 12.0) / np.sqrt(10_000)
         assert abs(sizes.mean() - 599.5) <= 3 * stderr
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 7])
-    def test_sizes_come_from_the_first_of_the_four_streams(self, seed):
-        spec = PartitionSpec(n=30, mean_size=20.0, size_var=25.0, seed=seed)
-        sizes_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[0])
-        assert sample_sizes(spec) == PARTITION._draw_sizes(spec, sizes_rng)
 
 
 def _isin_pool(labels, chosen, n_classes):
@@ -114,7 +123,7 @@ class TestPartition:
     def test_shard_sizes_match_draws_exactly(self):
         data = make_blobs(400, 4, 5, seed=3)
         spec = PartitionSpec(n=12, mean_size=20.0, size_var=30.0, max_labels_per_device=3, seed=8)
-        assert [len(rows) for rows in shards(data, spec)] == sample_sizes(spec)
+        assert [len(rows) for rows in shards(data, spec)] == PARTITION.check_fits(data, spec).tolist()
 
     def test_label_subsets_respect_the_cap(self):
         data = make_blobs(500, 4, 6, seed=3)
@@ -182,7 +191,7 @@ class TestHoldoutSplit:
         data = make_blobs(400, 4, 4, seed=7)
         spec = PartitionSpec(n=6, mean_size=20.0, max_labels_per_device=2, seed=5)
         fits, holds = partition_with_holdout(data, spec, 0.2)
-        sizes = sample_sizes(spec)
+        sizes = PARTITION.check_fits(data, spec)
         for train, hold, m in zip(fits, holds, sizes):
             assert len(train) + len(hold) == m
             assert len(hold) == int(np.floor(0.2 * m))
@@ -214,7 +223,6 @@ class TestHoldoutSplit:
         data = make_blobs(300, 3, 3, seed=9)
         spec = PartitionSpec(n=9, mean_size=12.0, size_var=40.0, max_labels_per_device=2, seed=21)
         sizes = PARTITION.check_fits(data, spec)
-        assert sizes == sample_sizes(spec)
         _, holds = partition_with_holdout(data, spec, fraction)
         assert [len(hold) for hold in holds] == PARTITION.holdout_sizes(sizes, fraction).tolist()
 
@@ -341,7 +349,7 @@ class TestBatchedDraws:
             n=n, mean_size=mean_size, size_var=size_var, max_labels_per_device=min(cap, present),
             pure_count=min(pure, n), seed=seed,
         )
-        assume(max(sample_sizes(spec)) <= PARTITION.MAX_SHARD_FACTOR * len(data))
+        assume(np.floor(size_draws(spec)).max() <= PARTITION.MAX_SHARD_FACTOR * len(data))
         _reference_paths(data, spec)
 
     def test_one_partition_reaches_every_path(self):

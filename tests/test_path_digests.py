@@ -24,7 +24,7 @@ import pytest
 from safl_sim import simulation
 from safl_sim.cli import main as cli_main
 from safl_sim.experiments import load_experiment, sim_config
-from safl_sim.partition import holdout_sizes, sample_sizes
+from safl_sim.partition import check_fits, holdout_sizes
 
 RIDGE_DATA = {"kind": "linear", "samples": 160, "dim": 4, "feature_scale": 0.3, "coef_scale": 3.0, "seed": 5}
 RIDGE = {"kind": "ridge", "reg": 0.8}
@@ -170,7 +170,7 @@ def test_mixed_holdout_document_has_both_kinds_of_holdout(tmp_path):
     config = tmp_path / "mixed.json"
     config.write_text(json.dumps(DOCS["mixed_holdout"]))
     spec = load_experiment(config)
-    holds = holdout_sizes(sample_sizes(spec.config.partition), spec.config.holdout_fraction)
+    holds = holdout_sizes(check_fits(spec.dataset, spec.config.partition), spec.config.holdout_fraction)
     assert holds.tolist() == [0, 1, 0, 1, 1, 1, 0, 1, 0]
     problem = simulation.prepare(spec.config, spec.dataset)
     empty = holds == 0
