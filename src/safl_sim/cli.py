@@ -54,8 +54,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     # compare
-    if len(args.paths) < 2:
-        parser.error("compare needs at least two metrics files")
     try:
         compare(args.paths, mse_threshold=args.mse_threshold)
     except (ValueError, OSError) as err:

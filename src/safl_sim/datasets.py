@@ -9,6 +9,7 @@ argument.
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -75,21 +76,16 @@ def make_blobs(
 
 def load_csv(path, *, n_classes: int | None = None) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if not header or header[-1] != "label" or len(header) < 2:
             raise ValueError("dataset CSV must have header f0,...,f{d-1},label")
         d = len(header) - 1
         if header[:d] != [f"f{j}" for j in range(d)]:
             raise ValueError("dataset CSV feature columns must be named f0..f{d-1}")
-        feats, targets = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise ValueError(f"dataset CSV row has {len(row)} fields, expected {d + 1}")
-            feats.append([float(v) for v in row[:d]])
-            targets.append(float(row[d]))
-    X = np.asarray(feats, dtype=np.float64).reshape(len(feats), d)
-    y = np.asarray(targets)
-    return Dataset(X, y, n_classes)
+        with warnings.catch_warnings():  # a header-only file reads as shape (0, 1)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    if table.size and table.shape[1] != d + 1:
+        raise ValueError(f"dataset CSV row has {table.shape[1]} fields, expected {d + 1}")
+    table = table.reshape(-1, d + 1)
+    return Dataset(table[:, :d], table[:, d], n_classes)

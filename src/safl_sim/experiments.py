@@ -66,18 +66,18 @@ MAX_RECORDS = 2**21
 # is rejected on load.
 MAX_ROUND_STEPS = 2**24
 
-# A generated dataset holds samples times dim features (blobs also draws
-# classes times dim centres).  Each round the kernel gathers its step table's
-# samples, as float64 arrays of entries times dim features, and a logistic
-# step's one-hot targets, of entries times classes; set-up gathers the pooled
-# training and eval sets, rows times dim, stacks every job's device
-# parameters, jobs times n times the parameter count, and the pooled solve
-# and the step-size bounds form X'X, dim times dim; a logistic round's metric
-# forms jobs times classes logits over the distinct pooled training rows.  A
-# document that would need more than MAX_BYTES (1 GiB) for any one of them,
-# or for the random generators that set-up builds before round 1
-# (GENERATOR_BYTES each, measured with tracemalloc under numpy 2.4), is
-# refused on load, before anything is allocated.
+# A dataset holds rows times dim features (blobs also draws classes times dim
+# centres).  Each round the kernel gathers its step table's samples, as
+# float64 arrays of entries times dim features, and a logistic step's one-hot
+# targets, of entries times classes; set-up gathers the pooled training and
+# eval sets, rows times dim, stacks every job's device parameters, jobs times
+# n times the parameter count, and the pooled solve and the step-size bounds
+# form X'X, dim times dim; a logistic round's metric forms jobs times classes
+# logits over the distinct pooled training rows.  A document that would need
+# more than MAX_BYTES (1 GiB) for any one of them, or for the random
+# generators that set-up builds before round 1 (GENERATOR_BYTES each,
+# measured with tracemalloc under numpy 2.4), is refused on load: before
+# anything is allocated, or for a CSV dataset as soon as it is read.
 MAX_BYTES = 2**30
 MAX_FLOATS = MAX_BYTES // 8
 GENERATOR_BYTES = 745
@@ -238,7 +238,13 @@ def _build_dataset(section: dict) -> Dataset:
         raise ExperimentConfigError(f"data: unknown kind '{kind}'")
     _check_keys(params, {"path", "classes"}, "data")
     path = _read(params, "data", "path", "str")
-    return _owned(f"data: 'path' ({path})", load_csv, path, n_classes=_read(params, "data", "classes", "int | None", None))
+    dataset = _owned(f"data: 'path' ({path})", load_csv, path, n_classes=_read(params, "data", "classes", "int | None", None))
+    if len(dataset) * dataset.dim > MAX_FLOATS:
+        raise ExperimentConfigError(
+            f"data: 'path' ({path}) holds {_rough(len(dataset))} rows of dim {dataset.dim} features, "
+            f"{_rough(len(dataset) * dataset.dim)} floats, above the limit of {MAX_FLOATS}"
+        )
+    return dataset
 
 
 def _build_weights(doc: dict) -> WeightScheme:

@@ -590,6 +590,12 @@ class TestCli:
             (None, "T", 10**30, "experiment: 'T' = 10"),
             (None, "T", 10**400, "experiment: 'T' = 10"),
             (None, "E", 10**400, "experiment: 'E' = 10"),
+            # refusals owned by SimConfig, Objective and PartitionSpec
+            (None, "local_solver", "newton", "experiment: unknown 'local_solver' 'newton'"),
+            (None, "init_scale", -1.0, "'init_scale' must be finite and >= 0"),
+            (None, "objective", {"kind": "least_squares", "reg": 0.5}, "objective: least_squares does not take a regulariser; use ridge"),
+            ("partition", "size_var", -1.0, "partition: size_var must be >= 0"),
+            ("partition", "max_labels_per_device", 0, "partition: max_labels_per_device must be >= 1"),
         ],
     )
     def test_malformed_document_exits_one_and_names_the_key(self, tmp_path, capsys, section, key, value, named):
@@ -983,6 +989,21 @@ class TestCli:
         with pytest.raises(ExperimentConfigError, match=re.escape(f"data: {message}, {floats} floats, above the limit of {floats - 1}")):
             load_experiment(path)
 
+    def test_float_limit_counts_a_csv_dataset_once_read(self, tmp_path, monkeypatch):
+        # 60 rows of dim 3: at 180 floats the document loads, one below it
+        # is refused; every other array of the document is smaller
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,f2,label\n" + "".join(f"{0.1 * i},{(-1) ** i},{i % 5},{0.2 * i}\n" for i in range(60)))
+        path = write_doc(tmp_path, experiment_doc(data={"kind": "csv", "path": str(data)}, n=4, s=4, T=3, seeds=[1], variants=["fedavg"]))
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 180)
+        load_experiment(path)
+        monkeypatch.setattr(safl_sim.experiments, "MAX_FLOATS", 179)
+        with pytest.raises(
+            ExperimentConfigError,
+            match=re.escape(f"data: 'path' ({data}) holds 60 rows of dim 3 features, 180 floats, above the limit of 179"),
+        ):
+            load_experiment(path)
+
     def test_label_cap_above_the_labels_present_exits_one(self, tmp_path, capsys):
         doc = experiment_doc(data={"kind": "blobs", "samples": 60, "dim": 3, "classes": 3}, T=2, seeds=[1])
         doc["partition"]["max_labels_per_device"] = 5
@@ -1006,7 +1027,10 @@ class TestCli:
                 "features are too large: their sum of squares overflows",
             ),
             ({"kind": "ridge", "reg": 1.0}, None, (0, 3), "target", "dataset CSV must have header f0,...,f{d-1},label"),
-            ({"kind": "ridge", "reg": 1.0}, None, (5, 3), "0,1", "dataset CSV row has 5 fields, expected 4"),
+            (
+                {"kind": "ridge", "reg": 1.0}, None, (5, 3), "0,1",
+                "the number of columns changed from 4 to 5 at row 5; use `usecols` to select a subset and avoid this error",
+            ),
         ],
         ids=[
             "nan-feature-least_squares", "nan-feature-logistic", "inf-feature-lasso", "inf-feature-ridge",
@@ -1044,6 +1068,29 @@ class TestCli:
             assert cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(out), "--quiet"]) == 0
             digests.append((out / "fedavg.csv").read_bytes())
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "f0,f1,f2,label\n",
+                "partition: a shard size drawn from mean_size 12 and size_var 0 is 12, "
+                "above the limit of 0 (10 times the 0 samples of the dataset)",
+            ),
+            ("f0,f1,f2,label\n" + "0.5,1,-1,2,0\n" * 60, "data: 'path' ({data}): dataset CSV row has 5 fields, expected 4"),
+        ],
+        ids=["header-only", "every-row-field-count"],
+    )
+    def test_a_dataset_csv_with_no_row_of_its_width_exits_one(self, tmp_path, capsys, text, message):
+        # the header-only file reads as no samples, and no numpy warning
+        # escapes (the suite turns warnings into errors)
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "demo.json").read_text())
+        doc["data"] = {"kind": "csv", "path": str(data)}
+        code = cli_main(["run", "--config", str(write_doc(tmp_path, doc)), "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message.format(data=data)}\n"
 
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -1192,10 +1239,9 @@ class TestCli:
         assert cli_main(["compare", *map(str, paths)]) == 1
         assert capsys.readouterr().err == "compare error: no round was reached by every seed\n"
 
-    def test_compare_single_file_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["compare", str(tmp_path / "a.csv")])
-        assert exc.value.code == 2
+    def test_compare_of_a_single_file_exits_one(self, tmp_path, capsys):
+        assert cli_main(["compare", str(tmp_path / "a.csv")]) == 1
+        assert capsys.readouterr().err == "compare error: compare needs at least two metrics files\n"
 
     def test_compare_of_two_files_exits_zero_and_prints_the_table(self, tmp_path, capsys):
         paths = [tmp_path / "fedavg.csv", tmp_path / "safl.csv"]

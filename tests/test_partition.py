@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +260,30 @@ class TestDatasetCsv:
         assert np.array_equal(loaded.X, data.X)
         assert np.array_equal(loaded.y, data.y)
         assert loaded.n_classes is None
+
+    def test_crlf_quoted_cells_and_a_blank_line_read_as_the_plain_file(self, tmp_path):
+        data = make_blobs(30, 2, 3, seed=4)
+        plain = tmp_path / "plain.csv"
+        self.save(data, plain)
+        header, *rows = plain.read_text().splitlines()
+        # every other cell of every row quoted, a blank line after row 10, CRLF line ends
+        rows = [",".join(f'"{v}"' if j % 2 else v for j, v in enumerate(row.split(","))) for row in rows]
+        other = tmp_path / "other.csv"
+        other.write_bytes("\r\n".join([header, *rows[:10], "", *rows[10:]]).encode() + b"\r\n")
+        want, got = load_csv(plain, n_classes=3), load_csv(other, n_classes=3)
+        for a, b in ((want.X, got.X), (want.y, got.y), (data.X, got.X)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_reading_peaks_within_three_times_the_arrays_it_returns(self, tmp_path):
+        path = tmp_path / "data.csv"
+        self.save(make_linear_regression(2000, 10, noise_std=0.3, seed=6), path)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (loaded.X.nbytes + loaded.y.nbytes)
 
     def test_header_shape_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
